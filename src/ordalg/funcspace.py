@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import IncomparableError, InputError
-from .order import OrderedCarrier, OrderRelation, inf_over, sup_over
+from .order import OrderedCarrier, OrderRelation, sup_over
 from .structures import FinStruct
 
 
@@ -132,13 +132,6 @@ class FunctionSpace:
             self._funcs = tuple(out)
         return self._funcs
 
-    def contains(self, f: KFunction) -> bool:
-        if f.domain != self.points:
-            return False
-        if any(v not in set(self.K.elements) for v in f.values):
-            return False
-        return self.variant is None or self.is_monotone(f, self.variant)
-
     def _require(self, *fs: KFunction):
         for f in fs:
             if f.domain != self.points:
@@ -159,18 +152,19 @@ class FunctionSpace:
 
     def odot(self, c: str, f: KFunction, side: str = "left") -> KFunction:
         """Add the constant c on the named side of every value."""
-        self._require(f)
-        if side == "left":
-            return self.add(self.constant(c), f)
-        if side == "right":
-            return self.add(f, self.constant(c))
-        raise InputError(f"unknown side {side!r}")
+        return self._with_constant("add", c, f, side)
 
     def scale(self, b: str, f: KFunction, side: str = "left") -> KFunction:
         """Multiply by the constant b on the named side (homogeneity tests)."""
+        return self._with_constant("mul", b, f, side)
+
+    def _with_constant(self, op: str, c: str, f: KFunction, side: str) -> KFunction:
+        self._require(f)
         if side == "left":
-            return self.mul(self.constant(b), f)
-        return self.mul(f, self.constant(b))
+            return self.pointwise(op, self.constant(c), f)
+        if side == "right":
+            return self.pointwise(op, f, self.constant(c))
+        raise InputError(f"unknown side {side!r}")
 
     def comparable_pointwise(self, f: KFunction, g: KFunction) -> str | None:
         """None when every point has comparable values, else the first
@@ -183,23 +177,17 @@ class FunctionSpace:
 
     def vee(self, f: KFunction, g: KFunction) -> KFunction:
         """Pointwise max; refuses when some point has incomparable values."""
-        bad = self.comparable_pointwise(f, g)
-        if bad is not None:
-            raise IncomparableError(f"values incomparable at point {bad!r}", bad)
-        vals = tuple(
-            b if self.K.leq(a, b) else a for a, b in zip(f.values, g.values)
-        )
-        return KFunction(self.points, vals)
+        return self._guarded(f, g, self.K.order.join)
 
     def wedge(self, f: KFunction, g: KFunction) -> KFunction:
         """Pointwise min under the same comparability guard."""
+        return self._guarded(f, g, self.K.order.meet)
+
+    def _guarded(self, f: KFunction, g: KFunction, pick) -> KFunction:
         bad = self.comparable_pointwise(f, g)
         if bad is not None:
             raise IncomparableError(f"values incomparable at point {bad!r}", bad)
-        vals = tuple(
-            a if self.K.leq(a, b) else b for a, b in zip(f.values, g.values)
-        )
-        return KFunction(self.points, vals)
+        return KFunction(self.points, tuple(map(pick, f.values, g.values)))
 
     def leq(self, f: KFunction, g: KFunction) -> bool:
         self._require(f, g)
@@ -208,10 +196,6 @@ class FunctionSpace:
     def sup_value(self, f: KFunction, subset=None) -> str | None:
         pts = self.points if subset is None else tuple(subset)
         return sup_over({f(x) for x in pts}, self.K.order)
-
-    def inf_value(self, f: KFunction, subset=None) -> str | None:
-        pts = self.points if subset is None else tuple(subset)
-        return inf_over({f(x) for x in pts}, self.K.order)
 
     # -- supports ---------------------------------------------------------------
 

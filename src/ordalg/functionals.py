@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .errors import (
     CapacityError,
@@ -23,7 +23,7 @@ from .errors import (
 from .funcspace import FunctionSpace, KFunction
 from .order import inf_over, sup_over
 from .report import AxiomReport, Verdict
-from .structures import FinStruct, Homomorphism
+from .structures import Homomorphism
 
 
 class Functional:
@@ -55,47 +55,38 @@ class Dirac(Functional):
 
 
 @dataclass(frozen=True, eq=False)
-class SupOver(Functional):
-    """sup of the function values over a fixed non-empty subset."""
+class _Extremum(Functional):
+    """The `bound` ("sup" or "inf") of the function values over a fixed
+    non-empty subset."""
 
     space: FunctionSpace
     subset: frozenset
+    bound = "sup"
 
     def __post_init__(self):
+        name = type(self).__name__
         if not self.subset:
-            raise InputError("SupOver needs a non-empty subset")
+            raise InputError(f"{name} needs a non-empty subset")
         if not self.subset <= set(self.space.points):
-            raise InputError("SupOver subset not contained in the point set")
+            raise InputError(f"{name} subset not contained in the point set")
 
     def value(self, f: KFunction) -> str:
-        v = sup_over({f(x) for x in self.subset}, self.space.K.order)
+        pick = sup_over if self.bound == "sup" else inf_over
+        v = pick({f(x) for x in self.subset}, self.space.K.order)
         if v is None:
-            raise CapacityError(f"image of {f} over {set(self.subset)} has no sup in K")
+            raise CapacityError(f"image of {f} over {set(self.subset)} has no {self.bound} in K")
         return v
 
     def __str__(self) -> str:
-        return "sup_over {" + ", ".join(sorted(self.subset)) + "}"
+        return f"{self.bound}_over {{" + ", ".join(sorted(self.subset)) + "}"
 
 
-@dataclass(frozen=True, eq=False)
-class InfOver(Functional):
-    space: FunctionSpace
-    subset: frozenset
+class SupOver(_Extremum):
+    bound = "sup"
 
-    def __post_init__(self):
-        if not self.subset:
-            raise InputError("InfOver needs a non-empty subset")
-        if not self.subset <= set(self.space.points):
-            raise InputError("InfOver subset not contained in the point set")
 
-    def value(self, f: KFunction) -> str:
-        v = inf_over({f(x) for x in self.subset}, self.space.K.order)
-        if v is None:
-            raise CapacityError(f"image of {f} over {set(self.subset)} has no inf in K")
-        return v
-
-    def __str__(self) -> str:
-        return "inf_over {" + ", ".join(sorted(self.subset)) + "}"
+class InfOver(_Extremum):
+    bound = "inf"
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +95,6 @@ class TableFunctional(Functional):
 
     space: FunctionSpace
     table: tuple
-
-    @classmethod
-    def from_dict(cls, space: FunctionSpace, mapping: dict) -> "TableFunctional":
-        return cls(space, tuple(mapping[f] for f in space.functions()))
 
     def value(self, f: KFunction) -> str:
         idx = self.__dict__.get("_index")
@@ -195,12 +182,15 @@ def extensionally_equal(nu: Functional, lam: Functional) -> bool:
     return signature(nu) == signature(lam)
 
 
-def enumerate_functionals(space: FunctionSpace, max_count: int = 100_000):
+TABLE_CAP = 100_000
+
+
+def enumerate_functionals(space: FunctionSpace):
     """Every K-valued functional on the space, as value tables."""
     funcs = list(space.functions())
     total = len(space.K.elements) ** len(funcs)
-    if total > max_count:
-        raise CapacityError(f"{total} functionals exceed the cap {max_count}")
+    if total > TABLE_CAP:
+        raise CapacityError(f"{total} functionals exceed the cap {TABLE_CAP}")
     for values in product(space.K.elements, repeat=len(funcs)):
         yield TableFunctional(space, values)
 
@@ -208,7 +198,7 @@ def enumerate_functionals(space: FunctionSpace, max_count: int = 100_000):
 IDEMPOTENT_AXIOMS = ("normalized", "left-shift", "right-shift", "join", "meet")
 
 
-def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS, max_count: int = 100_000):
+def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
     """All functionals passing the named idempotency axioms, exhaustively.
 
     The default demands all five rules.  Note that the meet rule cuts the
@@ -218,7 +208,7 @@ def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS, max_cou
     """
     return [
         nu
-        for nu in enumerate_functionals(space, max_count)
+        for nu in enumerate_functionals(space)
         if all(check_idempotent(nu)[a].holds for a in axioms)
     ]
 
@@ -237,19 +227,56 @@ def _grid_pairs(items, budget, seed):
     return iter(pairs), True
 
 
+def _normalized(nu: Functional) -> Verdict:
+    space = nu.space
+    for c in space.K.elements:
+        if nu.value(space.constant(c)) != c:
+            return Verdict.failed("normalized", (c, nu.value(space.constant(c))))
+    return Verdict.passed("normalized")
+
+
+def check_join_meet(nu: Functional, pairs, laws: dict) -> dict:
+    """Compatibility with guarded pointwise max ("join") and min ("meet").
+
+    `laws` maps each requested kind to the law name of its verdict.  One
+    pass over `pairs` checks every kind, skipping pairs whose values are
+    not pointwise comparable; each verdict keeps the first pair at which
+    its law fails.
+    """
+    space = nu.space
+    order = space.K.order
+    todo = [
+        (law, space.vee, order.join) if kind == "join" else (law, space.wedge, order.meet)
+        for kind, law in laws.items()
+    ]
+    failed = {}
+    for f, g in pairs:
+        if space.comparable_pointwise(f, g) is not None:
+            continue
+        a, b = nu.value(f), nu.value(g)
+        comparable = order.comparable(a, b)
+        for law, combine, pick in todo:
+            if law in failed:
+                continue
+            if not comparable:
+                failed[law] = Verdict.failed(law, (f, g, a, b), note="values incomparable")
+                continue
+            lhs = nu.value(combine(f, g))
+            rhs = pick(a, b)
+            if lhs != rhs:
+                failed[law] = Verdict.failed(law, (f, g, lhs, rhs))
+        if len(failed) == len(todo):
+            break
+    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
+
+
 def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Normalization, both constant-shift rules, and compatibility with
     pointwise max/min on pairs whose values are pointwise comparable."""
     space = nu.space
     K = space.K
     report = AxiomReport()
-
-    verdict = Verdict.passed("normalized")
-    for c in K.elements:
-        if nu.value(space.constant(c)) != c:
-            verdict = Verdict.failed("normalized", (c, nu.value(space.constant(c))))
-            break
-    report.add(verdict)
+    report.add(_normalized(nu))
 
     funcs = list(space.functions())
     shifts_sampled = False
@@ -274,29 +301,8 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
     report.add(right)
 
     pairs, pairs_sampled = _grid_pairs(funcs, budget, seed)
-    join = Verdict.passed("join")
-    meet = Verdict.passed("meet")
-    order = K.order
-    for f, g in pairs:
-        if space.comparable_pointwise(f, g) is not None:
-            continue
-        a, b = nu.value(f), nu.value(g)
-        if join.holds:
-            lhs = nu.value(space.vee(f, g))
-            if not order.comparable(a, b):
-                join = Verdict.failed("join", (f, g, a, b), note="values incomparable")
-            elif lhs != (b if order.leq(a, b) else a):
-                join = Verdict.failed("join", (f, g, lhs, b if order.leq(a, b) else a))
-        if meet.holds:
-            lhs = nu.value(space.wedge(f, g))
-            if not order.comparable(a, b):
-                meet = Verdict.failed("meet", (f, g, a, b), note="values incomparable")
-            elif lhs != (a if order.leq(a, b) else b):
-                meet = Verdict.failed("meet", (f, g, lhs, a if order.leq(a, b) else b))
-        if not join.holds and not meet.holds:
-            break
-    report.add(join)
-    report.add(meet)
+    for verdict in check_join_meet(nu, pairs, {"join": "join", "meet": "meet"}).values():
+        report.add(verdict)
     report.sampled = shifts_sampled or pairs_sampled
     return report
 
@@ -335,12 +341,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
             break
     report.add(op)
 
-    norm = Verdict.passed("normalized")
-    for c in K.elements:
-        if nu.value(space.constant(c)) != c:
-            norm = Verdict.failed("normalized", (c, nu.value(space.constant(c))))
-            break
-    report.add(norm)
+    report.add(_normalized(nu))
 
     ne = Verdict.passed("non-expanding")
     for f in funcs:
@@ -370,7 +371,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     return report
 
 
-def check_homogeneous(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
+def check_homogeneous(nu: Functional) -> AxiomReport:
     space = nu.space
     K = space.K
     report = AxiomReport()
@@ -658,17 +659,9 @@ def is_support(nu: Functional, E) -> bool:
     E = frozenset(E)
     if not supported_on(nu, E):
         return False
-    space = nu.space
-    funcs = list(space.functions())
     for size in range(len(E)):
         for sub in combinations(sorted(E), size):
-            F = frozenset(sub)
-            if all(
-                nu.value(f) == nu.value(g)
-                for f in funcs
-                for g in funcs
-                if all(f(x) == g(x) for x in F)
-            ):
+            if vanishes_agreement(nu, sub):
                 return False
     return True
 
@@ -720,12 +713,15 @@ def xi(family: FunctionalFamily, lam: Functional) -> TableFunctional:
     )
 
 
-def generated_family(space: FunctionSpace, subset_cap: int = 64, prefix: str = "n") -> FunctionalFamily:
+SUBSET_CAP = 64
+
+
+def generated_family(space: FunctionSpace, prefix: str = "n") -> FunctionalFamily:
     """Diracs plus sup-functionals over subsets, the canonical idempotent
     stock on a space; used as higher-level families in the monad checks."""
     members: list[Functional] = [Dirac(space, x) for x in space.points]
     n = len(space.points)
-    if 2**n - 1 <= subset_cap:
+    if 2**n - 1 <= SUBSET_CAP:
         subsets = [
             frozenset(c)
             for size in range(1, n + 1)
@@ -737,7 +733,20 @@ def generated_family(space: FunctionSpace, subset_cap: int = 64, prefix: str = "
     return FunctionalFamily(space, tuple(members), prefix=prefix)
 
 
-def monad_check(space: FunctionSpace, family=None, subset_cap: int = 64) -> AxiomReport:
+def _pushed(lam: Functional, point_map: dict, upper: FunctionSpace) -> TableFunctional:
+    """lam pushed along a point map from its own points into the points of
+    `upper`, evaluated on every function of `upper`."""
+    inner = lam.space
+    return TableFunctional(
+        upper,
+        tuple(
+            lam.value(inner.function({p: t(point_map[p]) for p in inner.points}))
+            for t in upper.functions()
+        ),
+    )
+
+
+def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
     """Both unit laws and associativity of the flattening, checked
     extensionally over the given base family.
 
@@ -787,14 +796,7 @@ def monad_check(space: FunctionSpace, family=None, subset_cap: int = 64) -> Axio
 
     unit2 = Verdict.passed("unit-eta-inner")
     for nu in fam.members:
-        pushed = TableFunctional(
-            fam.upper,
-            tuple(
-                nu.value(space.function({x: t(eta_map[x]) for x in space.points}))
-                for t in fam.upper.functions()
-            ),
-        )
-        flat = xi(fam, pushed)
+        flat = xi(fam, _pushed(nu, eta_map, fam.upper))
         if signature(flat) != signature(nu):
             unit2 = Verdict.failed("unit-eta-inner", (str(nu),))
             break
@@ -825,8 +827,8 @@ def monad_check(space: FunctionSpace, family=None, subset_cap: int = 64) -> Axio
             break
     report.add(barv)
 
-    fam2 = generated_family(fam.upper, subset_cap, prefix="m")
-    fam3 = generated_family(fam2.upper, subset_cap, prefix="t")
+    fam2 = generated_family(fam.upper, prefix="m")
+    fam3 = generated_family(fam2.upper, prefix="t")
 
     ximap = {}
     unmatched = None
@@ -850,14 +852,7 @@ def monad_check(space: FunctionSpace, family=None, subset_cap: int = 64) -> Axio
     for tau in fam3.members:
         lhs = xi(fam, xi(fam2, tau))
         # tau pushed along the flattening as a point map fam2 -> fam
-        pushed = TableFunctional(
-            fam.upper,
-            tuple(
-                tau.value(fam2.upper.function({p2: t(ximap[p2]) for p2 in fam2.ids}))
-                for t in fam.upper.functions()
-            ),
-        )
-        rhs = xi(fam, pushed)
+        rhs = xi(fam, _pushed(tau, ximap, fam.upper))
         if signature(lhs) != signature(rhs):
             assoc = Verdict.failed("assoc", (str(tau),))
             break

@@ -80,16 +80,24 @@ class OrderRelation:
     def comparable(self, x: str, y: str) -> bool:
         return (x, y) in self.pairs or (y, x) in self.pairs
 
+    def join(self, a: str, b: str) -> str:
+        """The larger of two comparable elements; callers check that
+        they are comparable."""
+        return b if (a, b) in self.pairs else a
+
+    def meet(self, a: str, b: str) -> str:
+        """The smaller of two comparable elements."""
+        return a if (a, b) in self.pairs else b
+
+    def bounds(self, subset, up: bool) -> list[str]:
+        """The upper bounds of the subset when `up`, else the lower bounds."""
+        pairs = self.pairs
+        if up:
+            return [z for z in self.carrier if all((x, z) in pairs for x in subset)]
+        return [z for z in self.carrier if all((z, x) in pairs for x in subset)]
+
     def upper_bounds(self, subset) -> list[str]:
-        return [z for z in self.carrier if all(self.leq(x, z) for x in subset)]
-
-    def lower_bounds(self, subset) -> list[str]:
-        return [z for z in self.carrier if all(self.leq(z, x) for x in subset)]
-
-    def restrict(self, subset) -> "OrderRelation":
-        keep = tuple(x for x in self.carrier if x in set(subset))
-        pairs = frozenset(p for p in self.pairs if p[0] in set(keep) and p[1] in set(keep))
-        return OrderRelation(keep, pairs)
+        return self.bounds(subset, True)
 
 
 @dataclass(frozen=True)
@@ -228,23 +236,24 @@ def check_op_monotone(op: dict, order: OrderRelation, domain=None) -> Verdict:
 
 def sup_over(subset, order: OrderRelation) -> str | None:
     """Least upper bound inside the carrier, or None when there is none."""
-    subset = list(subset)
-    if not subset:
-        raise InputError("sup of an empty subset")
-    if not set(subset) <= set(order.carrier):
-        raise InputError("subset not contained in carrier")
-    ubs = order.upper_bounds(subset)
-    least = [z for z in ubs if all(order.leq(z, w) for w in ubs)]
-    return least[0] if least else None
+    return _extremum(subset, order, True)
 
 
 def inf_over(subset, order: OrderRelation) -> str | None:
     """Greatest lower bound inside the carrier, or None."""
+    return _extremum(subset, order, False)
+
+
+def _extremum(subset, order: OrderRelation, up: bool) -> str | None:
+    """The least upper bound when `up`, else the greatest lower bound."""
     subset = list(subset)
     if not subset:
-        raise InputError("inf of an empty subset")
+        raise InputError(f"{'sup' if up else 'inf'} of an empty subset")
     if not set(subset) <= set(order.carrier):
         raise InputError("subset not contained in carrier")
-    lbs = order.lower_bounds(subset)
-    greatest = [z for z in lbs if all(order.leq(w, z) for w in lbs)]
-    return greatest[0] if greatest else None
+    pairs = order.pairs
+    bounds = order.bounds(subset, up)
+    for z in bounds:
+        if all(((z, w) if up else (w, z)) in pairs for w in bounds):
+            return z
+    return None

@@ -261,7 +261,7 @@ class MaxReduct:
     """
 
     def __init__(self, window):
-        window = sorted(set(window), key=_sort_key)
+        window = sorted(set(window), key=_key_of)
         if not window:
             raise InputError("empty ordinal window")
         if not window[0].is_zero():
@@ -309,10 +309,6 @@ class MaxReduct:
         return Verdict.passed("max-reduct-dist"), escapes
 
 
-def _sort_key(o: Ordinal):
-    # total order key consistent with ord_cmp, for deterministic windows
-    return _key_of(o)
-
-
 def _key_of(o: Ordinal):
+    # total order key consistent with ord_cmp, for deterministic windows
     return tuple((_key_of(e), c) for e, c in o.terms)

@@ -58,11 +58,6 @@ class AxiomReport:
     def add(self, verdict: Verdict) -> None:
         self.verdicts[verdict.law] = verdict
 
-    def merge(self, other: "AxiomReport") -> "AxiomReport":
-        merged = AxiomReport(dict(self.verdicts), self.sampled or other.sampled)
-        merged.verdicts.update(other.verdicts)
-        return merged
-
     def __getitem__(self, law: str) -> Verdict:
         return self.verdicts[law]
 

@@ -14,7 +14,6 @@ from .convolution import (
     all_kind_functionals,
     check_action,
     check_ideal,
-    check_invariant,
     check_quasiring,
     invariant_subfamily,
     saturate,
@@ -29,7 +28,6 @@ from .sproduct import (
     componentwise_leq,
     find_nonassoc_witness,
     lex_compare,
-    s_mu,
 )
 from .structures import check_law
 from .workspace import Workspace
@@ -217,11 +215,10 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
 
 
 def _upper(scheme, a, b):
-    order = scheme.component.order
-    for z in scheme.component.elements:
-        if order.leq(a, z) and order.leq(b, z):
-            return z
-    raise OrdalgError("component order is not directed")
+    bounds = scheme.component.order.upper_bounds((a, b))
+    if not bounds:
+        raise OrdalgError("component order is not directed")
+    return bounds[0]
 
 
 def run_suite(ws: Workspace, suite: str, budget: int = 20000, seed: int = 0):

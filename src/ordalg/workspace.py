@@ -53,6 +53,10 @@ class Section:
             raise ParseError(f"section [{self.kind} {self.name}] is missing key {key!r}", self.line)
         return v
 
+    def integer(self, key: str, default: str) -> int:
+        """The key's value as an integer, or `default` when the key is absent."""
+        return _integer(self.get(key, default), key, self.line_of(key))
+
     def line_of(self, key: str) -> int:
         for k, _, ln in self.entries:
             if k == key:
@@ -65,6 +69,13 @@ class Section:
             if k.startswith(prefix + "."):
                 out.append((k[len(prefix) + 1 :], v, ln))
         return out
+
+
+def _integer(text: str, what: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}", line) from None
 
 
 @dataclass
@@ -84,6 +95,7 @@ class Workspace:
 def split_sections(text: str) -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -94,6 +106,9 @@ def split_sections(text: str) -> list[Section]:
             head = line[1:-1].split()
             if len(head) != 2:
                 raise ParseError("section header must be [kind name]", lineno)
+            if tuple(head) in seen:
+                raise ParseError(f"repeated section [{head[0]} {head[1]}]", lineno)
+            seen.add(tuple(head))
             current = Section(head[0], head[1], lineno, [])
             sections.append(current)
             continue
@@ -144,8 +159,8 @@ def _build(ws: Workspace, sec: Section) -> None:
         runs = sec.get("run", "").split()
         ws.suite_defaults = {
             "run": runs or ["all"],
-            "budget": int(sec.get("budget", "20000")),
-            "seed": int(sec.get("seed", "0")),
+            "budget": sec.integer("budget", "20000"),
+            "seed": sec.integer("seed", "0"),
         }
     else:
         raise ParseError(f"unknown section kind {sec.kind!r}", sec.line)
@@ -158,10 +173,12 @@ def _lookup(table: dict, name: str, sec: Section, what: str):
 
 
 _BUILTINS = {
-    "boolean": lambda arg, name: boolean_semiring(name),
-    "max-plus-chain": lambda arg, name: maxplus_chain(int(arg), name),
-    "right-dist": lambda arg, name: right_dist_only(name),
-    "trivial": lambda arg, name: trivial_structure(name),
+    "boolean": lambda arg, name, line: boolean_semiring(name),
+    "max-plus-chain": lambda arg, name, line: maxplus_chain(
+        _integer(arg, "max-plus-chain size", line), name
+    ),
+    "right-dist": lambda arg, name, line: right_dist_only(name),
+    "trivial": lambda arg, name, line: trivial_structure(name),
 }
 
 
@@ -172,7 +189,7 @@ def _build_structure(sec: Section) -> FinStruct:
         kind, arg = parts[0], (parts[1] if len(parts) > 1 else "")
         if kind not in _BUILTINS:
             raise ParseError(f"unknown builtin structure {kind!r}", sec.line_of("builtin"))
-        return _BUILTINS[kind](arg, sec.name)
+        return _BUILTINS[kind](arg, sec.name, sec.line_of("builtin"))
     elements = tuple(sec.require("elements").split())
     order_spec = sec.require("order")
     if order_spec == "chain":
@@ -289,16 +306,21 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
 
 def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
-    lo, hi = sec.require("window").split()
+    window = sec.require("window").split()
+    if len(window) != 2:
+        raise ParseError("window must be two integers `lo hi`", sec.line_of("window"))
+    lo, hi = (_integer(token, "window", sec.line_of("window")) for token in window)
     psi = {}
     phi = {}
     for op in ("add", "mul"):
-        psi[op] = int(sec.get(f"{op}.psi", "0"))
-        phi[op] = int(sec.get(f"{op}.phi", "0"))
+        psi[op] = sec.integer(f"{op}.psi", "0")
+        phi[op] = sec.integer(f"{op}.phi", "0")
     embed = None
     if sec.get("embed") is not None:
         embed = {}
         for token in sec.require("embed").split():
+            if ":" not in token:
+                raise ParseError(f"embed entry {token!r} must look like a:b", sec.line_of("embed"))
             a, b = token.split(":", 1)
             embed[a] = b
-    return IndexScheme(K, range(int(lo), int(hi)), psi, phi, embed)
+    return IndexScheme(K, range(lo, hi), psi, phi, embed)

@@ -1,0 +1,126 @@
+"""Kind checks and kind additions of convolution, pinned by hand-verified
+witnesses, and the agreement of the join/meet scans of `check_kind` and
+`check_idempotent`."""
+from itertools import product
+
+import pytest
+
+from ordalg import (
+    Dirac,
+    FunctionSpace,
+    IncomparableError,
+    InfOver,
+    PreconditionError,
+    SupOver,
+    TableFunctional,
+    boolean_semiring,
+    check_idempotent,
+    check_kind,
+    direct_product,
+    enumerate_functionals,
+    plus_kind,
+    trivial_structure,
+)
+
+BOOL = boolean_semiring()
+SQUARE = direct_product(boolean_semiring("a"), boolean_semiring("b"))
+
+
+def bool_square():
+    """bool on two points; functions in order (0,0), (0,1), (1,0), (1,1)."""
+    sp = FunctionSpace(("x1", "x2"), BOOL)
+    return sp, sp.functions()
+
+
+def square_point():
+    """bool x bool on one point; "0,1" and "1,0" are incomparable."""
+    sp = FunctionSpace(("x",), SQUARE)
+    return sp, sp.functions()
+
+
+class TestCheckKind:
+    @pytest.mark.parametrize("kind", ["join", "meet", "add"])
+    def test_dirac_passes(self, kind):
+        sp, _ = bool_square()
+        v = check_kind(Dirac(sp, "x1"), kind)
+        assert v.holds and v.law == f"kind-{kind}" and v.witness is None
+
+    def test_sup_passes_join_and_add(self):
+        sp, _ = bool_square()
+        nu = SupOver(sp, frozenset(("x1", "x2")))
+        assert check_kind(nu, "join")
+        assert check_kind(nu, "add")
+
+    def test_sup_fails_meet(self):
+        # wedge((0,1), (1,0)) = (0,0) has sup 0, while min(1, 1) = 1
+        sp, (f0, f1, f2, f3) = bool_square()
+        v = check_kind(SupOver(sp, frozenset(("x1", "x2"))), "meet")
+        assert not v.holds
+        assert (v.law, v.witness, v.note) == ("kind-meet", (f1, f2, "0", "1"), "")
+
+    def test_inf_fails_join(self):
+        # vee((0,1), (1,0)) = (1,1) has inf 1, while max(0, 0) = 0
+        sp, (f0, f1, f2, f3) = bool_square()
+        v = check_kind(InfOver(sp, frozenset(("x1", "x2"))), "join")
+        assert (v.holds, v.law, v.witness) == (False, "kind-join", (f1, f2, "1", "0"))
+        assert check_kind(InfOver(sp, frozenset(("x1", "x2"))), "meet")
+
+    def test_inf_fails_add(self):
+        sp, (f0, f1, f2, f3) = bool_square()
+        v = check_kind(InfOver(sp, frozenset(("x1", "x2"))), "add")
+        assert (v.holds, v.law, v.witness) == (False, "kind-add", (f1, f2, "1", "0"))
+
+    @pytest.mark.parametrize("kind", ["join", "meet"])
+    def test_incomparable_values(self, kind):
+        # (f1, f3) is the first comparable pair with incomparable values
+        sp, (f0, f1, f2, f3) = square_point()
+        nu = TableFunctional(sp, ("0,0", "0,1", "1,0", "1,0"))
+        v = check_kind(nu, kind)
+        assert not v.holds
+        assert v.witness == (f1, f3, "0,1", "1,0")
+        assert v.note == "values incomparable"
+
+    def test_add_needs_commutative_associative_addition(self):
+        sp = FunctionSpace(("x",), trivial_structure())
+        with pytest.raises(PreconditionError):
+            check_kind(Dirac(sp, "x"), "add")
+
+
+class TestPlusKind:
+    def test_values(self):
+        sp, _ = bool_square()
+        d1, d2 = Dirac(sp, "x1"), Dirac(sp, "x2")
+        assert plus_kind("join", d1, d2).table == ("0", "1", "1", "1")
+        assert plus_kind("meet", d1, d2).table == ("0", "0", "0", "1")
+        assert plus_kind("add", d1, d2).table == ("0", "1", "1", "1")
+        assert plus_kind("meet", d1, d1).table == ("0", "0", "1", "1")
+
+    def test_values_on_a_non_chain(self):
+        sp, _ = square_point()
+        nu = TableFunctional(sp, ("0,1", "0,1", "1,1", "0,0"))
+        lam = TableFunctional(sp, ("1,1", "0,0", "1,0", "0,0"))
+        assert plus_kind("join", nu, lam).table == ("1,1", "0,1", "1,1", "0,0")
+        assert plus_kind("meet", nu, lam).table == ("0,1", "0,0", "1,0", "0,0")
+
+    @pytest.mark.parametrize("kind", ["join", "meet"])
+    def test_incomparable_values_raise(self, kind):
+        sp, _ = square_point()
+        lam = TableFunctional(sp, ("0,1",) * 4)
+        with pytest.raises(IncomparableError) as err:
+            plus_kind(kind, Dirac(sp, "x"), lam)
+        assert str(err.value) == "values '1,0', '0,1' incomparable"
+        assert err.value.witness == ("1,0", "0,1")
+
+
+@pytest.mark.parametrize("make", [bool_square, square_point])
+def test_idempotent_join_meet_agree_with_check_kind(make):
+    sp, _ = make()
+    for nu in enumerate_functionals(sp):
+        rep = check_idempotent(nu)
+        for kind in ("join", "meet"):
+            mine, theirs = rep[kind], check_kind(nu, kind)
+            assert (mine.holds, mine.witness, mine.note) == (
+                theirs.holds,
+                theirs.witness,
+                theirs.note,
+            )

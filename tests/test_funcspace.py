@@ -12,6 +12,7 @@ from ordalg import (
     check_law,
     direct_product,
     maxplus_chain,
+    right_dist_only,
 )
 
 BOOL = boolean_semiring()
@@ -80,6 +81,28 @@ class TestOdot:
         assert sp.odot("1", f, "left") == sp.constant("2")
         assert sp.odot("1", sp.constant("1"), "right") == sp.constant("1")
         assert sp.add(f, sp.constant("1")) == sp.constant("1")  # f (+) 1 keeps right
+
+    def test_odot_and_scale_on_both_sides(self):
+        # rdist multiplies a*b = b above one, so 3*2 = 2 and 2*3 = 3
+        K = right_dist_only()
+        sp = space(K=K)
+        f = sp.function({"x1": "2", "x2": "0"})
+        assert sp.scale("3", f, "left") == sp.function({"x1": "2", "x2": "0"})
+        assert sp.scale("3", f, "right") == sp.function({"x1": "3", "x2": "0"})
+        assert sp.scale("1", f, "right") == f
+        assert sp.odot("1", f, "left") == sp.function({"x1": "2", "x2": "1"})
+        assert sp.odot("3", f, "right") == sp.constant("3")
+        for op in (sp.odot, sp.scale):
+            with pytest.raises(InputError):
+                op("7", f, "left")  # not an element of K
+            with pytest.raises(InputError):
+                op("1", KFunction(("y1", "y2"), ("0", "0")), "left")
+
+    def test_unknown_side_rejected(self):
+        sp = space(K=MP3)
+        for op in (sp.odot, sp.scale):
+            with pytest.raises(InputError):
+                op("1", sp.zero(), "middle")
 
 
 class TestVeeWedge:

@@ -1,0 +1,67 @@
+"""Malformed workspace documents end in exit 2 with the offending line,
+never in a traceback."""
+import pytest
+
+from ordalg import CapacityError, maxplus_chain
+from ordalg.cli import main
+
+SCHEME = """\
+[structure b]
+builtin = boolean
+
+[scheme s]
+structure = b
+window = {window}
+mul.phi = {phi}
+{extra}
+"""
+
+
+def run_check(tmp_path, capsys, text):
+    doc = tmp_path / "doc.workspace"
+    doc.write_text(text, encoding="utf-8")
+    code = main(["check", str(doc), "--suite", "laws"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (SCHEME.format(window="0 x", phi="1", extra=""), 6),
+        (SCHEME.format(window="0", phi="1", extra=""), 6),
+        (SCHEME.format(window="0 5", phi="one", extra=""), 7),
+        (SCHEME.format(window="0 5", phi="1", extra="embed = 0:0 1"), 8),
+        ("[structure m]\nbuiltin = max-plus-chain x\n", 2),
+        ("[structure m]\nbuiltin = max-plus-chain\n", 2),
+        ("[structure b]\nbuiltin = boolean\n\n[suite default]\nbudget = lots\n", 5),
+        ("[structure b]\nbuiltin = boolean\n[suite default]\nseed = 0.5\n", 4),
+    ],
+    ids=["window-token", "window-arity", "phi", "embed", "chain-size", "chain-no-size", "budget", "seed"],
+)
+def test_malformed_tokens_exit_2_with_the_line(tmp_path, capsys, text, line):
+    code, err = run_check(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith(f"error: line {line}:")
+    assert "Traceback" not in err
+
+
+def test_repeated_section_is_rejected_at_the_second_header(tmp_path, capsys):
+    text = "[structure b]\nbuiltin = boolean\n\n[structure b]\nbuiltin = trivial\n"
+    code, err = run_check(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error: line 4: repeated section [structure b]")
+
+
+def test_same_name_in_another_kind_is_allowed(tmp_path, capsys):
+    text = "[structure s]\nbuiltin = boolean\n\n[space s]\nstructure = s\npoints = x\n"
+    code, err = run_check(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+
+
+def test_oversized_carrier_is_refused(tmp_path, capsys):
+    with pytest.raises(CapacityError):
+        maxplus_chain(1000)
+    assert maxplus_chain(60).elements[-1] == "59"
+    code, err = run_check(tmp_path, capsys, "[structure m]\nbuiltin = max-plus-chain 1000\n")
+    assert code == 2
+    assert "exceeds the cap" in err
