@@ -277,23 +277,26 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     report.add(closure_add)
     report.add(closure_conv)
 
-    ldist = Verdict.passed("conv-right-dist")
-    rdist = Verdict.passed("conv-left-dist")
+    # (n1 + n2) * lam = n1 * lam + n2 * lam, and the same law with the
+    # convolution flipped: lam * (n1 + n2) = lam * n1 + lam * n2
+    def star(a, b, flip):
+        return convolve(b, a, sys) if flip else convolve(a, b, sys)
+
+    dist = {"conv-right-dist": False, "conv-left-dist": True}
+    failed = {}
     for n1, n2, lam in product(members, repeat=3):
-        if ldist.holds:
-            lhs = signature(convolve(plus_kind(kind, n1, n2), lam, sys))
-            rhs = signature(plus_kind(kind, convolve(n1, lam, sys), convolve(n2, lam, sys)))
+        total = plus_kind(kind, n1, n2)
+        for law, flip in dist.items():
+            if law in failed:
+                continue
+            lhs = signature(star(total, lam, flip))
+            rhs = signature(plus_kind(kind, star(n1, lam, flip), star(n2, lam, flip)))
             if lhs != rhs:
-                ldist = Verdict.failed("conv-right-dist", (str(n1), str(n2), str(lam)))
-        if rdist.holds:
-            lhs = signature(convolve(lam, plus_kind(kind, n1, n2), sys))
-            rhs = signature(plus_kind(kind, convolve(lam, n1, sys), convolve(lam, n2, sys)))
-            if lhs != rhs:
-                rdist = Verdict.failed("conv-left-dist", (str(n1), str(n2), str(lam)))
-        if not ldist.holds and not rdist.holds:
+                failed[law] = Verdict.failed(law, (str(n1), str(n2), str(lam)))
+        if len(failed) == len(dist):
             break
-    report.add(ldist)
-    report.add(rdist)
+    for law in dist:
+        report.add(failed.get(law, Verdict.passed(law)))
 
     unit = Verdict.passed("unit-neutral")
     delta = dirac_unit(sys)
@@ -307,27 +310,21 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     return report
 
 
-def _validate_regime(sys: ActionSystem, homogeneous: bool) -> None:
-    if sys.regime == "unit-cocycle":
-        if any(v != sys.K.one for v in sys.rho.values()):
-            raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
-    elif sys.regime == "homogeneous":
-        if not homogeneous:
-            raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
-        if not {"comm-mul", "assoc-mul"} <= sys.K.flags:
-            raise PreconditionError(
-                "homogeneous regime needs commutative associative multiplication in K"
-            )
+def _validate_regime(sys: ActionSystem) -> None:
+    if sys.regime == "homogeneous":
+        raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
+    if any(v != sys.K.one for v in sys.rho.values()):
+        raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
 
 
 def invariant_subfamily(alg: ConvAlgebra) -> list[TableFunctional]:
     return [nu for nu in alg.members if check_invariant(nu, alg.sys)]
 
 
-def check_ideal(H, alg: ConvAlgebra, homogeneous: bool = False) -> AxiomReport:
+def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
     """The three ideal inclusions for the invariant sub-family, where
     membership means passing the invariance and kind checks."""
-    _validate_regime(alg.sys, homogeneous)
+    _validate_regime(alg.sys)
     report = AxiomReport()
     sys = alg.sys
     kind = alg.kind
@@ -346,20 +343,16 @@ def check_ideal(H, alg: ConvAlgebra, homogeneous: bool = False) -> AxiomReport:
             break
     report.add(add_cl)
 
-    left = Verdict.passed("ideal-left")
-    right = Verdict.passed("ideal-right")
-    for nu in alg.members:
-        for lam in H:
-            if left.holds and not member_of_H(convolve(nu, lam, sys)):
-                left = Verdict.failed("ideal-left", (str(nu), str(lam)))
-            if right.holds and not member_of_H(convolve(lam, nu, sys)):
-                right = Verdict.failed("ideal-right", (str(lam), str(nu)))
-            if not left.holds and not right.holds:
-                break
-        if not left.holds and not right.holds:
+    # nu * lam and lam * nu stay in H for every member nu and lam in H
+    failed = {}
+    for nu, lam in product(alg.members, H):
+        for law, a, b in (("ideal-left", nu, lam), ("ideal-right", lam, nu)):
+            if law not in failed and not member_of_H(convolve(a, b, sys)):
+                failed[law] = Verdict.failed(law, (str(a), str(b)))
+        if len(failed) == 2:
             break
-    report.add(left)
-    report.add(right)
+    for law in ("ideal-left", "ideal-right"):
+        report.add(failed.get(law, Verdict.passed(law)))
     return report
 
 

@@ -217,14 +217,14 @@ def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
 # axiom checkers
 
 
-def _grid_pairs(items, budget, seed):
-    items = list(items)
-    total = len(items) ** 2
-    if budget is None or total <= budget:
-        return product(items, repeat=2), False
+def _grid(first, second, budget, seed):
+    """The cells (a, b) of first x second, and whether they were sampled:
+    all of them in order when they fit the budget, else `budget` random
+    draws."""
+    if budget is None or len(first) * len(second) <= budget:
+        return product(first, second), False
     rng = random.Random(seed)
-    pairs = [(rng.choice(items), rng.choice(items)) for _ in range(budget)]
-    return iter(pairs), True
+    return [(rng.choice(first), rng.choice(second)) for _ in range(budget)], True
 
 
 def _normalized(nu: Functional) -> Verdict:
@@ -270,6 +270,36 @@ def check_join_meet(nu: Functional, pairs, laws: dict) -> dict:
     return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
 
 
+def _constant_law(nu: Functional, cells, op: str, laws: dict, witness=tuple) -> dict:
+    """The law nu(c o f) = c o nu(f) on (c, f) cells, with o the add
+    ("add", through `space.odot`) or the mul ("mul", through
+    `space.scale`) of K.
+
+    `laws` maps each side that o is put on to the law name of its
+    verdict, in the order the sides are checked at each cell; sides that
+    share a law name count as one law, which fails at its first failing
+    side.  A failure's witness is `witness((c, f, lhs, rhs))`.
+    """
+    space = nu.space
+    table = space.K.add if op == "add" else space.K.mul
+    combine = space.odot if op == "add" else space.scale
+    sides = list(laws.items())
+    todo = len(set(laws.values()))
+    failed = {}
+    for c, f in cells:
+        nf = nu.value(f)
+        for side, law in sides:
+            if law in failed:
+                continue
+            lhs = nu.value(combine(c, f, side))
+            rhs = table[(c, nf)] if side == "left" else table[(nf, c)]
+            if lhs != rhs:
+                failed[law] = Verdict.failed(law, witness((c, f, lhs, rhs)))
+        if len(failed) == todo:
+            break
+    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
+
+
 def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Normalization, both constant-shift rules, and compatibility with
     pointwise max/min on pairs whose values are pointwise comparable."""
@@ -278,30 +308,12 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
     report = AxiomReport()
     report.add(_normalized(nu))
 
-    funcs = list(space.functions())
-    shifts_sampled = False
-    grid = [(c, f) for c in K.elements for f in funcs]
-    if budget is not None and len(grid) > budget:
-        rng = random.Random(seed)
-        grid = [grid[rng.randrange(len(grid))] for _ in range(budget)]
-        shifts_sampled = True
-    left = Verdict.passed("left-shift")
-    right = Verdict.passed("right-shift")
-    for c, f in grid:
-        nf = nu.value(f)
-        lv = nu.value(space.odot(c, f, "left"))
-        if left.holds and lv != K.addv(c, nf):
-            left = Verdict.failed("left-shift", (c, f, lv, K.addv(c, nf)))
-        rv = nu.value(space.odot(c, f, "right"))
-        if right.holds and rv != K.addv(nf, c):
-            right = Verdict.failed("right-shift", (c, f, rv, K.addv(nf, c)))
-        if not left.holds and not right.holds:
-            break
-    report.add(left)
-    report.add(right)
-
-    pairs, pairs_sampled = _grid_pairs(funcs, budget, seed)
-    for verdict in check_join_meet(nu, pairs, {"join": "join", "meet": "meet"}).values():
+    funcs = space.functions()
+    cells, shifts_sampled = _grid(K.elements, funcs, budget, seed)
+    pairs, pairs_sampled = _grid(funcs, funcs, budget, seed)
+    shifts = _constant_law(nu, cells, "add", {"left": "left-shift", "right": "right-shift"})
+    join_meet = check_join_meet(nu, pairs, {"join": "join", "meet": "meet"})
+    for verdict in (*shifts.values(), *join_meet.values()):
         report.add(verdict)
     report.sampled = shifts_sampled or pairs_sampled
     return report
@@ -315,55 +327,45 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     K = space.K
     report = AxiomReport()
 
-    funcs = list(space.functions())
+    funcs = space.functions()
+    cells = ((c, h) for h in funcs for c in K.elements)
+    laws = {"right": "weakly-additive", "left": "weakly-additive"}
+    wa = _constant_law(
+        nu, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
+    )["weakly-additive"]
 
-    wa = Verdict.passed("weakly-additive")
-    for h in funcs:
-        for c in K.elements:
+    # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
+    # (f <= c o h gives nu(f) <= c o nu(h), for c added on the right, then
+    # on the left) in one pass over the pairs (f, h); the shifts of each h
+    # and their bounds are made once.
+    pairs, sampled = _grid(funcs, funcs, budget, seed)
+    shifted = {}
+    op = ne = None
+    for f, h in pairs:
+        if h not in shifted:
             nh = nu.value(h)
-            rv = nu.value(space.odot(c, h, "right"))
-            if rv != K.addv(nh, c):
-                wa = Verdict.failed("weakly-additive", (h, c, rv, K.addv(nh, c)))
-                break
-            lv = nu.value(space.odot(c, h, "left"))
-            if lv != K.addv(c, nh):
-                wa = Verdict.failed("weakly-additive", (h, c, lv, K.addv(c, nh)))
-                break
-        if not wa.holds:
+            shifted[h] = nh, [
+                (c, side, space.odot(c, h, side), K.add[(nh, c)] if side == "right" else K.add[(c, nh)])
+                for c in K.elements
+                for side in ("right", "left")
+            ]
+        nh, shifts = shifted[h]
+        nf = nu.value(f)
+        if op is None and space.leq(f, h) and not K.leq(nf, nh):
+            op = (f, h, nf, nh)
+        if ne is None:
+            for c, side, ch, bound in shifts:
+                if space.leq(f, ch) and not K.leq(nf, bound):
+                    ne = (f, h, c, side)
+                    break
+        if op is not None and ne is not None:
             break
+
     report.add(wa)
-
-    op = Verdict.passed("order-preserving")
-    pairs, sampled = _grid_pairs(funcs, budget, seed)
-    for f, g in pairs:
-        if space.leq(f, g) and not K.leq(nu.value(f), nu.value(g)):
-            op = Verdict.failed("order-preserving", (f, g, nu.value(f), nu.value(g)))
-            break
-    report.add(op)
-
+    report.add(Verdict(op is None, "order-preserving", op))
     report.add(_normalized(nu))
-
-    ne = Verdict.passed("non-expanding")
-    for f in funcs:
-        for h in funcs:
-            for c in K.elements:
-                if space.leq(f, space.odot(c, h, "right")) and not K.leq(
-                    nu.value(f), K.addv(nu.value(h), c)
-                ):
-                    ne = Verdict.failed("non-expanding", (f, h, c, "right"))
-                    break
-                if space.leq(f, space.odot(c, h, "left")) and not K.leq(
-                    nu.value(f), K.addv(c, nu.value(h))
-                ):
-                    ne = Verdict.failed("non-expanding", (f, h, c, "left"))
-                    break
-            if not ne.holds:
-                break
-        if not ne.holds:
-            break
-    report.add(ne)
-
-    implied = wa.holds and op.holds and not ne.holds
+    report.add(Verdict(ne is None, "non-expanding", ne))
+    implied = wa.holds and op is None and ne is not None
     report.add(
         Verdict(not implied, "weak-implies-nonexpanding", None if not implied else (str(nu),))
     )
@@ -373,19 +375,11 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 
 def check_homogeneous(nu: Functional) -> AxiomReport:
     space = nu.space
-    K = space.K
     report = AxiomReport()
-    left = Verdict.passed("left-homogeneous")
-    right = Verdict.passed("right-homogeneous")
-    for b in K.elements:
-        for f in space.functions():
-            nf = nu.value(f)
-            if left.holds and nu.value(space.scale(b, f, "left")) != K.mulv(b, nf):
-                left = Verdict.failed("left-homogeneous", (b, f))
-            if right.holds and nu.value(space.scale(b, f, "right")) != K.mulv(nf, b):
-                right = Verdict.failed("right-homogeneous", (b, f))
-    report.add(left)
-    report.add(right)
+    cells = product(space.K.elements, space.functions())
+    laws = {"left": "left-homogeneous", "right": "right-homogeneous"}
+    for verdict in _constant_law(nu, cells, "mul", laws, witness=lambda w: w[:2]).values():
+        report.add(verdict)
     return report
 
 
@@ -605,7 +599,11 @@ def vanishes_agreement(nu: Functional, E) -> bool:
     return True
 
 
-def support_of(nu: Functional, budget: int = 100_000, seed: int = 0) -> SupportReport:
+SUPPORT_BUDGET = 100_000
+SUPPORT_SEED = 0
+
+
+def support_of(nu: Functional) -> SupportReport:
     """Intersection of all subsets the functional is supported on.
 
     Exhaustive for enumerable spaces within the budget; beyond it the
@@ -616,12 +614,12 @@ def support_of(nu: Functional, budget: int = 100_000, seed: int = 0) -> SupportR
     space = nu.space
     points = space.points
     n_functions = len(space.K.elements) ** len(points)
-    exhaustive = n_functions * (2 ** len(points)) <= budget
+    exhaustive = n_functions * (2 ** len(points)) <= SUPPORT_BUDGET
     supported = []
     for size in range(0, len(points) + 1):
         for subset in combinations(points, size):
             E = frozenset(subset)
-            ok = supported_on(nu, E) if exhaustive else _supported_sampled(nu, E, budget, seed)
+            ok = supported_on(nu, E) if exhaustive else _supported_sampled(nu, E)
             if ok:
                 supported.append(E)
     if not supported:
@@ -635,16 +633,16 @@ def support_of(nu: Functional, budget: int = 100_000, seed: int = 0) -> SupportR
     support = frozenset(points)
     for E in supported:
         support &= E
-    note = "" if exhaustive else f"sampled with budget {budget}, seed {seed}"
+    note = "" if exhaustive else f"sampled with budget {SUPPORT_BUDGET}, seed {SUPPORT_SEED}"
     return SupportReport(support, tuple(supported), exhaustive, False, note)
 
 
-def _supported_sampled(nu: Functional, E, budget: int, seed: int) -> bool:
+def _supported_sampled(nu: Functional, E) -> bool:
     space = nu.space
     zero = space.K.zero
-    rng = random.Random(seed)
+    rng = random.Random(SUPPORT_SEED)
     others = [x for x in space.points if x not in E]
-    for _ in range(max(64, budget // (2 ** len(space.points)))):
+    for _ in range(max(64, SUPPORT_BUDGET // (2 ** len(space.points)))):
         values = {x: zero for x in E}
         for x in others:
             values[x] = rng.choice(space.K.elements)

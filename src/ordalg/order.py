@@ -50,19 +50,18 @@ class OrderRelation:
 
     @classmethod
     def from_covers(cls, elements, covers) -> "OrderRelation":
-        """Reflexive-transitive closure of the given covering pairs."""
+        """Reflexive-transitive closure of the given covering pairs, by
+        Warshall's algorithm on the sets of elements above each element."""
         elements = tuple(elements)
-        leq = {(x, x) for x in elements}
-        leq.update(covers)
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(leq):
-                for y2, z in list(leq):
-                    if y2 == y and (x, z) not in leq:
-                        leq.add((x, z))
-                        changed = True
-        return cls(elements, frozenset(leq))
+        above = {x: {x} for x in elements}
+        for x, y in covers:
+            # a pair naming an unknown element is kept for the constructor to refuse
+            above.setdefault(x, {x}).add(y)
+        for k in elements:
+            for up in above.values():
+                if k in up:
+                    up |= above[k]
+        return cls(elements, frozenset((x, y) for x, up in above.items() for y in up))
 
     @classmethod
     def from_predicate(cls, elements, pred) -> "OrderRelation":

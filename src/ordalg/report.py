@@ -61,12 +61,6 @@ class AxiomReport:
     def __getitem__(self, law: str) -> Verdict:
         return self.verdicts[law]
 
-    def __contains__(self, law: str) -> bool:
-        return law in self.verdicts
-
     @property
     def all_hold(self) -> bool:
         return all(v.holds for v in self.verdicts.values())
-
-    def failures(self) -> list[Verdict]:
-        return [v for v in self.verdicts.values() if not v.holds]

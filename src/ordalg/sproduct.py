@@ -49,8 +49,9 @@ class IndexScheme:
 
     Shifts are given per operation either as non-negative integers
     (psi(j) = j - s, phi(j) = j + r) or as explicit monotone tables over
-    the window.  The embedding `embed` is a single one-step map applied
-    (j - k) times for t^j_k; identity when None.
+    the window; integers become tables at construction.  The embedding
+    `embed` is a single one-step map applied (j - k) times for t^j_k;
+    identity when None.
     """
 
     component: FinStruct
@@ -67,6 +68,12 @@ class IndexScheme:
                 raise InputError(f"missing shift maps for operation {op!r}")
             self._validate_map(self.psi[op], op, down=True)
             self._validate_map(self.phi[op], op, down=False)
+        for name, sign in (("psi", -1), ("phi", 1)):
+            tables = {
+                op: {j: j + sign * m for j in self.window} if isinstance(m, int) else m
+                for op, m in getattr(self, name).items()
+            }
+            object.__setattr__(self, name, tables)
         if self.embed is not None:
             hom = Homomorphism(self.component, self.component, dict(self.embed))
             v = check_homomorphism(hom)
@@ -101,18 +108,13 @@ class IndexScheme:
                 raise InputError(f"phi[{op}] must satisfy j <= phi(j)")
 
     def psi_at(self, op: str, j: int) -> int:
-        m = self.psi[op]
-        return j - m if isinstance(m, int) else m[j]
+        return self.psi[op][j]
 
     def phi_at(self, op: str, j: int) -> int:
-        m = self.phi[op]
-        return j + m if isinstance(m, int) else m[j]
+        return self.phi[op][j]
 
     def phi_moves(self, op: str) -> bool:
-        m = self.phi[op]
-        if isinstance(m, int):
-            return m > 0
-        return any(m[j] > j for j in self.window)
+        return any(self.phi[op][j] > j for j in self.window)
 
     def embed_down(self, j: int, k: int, a: str) -> str:
         """t^j_k(a): push a from level j down to level k <= j."""
@@ -252,10 +254,7 @@ def find_nonassoc_witness(op: str, scheme: IndexScheme, sample=None, budget: int
 
 
 def _max_shift(scheme: IndexScheme, op: str) -> int:
-    m = scheme.phi[op]
-    if isinstance(m, int):
-        return m
-    return max(m[j] - j for j in scheme.window)
+    return max(scheme.phi[op][j] - j for j in scheme.window)
 
 
 def _first_diff(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> int:
@@ -271,16 +270,18 @@ def check_transfer_distributivity(scheme: IndexScheme, side: str, triples) -> Ve
     that holds in the component holds for the product operations."""
     if any(scheme.psi_at("add", j) != j or scheme.phi_at("add", j) != j for j in scheme.window):
         raise PreconditionError("transfer requires identity shifts for add")
+    if side not in ("left", "right"):
+        raise InputError(f"unknown side {side!r}")
     law = f"transfer-{side}-dist"
+
+    # right-dist (b+c)a = ba+ca reads as left-dist a(b+c) = ab+ac with
+    # the operands of mul flipped
+    def mul(y, z):
+        return s_mu("mul", z, y, scheme) if side == "right" else s_mu("mul", y, z, scheme)
+
     for a, b, c in triples:
-        if side == "right":
-            lhs = s_mu("mul", s_mu("add", b, c, scheme), a, scheme)
-            rhs = s_mu("add", s_mu("mul", b, a, scheme), s_mu("mul", c, a, scheme), scheme)
-        elif side == "left":
-            lhs = s_mu("mul", a, s_mu("add", b, c, scheme), scheme)
-            rhs = s_mu("add", s_mu("mul", a, b, scheme), s_mu("mul", a, c, scheme), scheme)
-        else:
-            raise InputError(f"unknown side {side!r}")
+        lhs = mul(a, s_mu("add", b, c, scheme))
+        rhs = s_mu("add", mul(a, b), mul(a, c), scheme)
         if lhs != rhs:
             return Verdict.failed(law, (a, b, c, lhs, rhs))
     return Verdict.passed(law)

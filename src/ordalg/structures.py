@@ -34,7 +34,7 @@ IDEAL_CAP = 16
 CARRIER_CAP = 64
 
 
-def _require_desk_scale(name: str, size: int) -> None:
+def require_desk_scale(name: str, size: int) -> None:
     if size > CARRIER_CAP:
         raise CapacityError(f"{name}: carrier of {size} elements exceeds the cap {CARRIER_CAP}")
 
@@ -58,7 +58,7 @@ class FinStruct:
 
     def __post_init__(self):
         elems = self.elements
-        _require_desk_scale(self.name, len(elems))
+        require_desk_scale(self.name, len(elems))
         eset = set(elems)
         for label, table in (("add", self.add), ("mul", self.mul)):
             for a in elems:
@@ -296,7 +296,7 @@ def maxplus_chain(n: int, name: str | None = None) -> FinStruct:
     if n < 2:
         raise InputError("maxplus chain needs at least 2 elements")
     name = name or f"maxplus{n}"
-    _require_desk_scale(name, n)
+    require_desk_scale(name, n)
     elems = tuple(str(i) for i in range(n))
 
     def addf(a, b):

@@ -22,6 +22,7 @@ from .structures import (
     FinStruct,
     boolean_semiring,
     maxplus_chain,
+    require_desk_scale,
     right_dist_only,
     trivial_structure,
 )
@@ -191,6 +192,7 @@ def _build_structure(sec: Section) -> FinStruct:
             raise ParseError(f"unknown builtin structure {kind!r}", sec.line_of("builtin"))
         return _BUILTINS[kind](arg, sec.name, sec.line_of("builtin"))
     elements = tuple(sec.require("elements").split())
+    require_desk_scale(sec.name, len(elements))
     order_spec = sec.require("order")
     if order_spec == "chain":
         order = OrderRelation.chain(elements)

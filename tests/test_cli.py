@@ -1,0 +1,76 @@
+"""The command line: records of the demo workspace, and the exit codes of
+`check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
+from pathlib import Path
+
+import pytest
+
+from ordalg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "docs" / "demo.workspace"
+GOLDEN = ROOT / "perfbench" / "golden" / "demo.records"
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_demo_records_match_the_golden_file(capsys):
+    code, out, err = run(capsys, "check", DEMO, "--format", "records")
+    assert out.encode("utf-8") == GOLDEN.read_bytes()
+    assert (code, err) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "expr, code, out",
+    [
+        ("nu(f)", 0, "1\n"),
+        ("mu({x1: 1, x2: 0})", 0, "0\n"),
+        ("nu({x1: 1, x2: 0})", 0, "1\n"),
+    ],
+)
+def test_eval_prints_the_value(capsys, expr, code, out):
+    assert run(capsys, "eval", DEMO, "--expr", expr) == (code, out, "")
+
+
+@pytest.mark.parametrize("expr", ["ghost(f)", "nu(g)", "nu f", "nu({x1: 1})", "nu({x1: 7, x2: 0})"])
+def test_eval_refuses_bad_expressions(capsys, expr):
+    code, out, err = run(capsys, "eval", DEMO, "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "law, code, out",
+    [
+        ("bool:assoc-add", 0, "holds\n"),
+        ("rd:left-dist", 1, "witness: (3,1,2,2,3)\n"),
+        ("Sch:nonassoc-mul", 0, None),
+    ],
+)
+def test_witness_exit_codes(capsys, law, code, out):
+    got_code, got_out, err = run(capsys, "witness", DEMO, "--law", law)
+    assert (got_code, err) == (code, "")
+    if out is None:
+        assert got_out.startswith("witness: a=") and "differ at index" in got_out
+    else:
+        assert got_out == out
+
+
+@pytest.mark.parametrize("law", ["ghost:assoc-add", "bool"])
+def test_witness_refuses_unknown_entities(capsys, law):
+    code, out, err = run(capsys, "witness", DEMO, "--law", law)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_homogeneous_regime_exits_2_with_its_message(tmp_path, capsys):
+    text = DEMO.read_text(encoding="utf-8")
+    assert "regime = unit-cocycle" in text
+    doc = tmp_path / "homogeneous.workspace"
+    doc.write_text(text.replace("regime = unit-cocycle", "regime = homogeneous"), encoding="utf-8")
+    code, out, err = run(capsys, "check", doc, "--suite", "convolution")
+    assert code == 2
+    assert err == "error: homogeneous regime applies to homogeneous kinds only\n"

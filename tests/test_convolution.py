@@ -1,23 +1,31 @@
 """Kind checks and kind additions of convolution, pinned by hand-verified
-witnesses, and the agreement of the join/meet scans of `check_kind` and
-`check_idempotent`."""
+witnesses, the agreement of the join/meet scans of `check_kind` and
+`check_idempotent`, and the witnesses of the mirrored quasiring and ideal
+laws on a hand-built algebra."""
 from itertools import product
 
 import pytest
 
 from ordalg import (
+    ActionSystem,
+    ConvAlgebra,
     Dirac,
     FunctionSpace,
+    Groupoid,
     IncomparableError,
     InfOver,
     PreconditionError,
     SupOver,
     TableFunctional,
     boolean_semiring,
+    check_action,
+    check_ideal,
     check_idempotent,
     check_kind,
+    check_quasiring,
     direct_product,
     enumerate_functionals,
+    invariant_subfamily,
     plus_kind,
     trivial_structure,
 )
@@ -124,3 +132,36 @@ def test_idempotent_join_meet_agree_with_check_kind(make):
                 theirs.witness,
                 theirs.note,
             )
+
+
+def left_zero_action():
+    """bool over the monoid {e, a, b} acting on itself by right
+    multiplication: e is the unit, and a, b are left zeros (xy = x)."""
+    elems = ("e", "a", "b")
+    table = {(x, y): y if x == "e" else x for x in elems for y in elems}
+    v = {g: {x: table[(x, g)] for x in elems} for g in elems}
+    rho = {(g, x): "1" for g in elems for x in elems}
+    sys = ActionSystem(Groupoid("lz", elems, table, "e"), BOOL, elems, v, frozenset(BOOL.elements), rho)
+    assert check_action(sys)
+    return sys
+
+
+def test_mirrored_laws_on_an_unsaturated_algebra():
+    sys = left_zero_action()
+    n1, n2, n3 = (
+        TableFunctional(sys.space, tuple(values)) for values in ("00100000", "01000100", "10001000")
+    )
+    alg = ConvAlgebra("join", sys, (n1, n2, n3), saturated=False, rounds=0)
+    rep = check_quasiring(alg)
+    assert rep["closure-add"].note == "saturation budget exhausted"
+    # the join of two functionals is taken value by value, so convolving
+    # it from the left always distributes
+    assert rep["conv-right-dist"].holds
+    assert rep["conv-left-dist"].witness == (str(n1), str(n2), str(n3))
+    H = invariant_subfamily(alg)
+    assert H == [n2, n3]
+    ideal = check_ideal(H, alg)
+    # n2 is invariant but not join-compatible, so n2 + n2 = n2 leaves H
+    assert ideal["ideal-add"].witness == (str(n2), str(n2))
+    assert ideal["ideal-left"].witness == (str(n3), str(n2))
+    assert ideal["ideal-right"].witness == (str(n2), str(n1))

@@ -4,11 +4,15 @@ import pytest
 
 from ordalg import (
     Dirac,
+    FinStruct,
     FunctionSpace,
     Functional,
     Homomorphism,
     InfOver,
     InputError,
+    KFunction,
+    OrderedCarrier,
+    OrderRelation,
     PreconditionError,
     SupOver,
     TableFunctional,
@@ -25,6 +29,7 @@ from ordalg import (
     maxplus_chain,
     monad_check,
     pushforward,
+    right_dist_only,
     signature,
     support_of,
     supported_on,
@@ -141,6 +146,32 @@ class TestWeakProperties:
         for nu in enumerate_functionals(sp):
             rep = check_weak_properties(nu)
             assert rep["weak-implies-nonexpanding"].holds
+
+
+class CountingFunctional(Functional):
+    """Test helper: forwards to another functional and counts evaluations."""
+
+    def __init__(self, inner):
+        self.space = inner.space
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, f):
+        self.calls += 1
+        return self.inner.value(f)
+
+
+def test_weak_properties_obey_the_budget():
+    sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
+    nu = CountingFunctional(SupOver(sp, frozenset(("x1", "x4"))))
+    budget = 20000
+    rep = check_weak_properties(nu, budget=budget, seed=0)
+    assert rep.sampled
+    assert all(v.holds for v in rep.verdicts.values())
+    funcs, k = len(sp.functions()), len(MP3.elements)
+    # three evaluations per weak-additivity cell, one per normalization
+    # constant, one per sampled pair and one per distinct second function
+    assert nu.calls <= 3 * k * funcs + k + budget + funcs
 
 
 class TestHomogeneity:
@@ -456,3 +487,112 @@ class TestExactTransport:
             f for f in sp2.functions() if all(ident(f(x)) == BOOL.zero for x in points)
         }
         assert lifted_image == lifted_kernel == {sp2.zero()}
+
+
+def skew_structure():
+    """The chain 0 < 1 < 2 whose addition keeps its right argument above
+    zero, so a constant added on the left and on the right differ."""
+    elems = ("0", "1", "2")
+    add = {(a, b): a if b == "0" else b for a in elems for b in elems}
+    mul = {(a, b): "0" if "0" in (a, b) else max(a, b) for a in elems for b in elems}
+    return FinStruct("skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+
+
+CONSTANT_AND_ORDER_LAWS = {
+    "left-shift": check_idempotent,
+    "right-shift": check_idempotent,
+    "weakly-additive": check_weak_properties,
+    "order-preserving": check_weak_properties,
+    "non-expanding": check_weak_properties,
+    "left-homogeneous": check_homogeneous,
+    "right-homogeneous": check_homogeneous,
+}
+
+
+def plain(witness):
+    """A witness with each function replaced by its value tuple."""
+    return tuple(w.values if isinstance(w, KFunction) else w for w in witness)
+
+
+class TestPinnedWitnesses:
+    """The first failing value table, in enumeration order, of each law
+    that is scanned cell by cell or pair by pair, and the witness of its
+    first failing instance."""
+
+    @pytest.mark.parametrize(
+        "law, index, witness",
+        [
+            ("left-shift", 0, ("1", ("0", "0"), "0", "1")),
+            ("right-shift", 0, ("1", ("0", "0"), "0", "1")),
+            ("weakly-additive", 0, (("0", "0"), "1", "0", "1")),
+            ("order-preserving", 2, (("1", "0"), ("1", "1"), "1", "0")),
+            ("non-expanding", 2, (("1", "0"), ("1", "1"), "0", "right")),
+            ("left-homogeneous", 8, ("0", ("0", "0"))),
+            ("right-homogeneous", 8, ("0", ("0", "0"))),
+        ],
+    )
+    def test_bool_on_two_points(self, law, index, witness):
+        assert self.first_failure(bool_space(), law) == (index, witness)
+
+    @pytest.mark.parametrize(
+        "law, index, witness",
+        [
+            ("left-shift", 0, ("1", ("0",), "0", "1")),
+            ("right-shift", 0, ("1", ("0",), "0", "1")),
+            ("weakly-additive", 0, (("0",), "1", "0", "1")),
+            ("order-preserving", 4, (("2",), ("3",), "1", "0")),
+            ("non-expanding", 4, (("2",), ("3",), "0", "right")),
+            ("left-homogeneous", 1, ("2", ("2",))),
+            ("right-homogeneous", 1, ("2", ("2",))),
+        ],
+    )
+    def test_mp4_on_one_point(self, law, index, witness):
+        assert self.first_failure(FunctionSpace(("x",), MP4), law) == (index, witness)
+
+    @pytest.mark.parametrize(
+        "law, index, witness",
+        [
+            ("order-preserving", 9, (("1", "0", "0"), ("1", "0", "1"), "1", "0")),
+            ("non-expanding", 9, (("1", "0", "0"), ("1", "0", "1"), "0", "right")),
+        ],
+    )
+    def test_normalized_bool_on_three_points(self, law, index, witness):
+        sp = bool_space(("x1", "x2", "x3"))
+        assert self.first_failure(sp, law, normalized=True) == (index, witness)
+
+    def test_sides_of_a_skew_addition_fail_apart(self):
+        # table 83 of the skew chain on two points is normalized; adding 1
+        # on the left of (0, 2) gives (1, 2), which it sends to 0, while
+        # right shifts all hold.  Weak additivity checks the right side of
+        # each cell first: at h = (0, 1), c = 2 only the left side fails.
+        sp = FunctionSpace(("x1", "x2"), skew_structure())
+        nu = list(enumerate_functionals(sp))[83]
+        assert nu.table == ("0", "0", "0", "0", "1", "0", "0", "0", "2")
+        idem = check_idempotent(nu)
+        assert idem["normalized"].holds and idem["right-shift"].holds
+        assert plain(idem["left-shift"].witness) == ("1", ("0", "2"), "0", "1")
+        weak = check_weak_properties(nu)
+        assert plain(weak["weakly-additive"].witness) == (("0", "1"), "2", "0", "2")
+
+    def test_homogeneity_sides_fail_at_their_own_cells(self):
+        # right_dist_only multiplies a*b = b above one.  The table sends
+        # 3 to 2 and every other value to 0.  At b = 2, f = 3 only the
+        # right side fails: f*2 = 2 goes to 0, not to 2*2 = 2.  The left
+        # side first fails at b = 3, f = 1: 3*1 = 3 goes to 2, not to 3*0.
+        sp = FunctionSpace(("x",), right_dist_only())
+        nu = list(enumerate_functionals(sp))[2]
+        assert nu.table == ("0", "0", "0", "2")
+        rep = check_homogeneous(nu)
+        assert plain(rep["left-homogeneous"].witness) == ("3", ("1",))
+        assert plain(rep["right-homogeneous"].witness) == ("2", ("3",))
+
+    @staticmethod
+    def first_failure(space, law, normalized=False):
+        check = CONSTANT_AND_ORDER_LAWS[law]
+        for i, nu in enumerate(enumerate_functionals(space)):
+            if normalized and not check_idempotent(nu)["normalized"].holds:
+                continue
+            verdict = check(nu)[law]
+            if not verdict.holds:
+                return i, plain(verdict.witness)
+        return None

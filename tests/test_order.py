@@ -158,13 +158,46 @@ class TestOrderedCarrier:
 
 
 @st.composite
-def random_preorders(draw):
+def random_covers(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     elems = tuple(f"e{i}" for i in range(n))
     covers = draw(
         st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)), max_size=6)
     )
-    return OrderRelation.from_covers(elems, covers)
+    return elems, covers
+
+
+def random_preorders():
+    return random_covers().map(lambda drawn: OrderRelation.from_covers(*drawn))
+
+
+def reachability(elems, covers) -> frozenset:
+    """The reflexive-transitive closure by a breadth-first search from
+    every element."""
+    succ = {x: [y for a, y in covers if a == x] for x in elems}
+    pairs = set()
+    for x in elems:
+        seen, frontier = {x}, [x]
+        while frontier:
+            frontier = [z for y in frontier for z in succ[y] if z not in seen]
+            seen.update(frontier)
+        pairs.update((x, z) for z in seen)
+    return frozenset(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_covers())
+def test_from_covers_is_the_reachability_closure(drawn):
+    elems, covers = drawn
+    order = OrderRelation.from_covers(elems, covers)
+    assert order.carrier == elems
+    assert order.pairs == reachability(elems, covers)
+
+
+def test_from_covers_closes_a_long_chain():
+    elems = tuple(f"e{i}" for i in range(40))
+    order = OrderRelation.from_covers(elems, list(zip(elems, elems[1:])))
+    assert order == OrderRelation.chain(elems)
 
 
 @settings(max_examples=60, deadline=None)

@@ -202,6 +202,20 @@ class TestTransfer:
         triples = list(product(pool, repeat=3))[:600]
         assert check_transfer_distributivity(sch, side, triples).holds
 
+    def test_left_transfer_fails_on_the_right_dist_component(self):
+        # the component breaks a(b+c) = ab+ac at a=3, b=1, c=2; phi moves b
+        # and c up one index, so they are read one level above a
+        sch = IndexScheme(right_dist_only(), range(0, 4), psi={"add": 0, "mul": 0}, phi={"add": 0, "mul": 1})
+        pool = list(sch.all_elements(range(0, 2)))
+        triples = list(product(pool, repeat=3))
+        v = check_transfer_distributivity(sch, "left", triples)
+        assert v.law == "transfer-left-dist"
+        assert [str(x) for x in v.witness] == ["{0: 3}", "{1: 1}", "{1: 2}", "{0: 2}", "{0: 3}"]
+        assert triples.index(v.witness[:3]) == 3090
+        assert check_transfer_distributivity(sch, "right", triples).holds
+        with pytest.raises(InputError):
+            check_transfer_distributivity(sch, "middle", triples)
+
     def test_add_shift_must_be_identity(self):
         sch = IndexScheme(BOOL, range(0, 5), psi={"add": 0, "mul": 0}, phi={"add": 1, "mul": 1})
         with pytest.raises(PreconditionError):

@@ -2,7 +2,7 @@
 never in a traceback."""
 import pytest
 
-from ordalg import CapacityError, maxplus_chain
+from ordalg import CapacityError, OrderRelation, maxplus_chain
 from ordalg.cli import main
 
 SCHEME = """\
@@ -65,3 +65,16 @@ def test_oversized_carrier_is_refused(tmp_path, capsys):
     code, err = run_check(tmp_path, capsys, "[structure m]\nbuiltin = max-plus-chain 1000\n")
     assert code == 2
     assert "exceeds the cap" in err
+
+
+def test_long_chain_of_covers_is_refused_before_its_order_is_built(tmp_path, capsys, monkeypatch):
+    def close(cls, elements, covers):
+        raise AssertionError("the order was closed before the carrier cap")
+
+    monkeypatch.setattr(OrderRelation, "from_covers", classmethod(close))
+    elems = [f"e{i}" for i in range(1000)]
+    covers = " ".join(f"{a}<={b}" for a, b in zip(elems, elems[1:]))
+    text = f"[structure big]\nelements = {' '.join(elems)}\norder = {covers}\nzero = e0\none = e1\n"
+    code, err = run_check(tmp_path, capsys, text)
+    assert code == 2
+    assert err == "error: big: carrier of 1000 elements exceeds the cap 64\n"
