@@ -64,17 +64,10 @@ def _read(path: str) -> str:
 
 def _cmd_check(ws: Workspace, args) -> int:
     defaults = ws.suite_defaults or {}
-    suite = args.suite or (defaults.get("run", ["all"]))[0]
+    suites = [args.suite] if args.suite else defaults.get("run", ["all"])
     budget = args.budget if args.budget is not None else defaults.get("budget", 20000)
     seed = args.seed if args.seed is not None else defaults.get("seed", 0)
-    if args.suite is None and defaults.get("run") and len(defaults["run"]) > 1:
-        codes, records = 0, []
-        for s in defaults["run"]:
-            code, recs = run_suite(ws, s, budget, seed)
-            codes = max(codes, code)
-            records.extend(recs)
-    else:
-        codes, records = run_suite(ws, suite, budget, seed)
+    code, records = run_suite(ws, suites, budget, seed)
     if args.format == "records":
         for rec in records:
             print(rec.as_record_line())
@@ -83,7 +76,7 @@ def _cmd_check(ws: Workspace, args) -> int:
             print(rec.as_text())
         failed = sum(1 for r in records if not r.verdict.holds)
         print(f"{len(records)} checks, {failed} failed")
-    return codes
+    return code
 
 
 _EXPR = re.compile(r"^\s*(\w+)\s*\(\s*(.+?)\s*\)\s*$")

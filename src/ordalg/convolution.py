@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import IncomparableError, InputError, PreconditionError
 from .funcspace import FunctionSpace, KFunction
-from .functionals import Dirac, Functional, TableFunctional, check_join_meet, signature, support_of
+from .functionals import Dirac, Functional, TableFunctional, check_join_meet, support_of, tabulate
 from .report import AxiomReport, Verdict
 from .structures import FinStruct
 
@@ -214,11 +214,25 @@ def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
 
 @dataclass(eq=False)
 class ConvAlgebra:
+    """A family of value tables on C(G,K) with the kind addition ("plus")
+    and convolution ("star").  Each product of two tables is made once,
+    by `combine`, and every later check reads it from there."""
+
     kind: str
     sys: ActionSystem
     members: tuple
     saturated: bool
     rounds: int
+    _made: dict = field(default_factory=dict, init=False, repr=False)
+
+    def combine(self, op: str, nu: TableFunctional, lam: TableFunctional) -> TableFunctional:
+        """nu + lam for op "plus", nu * lam for op "star", as a value table."""
+        key = (op, nu.table, lam.table)
+        made = self._made.get(key)
+        if made is None:
+            made = plus_kind(self.kind, nu, lam) if op == "plus" else convolve(nu, lam, self.sys)
+            made = self._made[key] = tabulate(made)
+        return made
 
 
 def all_kind_functionals(sys: ActionSystem, kind: str) -> list[TableFunctional]:
@@ -230,68 +244,62 @@ def all_kind_functionals(sys: ActionSystem, kind: str) -> list[TableFunctional]:
 
 def saturate(seed, sys: ActionSystem, kind: str, budget: int = 4096) -> ConvAlgebra:
     """Close the seed family under the kind addition and convolution, up
-    to extensional identity, until stable or out of budget."""
+    to extensional identity, until stable or out of budget.  A pair that
+    an earlier round combined is read back from the algebra."""
+    alg = ConvAlgebra(kind, sys, (), saturated=False, rounds=0)
     members: dict[tuple, TableFunctional] = {}
     for nu in seed:
-        tab = TableFunctional(sys.space, signature(nu))
-        members[tab.table] = tab
-    rounds = 0
-    saturated = False
+        tab = tabulate(nu)
+        members.setdefault(tab.table, tab)
     while len(members) <= budget:
-        rounds += 1
+        alg.rounds += 1
         current = list(members.values())
-        fresh = {}
-        for nu in current:
-            for lam in current:
-                for made in (plus_kind(kind, nu, lam), convolve(nu, lam, sys)):
-                    sig = signature(made)
-                    if sig not in members and sig not in fresh:
-                        fresh[sig] = TableFunctional(sys.space, sig)
-        if not fresh:
-            saturated = True
+        for nu, lam in product(current, repeat=2):
+            for op in ("plus", "star"):
+                made = alg.combine(op, nu, lam)
+                members.setdefault(made.table, made)
+        if len(members) == len(current):
+            alg.saturated = True
             break
-        members.update(fresh)
-    return ConvAlgebra(kind, sys, tuple(members.values()), saturated, rounds)
+    alg.members = tuple(members.values())
+    return alg
 
 
 def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     """Closure of both operations, the two distributive laws between the
     kind addition and convolution, and neutrality of the unit evaluation."""
     report = AxiomReport()
-    sys = alg.sys
-    kind = alg.kind
     members = alg.members
-    sigs = {m.table for m in members}
+    tables = {m.table for m in members}
 
-    closure_add = Verdict.passed("closure-add")
-    closure_conv = Verdict.passed("closure-conv")
+    closure = {"closure-add": "plus", "closure-conv": "star"}
+    failed = {}
     for nu, lam in product(members, repeat=2):
-        if closure_add.holds and signature(plus_kind(kind, nu, lam)) not in sigs:
-            closure_add = Verdict.failed("closure-add", (str(nu), str(lam)))
-        if closure_conv.holds and signature(convolve(nu, lam, sys)) not in sigs:
-            closure_conv = Verdict.failed("closure-conv", (str(nu), str(lam)))
-        if not closure_add.holds and not closure_conv.holds:
+        for law, op in closure.items():
+            if law not in failed and alg.combine(op, nu, lam).table not in tables:
+                failed[law] = Verdict.failed(law, (str(nu), str(lam)))
+        if len(failed) == len(closure):
             break
     if not alg.saturated:
-        closure_add = Verdict.failed("closure-add", None, note="saturation budget exhausted")
-    report.add(closure_add)
-    report.add(closure_conv)
+        failed["closure-add"] = Verdict.failed("closure-add", None, note="saturation budget exhausted")
+    for law in closure:
+        report.add(failed.get(law, Verdict.passed(law)))
 
     # (n1 + n2) * lam = n1 * lam + n2 * lam, and the same law with the
     # convolution flipped: lam * (n1 + n2) = lam * n1 + lam * n2
     def star(a, b, flip):
-        return convolve(b, a, sys) if flip else convolve(a, b, sys)
+        return alg.combine("star", b, a) if flip else alg.combine("star", a, b)
 
     dist = {"conv-right-dist": False, "conv-left-dist": True}
     failed = {}
     for n1, n2, lam in product(members, repeat=3):
-        total = plus_kind(kind, n1, n2)
+        total = alg.combine("plus", n1, n2)
         for law, flip in dist.items():
             if law in failed:
                 continue
-            lhs = signature(star(total, lam, flip))
-            rhs = signature(plus_kind(kind, star(n1, lam, flip), star(n2, lam, flip)))
-            if lhs != rhs:
+            lhs = star(total, lam, flip)
+            rhs = alg.combine("plus", star(n1, lam, flip), star(n2, lam, flip))
+            if lhs.table != rhs.table:
                 failed[law] = Verdict.failed(law, (str(n1), str(n2), str(lam)))
         if len(failed) == len(dist):
             break
@@ -299,11 +307,9 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
         report.add(failed.get(law, Verdict.passed(law)))
 
     unit = Verdict.passed("unit-neutral")
-    delta = dirac_unit(sys)
+    delta = tabulate(dirac_unit(alg.sys))
     for nu in members:
-        left = signature(convolve(nu, delta, sys))
-        right = signature(convolve(delta, nu, sys))
-        if left != signature(nu) or right != signature(nu):
+        if {alg.combine("star", nu, delta).table, alg.combine("star", delta, nu).table} != {nu.table}:
             unit = Verdict.failed("unit-neutral", (str(nu),))
             break
     report.add(unit)
@@ -338,7 +344,7 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
 
     add_cl = Verdict.passed("ideal-add")
     for l1, l2 in product(H, repeat=2):
-        if not member_of_H(plus_kind(kind, l1, l2)):
+        if not member_of_H(alg.combine("plus", l1, l2)):
             add_cl = Verdict.failed("ideal-add", (str(l1), str(l2)))
             break
     report.add(add_cl)
@@ -347,7 +353,7 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
     failed = {}
     for nu, lam in product(alg.members, H):
         for law, a, b in (("ideal-left", nu, lam), ("ideal-right", lam, nu)):
-            if law not in failed and not member_of_H(convolve(a, b, sys)):
+            if law not in failed and not member_of_H(alg.combine("star", a, b)):
                 failed[law] = Verdict.failed(law, (str(a), str(b)))
         if len(failed) == 2:
             break

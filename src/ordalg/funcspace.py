@@ -65,6 +65,7 @@ class FunctionSpace:
             if not check_order_axioms(point_order, "linear"):
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None
+        self._positions: dict[KFunction, int] | None = None
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------
@@ -131,6 +132,15 @@ class FunctionSpace:
                     out.append(f)
             self._funcs = tuple(out)
         return self._funcs
+
+    def position(self, f: KFunction) -> int:
+        """The index of f in `functions()`."""
+        if self._positions is None:
+            self._positions = {g: i for i, g in enumerate(self.functions())}
+        i = self._positions.get(f)
+        if i is None:
+            raise InputError(f"{f} is not a function of {self.name}")
+        return i
 
     def _require(self, *fs: KFunction):
         for f in fs:

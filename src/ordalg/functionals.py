@@ -97,13 +97,9 @@ class TableFunctional(Functional):
     table: tuple
 
     def value(self, f: KFunction) -> str:
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = dict(zip(self.space.functions(), self.table))
-            object.__setattr__(self, "_index", idx)
         try:
-            return idx[f]
-        except KeyError:
+            return self.table[self.space.position(f)]
+        except IndexError:
             raise InputError(f"{f} not in the functional's space") from None
 
     def __str__(self) -> str:
@@ -173,7 +169,8 @@ def signature(nu: Functional) -> tuple:
 
 
 def tabulate(nu: Functional) -> TableFunctional:
-    return TableFunctional(nu.space, signature(nu))
+    """nu as a value table; a table is returned as it is."""
+    return nu if isinstance(nu, TableFunctional) else TableFunctional(nu.space, signature(nu))
 
 
 def extensionally_equal(nu: Functional, lam: Functional) -> bool:
@@ -692,9 +689,6 @@ class FunctionalFamily:
     def id_of(self, nu: Functional) -> str | None:
         i = self._by_sig.get(signature(nu))
         return None if i is None else self.ids[i]
-
-    def member(self, pid: str) -> Functional:
-        return self.members[self.ids.index(pid)]
 
     def bar(self, g: KFunction) -> KFunction:
         """The evaluation function induced by g on the family."""

@@ -221,7 +221,7 @@ class SearchResult:
         return self.witness is not None
 
 
-def find_nonassoc_witness(op: str, scheme: IndexScheme, sample=None, budget: int = 1000) -> SearchResult:
+def find_nonassoc_witness(op: str, scheme: IndexScheme, budget: int = 1000) -> SearchResult:
     """Search for (a,b,c) where the two association orders differ.
 
     Requires the phi shift of the operation to actually move indices (the
@@ -232,11 +232,8 @@ def find_nonassoc_witness(op: str, scheme: IndexScheme, sample=None, budget: int
         raise PreconditionError("phi must satisfy j < phi(j) for the non-associativity search")
     if len(scheme.component.elements) < 2:
         raise PreconditionError("components must have at least two elements")
-    if sample is None:
-        sub = scheme.window[: max(1, len(scheme.window) - 2 * _max_shift(scheme, op))]
-        sample = list(islice(scheme.all_elements(sub), 64))
-    else:
-        sample = list(sample)
+    sub = scheme.window[: max(1, len(scheme.window) - 2 * _max_shift(scheme, op))]
+    sample = list(islice(scheme.all_elements(sub), 64))
     tested = 0
     for a, b, c in product(sample, repeat=3):
         if tested >= budget:

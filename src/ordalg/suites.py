@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .convolution import (
+    _validate_regime,
     all_kind_functionals,
     check_action,
     check_ideal,
@@ -117,6 +118,7 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
         sys = ws.actions[name]
         kind = ws.kinds.get(name, "join")
         records.append(CheckRecord(f"convolution/{name}/action", "action", check_action(sys)))
+        _validate_regime(sys)
         try:
             seedfam = all_kind_functionals(sys, kind)
         except PreconditionError as exc:
@@ -198,11 +200,10 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
             records.append(
                 CheckRecord(f"s-construction/{name}/transfer-{side}", verdict.law, verdict)
             )
-        # lexicographic strict order on a small grid
-        grid = list(islice(scheme.all_elements(scheme.window[:2]), 16))
+        # lexicographic strict order on the same grid
         lex = Verdict.passed("lex-order")
-        for y in grid:
-            for z in grid:
+        for y in elems:
+            for z in elems:
                 c1 = lex_compare(y, z, scheme)
                 c2 = lex_compare(z, y, scheme)
                 if (c1 == "eq") != (y == z) or {c1, c2} not in ({"eq"}, {"lt", "gt"}):
@@ -221,9 +222,10 @@ def _upper(scheme, a, b):
     return bounds[0]
 
 
-def run_suite(ws: Workspace, suite: str, budget: int = 20000, seed: int = 0):
-    """Run one suite (or all) and return (exit_code, records)."""
-    chosen = list(SUITES) if suite == "all" else [suite]
+def run_suite(ws: Workspace, suites, budget: int = 20000, seed: int = 0):
+    """Run the named suites in order, each a suite name or "all", and
+    return (exit_code, records)."""
+    chosen = [s for name in suites for s in (SUITES if name == "all" else (name,))]
     for s in chosen:
         if s not in SUITES:
             raise OrdalgError(f"unknown suite {s!r}")

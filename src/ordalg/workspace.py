@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .convolution import ActionSystem, Groupoid, check_action
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .funcspace import FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
 from .order import OrderedCarrier, OrderRelation
@@ -88,8 +88,6 @@ class Workspace:
     actions: dict = field(default_factory=dict)
     schemes: dict = field(default_factory=dict)
     suite_defaults: dict = field(default_factory=dict)
-    space_of_functional: dict = field(default_factory=dict)
-    space_of_function: dict = field(default_factory=dict)
     kinds: dict = field(default_factory=dict)
 
 
@@ -133,6 +131,8 @@ def parse(text: str) -> Workspace:
             raise
         except InputError as exc:
             raise ParseError(f"[{sec.kind} {sec.name}]: {exc}", sec.line) from exc
+        except CapacityError as exc:
+            raise CapacityError(f"line {sec.line}: [{sec.kind} {sec.name}]: {exc}") from exc
     return ws
 
 
@@ -142,15 +142,11 @@ def _build(ws: Workspace, sec: Section) -> None:
     elif sec.kind == "space":
         ws.spaces[sec.name] = _build_space(ws, sec)
     elif sec.kind == "function":
-        space_name = sec.require("space")
-        space = _lookup(ws.spaces, space_name, sec, "space")
+        space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functions[sec.name] = _build_function(space, sec)
-        ws.space_of_function[sec.name] = space_name
     elif sec.kind == "functional":
-        space_name = sec.require("space")
-        space = _lookup(ws.spaces, space_name, sec, "space")
+        space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functionals[sec.name] = _build_functional(ws, space, sec)
-        ws.space_of_functional[sec.name] = space_name
     elif sec.kind == "action":
         ws.actions[sec.name] = _build_action(ws, sec)
         ws.kinds[sec.name] = sec.get("kind", "join")

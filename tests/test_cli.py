@@ -66,11 +66,25 @@ def test_witness_refuses_unknown_entities(capsys, law):
     assert err.startswith("error: ")
 
 
-def test_homogeneous_regime_exits_2_with_its_message(tmp_path, capsys):
+def homogeneous_demo(tmp_path):
     text = DEMO.read_text(encoding="utf-8")
     assert "regime = unit-cocycle" in text
     doc = tmp_path / "homogeneous.workspace"
     doc.write_text(text.replace("regime = unit-cocycle", "regime = homogeneous"), encoding="utf-8")
-    code, out, err = run(capsys, "check", doc, "--suite", "convolution")
+    return doc
+
+
+def test_homogeneous_regime_exits_2_with_its_message(tmp_path, capsys):
+    code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
     assert code == 2
+    assert err == "error: homogeneous regime applies to homogeneous kinds only\n"
+
+
+def test_homogeneous_regime_is_refused_before_the_seed_family(tmp_path, capsys, monkeypatch):
+    def seed(sys, kind):
+        raise AssertionError("the seed family was built before the regime was checked")
+
+    monkeypatch.setattr("ordalg.suites.all_kind_functionals", seed)
+    code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
+    assert (code, out) == (2, "")
     assert err == "error: homogeneous regime applies to homogeneous kinds only\n"

@@ -1,8 +1,9 @@
 """Kind checks and kind additions of convolution, pinned by hand-verified
 witnesses, the agreement of the join/meet scans of `check_kind` and
-`check_idempotent`, and the witnesses of the mirrored quasiring and ideal
-laws on a hand-built algebra."""
-from itertools import product
+`check_idempotent`, the witnesses of the mirrored quasiring and ideal
+laws on a hand-built algebra, a hand-closed saturation, and the products
+of an algebra being made once each."""
+from collections import Counter
 
 import pytest
 
@@ -11,22 +12,29 @@ from ordalg import (
     ConvAlgebra,
     Dirac,
     FunctionSpace,
+    Functional,
     Groupoid,
     IncomparableError,
     InfOver,
+    InputError,
+    KFunction,
     PreconditionError,
     SupOver,
     TableFunctional,
+    all_kind_functionals,
     boolean_semiring,
     check_action,
     check_ideal,
     check_idempotent,
     check_kind,
     check_quasiring,
+    convolution,
     direct_product,
     enumerate_functionals,
     invariant_subfamily,
     plus_kind,
+    saturate,
+    signature,
     trivial_structure,
 )
 
@@ -165,3 +173,76 @@ def test_mirrored_laws_on_an_unsaturated_algebra():
     assert ideal["ideal-add"].witness == (str(n2), str(n2))
     assert ideal["ideal-left"].witness == (str(n3), str(n2))
     assert ideal["ideal-right"].witness == (str(n2), str(n1))
+
+
+# The functions of the left-zero space, in order (e, a, b) = 000, 001, ...,
+# 111.  nu is 1 where f(e) = 0 and f(a) != f(b).  With rho = 1,
+# T_g f = (f(g), f(a), f(b)), so (nu * lam)(f) = nu(h) with h(e) = lam(f).
+NU = "01100000"
+# round 1: nu + nu = nu, and nu * nu is 1 where f(e) = 1 and f(a) != f(b)
+MU = "00000110"
+# round 2: nu + mu is 1 where f(a) != f(b); nu * mu = mu * nu = nu and
+# mu * mu = mu
+SIGMA = "01100110"
+# round 3: sigma ignores f(e), so h is constant and nu * sigma = 0; round
+# 4 finds nothing new, since every product with the zero table is zero
+ZERO = "00000000"
+
+
+def tables(members):
+    return ["".join(m.table) for m in members]
+
+
+@pytest.mark.parametrize(
+    "budget, rounds, saturated, members",
+    [(4096, 4, True, [NU, MU, SIGMA, ZERO]), (2, 2, False, [NU, MU, SIGMA])],
+)
+def test_saturate_reaches_the_hand_closed_family(budget, rounds, saturated, members):
+    sys = left_zero_action()
+    alg = saturate([TableFunctional(sys.space, tuple(NU))], sys, "join", budget=budget)
+    assert (tables(alg.members), alg.rounds, alg.saturated) == (members, rounds, saturated)
+
+
+@pytest.mark.parametrize("seed", ["hand-closed", "all-join"])
+def test_each_product_is_made_once(monkeypatch, seed):
+    sys = left_zero_action()
+    if seed == "hand-closed":
+        family = [TableFunctional(sys.space, tuple(NU))]
+    else:
+        family = all_kind_functionals(sys, "join")
+    made = Counter()
+    for name in ("convolve", "plus_kind"):
+
+        def record(*args, original=getattr(convolution, name), name=name):
+            made[(name,) + tuple(signature(a) for a in args if isinstance(a, Functional))] += 1
+            return original(*args)
+
+        monkeypatch.setattr(convolution, name, record)
+    alg = saturate(family, sys, "join")
+    check_quasiring(alg)
+    check_ideal(invariant_subfamily(alg), alg)
+    assert made and max(made.values()) == 1
+    # every sum and every product of two members is made
+    assert len(made) >= 2 * len(alg.members) ** 2
+
+
+class TestTableLookup:
+    def test_value_reads_the_position_of_the_function(self):
+        sp, funcs = bool_square()
+        nu = TableFunctional(sp, ("a", "b", "c", "d"))
+        assert [nu.value(f) for f in funcs] == ["a", "b", "c", "d"]
+
+    def test_function_outside_the_space(self):
+        sp, _ = bool_square()
+        nu = TableFunctional(sp, ("0", "1", "1", "1"))
+        with pytest.raises(InputError):
+            nu.value(KFunction(("x1",), ("1",)))
+        with pytest.raises(InputError):
+            nu.value(KFunction(("x1", "x2"), ("1", "7")))
+
+    def test_table_shorter_than_the_space(self):
+        sp, funcs = bool_square()
+        nu = TableFunctional(sp, ("0", "1"))
+        assert nu.value(funcs[1]) == "1"
+        with pytest.raises(InputError):
+            nu.value(funcs[2])

@@ -77,4 +77,4 @@ def test_long_chain_of_covers_is_refused_before_its_order_is_built(tmp_path, cap
     text = f"[structure big]\nelements = {' '.join(elems)}\norder = {covers}\nzero = e0\none = e1\n"
     code, err = run_check(tmp_path, capsys, text)
     assert code == 2
-    assert err == "error: big: carrier of 1000 elements exceeds the cap 64\n"
+    assert err == "error: line 1: [structure big]: big: carrier of 1000 elements exceeds the cap 64\n"
