@@ -13,7 +13,17 @@ from itertools import product
 
 from .errors import IncomparableError, InputError, PreconditionError
 from .funcspace import FunctionSpace, KFunction
-from .functionals import Dirac, Functional, TableFunctional, check_join_meet, support_of, tabulate
+from .functionals import (
+    Dirac,
+    Functional,
+    TableFunctional,
+    check_join_meet,
+    enumerate_functionals,
+    law_instances,
+    require_additive,
+    support_of,
+    tabulate,
+)
 from .report import AxiomReport, Verdict
 from .structures import FinStruct
 
@@ -174,8 +184,7 @@ def check_kind(nu: Functional, kind: str) -> Verdict:
     pairs = product(space.functions(), repeat=2)
     if kind != "add":
         return check_join_meet(nu, pairs, {kind: law})[law]
-    if not {"comm-add", "assoc-add"} <= K.flags:
-        raise PreconditionError("kind add needs commutative associative addition in K")
+    require_additive(K)
     for f, g in pairs:
         lhs = nu.value(space.add(f, g))
         rhs = K.addv(nu.value(f), nu.value(g))
@@ -236,10 +245,12 @@ class ConvAlgebra:
 
 
 def all_kind_functionals(sys: ActionSystem, kind: str) -> list[TableFunctional]:
-    """Every functional on C(G,K) passing the kind check (the seed family)."""
-    from .functionals import enumerate_functionals
-
-    return [nu for nu in enumerate_functionals(sys.space) if check_kind(nu, kind)]
+    """Every functional on C(G,K) passing the kind check (the seed family).
+    The enumeration skips the tables that fail a compiled instance of the
+    kind's law, and `check_kind` decides every table it yields; an
+    unknown kind compiles nothing and is refused by `check_kind`."""
+    instances = law_instances(sys.space, (kind,)) if kind in KINDS else ()
+    return [nu for nu in enumerate_functionals(sys.space, instances) if check_kind(nu, kind)]
 
 
 def saturate(seed, sys: ActionSystem, kind: str, budget: int = 4096) -> ConvAlgebra:
@@ -339,8 +350,13 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
         if not check_invariant(lam, sys):
             raise PreconditionError("H contains a non-invariant functional")
 
-    def member_of_H(nu: Functional) -> bool:
-        return bool(check_invariant(nu, sys)) and bool(check_kind(nu, kind))
+    in_H = {}
+
+    def member_of_H(nu: TableFunctional) -> bool:
+        """Decided once per distinct table."""
+        if nu.table not in in_H:
+            in_H[nu.table] = bool(check_invariant(nu, sys)) and bool(check_kind(nu, kind))
+        return in_H[nu.table]
 
     add_cl = Verdict.passed("ideal-add")
     for l1, l2 in product(H, repeat=2):

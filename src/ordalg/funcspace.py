@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import IncomparableError, InputError
-from .order import OrderedCarrier, OrderRelation, sup_over
+from .order import OrderedCarrier, OrderRelation, check_order_axioms, sup_over
 from .structures import FinStruct
 
 
@@ -60,8 +60,6 @@ class FunctionSpace:
         if variant is not None:
             if point_order is None:
                 raise InputError("monotone variants need a linear point order")
-            from .order import check_order_axioms
-
             if not check_order_axioms(point_order, "linear"):
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None

@@ -182,32 +182,113 @@ def extensionally_equal(nu: Functional, lam: Functional) -> bool:
 TABLE_CAP = 100_000
 
 
-def enumerate_functionals(space: FunctionSpace):
-    """Every K-valued functional on the space, as value tables."""
-    funcs = list(space.functions())
-    total = len(space.K.elements) ** len(funcs)
+def enumerate_functionals(space: FunctionSpace, instances=()):
+    """The K-valued functionals on the space that pass the given law
+    instances, as value tables in `product` order; every table when there
+    are none.
+
+    An instance is a pair (positions, test) as `law_instances` makes
+    them: `test(values)` reads the table values at `positions`.  Positions
+    are assigned in `functions()` order, each trying the values in
+    `K.elements` order, and a partial table is dropped as soon as an
+    instance whose positions are all assigned fails.  The cap counts every
+    table and is applied before `instances` is read.
+    """
+    funcs = space.functions()
+    elements = space.K.elements
+    total = len(elements) ** len(funcs)
     if total > TABLE_CAP:
         raise CapacityError(f"{total} functionals exceed the cap {TABLE_CAP}")
-    for values in product(space.K.elements, repeat=len(funcs)):
-        yield TableFunctional(space, values)
+    due = [[] for _ in funcs]
+    for positions, test in instances:
+        due[max(positions)].append(test)
+    values = [None] * len(funcs)
+    tries = [iter(elements)]
+    while tries:
+        i = len(tries) - 1
+        for v in tries[i]:
+            values[i] = v
+            if all(test(values) for test in due[i]):
+                break
+        else:
+            tries.pop()
+            continue
+        if len(tries) == len(funcs):
+            yield TableFunctional(space, tuple(values))
+        else:
+            tries.append(iter(elements))
+
+
+def require_additive(K) -> None:
+    """The precondition of the law "add": K adds commutatively and
+    associatively."""
+    if not {"comm-add", "assoc-add"} <= K.flags:
+        raise PreconditionError("kind add needs commutative associative addition in K")
+
+
+def law_instances(space: FunctionSpace, laws):
+    """The instances of the named laws on the space, as (positions, test)
+    pairs for `enumerate_functionals`; each test reads a value table at
+    its positions.
+
+    The laws are "normalized", "left-shift", "right-shift", "join" and
+    "meet" as `check_idempotent` states them, and "add" as `check_kind`
+    states it.  The instances are made lazily, so that the enumerator
+    applies its cap before any is made.
+    """
+    K = space.K
+    order = K.order
+    add = K.add
+    funcs = space.functions()
+    at = space.position
+    for law in laws:
+        if law == "normalized":
+            for c in K.elements:
+                p = at(space.constant(c))
+                yield (p,), lambda t, p=p, c=c: t[p] == c
+        elif law in ("left-shift", "right-shift"):
+            left = law == "left-shift"
+            for c, f in product(K.elements, funcs):
+                p, q = at(f), at(space.odot(c, f, "left" if left else "right"))
+                yield (p, q), lambda t, p=p, q=q, c=c, left=left: (
+                    t[q] == add[(c, t[p]) if left else (t[p], c)]
+                )
+        elif law in ("join", "meet"):
+            combine, pick = (space.vee, order.join) if law == "join" else (space.wedge, order.meet)
+            for f, g in product(funcs, repeat=2):
+                if space.comparable_pointwise(f, g) is None:
+                    p, q, r = at(f), at(g), at(combine(f, g))
+                    yield (p, q, r), lambda t, p=p, q=q, r=r, pick=pick: (
+                        order.comparable(t[p], t[q]) and t[r] == pick(t[p], t[q])
+                    )
+        elif law == "add":
+            require_additive(K)
+            for f, g in product(funcs, repeat=2):
+                p, q, r = at(f), at(g), at(space.add(f, g))
+                yield (p, q, r), lambda t, p=p, q=q, r=r: t[r] == add[(t[p], t[q])]
+        else:
+            raise InputError(f"unknown law {law!r}")
 
 
 IDEMPOTENT_AXIOMS = ("normalized", "left-shift", "right-shift", "join", "meet")
 
 
 def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
-    """All functionals passing the named idempotency axioms, exhaustively.
+    """All functionals passing the named idempotency axioms, exhaustively:
+    the enumeration skips the tables that fail a compiled instance of an
+    axiom, and `check_idempotent` decides every table it yields.
 
     The default demands all five rules.  Note that the meet rule cuts the
     family down to point evaluations whenever the space has two or more
     points: a sup over a larger subset sends the pointwise min of two
     crossing functions below the min of its values.
     """
-    return [
-        nu
-        for nu in enumerate_functionals(space)
-        if all(check_idempotent(nu)[a].holds for a in axioms)
-    ]
+    kept = []
+    for nu in enumerate_functionals(space, law_instances(space, axioms)):
+        report = check_idempotent(nu)
+        if all(report[a].holds for a in axioms):
+            kept.append(nu)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .convolution import (
     support_bounds,
 )
 from .errors import OrdalgError, PreconditionError
-from .functionals import check_idempotent, check_weak_properties
+from .functionals import check_idempotent, check_weak_properties, monad_check
 from .order import check_order_axioms
 from .report import Verdict, fmt_witness
 from .sproduct import (
@@ -92,8 +92,6 @@ def suite_idempotent(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]
 
 
 def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
-    from .functionals import monad_check
-
     records = []
     for name in sorted(ws.spaces):
         space = ws.spaces[name]

@@ -41,8 +41,10 @@ class Section:
     name: str
     line: int
     entries: list  # (key, value, line)
+    read: set = field(default_factory=set)  # the keys its builder asked for
 
     def get(self, key: str, default=None) -> str | None:
+        self.read.add(key)
         for k, v, _ in self.entries:
             if k == key:
                 return v
@@ -68,8 +70,15 @@ class Section:
         out = []
         for k, v, ln in self.entries:
             if k.startswith(prefix + "."):
+                self.read.add(k)
                 out.append((k[len(prefix) + 1 :], v, ln))
         return out
+
+    def refuse_unread(self) -> None:
+        """Refuse the first key that the section's builder never read."""
+        for k, _, ln in self.entries:
+            if k not in self.read:
+                raise ParseError(f"[{self.kind} {self.name}]: unknown key {k!r}", ln)
 
 
 def _integer(text: str, what: str, line: int) -> int:
@@ -133,6 +142,7 @@ def parse(text: str) -> Workspace:
             raise ParseError(f"[{sec.kind} {sec.name}]: {exc}", sec.line) from exc
         except CapacityError as exc:
             raise CapacityError(f"line {sec.line}: [{sec.kind} {sec.name}]: {exc}") from exc
+        sec.refuse_unread()
     return ws
 
 
@@ -205,10 +215,7 @@ def _build_structure(sec: Section) -> FinStruct:
     tables = {}
     for label in ("add", "mul"):
         table = {}
-        for row_key, value, ln in sec.rows(label):
-            if not row_key.startswith("row."):
-                continue
-            a = row_key[4:]
+        for a, value, ln in sec.rows(f"{label}.row"):
             values = value.split()
             if len(values) != len(elements):
                 raise ParseError(
@@ -264,10 +271,7 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
     table = {}
-    for g, value, ln in sec.rows("groupoid"):
-        if not g.startswith("row."):
-            continue
-        a = g[4:]
+    for a, value, ln in sec.rows("groupoid.row"):
         values = value.split()
         if len(values) != len(gelems):
             raise ParseError(f"groupoid row {a!r} has wrong arity", ln)
@@ -277,20 +281,17 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
     points = tuple(sec.require("points").split())
     v = {}
     rho = {}
-    for key, value, ln in sec.entries:
-        if key.startswith("act."):
-            g = key[4:]
-            images = value.split()
-            if len(images) != len(points):
-                raise ParseError(f"action row for {g!r} has wrong arity", ln)
-            v[g] = dict(zip(points, images))
-        if key.startswith("rho."):
-            g = key[4:]
-            values = value.split()
-            if len(values) != len(points):
-                raise ParseError(f"cocycle row for {g!r} has wrong arity", ln)
-            for x, val in zip(points, values):
-                rho[(g, x)] = val
+    for g, value, ln in sec.rows("act"):
+        images = value.split()
+        if len(images) != len(points):
+            raise ParseError(f"action row for {g!r} has wrong arity", ln)
+        v[g] = dict(zip(points, images))
+    for g, value, ln in sec.rows("rho"):
+        values = value.split()
+        if len(values) != len(points):
+            raise ParseError(f"cocycle row for {g!r} has wrong arity", ln)
+        for x, val in zip(points, values):
+            rho[(g, x)] = val
     L = frozenset(sec.require("L").split())
     regime = sec.get("regime", "unit-cocycle")
     sys = ActionSystem(G, K, points, v, L, rho, regime)

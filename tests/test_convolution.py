@@ -1,8 +1,10 @@
 """Kind checks and kind additions of convolution, pinned by hand-verified
 witnesses, the agreement of the join/meet scans of `check_kind` and
 `check_idempotent`, the witnesses of the mirrored quasiring and ideal
-laws on a hand-built algebra, a hand-closed saturation, and the products
-of an algebra being made once each."""
+laws on a hand-built algebra, a hand-closed saturation, the products
+of an algebra being made once each, the pruned seed family against the
+exhaustive filter, the action and cocycle laws, T_g T_h = T_gh and the
+unit of convolution."""
 from collections import Counter
 
 import pytest
@@ -22,6 +24,7 @@ from ordalg import (
     SupOver,
     TableFunctional,
     all_kind_functionals,
+    apply_T,
     boolean_semiring,
     check_action,
     check_ideal,
@@ -29,9 +32,12 @@ from ordalg import (
     check_kind,
     check_quasiring,
     convolution,
+    convolve,
+    dirac_unit,
     direct_product,
     enumerate_functionals,
     invariant_subfamily,
+    maxplus_chain,
     plus_kind,
     saturate,
     signature,
@@ -39,6 +45,8 @@ from ordalg import (
 )
 
 BOOL = boolean_semiring()
+MP3 = maxplus_chain(3)
+MP4 = maxplus_chain(4)
 SQUARE = direct_product(boolean_semiring("a"), boolean_semiring("b"))
 
 
@@ -246,3 +254,125 @@ class TestTableLookup:
         assert nu.value(funcs[1]) == "1"
         with pytest.raises(InputError):
             nu.value(funcs[2])
+
+
+def cyclic_action(n, K):
+    """Z_n acting on itself by addition, with the unit cocycle."""
+    elems = tuple(str(i) for i in range(n))
+    table = {(a, b): str((int(a) + int(b)) % n) for a in elems for b in elems}
+    v = {g: {x: table[(x, g)] for x in elems} for g in elems}
+    rho = {(g, x): K.one for g in elems for x in elems}
+    return ActionSystem(Groupoid(f"Z{n}", elems, table, "0"), K, elems, v, frozenset(K.elements), rho)
+
+
+# the cyclic actions whose spaces have at most 4096 tables
+CYCLIC = [
+    (n, K)
+    for K in (BOOL, MP3)
+    for n in (1, 2, 3)
+    if len(K.elements) ** (len(K.elements) ** n) <= 4096
+]
+
+
+@pytest.mark.parametrize("kind", ["join", "meet", "add"])
+@pytest.mark.parametrize("n, K", CYCLIC, ids=[f"Z{n}-{K.name}" for n, K in CYCLIC])
+def test_seed_family_equals_the_exhaustive_filter(n, K, kind):
+    sys = cyclic_action(n, K)
+    assert check_action(sys)
+    exhaustive = [nu.table for nu in enumerate_functionals(sys.space) if check_kind(nu, kind)]
+    assert [nu.table for nu in all_kind_functionals(sys, kind)] == exhaustive
+
+
+def test_seed_family_of_kind_add_needs_commutative_associative_addition():
+    sys = cyclic_action(1, trivial_structure())
+    with pytest.raises(PreconditionError):
+        all_kind_functionals(sys, "add")
+
+
+def test_seed_family_of_an_unknown_kind_is_refused():
+    with pytest.raises(InputError):
+        all_kind_functionals(cyclic_action(1, BOOL), "sum")
+
+
+def z2_action(K=BOOL, v=None, L=None, rho=None):
+    """Z2 = {e, a} acting on itself, with the given changes to its action
+    map, L and cocycle; unchanged it passes every action law."""
+    elems = ("e", "a")
+    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
+    maps = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
+    cocycle = {(g, x): K.one for g in elems for x in elems}
+    return ActionSystem(
+        Groupoid("Z2", elems, table, "e"),
+        K,
+        elems,
+        {**maps, **(v or {})},
+        frozenset(K.elements) if L is None else frozenset(L),
+        {**cocycle, **(rho or {})},
+    )
+
+
+class TestCheckAction:
+    def test_z2_passes(self):
+        v = check_action(z2_action())
+        assert v.holds and v.law == "action"
+
+    @pytest.mark.parametrize(
+        "changes, witness",
+        [
+            # the unit swaps the points
+            ({"v": {"e": {"e": "a", "a": "e"}}}, ("unit-action", "e")),
+            # a sends both points to e: a then a sends a to e, but aa = e fixes it
+            ({"v": {"a": {"e": "e", "a": "e"}}}, ("composition", "a", "a", "a")),
+            ({"L": {"1"}}, ("L-units", frozenset({"1"}))),
+            # in the max-plus chain of 4, 2 * 2 = 3
+            ({"K": MP4, "L": {"0", "1", "2"}}, ("L-closed", "2", "2")),
+            ({"K": MP3, "rho": {("e", "a"): "2"}}, ("cocycle-unit", "a")),
+            # rho(a, e) * rho(a, a) = 2 * 2 = 2, not rho(aa, e) = rho(e, e) = 1
+            ({"K": MP3, "rho": {("a", "e"): "2", ("a", "a"): "2"}}, ("cocycle", "a", "a", "e")),
+        ],
+        ids=["unit-action", "composition", "L-units", "L-closed", "cocycle-unit", "cocycle"],
+    )
+    def test_each_failing_branch(self, changes, witness):
+        v = check_action(z2_action(**changes))
+        assert (v.holds, v.law, v.witness) == (False, "action", witness)
+
+    @pytest.mark.parametrize("value", ["0", "2"])
+    def test_cocycle_value_outside_L_minus_zero(self, value):
+        sys = z2_action(MP3, L={"0", "1"}, rho={("a", "e"): value})
+        with pytest.raises(InputError, match=r"cocycle value at \(a,e\)"):
+            check_action(sys)
+
+
+def skewed_left_zero_action():
+    """mp3 over the left-zero monoid {e, a, b} acting on itself by right
+    multiplication, with the cocycle 2 at (a, e) and 1 elsewhere: the
+    cocycle rule holds because 2 * 1 = 2 and a b = a a = a."""
+    elems = ("e", "a", "b")
+    table = {(x, y): y if x == "e" else x for x in elems for y in elems}
+    v = {g: {x: table[(x, g)] for x in elems} for g in elems}
+    rho = {(g, x): "2" if (g, x) == ("a", "e") else "1" for g in elems for x in elems}
+    return ActionSystem(Groupoid("lz", elems, table, "e"), MP3, elems, v, frozenset(MP3.elements), rho)
+
+
+def test_representation_composes():
+    # T_g T_h = T_gh; the monoid is not commutative, so T_a T_b = T_a
+    # differs from T_b T_a = T_b
+    sys = skewed_left_zero_action()
+    assert check_action(sys)
+    G = sys.G
+    for g in G.elements:
+        for h in G.elements:
+            for f in sys.space.functions():
+                assert apply_T(sys, g, apply_T(sys, h, f)) == apply_T(sys, G.mulv(g, h), f)
+    f = sys.space.function(("1", "1", "1"))
+    assert apply_T(sys, "a", f).values == ("2", "1", "1")
+    assert apply_T(sys, "b", f).values == ("1", "1", "1")
+
+
+@pytest.mark.parametrize("values", ["01101001", "10010110", "00000001"])
+def test_dirac_unit_is_neutral_on_both_sides(values):
+    sys = left_zero_action()
+    nu = TableFunctional(sys.space, tuple(values))
+    delta = dirac_unit(sys)
+    assert signature(convolve(nu, delta, sys)) == nu.table
+    assert signature(convolve(delta, nu, sys)) == nu.table

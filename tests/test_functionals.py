@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from ordalg import (
+    CapacityError,
     Dirac,
     FinStruct,
     FunctionSpace,
@@ -20,6 +21,7 @@ from ordalg import (
     check_homogeneous,
     check_idempotent,
     check_weak_properties,
+    direct_product,
     enumerate_functionals,
     enumerate_idempotent,
     extend_inf,
@@ -33,9 +35,17 @@ from ordalg import (
     signature,
     support_of,
     supported_on,
+    trivial_structure,
     weighted_combo,
 )
-from ordalg.functionals import is_submodule, submodule_closure, vanishes_agreement
+from ordalg import functionals
+from ordalg.functionals import (
+    IDEMPOTENT_AXIOMS,
+    TABLE_CAP,
+    is_submodule,
+    submodule_closure,
+    vanishes_agreement,
+)
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -596,3 +606,57 @@ class TestPinnedWitnesses:
             if not verdict.holds:
                 return i, plain(verdict.witness)
         return None
+
+
+# Every space of at most 4096 tables over these structures on 1-3 points;
+# the skew chain is the one whose left and right shifts differ.
+ORACLE_STRUCTURES = [
+    BOOL,
+    maxplus_chain(2),
+    MP3,
+    MP4,
+    right_dist_only(),
+    trivial_structure(),
+    direct_product(boolean_semiring("a"), boolean_semiring("b")),
+    skew_structure(),
+]
+ORACLE_SPACES = [
+    FunctionSpace(("x1", "x2", "x3")[:n], K)
+    for K in ORACLE_STRUCTURES
+    for n in (1, 2, 3)
+    if len(K.elements) ** (len(K.elements) ** n) <= 4096
+]
+AXIOM_SETS = [
+    IDEMPOTENT_AXIOMS,
+    ("normalized", "left-shift", "right-shift", "join"),
+    *((law,) for law in IDEMPOTENT_AXIOMS),
+]
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda sp: sp.name)
+    def test_pruned_equals_the_exhaustive_filter(self, space):
+        reports = [(nu.table, check_idempotent(nu)) for nu in enumerate_functionals(space)]
+        for axioms in AXIOM_SETS:
+            exhaustive = [table for table, rep in reports if all(rep[a].holds for a in axioms)]
+            pruned = [nu.table for nu in enumerate_idempotent(space, axioms)]
+            assert pruned == exhaustive, axioms
+
+    def test_bool_on_one_point_keeps_the_identity(self):
+        assert [nu.table for nu in enumerate_idempotent(bool_space(("x",)))] == [("0", "1")]
+
+    def test_capacity_is_refused_before_any_table(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(functionals, "TableFunctional", build)
+        sp = mp3_space()
+        total = 3**27
+        assert total > TABLE_CAP
+        with pytest.raises(CapacityError) as err:
+            enumerate_idempotent(sp)
+        assert str(err.value) == f"{total} functionals exceed the cap {TABLE_CAP}"
+
+    def test_unknown_law_is_refused(self):
+        with pytest.raises(InputError):
+            enumerate_idempotent(bool_space(("x",)), ("normalised",))

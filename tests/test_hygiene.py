@@ -34,3 +34,38 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def local_repeat_imports(source: str) -> list[str]:
+    """Imports inside a function from a module that the file already
+    imports from at top level; the top-level import can take the name."""
+    tree = ast.parse(source)
+    top = {(node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom)}
+    found = {}  # by line: a nested function's import is reported once, in its outermost function
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top:
+                    module = "." * node.level + (node.module or "")
+                    found.setdefault(node.lineno, f"{module} in {func.name} (line {node.lineno})")
+    return list(found.values())
+
+
+def test_scanner_finds_a_local_repeat_import():
+    source = (
+        "from .a import x\n"
+        "def f():\n"
+        "    from .a import y\n"
+        "    from .b import z\n"
+        "    from a import w\n"
+        "    def g():\n"
+        "        from .a import v\n"
+        "        return v\n"
+        "    return x, y, z, w, g\n"
+    )
+    assert local_repeat_imports(source) == [".a in f (line 3)", ".a in f (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_local_repeat_imports(path):
+    assert local_repeat_imports(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,5 @@
 """Malformed workspace documents end in exit 2 with the offending line,
-never in a traceback."""
+never in a traceback; a key that no builder reads is one of them."""
 import pytest
 
 from ordalg import CapacityError, OrderRelation, maxplus_chain
@@ -78,3 +78,66 @@ def test_long_chain_of_covers_is_refused_before_its_order_is_built(tmp_path, cap
     code, err = run_check(tmp_path, capsys, text)
     assert code == 2
     assert err == "error: line 1: [structure big]: big: carrier of 1000 elements exceeds the cap 64\n"
+
+
+# One section of each kind; every key here is read by its builder.
+EVERY_KIND = """\
+[structure b]
+builtin = boolean
+
+[space S]
+structure = b
+points = x y
+
+[function f]
+space = S
+values = x:0 y:1
+
+[functional nu]
+space = S
+kind = dirac
+point = x
+
+[action A]
+structure = b
+groupoid-elements = e
+groupoid.row.e = e
+unit = e
+points = e
+act.e = e
+rho.e = 1
+L = 0 1
+
+[scheme Sch]
+structure = b
+window = 0 3
+
+[suite default]
+run = laws
+"""
+
+
+def test_every_kind_parses(tmp_path, capsys):
+    assert run_check(tmp_path, capsys, EVERY_KIND) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "header, key",
+    [
+        ("[structure b]", "flags"),
+        ("[space S]", "varient"),
+        ("[function f]", "value"),
+        ("[functional nu]", "set"),
+        ("[action A]", "groupoid.rows.e"),
+        ("[scheme Sch]", "mul.psy"),
+        ("[suite default]", "seeds"),
+    ],
+    ids=lambda v: v.strip("[]").split()[0] if v.startswith("[") else None,
+)
+def test_unknown_key_is_refused_at_its_line(tmp_path, capsys, header, key):
+    lines = EVERY_KIND.splitlines()
+    at = lines.index(header) + 1
+    lines.insert(at, f"{key} = 1")
+    code, err = run_check(tmp_path, capsys, "\n".join(lines) + "\n")
+    kind, name = header.strip("[]").split()
+    assert (code, err) == (2, f"error: line {at + 1}: [{kind} {name}]: unknown key {key!r}\n")
