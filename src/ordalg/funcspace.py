@@ -40,6 +40,14 @@ class KFunction:
 
 
 class FunctionSpace:
+    """The K-valued functions on `points`, optionally monotone.
+
+    The points, K and the point order are never mutated after
+    construction, so what is derived from them is built once, on first
+    use: the member functions and their positions, the pointwise order as
+    up-sets over those positions, and every constant shift made.
+    """
+
     def __init__(
         self,
         points,
@@ -64,6 +72,8 @@ class FunctionSpace:
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[KFunction, int] | None = None
+        self._above: list[frozenset] | None = None
+        self._shifted: dict[tuple, KFunction] = {}
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------
@@ -133,12 +143,29 @@ class FunctionSpace:
 
     def position(self, f: KFunction) -> int:
         """The index of f in `functions()`."""
-        if self._positions is None:
-            self._positions = {g: i for i, g in enumerate(self.functions())}
-        i = self._positions.get(f)
+        i = self._position_map().get(f)
         if i is None:
             raise InputError(f"{f} is not a function of {self.name}")
         return i
+
+    def _position_map(self) -> dict[KFunction, int]:
+        if self._positions is None:
+            self._positions = {g: i for i, g in enumerate(self.functions())}
+        return self._positions
+
+    def _up_sets(self) -> list[frozenset]:
+        """For each position i, the positions j with functions()[i] <=
+        functions()[j] pointwise."""
+        if self._above is None:
+            funcs = self.functions()
+            above = self.K.order.above
+            self._above = [
+                frozenset(
+                    j for j, g in enumerate(funcs) if all(b in above[a] for a, b in zip(f.values, g.values))
+                )
+                for f in funcs
+            ]
+        return self._above
 
     def _require(self, *fs: KFunction):
         for f in fs:
@@ -167,19 +194,26 @@ class FunctionSpace:
         return self._with_constant("mul", b, f, side)
 
     def _with_constant(self, op: str, c: str, f: KFunction, side: str) -> KFunction:
-        self._require(f)
-        if side == "left":
-            return self.pointwise(op, self.constant(c), f)
-        if side == "right":
-            return self.pointwise(op, f, self.constant(c))
-        raise InputError(f"unknown side {side!r}")
+        key = (op, c, f, side)
+        g = self._shifted.get(key)
+        if g is None:
+            self._require(f)
+            if side == "left":
+                g = self.pointwise(op, self.constant(c), f)
+            elif side == "right":
+                g = self.pointwise(op, f, self.constant(c))
+            else:
+                raise InputError(f"unknown side {side!r}")
+            self._shifted[key] = g
+        return g
 
     def comparable_pointwise(self, f: KFunction, g: KFunction) -> str | None:
         """None when every point has comparable values, else the first
         incomparable point."""
         self._require(f, g)
+        comparable = self.K.order.comparable
         for x, a, b in zip(self.points, f.values, g.values):
-            if not self.K.order.comparable(a, b):
+            if not comparable(a, b):
                 return x
         return None
 
@@ -198,8 +232,15 @@ class FunctionSpace:
         return KFunction(self.points, tuple(map(pick, f.values, g.values)))
 
     def leq(self, f: KFunction, g: KFunction) -> bool:
-        self._require(f, g)
-        return all(self.K.leq(a, b) for a, b in zip(f.values, g.values))
+        """The pointwise order, read from the up-sets; a function outside
+        the space (a shift can leave a monotone variant) is compared point
+        by point."""
+        at = self._position_map()
+        i, j = at.get(f), at.get(g)
+        if i is None or j is None:
+            self._require(f, g)
+            return all(self.K.leq(a, b) for a, b in zip(f.values, g.values))
+        return j in self._up_sets()[i]
 
     def sup_value(self, f: KFunction, subset=None) -> str | None:
         pts = self.points if subset is None else tuple(subset)

@@ -378,9 +378,32 @@ def _constant_law(nu: Functional, cells, op: str, laws: dict, witness=tuple) -> 
     return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
 
 
+class _Memo:
+    """nu's values, each computed on first use.  Not a Functional: every
+    value computed is an evaluation of nu itself."""
+
+    def __init__(self, nu: Functional):
+        self.space = nu.space
+        self.evaluate = nu.value
+        self.values = {}
+
+    def value(self, f: KFunction) -> str:
+        v = self.values.get(f)
+        if v is None:
+            v = self.values[f] = self.evaluate(f)
+        return v
+
+
+def _memoized(nu: Functional):
+    """nu itself when it is a table, else a memo of its values."""
+    return nu if isinstance(nu, TableFunctional) else _Memo(nu)
+
+
 def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Normalization, both constant-shift rules, and compatibility with
-    pointwise max/min on pairs whose values are pointwise comparable."""
+    pointwise max/min on pairs whose values are pointwise comparable.
+    Each function is evaluated at most once."""
+    nu = _memoized(nu)
     space = nu.space
     K = space.K
     report = AxiomReport()
@@ -400,7 +423,8 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
 def check_weak_properties(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Weak additivity, order preservation, normalization and the
     non-expansion property, plus the consistency entry asserting that the
-    first two force the last."""
+    first two force the last.  Each function is evaluated at most once."""
+    memo = _memoized(nu)
     space = nu.space
     K = space.K
     report = AxiomReport()
@@ -409,7 +433,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     cells = ((c, h) for h in funcs for c in K.elements)
     laws = {"right": "weakly-additive", "left": "weakly-additive"}
     wa = _constant_law(
-        nu, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
+        memo, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
     )["weakly-additive"]
 
     # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
@@ -421,14 +445,14 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     op = ne = None
     for f, h in pairs:
         if h not in shifted:
-            nh = nu.value(h)
+            nh = memo.value(h)
             shifted[h] = nh, [
                 (c, side, space.odot(c, h, side), K.add[(nh, c)] if side == "right" else K.add[(c, nh)])
                 for c in K.elements
                 for side in ("right", "left")
             ]
         nh, shifts = shifted[h]
-        nf = nu.value(f)
+        nf = memo.value(f)
         if op is None and space.leq(f, h) and not K.leq(nf, nh):
             op = (f, h, nf, nh)
         if ne is None:
@@ -441,7 +465,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 
     report.add(wa)
     report.add(Verdict(op is None, "order-preserving", op))
-    report.add(_normalized(nu))
+    report.add(_normalized(memo))
     report.add(Verdict(ne is None, "non-expanding", ne))
     implied = wa.holds and op is None and ne is not None
     report.add(

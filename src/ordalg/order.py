@@ -7,7 +7,7 @@ failure comes with a concrete witness tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InputError
@@ -18,18 +18,31 @@ Mode = str  # "directed" | "linear" | "well"
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """A binary relation `leq` over a finite carrier of identifiers."""
+    """A binary relation `leq` over a finite carrier of identifiers.
+
+    The carrier and the pairs are never mutated after construction:
+    `above[x]` (the z with x <= z) and `below[x]` (the z with z <= x) are
+    built from them once, and bounds and extrema are read from those sets.
+    """
 
     carrier: tuple[str, ...]
     pairs: frozenset[tuple[str, str]]
+    above: dict = field(init=False, repr=False, compare=False)
+    below: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.carrier)
         if len(seen) != len(self.carrier):
             raise InputError("carrier contains duplicate identifiers")
+        above = {x: set() for x in self.carrier}
+        below = {x: set() for x in self.carrier}
         for x, y in self.pairs:
             if x not in seen or y not in seen:
                 raise InputError(f"relation mentions unknown identifier in pair ({x},{y})")
+            above[x].add(y)
+            below[y].add(x)
+        object.__setattr__(self, "above", {x: frozenset(up) for x, up in above.items()})
+        object.__setattr__(self, "below", {x: frozenset(down) for x, down in below.items()})
 
     @classmethod
     def chain(cls, elements) -> "OrderRelation":
@@ -89,11 +102,13 @@ class OrderRelation:
         return a if (a, b) in self.pairs else b
 
     def bounds(self, subset, up: bool) -> list[str]:
-        """The upper bounds of the subset when `up`, else the lower bounds."""
-        pairs = self.pairs
-        if up:
-            return [z for z in self.carrier if all((x, z) in pairs for x in subset)]
-        return [z for z in self.carrier if all((z, x) in pairs for x in subset)]
+        """The upper bounds of the subset when `up`, else the lower bounds,
+        in carrier order."""
+        sets = self.above if up else self.below
+        common = set(self.carrier)
+        for x in subset:
+            common.intersection_update(sets.get(x, ()))
+        return [z for z in self.carrier if z in common]
 
     def upper_bounds(self, subset) -> list[str]:
         return self.bounds(subset, True)
@@ -132,14 +147,16 @@ def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:
     for x in order.carrier:  # D2
         if not order.leq(x, x):
             return Verdict.failed(law, ("D2", x))
+    above = order.above
     for x, y in order.pairs:  # D1
-        for z in order.carrier:
-            if order.leq(y, z) and not order.leq(x, z):
-                return Verdict.failed(law, ("D1", x, y, z))
+        escaped = above[y] - above[x]
+        if escaped:
+            z = next(z for z in order.carrier if z in escaped)
+            return Verdict.failed(law, ("D1", x, y, z))
     if mode == "directed":
         for x in order.carrier:  # D3
             for y in order.carrier:
-                if not order.upper_bounds((x, y)):
+                if above[x].isdisjoint(above[y]):
                     return Verdict.failed(law, ("D3", x, y))
         return Verdict.passed(law)
     # strict-order axioms; LO1 follows from D1 plus LO2 but is scanned anyway
@@ -245,14 +262,16 @@ def inf_over(subset, order: OrderRelation) -> str | None:
 
 def _extremum(subset, order: OrderRelation, up: bool) -> str | None:
     """The least upper bound when `up`, else the greatest lower bound."""
-    subset = list(subset)
+    subset = set(subset)
     if not subset:
         raise InputError(f"{'sup' if up else 'inf'} of an empty subset")
-    if not set(subset) <= set(order.carrier):
+    if not subset <= order.above.keys():
         raise InputError("subset not contained in carrier")
-    pairs = order.pairs
     bounds = order.bounds(subset, up)
+    # the least upper bound lies below every upper bound, and dually
+    beyond = order.above if up else order.below
+    every = set(bounds)
     for z in bounds:
-        if all(((z, w) if up else (w, z)) in pairs for w in bounds):
+        if every <= beyond[z]:
             return z
     return None

@@ -20,15 +20,17 @@ OPS = ("add", "mul")
 
 @dataclass(frozen=True)
 class SuppElement:
-    """Finite-support element: stored entries are nonzero, absent means 0."""
+    """Finite-support element: stored entries are nonzero, absent means 0.
+    Values are looked up through `by_index`, the entries as a dict."""
 
     items: tuple[tuple[int, str], ...]
+    by_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_index", dict(self.items))
 
     def get(self, j: int, zero: str) -> str:
-        for k, v in self.items:
-            if k == j:
-                return v
-        return zero
+        return self.by_index.get(j, zero)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -52,6 +54,11 @@ class IndexScheme:
     the window; integers become tables at construction.  The embedding
     `embed` is a single one-step map applied (j - k) times for t^j_k;
     identity when None.
+
+    The component, the window and the maps are never mutated after
+    construction: `phi_inverse[op]` maps phi(j) back to j for j in the
+    window (phi is strictly monotone there), and `elements` is the
+    component carrier as a set.
     """
 
     component: FinStruct
@@ -59,6 +66,8 @@ class IndexScheme:
     psi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
     phi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
     embed: dict | None = None
+    phi_inverse: dict = field(init=False, repr=False)
+    elements: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.window) == 0:
@@ -74,6 +83,9 @@ class IndexScheme:
                 for op, m in getattr(self, name).items()
             }
             object.__setattr__(self, name, tables)
+        inverse = {op: {self.phi[op][j]: j for j in self.window} for op in OPS}
+        object.__setattr__(self, "phi_inverse", inverse)
+        object.__setattr__(self, "elements", frozenset(self.component.elements))
         if self.embed is not None:
             hom = Homomorphism(self.component, self.component, dict(self.embed))
             v = check_homomorphism(hom)
@@ -130,12 +142,11 @@ class IndexScheme:
 
     def element(self, mapping: dict) -> SuppElement:
         zero = self.component.zero
-        elems = set(self.component.elements)
         items = []
         for j, v in sorted(mapping.items()):
             if j not in self.window:
                 raise InputError(f"index {j} outside the active window")
-            if v not in elems:
+            if v not in self.elements:
                 raise InputError(f"unknown component element {v!r}")
             if v != zero:
                 items.append((j, v))
@@ -160,16 +171,16 @@ class IndexScheme:
 def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppElement:
     """One product operation: the value at psi(j) combines y at j with the
     embedded z value read at phi(j).  Zero results are dropped, so the
-    output is canonical."""
+    output is canonical.  Only y's support and the window indices that
+    phi sends into z's support are visited."""
     if op not in OPS:
         raise InputError(f"unknown operation {op!r}")
     K = scheme.component
     zero = K.zero
     table = K.add if op == "add" else K.mul
     touched = set(y.support)
-    for j in scheme.window:
-        if z.get(scheme.phi_at(op, j), zero) != zero:
-            touched.add(j)
+    inverse = scheme.phi_inverse[op]
+    touched.update(inverse[k] for k in z.support if k in inverse)
     out = {}
     for j in sorted(touched):
         if j not in scheme.window:

@@ -7,7 +7,7 @@ Law checkers are exhaustive and return the first violating tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import CapacityError, InputError
@@ -46,6 +46,10 @@ class FinStruct:
     `flags` declare which optional laws the structure claims; each one is
     re-checked at construction.  Identity semantics: two FinStructs are
     the same structure only if they are the same object.
+
+    The carrier and the `add`/`mul` tables are never mutated after
+    construction: `check_law` keeps each verdict in `verdicts`, so the
+    laws decided at construction are not scanned again.
     """
 
     name: str
@@ -55,6 +59,7 @@ class FinStruct:
     zero: str
     one: str
     flags: frozenset = frozenset()
+    verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         elems = self.elements
@@ -117,13 +122,30 @@ class FinStruct:
 
 
 def check_law(s: FinStruct, law: str) -> Verdict:
-    """Exhaustive check of one law over all element pairs/triples."""
+    """Exhaustive check of one law over all element pairs/triples.  The
+    scan runs once per structure and law; its verdict is kept on `s`."""
+    verdict = s.verdicts.get(law)
+    if verdict is None:
+        verdict = s.verdicts[law] = _scan_law(s, law)
+    return verdict
+
+
+def _rows(op: Table, E) -> dict:
+    """op as rows: `_rows(op, E)[a][b]` is op(a, b)."""
+    return {a: {b: op[(a, b)] for b in E} for a in E}
+
+
+def _scan_law(s: FinStruct, law: str) -> Verdict:
     E = s.elements
     if law == "assoc-add" or law == "assoc-mul":
-        op = s.add if law == "assoc-add" else s.mul
-        for a, b, c in product(E, repeat=3):
-            if op[(op[(a, b)], c)] != op[(a, op[(b, c)])]:
-                return Verdict.failed(law, (a, b, c, op[(op[(a, b)], c)], op[(a, op[(b, c)])]))
+        rows = _rows(s.add if law == "assoc-add" else s.mul, E)
+        for a in E:
+            ra = rows[a]
+            for b in E:
+                rab, rb = rows[ra[b]], rows[b]
+                for c in E:
+                    if rab[c] != ra[rb[c]]:
+                        return Verdict.failed(law, (a, b, c, rab[c], ra[rb[c]]))
         return Verdict.passed(law)
     if law == "comm-add" or law == "comm-mul":
         op = s.add if law == "comm-add" else s.mul
@@ -132,13 +154,19 @@ def check_law(s: FinStruct, law: str) -> Verdict:
                 return Verdict.failed(law, (a, b, op[(a, b)], op[(b, a)]))
         return Verdict.passed(law)
     if law == "left-dist" or law == "right-dist":
-        # right-dist (b+c)a = ba+ca reads as left-dist on the transposed table
-        mul = s.mul if law == "left-dist" else {(y, x): v for (x, y), v in s.mul.items()}
-        for a, b, c in product(E, repeat=3):
-            lhs = mul[(a, s.addv(b, c))]
-            rhs = s.addv(mul[(a, b)], mul[(a, c)])
-            if lhs != rhs:
-                return Verdict.failed(law, (a, b, c, lhs, rhs))
+        mrows, arows = _rows(s.mul, E), _rows(s.add, E)
+        if law == "right-dist":
+            # (b+c)a = ba+ca reads as left-dist on the columns of mul
+            mrows = {a: {b: mrows[b][a] for b in E} for a in E}
+        for a in E:
+            ma = mrows[a]
+            for b in E:
+                ab, amb = arows[b], arows[ma[b]]
+                for c in E:
+                    lhs = ma[ab[c]]
+                    rhs = amb[ma[c]]
+                    if lhs != rhs:
+                        return Verdict.failed(law, (a, b, c, lhs, rhs))
         return Verdict.passed(law)
     if law == "neutral":
         for a in E:

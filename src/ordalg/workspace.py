@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .convolution import ActionSystem, Groupoid, check_action
+from .convolution import KINDS, ActionSystem, Groupoid, check_action
 from .errors import CapacityError, InputError
 from .funcspace import FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
@@ -158,8 +158,11 @@ def _build(ws: Workspace, sec: Section) -> None:
         space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functionals[sec.name] = _build_functional(ws, space, sec)
     elif sec.kind == "action":
+        kind = sec.get("kind", "join")
+        if kind not in KINDS:
+            raise ParseError(f"[action {sec.name}]: unknown kind {kind!r}", sec.line_of("kind"))
         ws.actions[sec.name] = _build_action(ws, sec)
-        ws.kinds[sec.name] = sec.get("kind", "join")
+        ws.kinds[sec.name] = kind
     elif sec.kind == "scheme":
         ws.schemes[sec.name] = _build_scheme(ws, sec)
     elif sec.kind == "suite":

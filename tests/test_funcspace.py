@@ -2,11 +2,14 @@ from itertools import product
 
 import pytest
 
+import scan_oracles
 from ordalg import (
+    FinStruct,
     FunctionSpace,
     IncomparableError,
     InputError,
     KFunction,
+    OrderedCarrier,
     OrderRelation,
     boolean_semiring,
     check_law,
@@ -250,3 +253,46 @@ def test_sup_condition_enforced_at_construction():
     K = FinStruct("nosup", OrderedCarrier(order, "0"), add, mul, "0", "a")
     with pytest.raises(InputError):
         FunctionSpace(("x1", "x2"), K)
+
+
+def skew_chain():
+    """0 < 1 < 2 with an addition that keeps its right argument above
+    zero: shifting a non-decreasing function can leave the space."""
+    elems = ("0", "1", "2")
+    add = {(a, b): a if b == "0" else b for a in elems for b in elems}
+    mul = {(a, b): "0" if "0" in (a, b) else max(a, b) for a in elems for b in elems}
+    return FinStruct("skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+
+
+LEQ_SPACES = [
+    space(),
+    space(points=("x1", "x2", "x3"), K=MP3),
+    space(K=direct_product(boolean_semiring("p"), boolean_semiring("q"))),
+    space(points=("x1", "x2", "x3"), K=MP3, point_order=OrderRelation.chain(("x1", "x2", "x3")), variant="-"),
+    space(points=("x1", "x2"), K=skew_chain(), point_order=OrderRelation.chain(("x1", "x2")), variant="+"),
+]
+
+
+class TestOrderLookups:
+    @pytest.mark.parametrize("sp", LEQ_SPACES, ids=lambda sp: sp.name + (sp.variant or ""))
+    def test_leq_is_the_pointwise_order_on_members_and_their_shifts(self, sp):
+        members = sp.functions()
+        shifted = {sp.odot(c, f, side) for c in sp.K.elements for f in members for side in ("left", "right")}
+        outside = shifted - set(members)
+        funcs = list(members) + sorted(outside, key=lambda f: f.values)
+        for f, g in product(funcs, repeat=2):
+            assert sp.leq(f, g) == scan_oracles.pointwise_leq(sp, f, g), (f, g)
+        if sp.variant == "+":
+            assert outside
+
+    def test_a_shift_is_made_once(self):
+        sp = space(points=("x1", "x2"), K=MP3)
+        f = sp.function({"x1": "1", "x2": "0"})
+        assert sp.odot("2", f, "right") is sp.odot("2", f, "right")
+        assert sp.odot("2", f, "right") == sp.pointwise("add", f, sp.constant("2"))
+        assert sp.scale("2", f) is not sp.odot("2", f)
+
+    def test_leq_refuses_a_foreign_domain(self):
+        sp = space()
+        with pytest.raises(InputError):
+            sp.leq(KFunction(("y",), ("0",)), sp.zero())

@@ -1,4 +1,7 @@
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,7 @@ from ordalg import (
     signature,
     support_of,
     supported_on,
+    tabulate,
     trivial_structure,
     weighted_combo,
 )
@@ -46,6 +50,7 @@ from ordalg.functionals import (
     submodule_closure,
     vanishes_agreement,
 )
+from ordalg.workspace import parse
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -660,3 +665,75 @@ class TestPrunedEnumeration:
     def test_unknown_law_is_refused(self):
         with pytest.raises(InputError):
             enumerate_idempotent(bool_space(("x",)), ("normalised",))
+
+
+@dataclass(frozen=True, eq=False)
+class Counting(Functional):
+    """Another functional's values, counting the evaluations per function."""
+
+    inner: Functional
+    calls: Counter = field(default_factory=Counter)
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def value(self, f):
+        self.calls[f] += 1
+        return self.inner.value(f)
+
+
+def demo_functionals():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "demo.workspace").read_text()
+    return parse(text).functionals
+
+
+def mp3_functionals():
+    sp = FunctionSpace(("a", "b", "c", "d"), MP3)
+    s2 = SupOver(sp, frozenset("ac"))
+    i2 = InfOver(sp, frozenset("bd"))
+    return {
+        "d0": Dirac(sp, "b"),
+        "s3": SupOver(sp, frozenset("bcd")),
+        "cl": weighted_combo("left", ("1", "1"), (s2, Dirac(sp, "d"))),
+        "cr": weighted_combo("right", ("1", "1"), (i2, Dirac(sp, "a"))),
+    }
+
+
+CHECKS = {"idempotent": check_idempotent, "weak": check_weak_properties}
+
+
+class TestEvaluatedOnce:
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("name", sorted(mp3_functionals()))
+    def test_each_function_is_evaluated_at_most_once(self, check, name):
+        nu = Counting(mp3_functionals()[name])
+        CHECKS[check](nu)
+        assert nu.calls and max(nu.calls.values()) == 1
+        CHECKS[check](nu)
+        assert max(nu.calls.values()) == 2
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize(
+        "name, nu",
+        [*sorted(demo_functionals().items()), *sorted(mp3_functionals().items())],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_symbolic_and_tabulated_reports_agree(self, check, name, nu):
+        table = tabulate(nu)
+        assert CHECKS[check](nu) == CHECKS[check](table)
+        assert CHECKS[check](nu, budget=40, seed=3) == CHECKS[check](table, budget=40, seed=3)
+
+    def test_an_evaluation_error_surfaces(self):
+        sp = FunctionSpace(("x1", "x2"), MP3)
+        bad = sp.function({"x1": "2", "x2": "1"})
+
+        class Failing(Dirac):
+            def value(self, f):
+                if f == bad:
+                    raise CapacityError(f"no value at {f}")
+                return super().value(f)
+
+        for check in CHECKS.values():
+            with pytest.raises(CapacityError, match="no value at"):
+                check(Failing(sp, "x1"))

@@ -69,3 +69,50 @@ def test_scanner_finds_a_local_repeat_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_local_repeat_imports(path):
     assert local_repeat_imports(path.read_text(encoding="utf-8")) == []
+
+
+MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+# A registry of the workspace builtins, filled once and never written to.
+REGISTRIES = {"_BUILTINS"}
+
+
+def module_containers(source: str) -> list[str]:
+    """Module-level names bound to a dict, list or set literal or
+    comprehension.  A cache must live on the object it describes, not in
+    a module-level container keyed by identity."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if not isinstance(node.value, MUTABLE):
+            continue
+        for target in targets:
+            name = target.id if isinstance(target, ast.Name) else ast.unparse(target)
+            if name not in REGISTRIES:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_scanner_finds_a_module_container():
+    source = (
+        "A = {}\n"
+        "B: dict = {k: 1 for k in 'ab'}\n"
+        "C = [x for x in ()]\n"
+        "D = (1, 2)\n"
+        "_BUILTINS = {'x': 1}\n"
+        "def f():\n"
+        "    local = {}\n"
+        "    return local\n"
+        "class K:\n"
+        "    table = {}\n"
+    )
+    assert module_containers(source) == ["A (line 1)", "B (line 2)", "C (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    assert module_containers(path.read_text(encoding="utf-8")) == []

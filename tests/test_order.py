@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scan_oracles
 from ordalg import (
     InputError,
     OrderedCarrier,
@@ -220,3 +221,45 @@ def test_sup_is_genuinely_least_upper_bound(order, data):
         assert all(order.leq(x, v) for x in subset)
         for z in order.upper_bounds(subset):
             assert order.leq(v, z)
+
+
+@st.composite
+def random_relations(draw):
+    """Arbitrary pair sets, so that reflexivity, transitivity and
+    directedness can each fail."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    elems = tuple(f"e{i}" for i in range(n))
+    pairs = draw(st.frozensets(st.tuples(st.sampled_from(elems), st.sampled_from(elems))))
+    return OrderRelation(elems, pairs)
+
+
+class TestLookupsAgainstPairScans:
+    """Bounds, extrema and the order axioms read the up-sets and down-sets
+    of the relation; each equals its pair-scan definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_preorders(), random_relations()), st.data())
+    def test_bounds_and_extrema(self, order, data):
+        subset = data.draw(st.lists(st.sampled_from(order.carrier), max_size=3))
+        for up in (True, False):
+            assert order.bounds(subset, up) == scan_oracles.bounds(order, subset, up)
+        if subset:
+            assert sup_over(subset, order) == scan_oracles.extremum(subset, order, True)
+            assert inf_over(subset, order) == scan_oracles.extremum(subset, order, False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_preorders(), random_relations()))
+    def test_order_axioms_in_every_mode(self, order):
+        for mode in ("directed", "linear", "well"):
+            assert check_order_axioms(order, mode) == scan_oracles.check_order_axioms(order, mode)
+
+    def test_a_failing_transitivity_names_the_first_escape_in_carrier_order(self):
+        order = OrderRelation(("a", "b", "c", "d"), frozenset(
+            [(x, x) for x in "abcd"] + [("a", "b"), ("b", "d"), ("b", "c")]
+        ))
+        verdict = check_order_axioms(order, "directed")
+        assert verdict.witness == ("D1", "a", "b", "c")
+
+    def test_subset_outside_the_carrier_is_refused(self):
+        with pytest.raises(InputError):
+            sup_over(["e0", "zz"], OrderRelation.chain(["e0"]))

@@ -1,6 +1,9 @@
+import random
 from itertools import islice, product
 
 import pytest
+
+import scan_oracles
 
 from ordalg import (
     CapacityError,
@@ -238,3 +241,65 @@ class TestDirectedness:
                     continue
                 for op in ("add", "mul"):
                     assert componentwise_leq(s_mu(op, a, b, sch), s_mu(op, c, d, sch), sch)
+
+
+def random_element(rng, scheme, edge=3):
+    """An element with a random support, drawn more often near the ends
+    of the window so that shifts escape it."""
+    window = scheme.window
+    nonzero = [v for v in scheme.component.elements if v != scheme.component.zero]
+    near = list(window[:edge]) + list(window[-edge:])
+    indices = rng.sample(near, rng.randint(0, 2)) + rng.sample(list(window), rng.randint(0, 3))
+    return scheme.element({j: rng.choice(nonzero) for j in indices})
+
+
+BB = direct_product(boolean_semiring("p"), boolean_semiring("q"))
+ORACLE_SCHEMES = {
+    "bool": IndexScheme(BOOL, range(0, 12), psi={"add": 1, "mul": 0}, phi={"add": 0, "mul": 1}),
+    "mp3": IndexScheme(MP3, range(-3, 9), psi={"add": 0, "mul": 2}, phi={"add": 1, "mul": 3}),
+    "rdist": IndexScheme(
+        right_dist_only(),
+        range(0, 10),
+        psi={"add": 0, "mul": {j: j - 2 if j < 5 else j - 1 for j in range(0, 10)}},
+        phi={"add": 0, "mul": {j: 2 * j + 1 for j in range(0, 10)}},
+    ),
+    # the swap of the two factors is a strictly monotone injective embedding
+    "embed": IndexScheme(
+        BB,
+        range(0, 10),
+        psi={"add": 0, "mul": 1},
+        phi={"add": 2, "mul": 3},
+        embed={"0,0": "0,0", "0,1": "1,0", "1,0": "0,1", "1,1": "1,1"},
+    ),
+}
+
+
+class TestSMuAgainstWindowScan:
+    """s_mu visits y's support and the phi-preimages of z's support; it
+    equals the scan of the whole window, escapes included."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+    def test_random_pairs(self, name):
+        scheme = ORACLE_SCHEMES[name]
+        rng = random.Random(name)
+        escapes = 0
+        for _ in range(400):
+            y, z = random_element(rng, scheme), random_element(rng, scheme)
+            for op in ("add", "mul"):
+                try:
+                    expected = scan_oracles.s_mu(op, y, z, scheme)
+                except CapacityError as exc:
+                    escapes += 1
+                    with pytest.raises(CapacityError) as err:
+                        s_mu(op, y, z, scheme)
+                    assert str(err.value) == str(exc)
+                    continue
+                assert s_mu(op, y, z, scheme) == expected
+        assert escapes > 0
+
+    def test_values_are_read_by_index(self):
+        sch = bool_scheme()
+        y = sch.element({3: "1", 1: "1"})
+        assert y.items == ((1, "1"), (3, "1"))
+        assert [y.get(j, "0") for j in range(5)] == ["0", "1", "0", "1", "0"]
+        assert y == sch.element({1: "1", 3: "1"}) and hash(y) == hash(sch.element({1: "1", 3: "1"}))

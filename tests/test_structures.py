@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import scan_oracles
 from ordalg import (
     CapacityError,
     FinStruct,
@@ -20,6 +23,7 @@ from ordalg import (
     right_dist_only,
     trivial_structure,
 )
+from ordalg import structures
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -192,3 +196,61 @@ def test_nontriviality_predicate():
 def test_zero_divisors_flag():
     assert not BOOL.has_zero_divisors()
     assert not MP3.has_zero_divisors()
+
+
+def random_structure(rng, n):
+    """A chain 0 < 1 < ... with random tables that keep zero neutral for
+    add and absorbing for mul, and one neutral for mul."""
+    elems = tuple(str(i) for i in range(n))
+    add, mul = {}, {}
+    for a in elems:
+        for b in elems:
+            add[(a, b)] = b if a == "0" else a if b == "0" else rng.choice(elems)
+            if "0" in (a, b):
+                mul[(a, b)] = "0"
+            elif "1" in (a, b):
+                mul[(a, b)] = b if a == "1" else a
+            else:
+                mul[(a, b)] = rng.choice(elems)
+    return FinStruct("r", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+
+
+class TestLawScans:
+    def test_cubic_scans_equal_the_triple_scans(self):
+        rng = random.Random(0)
+        failed = 0
+        for trial in range(300):
+            s = random_structure(rng, 2 + trial % 4)
+            for law in ("assoc-add", "assoc-mul", "left-dist", "right-dist"):
+                verdict = check_law(s, law)
+                assert verdict == scan_oracles.check_law(s, law)
+                failed += not verdict.holds
+        assert failed > 300
+
+    def test_a_verdict_is_scanned_once(self, monkeypatch):
+        scanned = []
+        scan = structures._scan_law
+
+        def counting(s, law):
+            scanned.append(law)
+            return scan(s, law)
+
+        monkeypatch.setattr(structures, "_scan_law", counting)
+        s = right_dist_only()
+        assert scanned == ["neutral", "absorb", *s.flags]
+        scanned.clear()
+        for law in ("neutral", "absorb", *s.flags):
+            assert check_law(s, law).holds
+        assert scanned == []
+        first = check_law(s, "left-dist")
+        assert check_law(s, "left-dist") is first
+        assert scanned == ["left-dist"]
+        # another structure with the same tables is scanned on its own
+        assert not check_law(right_dist_only(), "left-dist").holds
+        assert scanned.count("left-dist") == 2
+
+    def test_an_unknown_law_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                check_law(BOOL, "assoc")
+        assert "assoc" not in BOOL.verdicts

@@ -2,7 +2,7 @@
 never in a traceback; a key that no builder reads is one of them."""
 import pytest
 
-from ordalg import CapacityError, OrderRelation, maxplus_chain
+from ordalg import CapacityError, OrderRelation, maxplus_chain, workspace
 from ordalg.cli import main
 
 SCHEME = """\
@@ -141,3 +141,21 @@ def test_unknown_key_is_refused_at_its_line(tmp_path, capsys, header, key):
     code, err = run_check(tmp_path, capsys, "\n".join(lines) + "\n")
     kind, name = header.strip("[]").split()
     assert (code, err) == (2, f"error: line {at + 1}: [{kind} {name}]: unknown key {key!r}\n")
+
+
+def test_unknown_action_kind_is_refused_at_its_line_before_any_check(tmp_path, capsys, monkeypatch):
+    def check(*args):
+        raise AssertionError("a check ran before the kind was refused")
+
+    monkeypatch.setattr(workspace, "check_action", check)
+    lines = EVERY_KIND.splitlines()
+    at = lines.index("[action A]") + 1
+    lines.insert(at, "kind = sum")
+    code, err = run_check(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert (code, err) == (2, f"error: line {at + 1}: [action A]: unknown kind 'sum'\n")
+
+
+@pytest.mark.parametrize("kind", ["add", "join", "meet"])
+def test_every_action_kind_parses(tmp_path, capsys, kind):
+    text = EVERY_KIND.replace("[action A]\n", f"[action A]\nkind = {kind}\n")
+    assert run_check(tmp_path, capsys, text) == (0, "")
