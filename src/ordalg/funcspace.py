@@ -44,8 +44,8 @@ class FunctionSpace:
 
     The points, K and the point order are never mutated after
     construction, so what is derived from them is built once, on first
-    use: the member functions and their positions, the pointwise order as
-    up-sets over those positions, and every constant shift made.
+    use: the member functions and their positions, and every constant
+    shift made.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class FunctionSpace:
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[KFunction, int] | None = None
-        self._above: list[frozenset] | None = None
         self._shifted: dict[tuple, KFunction] = {}
         self._check_sup_condition()
 
@@ -153,20 +152,6 @@ class FunctionSpace:
             self._positions = {g: i for i, g in enumerate(self.functions())}
         return self._positions
 
-    def _up_sets(self) -> list[frozenset]:
-        """For each position i, the positions j with functions()[i] <=
-        functions()[j] pointwise."""
-        if self._above is None:
-            funcs = self.functions()
-            above = self.K.order.above
-            self._above = [
-                frozenset(
-                    j for j, g in enumerate(funcs) if all(b in above[a] for a, b in zip(f.values, g.values))
-                )
-                for f in funcs
-            ]
-        return self._above
-
     def _require(self, *fs: KFunction):
         for f in fs:
             if f.domain != self.points:
@@ -232,15 +217,13 @@ class FunctionSpace:
         return KFunction(self.points, tuple(map(pick, f.values, g.values)))
 
     def leq(self, f: KFunction, g: KFunction) -> bool:
-        """The pointwise order, read from the up-sets; a function outside
-        the space (a shift can leave a monotone variant) is compared point
-        by point."""
-        at = self._position_map()
-        i, j = at.get(f), at.get(g)
-        if i is None or j is None:
-            self._require(f, g)
-            return all(self.K.leq(a, b) for a, b in zip(f.values, g.values))
-        return j in self._up_sets()[i]
+        """The pointwise order, read point by point from K's up-sets."""
+        self._require(f, g)
+        above = self.K.order.above
+        for a, b in zip(f.values, g.values):
+            if b not in above[a]:
+                return False
+        return True
 
     def sup_value(self, f: KFunction, subset=None) -> str | None:
         pts = self.points if subset is None else tuple(subset)
