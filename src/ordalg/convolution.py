@@ -19,6 +19,7 @@ from .functionals import (
     TableFunctional,
     check_join_meet,
     enumerate_functionals,
+    evaluator,
     law_instances,
     require_additive,
     support_of,
@@ -181,11 +182,11 @@ def check_kind(nu: Functional, kind: str) -> Verdict:
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}")
     law = f"kind-{kind}"
-    pairs = product(space.functions(), repeat=2)
     if kind != "add":
-        return check_join_meet(nu, pairs, {kind: law})[law]
+        pairs = product(range(len(space.functions())), repeat=2)
+        return check_join_meet(space, evaluator(nu), pairs, {kind: law})[law]
     require_additive(K)
-    for f, g in pairs:
+    for f, g in product(space.functions(), repeat=2):
         lhs = nu.value(space.add(f, g))
         rhs = K.addv(nu.value(f), nu.value(g))
         if lhs != rhs:

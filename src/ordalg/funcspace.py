@@ -8,6 +8,7 @@ sup-style functionals are total on the space.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -44,8 +45,10 @@ class FunctionSpace:
 
     The points, K and the point order are never mutated after
     construction, so what is derived from them is built once, on first
-    use: the member functions and their positions, and every constant
-    shift made.
+    use: the member functions and their positions, every constant shift
+    made, and, by position and each when first read, the order of two
+    members (`leq_at`), their guarded vee and wedge (`join_meet_at`) and
+    the constant shifts of a member (`shift_at`).
     """
 
     def __init__(
@@ -73,6 +76,10 @@ class FunctionSpace:
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[KFunction, int] | None = None
         self._shifted: dict[tuple, KFunction] = {}
+        # rows by first position: small positions are shared ints, so keys cost nothing
+        self._leq: defaultdict[int, dict[int, bool]] = defaultdict(dict)
+        self._join_meet: defaultdict[int, dict[int, tuple[int, int] | None]] = defaultdict(dict)
+        self._shift_positions: dict[tuple, int | KFunction] = {}
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------
@@ -224,6 +231,42 @@ class FunctionSpace:
             if b not in above[a]:
                 return False
         return True
+
+    # -- relations among members, by position ----------------------------------
+
+    def leq_at(self, i: int, j) -> bool:
+        """Whether the member at position i is below j: the member at
+        position j, decided once per pair, or a function outside the
+        space, compared directly."""
+        if isinstance(j, KFunction):
+            return self.leq(self._funcs[i], j)
+        row = self._leq[i]
+        if j not in row:
+            row[j] = self.leq(self._funcs[i], self._funcs[j])
+        return row[j]
+
+    def join_meet_at(self, i: int, j: int) -> tuple[int, int] | None:
+        """The positions of vee and wedge of the members at positions i and
+        j, or None when some point has incomparable values; decided once
+        per pair."""
+        row = self._join_meet[i]
+        if j not in row:
+            f, g = self._funcs[i], self._funcs[j]
+            try:
+                row[j] = self.position(self.vee(f, g)), self.position(self.wedge(f, g))
+            except IncomparableError:
+                row[j] = None
+        return row[j]
+
+    def shift_at(self, op: str, c: str, side: str, i: int):
+        """The position of the constant shift of the member at position i,
+        by `odot` (op "add") or `scale` (op "mul"); a shift that is not a
+        member, as in a monotone space, is returned as the function."""
+        key = (op, c, side, i)
+        if key not in self._shift_positions:
+            g = (self.odot if op == "add" else self.scale)(c, self._funcs[i], side)
+            self._shift_positions[key] = self._position_map().get(g, g)
+        return self._shift_positions[key]
 
     def sup_value(self, f: KFunction, subset=None) -> str | None:
         pts = self.points if subset is None else tuple(subset)

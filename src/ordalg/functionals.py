@@ -239,7 +239,7 @@ def law_instances(space: FunctionSpace, laws):
     K = space.K
     order = K.order
     add = K.add
-    funcs = space.functions()
+    n = len(space.functions())
     at = space.position
     for law in laws:
         if law == "normalized":
@@ -248,21 +248,25 @@ def law_instances(space: FunctionSpace, laws):
                 yield (p,), lambda t, p=p, c=c: t[p] == c
         elif law in ("left-shift", "right-shift"):
             left = law == "left-shift"
-            for c, f in product(K.elements, funcs):
-                p, q = at(f), at(space.odot(c, f, "left" if left else "right"))
+            for c, p in product(K.elements, range(n)):
+                q = space.shift_at("add", c, "left" if left else "right", p)
+                if isinstance(q, KFunction):
+                    raise InputError(f"{q} is not a function of {space.name}")
                 yield (p, q), lambda t, p=p, q=q, c=c, left=left: (
                     t[q] == add[(c, t[p]) if left else (t[p], c)]
                 )
         elif law in ("join", "meet"):
-            combine, pick = (space.vee, order.join) if law == "join" else (space.wedge, order.meet)
-            for f, g in product(funcs, repeat=2):
-                if space.comparable_pointwise(f, g) is None:
-                    p, q, r = at(f), at(g), at(combine(f, g))
+            k, pick = (0, order.join) if law == "join" else (1, order.meet)
+            for p, q in product(range(n), repeat=2):
+                combined = space.join_meet_at(p, q)
+                if combined is not None:
+                    r = combined[k]
                     yield (p, q, r), lambda t, p=p, q=q, r=r, pick=pick: (
                         order.comparable(t[p], t[q]) and t[r] == pick(t[p], t[q])
                     )
         elif law == "add":
             require_additive(K)
+            funcs = space.functions()
             for f, g in product(funcs, repeat=2):
                 p, q, r = at(f), at(g), at(space.add(f, g))
                 yield (p, q, r), lambda t, p=p, q=q, r=r: t[r] == add[(t[p], t[q])]
@@ -305,115 +309,110 @@ def _grid(first, second, budget, seed):
     return [(rng.choice(first), rng.choice(second)) for _ in range(budget)], True
 
 
-def _normalized(nu: Functional) -> Verdict:
-    space = nu.space
+def evaluator(nu: Functional):
+    """nu as a function of a position of its space, or of a function
+    outside the space (a shift can leave a monotone space), which is
+    evaluated as it is.  A table reads its own values; any other
+    functional is evaluated once per position, on first read."""
+    funcs = nu.space.functions()
+    values = nu.table if isinstance(nu, TableFunctional) else [None] * len(funcs)
+
+    def value(p):
+        if isinstance(p, KFunction):
+            return nu.value(p)
+        v = values[p]
+        if v is None:
+            v = values[p] = nu.value(funcs[p])
+        return v
+
+    return value
+
+
+def _normalized(space: FunctionSpace, value) -> Verdict:
     for c in space.K.elements:
-        if nu.value(space.constant(c)) != c:
-            return Verdict.failed("normalized", (c, nu.value(space.constant(c))))
+        v = value(space.position(space.constant(c)))
+        if v != c:
+            return Verdict.failed("normalized", (c, v))
     return Verdict.passed("normalized")
 
 
-def check_join_meet(nu: Functional, pairs, laws: dict) -> dict:
-    """Compatibility with guarded pointwise max ("join") and min ("meet").
+def check_join_meet(space: FunctionSpace, value, pairs, laws: dict) -> dict:
+    """Compatibility with guarded pointwise max ("join") and min ("meet"),
+    for the functional read by `value` (as `evaluator` makes it).
 
     `laws` maps each requested kind to the law name of its verdict.  One
-    pass over `pairs` checks every kind, skipping pairs whose values are
-    not pointwise comparable; each verdict keeps the first pair at which
-    its law fails.
+    pass over `pairs` of positions checks every kind, skipping pairs whose
+    values are not pointwise comparable; each verdict keeps the first pair
+    at which its law fails.
     """
-    space = nu.space
+    funcs = space.functions()
     order = space.K.order
-    todo = [
-        (law, space.vee, order.join) if kind == "join" else (law, space.wedge, order.meet)
-        for kind, law in laws.items()
-    ]
+    todo = [(law, 0, order.join) if kind == "join" else (law, 1, order.meet) for kind, law in laws.items()]
     failed = {}
-    for f, g in pairs:
-        if space.comparable_pointwise(f, g) is not None:
+    for i, j in pairs:
+        combined = space.join_meet_at(i, j)
+        if combined is None:
             continue
-        a, b = nu.value(f), nu.value(g)
+        a, b = value(i), value(j)
         comparable = order.comparable(a, b)
-        for law, combine, pick in todo:
+        for law, k, pick in todo:
             if law in failed:
                 continue
             if not comparable:
-                failed[law] = Verdict.failed(law, (f, g, a, b), note="values incomparable")
+                failed[law] = Verdict.failed(law, (funcs[i], funcs[j], a, b), note="values incomparable")
                 continue
-            lhs = nu.value(combine(f, g))
+            lhs = value(combined[k])
             rhs = pick(a, b)
             if lhs != rhs:
-                failed[law] = Verdict.failed(law, (f, g, lhs, rhs))
+                failed[law] = Verdict.failed(law, (funcs[i], funcs[j], lhs, rhs))
         if len(failed) == len(todo):
             break
     return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
 
 
-def _constant_law(nu: Functional, cells, op: str, laws: dict, witness=tuple) -> dict:
-    """The law nu(c o f) = c o nu(f) on (c, f) cells, with o the add
-    ("add", through `space.odot`) or the mul ("mul", through
-    `space.scale`) of K.
+def _constant_law(space: FunctionSpace, value, cells, op: str, laws: dict, witness=tuple) -> dict:
+    """The law nu(c o f) = c o nu(f) on (c, position) cells, for nu read by
+    `value`, with o the add ("add", as `space.odot` puts it) or the mul
+    ("mul", as `space.scale` puts it) of K.
 
     `laws` maps each side that o is put on to the law name of its
     verdict, in the order the sides are checked at each cell; sides that
     share a law name count as one law, which fails at its first failing
     side.  A failure's witness is `witness((c, f, lhs, rhs))`.
     """
-    space = nu.space
     table = space.K.add if op == "add" else space.K.mul
-    combine = space.odot if op == "add" else space.scale
     sides = list(laws.items())
     todo = len(set(laws.values()))
     failed = {}
-    for c, f in cells:
-        nf = nu.value(f)
+    for c, i in cells:
+        nf = value(i)
         for side, law in sides:
             if law in failed:
                 continue
-            lhs = nu.value(combine(c, f, side))
+            lhs = value(space.shift_at(op, c, side, i))
             rhs = table[(c, nf)] if side == "left" else table[(nf, c)]
             if lhs != rhs:
-                failed[law] = Verdict.failed(law, witness((c, f, lhs, rhs)))
+                failed[law] = Verdict.failed(law, witness((c, space.functions()[i], lhs, rhs)))
         if len(failed) == todo:
             break
     return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
-
-
-class _Memo:
-    """nu's values, each computed on first use.  Not a Functional: every
-    value computed is an evaluation of nu itself."""
-
-    def __init__(self, nu: Functional):
-        self.space = nu.space
-        self.evaluate = nu.value
-        self.values = {}
-
-    def value(self, f: KFunction) -> str:
-        v = self.values.get(f)
-        if v is None:
-            v = self.values[f] = self.evaluate(f)
-        return v
-
-
-def _memoized(nu: Functional):
-    """nu itself when it is a table, else a memo of its values."""
-    return nu if isinstance(nu, TableFunctional) else _Memo(nu)
 
 
 def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Normalization, both constant-shift rules, and compatibility with
     pointwise max/min on pairs whose values are pointwise comparable.
     Each function is evaluated at most once."""
-    nu = _memoized(nu)
+    value = evaluator(nu)
     space = nu.space
     K = space.K
     report = AxiomReport()
-    report.add(_normalized(nu))
+    report.add(_normalized(space, value))
 
-    funcs = space.functions()
-    cells, shifts_sampled = _grid(K.elements, funcs, budget, seed)
-    pairs, pairs_sampled = _grid(funcs, funcs, budget, seed)
-    shifts = _constant_law(nu, cells, "add", {"left": "left-shift", "right": "right-shift"})
-    join_meet = check_join_meet(nu, pairs, {"join": "join", "meet": "meet"})
+    positions = range(len(space.functions()))
+    cells, shifts_sampled = _grid(K.elements, positions, budget, seed)
+    pairs, pairs_sampled = _grid(positions, positions, budget, seed)
+    shifts = _constant_law(space, value, cells, "add", {"left": "left-shift", "right": "right-shift"})
+    join_meet = check_join_meet(space, value, pairs, {"join": "join", "meet": "meet"})
     for verdict in (*shifts.values(), *join_meet.values()):
         report.add(verdict)
     report.sampled = shifts_sampled or pairs_sampled
@@ -424,48 +423,52 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     """Weak additivity, order preservation, normalization and the
     non-expansion property, plus the consistency entry asserting that the
     first two force the last.  Each function is evaluated at most once."""
-    memo = _memoized(nu)
+    value = evaluator(nu)
     space = nu.space
     K = space.K
     report = AxiomReport()
 
     funcs = space.functions()
-    cells = ((c, h) for h in funcs for c in K.elements)
+    positions = range(len(funcs))
+    cells = ((c, j) for j in positions for c in K.elements)
     laws = {"right": "weakly-additive", "left": "weakly-additive"}
     wa = _constant_law(
-        memo, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
+        space, value, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
     )["weakly-additive"]
 
     # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
     # (f <= c o h gives nu(f) <= c o nu(h), for c added on the right, then
-    # on the left) in one pass over the pairs (f, h); the shifts of each h
-    # and their bounds are made once.
-    pairs, sampled = _grid(funcs, funcs, budget, seed)
+    # on the left) in one pass over the pairs (f, h) of positions; the
+    # shifts of each h and their bounds are looked up once.
+    pairs, sampled = _grid(positions, positions, budget, seed)
     shifted = {}
+    leq_at = space.leq_at
     op = ne = None
-    for f, h in pairs:
-        if h not in shifted:
-            nh = memo.value(h)
-            shifted[h] = nh, [
-                (c, side, space.odot(c, h, side), K.add[(nh, c)] if side == "right" else K.add[(c, nh)])
-                for c in K.elements
-                for side in ("right", "left")
-            ]
-        nh, shifts = shifted[h]
-        nf = memo.value(f)
-        if op is None and space.leq(f, h) and not K.leq(nf, nh):
-            op = (f, h, nf, nh)
+    for i, j in pairs:
+        if j not in shifted:
+            nh = value(j)
+            # a (shift, bound) seen before decides alike: keep its first (c, side)
+            firsts = {}
+            for c in K.elements:
+                for side in ("right", "left"):
+                    bound = K.add[(nh, c)] if side == "right" else K.add[(c, nh)]
+                    firsts.setdefault((space.shift_at("add", c, side, j), bound), (c, side))
+            shifted[j] = nh, list(firsts.items())
+        nh, shifts = shifted[j]
+        nf = value(i)
+        if op is None and leq_at(i, j) and not K.leq(nf, nh):
+            op = (funcs[i], funcs[j], nf, nh)
         if ne is None:
-            for c, side, ch, bound in shifts:
-                if space.leq(f, ch) and not K.leq(nf, bound):
-                    ne = (f, h, c, side)
+            for (q, bound), (c, side) in shifts:
+                if leq_at(i, q) and not K.leq(nf, bound):
+                    ne = (funcs[i], funcs[j], c, side)
                     break
         if op is not None and ne is not None:
             break
 
     report.add(wa)
     report.add(Verdict(op is None, "order-preserving", op))
-    report.add(_normalized(memo))
+    report.add(_normalized(space, value))
     report.add(Verdict(ne is None, "non-expanding", ne))
     implied = wa.holds and op is None and ne is not None
     report.add(
@@ -478,9 +481,9 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 def check_homogeneous(nu: Functional) -> AxiomReport:
     space = nu.space
     report = AxiomReport()
-    cells = product(space.K.elements, space.functions())
+    cells = product(space.K.elements, range(len(space.functions())))
     laws = {"left": "left-homogeneous", "right": "right-homogeneous"}
-    for verdict in _constant_law(nu, cells, "mul", laws, witness=lambda w: w[:2]).values():
+    for verdict in _constant_law(space, evaluator(nu), cells, "mul", laws, witness=lambda w: w[:2]).values():
         report.add(verdict)
     return report
 
@@ -907,20 +910,18 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
     report.add(barc)
 
     barv = Verdict.passed("bar-join")
-    for g in funcs:
-        for h in funcs:
-            if space.comparable_pointwise(g, h) is not None:
-                continue
-            try:
-                lhs = fam.bar(space.vee(g, h))
-                rhs = fam.upper.vee(fam.bar(g), fam.bar(h))
-            except IncomparableError as exc:
-                barv = Verdict.failed("bar-join", (g, h), note=str(exc))
-                break
-            if lhs != rhs:
-                barv = Verdict.failed("bar-join", (g, h, lhs, rhs))
-                break
-        if not barv.holds:
+    bars = [fam.bar(g) for g in funcs]
+    for i, j in product(range(len(funcs)), repeat=2):
+        combined = space.join_meet_at(i, j)
+        if combined is None:
+            continue
+        try:
+            rhs = fam.upper.vee(bars[i], bars[j])
+        except IncomparableError as exc:
+            barv = Verdict.failed("bar-join", (funcs[i], funcs[j]), note=str(exc))
+            break
+        if bars[combined[0]] != rhs:
+            barv = Verdict.failed("bar-join", (funcs[i], funcs[j], bars[combined[0]], rhs))
             break
     report.add(barv)
 

@@ -737,3 +737,87 @@ class TestEvaluatedOnce:
         for check in CHECKS.values():
             with pytest.raises(CapacityError, match="no value at"):
                 check(Failing(sp, "x1"))
+
+
+def stored(rows):
+    """The entries of a relation kept as rows of pairs."""
+    return sum(len(row) for row in rows.values())
+
+
+class TestSharedRelations:
+    """The pair relations and shifts of a space are decided once, for the
+    pairs that scans read, and shared by every functional on it."""
+
+    def test_sampled_grids_store_only_the_pairs_they_read(self):
+        sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
+        nu = SupOver(sp, frozenset(("x1", "x4")))
+        n = len(sp.functions())
+        pairs = set(functionals._grid(range(n), range(n), 20000, 0)[0])
+        assert len(pairs) < 20000 < n * n
+
+        idem = check_idempotent(nu, budget=20000, seed=0)
+        assert idem.sampled
+        assert all(idem[law].holds for law in ("normalized", "left-shift", "right-shift", "join"))
+        assert plain(idem["meet"].witness) == (
+            ("1", "2", "0", "1", "0", "0"),
+            ("1", "0", "2", "1", "1", "1"),
+            "0",
+            "1",
+        )
+        assert not stored(sp._leq)
+        assert stored(sp._join_meet) <= len(pairs)
+
+        weak = check_weak_properties(nu, budget=20000, seed=0)
+        assert weak.sampled and all(v.holds for v in weak.verdicts.values())
+        # every verdict holds, so each pair (f, h) is read, and so is each
+        # pair of f and a constant shift of h
+        shifts = {
+            j: [sp.shift_at("add", c, side, j) for c in MP3.elements for side in ("left", "right")]
+            for _, j in pairs
+        }
+        read = pairs | {(i, q) for i, j in pairs for q in shifts[j]}
+        assert stored(sp._leq) <= len(read)
+
+    def test_exhaustive_grids_fill_the_tables_once_per_space(self):
+        sp = mp3_space()
+        n = len(sp.functions())
+
+        def sizes():
+            return stored(sp._leq), stored(sp._join_meet), len(sp._shift_positions)
+
+        for check in CHECKS.values():
+            check(Dirac(sp, "x1"))
+        first = sizes()
+        assert first[1] == n * n
+        for check in CHECKS.values():
+            check(SupOver(sp, frozenset(sp.points)))
+            check(Dirac(sp, "x3"))
+        assert sizes() == first
+
+
+class TestShiftOutsideTheSpace:
+    """On a non-decreasing space over the skew chain, 2 + (0, 1) = (2, 1)
+    leaves the space.  A symbolic functional is evaluated there; a value
+    table has no value there.  Reporting such a cell as outside the space
+    instead is still open."""
+
+    def space(self):
+        return FunctionSpace(
+            ("x1", "x2"), skew_structure(), OrderRelation.chain(("x1", "x2")), variant="+"
+        )
+
+    def test_a_symbolic_functional_is_evaluated_outside(self):
+        sp = self.space()
+        nu = SupOver(sp, frozenset(sp.points))
+        idem = check_idempotent(nu)
+        assert not idem.sampled
+        assert [law for law, v in idem.verdicts.items() if not v.holds] == ["left-shift"]
+        assert plain(idem["left-shift"].witness) == ("2", ("0", "1"), "2", "1")
+        weak = check_weak_properties(nu)
+        assert [law for law, v in weak.verdicts.items() if not v.holds] == ["weakly-additive"]
+        assert plain(weak["weakly-additive"].witness) == (("0", "1"), "2", "2", "1")
+
+    def test_a_table_has_no_value_outside(self):
+        sp = self.space()
+        with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
+            check_idempotent(tabulate(Dirac(sp, "x1")))

@@ -116,3 +116,58 @@ def test_scanner_finds_a_module_container():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_containers(path):
     assert module_containers(path.read_text(encoding="utf-8")) == []
+
+
+PACKAGE = sorted(SRC.glob("*.py"))
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level functions and classes, and methods, whose names start
+    with one underscore.  Dunder methods are read by the language."""
+    defs = []
+    for node in ast.parse(source).body:
+        methods = [m for m in node.body if isinstance(m, FUNCTIONS)] if isinstance(node, ast.ClassDef) else []
+        for item in [node, *methods]:
+            if isinstance(item, (*FUNCTIONS, ast.ClassDef)) and item.name.startswith("_") and not item.name.endswith("__"):
+                defs.append(item.name)
+    return defs
+
+
+def names_read(source: str) -> set[str]:
+    """Every name and attribute a module reads."""
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unread_privates(sources: list[str]) -> list[str]:
+    read = set().union(*(names_read(s) for s in sources))
+    return [name for s in sources for name in private_definitions(s) if name not in read]
+
+
+def test_scanner_finds_an_unread_private():
+    source = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _unused():\n"
+        "    return _used()\n"
+        "class _Box:\n"
+        "    def _left(self):\n"
+        "        return self._right()\n"
+        "    def _right(self):\n"
+        "        return 0\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "class Public:\n"
+        "    def _helper(self):\n"
+        "        return 2\n"
+    )
+    assert unread_privates([source]) == ["_unused", "_Box", "_left", "_helper"]
+
+
+def test_every_private_definition_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unread_privates(sources) == []
