@@ -45,10 +45,11 @@ class FunctionSpace:
 
     The points, K and the point order are never mutated after
     construction, so what is derived from them is built once, on first
-    use: the member functions and their positions, every constant shift
-    made, and, by position and each when first read, the order of two
-    members (`leq_at`), their guarded vee and wedge (`join_meet_at`) and
-    the constant shifts of a member (`shift_at`).
+    use: the member functions and their positions, and, by position and
+    each when first read, the order of two members (`leq_at`), their
+    guarded vee and wedge (`join_meet_at`), the constant shifts of a
+    member (`shift_at`) and the law instances of functionals on the space
+    (`functionals.law_instances`).
     """
 
     def __init__(
@@ -75,11 +76,11 @@ class FunctionSpace:
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[KFunction, int] | None = None
-        self._shifted: dict[tuple, KFunction] = {}
         # rows by first position: small positions are shared ints, so keys cost nothing
         self._leq: defaultdict[int, dict[int, bool]] = defaultdict(dict)
-        self._join_meet: defaultdict[int, dict[int, tuple[int, int] | None]] = defaultdict(dict)
+        self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
         self._shift_positions: dict[tuple, int | KFunction] = {}
+        self._instances: dict[str, list] = {}
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------
@@ -154,6 +155,11 @@ class FunctionSpace:
             raise InputError(f"{f} is not a function of {self.name}")
         return i
 
+    def position_of(self, f: KFunction):
+        """The index of f in `functions()`, or f itself when it is not a
+        member (a shift or sum can leave a monotone space)."""
+        return self._position_map().get(f, f)
+
     def _position_map(self) -> dict[KFunction, int]:
         if self._positions is None:
             self._positions = {g: i for i, g in enumerate(self.functions())}
@@ -186,18 +192,12 @@ class FunctionSpace:
         return self._with_constant("mul", b, f, side)
 
     def _with_constant(self, op: str, c: str, f: KFunction, side: str) -> KFunction:
-        key = (op, c, f, side)
-        g = self._shifted.get(key)
-        if g is None:
-            self._require(f)
-            if side == "left":
-                g = self.pointwise(op, self.constant(c), f)
-            elif side == "right":
-                g = self.pointwise(op, f, self.constant(c))
-            else:
-                raise InputError(f"unknown side {side!r}")
-            self._shifted[key] = g
-        return g
+        self._require(f)
+        if side == "left":
+            return self.pointwise(op, self.constant(c), f)
+        if side == "right":
+            return self.pointwise(op, f, self.constant(c))
+        raise InputError(f"unknown side {side!r}")
 
     def comparable_pointwise(self, f: KFunction, g: KFunction) -> str | None:
         """None when every point has comparable values, else the first
@@ -245,18 +245,24 @@ class FunctionSpace:
             row[j] = self.leq(self._funcs[i], self._funcs[j])
         return row[j]
 
-    def join_meet_at(self, i: int, j: int) -> tuple[int, int] | None:
-        """The positions of vee and wedge of the members at positions i and
-        j, or None when some point has incomparable values; decided once
-        per pair."""
+    def join_meet_at(self, i: int, j: int, k: int) -> int | None:
+        """The position of vee (k = 0) or wedge (k = 1) of the members at
+        positions i and j, or None when some point has incomparable values.
+        Comparability is decided once per pair, and each of vee and wedge
+        when first read."""
         row = self._join_meet[i]
         if j not in row:
+            apart = self.comparable_pointwise(self._funcs[i], self._funcs[j])
+            row[j] = (None, None) if apart is None else None
+        halves = row[j]
+        if halves is None:
+            return None
+        if halves[k] is None:
             f, g = self._funcs[i], self._funcs[j]
-            try:
-                row[j] = self.position(self.vee(f, g)), self.position(self.wedge(f, g))
-            except IncomparableError:
-                row[j] = None
-        return row[j]
+            pick = self.K.order.join if k == 0 else self.K.order.meet
+            made = self.position(KFunction(self.points, tuple(map(pick, f.values, g.values))))
+            halves = row[j] = (made, halves[1]) if k == 0 else (halves[0], made)
+        return halves[k]
 
     def shift_at(self, op: str, c: str, side: str, i: int):
         """The position of the constant shift of the member at position i,
@@ -265,7 +271,7 @@ class FunctionSpace:
         key = (op, c, side, i)
         if key not in self._shift_positions:
             g = (self.odot if op == "add" else self.scale)(c, self._funcs[i], side)
-            self._shift_positions[key] = self._position_map().get(g, g)
+            self._shift_positions[key] = self.position_of(g)
         return self._shift_positions[key]
 
     def sup_value(self, f: KFunction, subset=None) -> str | None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 from .errors import (
     CapacityError,
@@ -187,12 +188,13 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     instances, as value tables in `product` order; every table when there
     are none.
 
-    An instance is a pair (positions, test) as `law_instances` makes
-    them: `test(values)` reads the table values at `positions`.  Positions
-    are assigned in `functions()` order, each trying the values in
+    `instances` are runs as `law_instances` makes them.  Positions are
+    assigned in `functions()` order, each trying the values in
     `K.elements` order, and a partial table is dropped as soon as an
-    instance whose positions are all assigned fails.  The cap counts every
-    table and is applied before `instances` is read.
+    instance whose positions are all assigned fails its test.  The cap
+    counts every table and is applied before `instances` is read; an
+    instance at a function outside the space is refused before any table
+    is made.
     """
     funcs = space.functions()
     elements = space.K.elements
@@ -200,15 +202,19 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     if total > TABLE_CAP:
         raise CapacityError(f"{total} functionals exceed the cap {TABLE_CAP}")
     due = [[] for _ in funcs]
-    for positions, test in instances:
-        due[max(positions)].append(test)
+    for test, _, group in instances:
+        for positions in group:
+            for p in positions:
+                if isinstance(p, KFunction):
+                    raise InputError(f"{p} is not a function of {space.name}")
+            due[max(positions)].append((test, positions))
     values = [None] * len(funcs)
     tries = [iter(elements)]
     while tries:
         i = len(tries) - 1
         for v in tries[i]:
             values[i] = v
-            if all(test(values) for test in due[i]):
+            if all(test(values, positions) for test, positions in due[i]):
                 break
         else:
             tries.pop()
@@ -219,59 +225,127 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
             tries.append(iter(elements))
 
 
-def require_additive(K) -> None:
-    """The precondition of the law "add": K adds commutatively and
-    associatively."""
-    if not {"comm-add", "assoc-add"} <= K.flags:
-        raise PreconditionError("kind add needs commutative associative addition in K")
-
-
-def law_instances(space: FunctionSpace, laws):
-    """The instances of the named laws on the space, as (positions, test)
-    pairs for `enumerate_functionals`; each test reads a value table at
-    its positions.
+def law_instances(space: FunctionSpace, laws, cells=None):
+    """The instances of the named laws on the space, in runs
+    (test, witness, group): each positions tuple in `group` is an instance
+    whose `test(values, positions)` reads a functional's values there and
+    holds or not, and whose `witness(values, positions)`, called only on
+    a failure, gives its witness and note.  This is the one definition of
+    these laws: the enumerator prunes on the tests, and each checker's
+    verdict is the first failing instance of its law (`law_verdict`).
 
     The laws are "normalized", "left-shift", "right-shift", "join" and
-    "meet" as `check_idempotent` states them, and "add" as `check_kind`
-    states it.  The instances are made lazily, so that the enumerator
-    applies its cap before any is made.
+    "meet" (`check_idempotent`), "weakly-additive"
+    (`check_weak_properties`), "left-homogeneous", "right-homogeneous"
+    (`check_homogeneous`) and "add" (`check_kind`), each in its checker's
+    cell order.  A law's whole grid is compiled once per space, when first
+    read; `cells`, a sampled grid from `_grid`, compiles only those cells,
+    as they are read.  A shift or sum that leaves a monotone space keeps
+    the function as its position.  Nothing is made before the first run
+    is read, so the enumerator applies its cap first.
     """
-    K = space.K
-    order = K.order
-    add = K.add
-    n = len(space.functions())
-    at = space.position
     for law in laws:
-        if law == "normalized":
-            for c in K.elements:
-                p = at(space.constant(c))
-                yield (p,), lambda t, p=p, c=c: t[p] == c
-        elif law in ("left-shift", "right-shift"):
-            left = law == "left-shift"
-            for c, p in product(K.elements, range(n)):
-                q = space.shift_at("add", c, "left" if left else "right", p)
-                if isinstance(q, KFunction):
-                    raise InputError(f"{q} is not a function of {space.name}")
-                yield (p, q), lambda t, p=p, q=q, c=c, left=left: (
-                    t[q] == add[(c, t[p]) if left else (t[p], c)]
-                )
-        elif law in ("join", "meet"):
-            k, pick = (0, order.join) if law == "join" else (1, order.meet)
-            for p, q in product(range(n), repeat=2):
-                combined = space.join_meet_at(p, q)
-                if combined is not None:
-                    r = combined[k]
-                    yield (p, q, r), lambda t, p=p, q=q, r=r, pick=pick: (
-                        order.comparable(t[p], t[q]) and t[r] == pick(t[p], t[q])
-                    )
-        elif law == "add":
-            require_additive(K)
-            funcs = space.functions()
-            for f, g in product(funcs, repeat=2):
-                p, q, r = at(f), at(g), at(space.add(f, g))
-                yield (p, q, r), lambda t, p=p, q=q, r=r: t[r] == add[(t[p], t[q])]
-        else:
-            raise InputError(f"unknown law {law!r}")
+        if cells is not None:
+            yield from _runs(_instances(space, law, cells))
+            continue
+        made = space._instances.get(law)
+        if made is None:
+            runs = _runs(_instances(space, law, None))
+            made = space._instances[law] = [(test, witness, list(group)) for test, witness, group in runs]
+        yield from made
+
+
+def _runs(instances):
+    """Consecutive (positions, test, witness) instances that share a test
+    and a witness, as runs."""
+    for (test, witness), group in groupby(instances, key=itemgetter(1, 2)):
+        yield test, witness, (positions for positions, _, _ in group)
+
+
+def _instances(space: FunctionSpace, law: str, cells):
+    """The (positions, test, witness) instances of one law over `cells`,
+    or over the law's whole grid when it is None, in scan order."""
+    K = space.K
+    funcs = space.functions()
+    n = range(len(funcs))
+    if law == "normalized":
+        for c in K.elements:
+            yield (
+                (space.position(space.constant(c)),),
+                lambda t, pos, c=c: t[pos[0]] == c,
+                lambda t, pos, c=c: ((c, t[pos[0]]), ""),
+            )
+    elif law in ("left-shift", "right-shift", "left-homogeneous", "right-homogeneous"):
+        side, name = law.split("-")
+        op, arrange = ("add", tuple) if name == "shift" else ("mul", lambda w: w[:2])
+        laws = {c: _shift_law(space, op, c, side, arrange) for c in K.elements}
+        for c, p in product(K.elements, n) if cells is None else cells:
+            yield (p, space.shift_at(op, c, side, p)), *laws[c]
+    elif law == "weakly-additive":
+        # h outer, c inner, the right side before the left
+        sides = ("right", "left")
+        arrange = itemgetter(1, 0, 2, 3)
+        laws = {(c, s): _shift_law(space, "add", c, s, arrange) for c in K.elements for s in sides}
+        for p, c, side in product(n, K.elements, sides):
+            yield (p, space.shift_at("add", c, side, p)), *laws[c, side]
+    elif law in ("join", "meet"):
+        k = 0 if law == "join" else 1
+        order = K.order
+        pick = order.join if k == 0 else order.meet
+
+        def test(t, pos):
+            p, q, r = pos
+            a, b = t[p], t[q]
+            return order.comparable(a, b) and t[r] == pick(a, b)
+
+        def witness(t, pos):
+            p, q, r = pos
+            a, b = t[p], t[q]
+            if not order.comparable(a, b):
+                return (funcs[p], funcs[q], a, b), "values incomparable"
+            return (funcs[p], funcs[q], t[r], pick(a, b)), ""
+
+        for p, q in product(n, n) if cells is None else cells:
+            r = space.join_meet_at(p, q, k)
+            if r is not None:
+                yield (p, q, r), test, witness
+    elif law == "add":
+        if not {"comm-add", "assoc-add"} <= K.flags:
+            raise PreconditionError("kind add needs commutative associative addition in K")
+        add = K.add
+
+        def test(t, pos):
+            p, q, r = pos
+            return t[r] == add[(t[p], t[q])]
+
+        def witness(t, pos):
+            p, q, r = pos
+            return (funcs[p], funcs[q], t[r], add[(t[p], t[q])]), ""
+
+        for p, q in product(n, n):
+            yield (p, q, space.position_of(space.add(funcs[p], funcs[q]))), test, witness
+    else:
+        raise InputError(f"unknown law {law!r}")
+
+
+def _shift_law(space: FunctionSpace, op: str, c: str, side: str, arrange):
+    """The test and witness of nu(c o f) = c o nu(f) at positions
+    (f, c o f), with o the add (op "add") or mul ("mul") of K put on
+    `side`; the witness is `arrange((c, f, lhs, rhs))`."""
+    table = space.K.add if op == "add" else space.K.mul
+    funcs = space.functions()
+
+    def rhs(t, p):
+        return table[(c, t[p])] if side == "left" else table[(t[p], c)]
+
+    def test(t, pos):
+        return t[pos[1]] == rhs(t, pos[0])
+
+    def witness(t, pos):
+        p, q = pos
+        return arrange((c, funcs[p], t[q], rhs(t, p))), ""
+
+    return test, witness
 
 
 IDEMPOTENT_AXIOMS = ("normalized", "left-shift", "right-shift", "join", "meet")
@@ -279,20 +353,16 @@ IDEMPOTENT_AXIOMS = ("normalized", "left-shift", "right-shift", "join", "meet")
 
 def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
     """All functionals passing the named idempotency axioms, exhaustively:
-    the enumeration skips the tables that fail a compiled instance of an
-    axiom, and `check_idempotent` decides every table it yields.
+    the tables that pass every instance of the axioms.  These are the
+    instances `check_idempotent` scans, so a table it yields is not
+    checked again.
 
     The default demands all five rules.  Note that the meet rule cuts the
     family down to point evaluations whenever the space has two or more
     points: a sup over a larger subset sends the pointwise min of two
     crossing functions below the min of its values.
     """
-    kept = []
-    for nu in enumerate_functionals(space, law_instances(space, axioms)):
-        report = check_idempotent(nu)
-        if all(report[a].holds for a in axioms):
-            kept.append(nu)
-    return kept
+    return list(enumerate_functionals(space, law_instances(space, axioms)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,120 +371,53 @@ def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
 
 def _grid(first, second, budget, seed):
     """The cells (a, b) of first x second, and whether they were sampled:
-    all of them in order when they fit the budget, else `budget` random
+    None for all of them when they fit the budget, else `budget` random
     draws."""
     if budget is None or len(first) * len(second) <= budget:
-        return product(first, second), False
+        return None, False
     rng = random.Random(seed)
     return [(rng.choice(first), rng.choice(second)) for _ in range(budget)], True
 
 
-def evaluator(nu: Functional):
-    """nu as a function of a position of its space, or of a function
-    outside the space (a shift can leave a monotone space), which is
-    evaluated as it is.  A table reads its own values; any other
-    functional is evaluated once per position, on first read."""
-    funcs = nu.space.functions()
-    values = nu.table if isinstance(nu, TableFunctional) else [None] * len(funcs)
+class LazyValues(dict):
+    """A functional's values by position, each evaluated once, when first
+    read; a function outside the space (a shift can leave a monotone
+    space) is evaluated as it is.  A table's values are its own."""
 
-    def value(p):
-        if isinstance(p, KFunction):
-            return nu.value(p)
-        v = values[p]
-        if v is None:
-            v = values[p] = nu.value(funcs[p])
+    def __init__(self, nu: Functional):
+        super().__init__(enumerate(nu.table) if isinstance(nu, TableFunctional) else ())
+        self.nu = nu
+        self.funcs = nu.space.functions()
+
+    def __missing__(self, p):
+        v = self[p] = self.nu.value(p if isinstance(p, KFunction) else self.funcs[p])
         return v
 
-    return value
 
-
-def _normalized(space: FunctionSpace, value) -> Verdict:
-    for c in space.K.elements:
-        v = value(space.position(space.constant(c)))
-        if v != c:
-            return Verdict.failed("normalized", (c, v))
-    return Verdict.passed("normalized")
-
-
-def check_join_meet(space: FunctionSpace, value, pairs, laws: dict) -> dict:
-    """Compatibility with guarded pointwise max ("join") and min ("meet"),
-    for the functional read by `value` (as `evaluator` makes it).
-
-    `laws` maps each requested kind to the law name of its verdict.  One
-    pass over `pairs` of positions checks every kind, skipping pairs whose
-    values are not pointwise comparable; each verdict keeps the first pair
-    at which its law fails.
-    """
-    funcs = space.functions()
-    order = space.K.order
-    todo = [(law, 0, order.join) if kind == "join" else (law, 1, order.meet) for kind, law in laws.items()]
-    failed = {}
-    for i, j in pairs:
-        combined = space.join_meet_at(i, j)
-        if combined is None:
-            continue
-        a, b = value(i), value(j)
-        comparable = order.comparable(a, b)
-        for law, k, pick in todo:
-            if law in failed:
-                continue
-            if not comparable:
-                failed[law] = Verdict.failed(law, (funcs[i], funcs[j], a, b), note="values incomparable")
-                continue
-            lhs = value(combined[k])
-            rhs = pick(a, b)
-            if lhs != rhs:
-                failed[law] = Verdict.failed(law, (funcs[i], funcs[j], lhs, rhs))
-        if len(failed) == len(todo):
-            break
-    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
-
-
-def _constant_law(space: FunctionSpace, value, cells, op: str, laws: dict, witness=tuple) -> dict:
-    """The law nu(c o f) = c o nu(f) on (c, position) cells, for nu read by
-    `value`, with o the add ("add", as `space.odot` puts it) or the mul
-    ("mul", as `space.scale` puts it) of K.
-
-    `laws` maps each side that o is put on to the law name of its
-    verdict, in the order the sides are checked at each cell; sides that
-    share a law name count as one law, which fails at its first failing
-    side.  A failure's witness is `witness((c, f, lhs, rhs))`.
-    """
-    table = space.K.add if op == "add" else space.K.mul
-    sides = list(laws.items())
-    todo = len(set(laws.values()))
-    failed = {}
-    for c, i in cells:
-        nf = value(i)
-        for side, law in sides:
-            if law in failed:
-                continue
-            lhs = value(space.shift_at(op, c, side, i))
-            rhs = table[(c, nf)] if side == "left" else table[(nf, c)]
-            if lhs != rhs:
-                failed[law] = Verdict.failed(law, witness((c, space.functions()[i], lhs, rhs)))
-        if len(failed) == todo:
-            break
-    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
+def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Verdict:
+    """The verdict, named `name` or else `law`, of the law's instances
+    over `cells` (see `law_instances`) for the functional read by
+    `values`: failed at the first failing instance, with its witness."""
+    for test, witness, group in law_instances(values.nu.space, (law,), cells):
+        for positions in group:
+            if not test(values, positions):
+                return Verdict.failed(name or law, *witness(values, positions))
+    return Verdict.passed(name or law)
 
 
 def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Normalization, both constant-shift rules, and compatibility with
-    pointwise max/min on pairs whose values are pointwise comparable.
-    Each function is evaluated at most once."""
-    value = evaluator(nu)
-    space = nu.space
-    K = space.K
+    pointwise max/min on pairs whose values are pointwise comparable.  The
+    shift cells and the pairs are sampled when their grid exceeds the
+    budget.  Each function is evaluated at most once."""
+    values = LazyValues(nu)
+    n = range(len(nu.space.functions()))
+    cells, shifts_sampled = _grid(nu.space.K.elements, n, budget, seed)
+    pairs, pairs_sampled = _grid(n, n, budget, seed)
     report = AxiomReport()
-    report.add(_normalized(space, value))
-
-    positions = range(len(space.functions()))
-    cells, shifts_sampled = _grid(K.elements, positions, budget, seed)
-    pairs, pairs_sampled = _grid(positions, positions, budget, seed)
-    shifts = _constant_law(space, value, cells, "add", {"left": "left-shift", "right": "right-shift"})
-    join_meet = check_join_meet(space, value, pairs, {"join": "join", "meet": "meet"})
-    for verdict in (*shifts.values(), *join_meet.values()):
-        report.add(verdict)
+    report.add(law_verdict(values, "normalized"))
+    for law, grid in (("left-shift", cells), ("right-shift", cells), ("join", pairs), ("meet", pairs)):
+        report.add(law_verdict(values, law, grid))
     report.sampled = shifts_sampled or pairs_sampled
     return report
 
@@ -423,30 +426,26 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     """Weak additivity, order preservation, normalization and the
     non-expansion property, plus the consistency entry asserting that the
     first two force the last.  Each function is evaluated at most once."""
-    value = evaluator(nu)
+    values = LazyValues(nu)
     space = nu.space
     K = space.K
     report = AxiomReport()
 
     funcs = space.functions()
-    positions = range(len(funcs))
-    cells = ((c, j) for j in positions for c in K.elements)
-    laws = {"right": "weakly-additive", "left": "weakly-additive"}
-    wa = _constant_law(
-        space, value, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3])
-    )["weakly-additive"]
+    n = range(len(funcs))
+    wa = law_verdict(values, "weakly-additive")
 
     # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
     # (f <= c o h gives nu(f) <= c o nu(h), for c added on the right, then
     # on the left) in one pass over the pairs (f, h) of positions; the
     # shifts of each h and their bounds are looked up once.
-    pairs, sampled = _grid(positions, positions, budget, seed)
+    pairs, sampled = _grid(n, n, budget, seed)
     shifted = {}
     leq_at = space.leq_at
     op = ne = None
-    for i, j in pairs:
+    for i, j in product(n, n) if pairs is None else pairs:
         if j not in shifted:
-            nh = value(j)
+            nh = values[j]
             # a (shift, bound) seen before decides alike: keep its first (c, side)
             firsts = {}
             for c in K.elements:
@@ -455,7 +454,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
                     firsts.setdefault((space.shift_at("add", c, side, j), bound), (c, side))
             shifted[j] = nh, list(firsts.items())
         nh, shifts = shifted[j]
-        nf = value(i)
+        nf = values[i]
         if op is None and leq_at(i, j) and not K.leq(nf, nh):
             op = (funcs[i], funcs[j], nf, nh)
         if ne is None:
@@ -468,7 +467,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 
     report.add(wa)
     report.add(Verdict(op is None, "order-preserving", op))
-    report.add(_normalized(space, value))
+    report.add(law_verdict(values, "normalized"))
     report.add(Verdict(ne is None, "non-expanding", ne))
     implied = wa.holds and op is None and ne is not None
     report.add(
@@ -479,13 +478,12 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 
 
 def check_homogeneous(nu: Functional) -> AxiomReport:
-    space = nu.space
+    values = LazyValues(nu)
     report = AxiomReport()
-    cells = product(space.K.elements, range(len(space.functions())))
-    laws = {"left": "left-homogeneous", "right": "right-homogeneous"}
-    for verdict in _constant_law(space, evaluator(nu), cells, "mul", laws, witness=lambda w: w[:2]).values():
-        report.add(verdict)
+    for law in ("left-homogeneous", "right-homogeneous"):
+        report.add(law_verdict(values, law))
     return report
+
 
 
 # ---------------------------------------------------------------------------
@@ -912,16 +910,16 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
     barv = Verdict.passed("bar-join")
     bars = [fam.bar(g) for g in funcs]
     for i, j in product(range(len(funcs)), repeat=2):
-        combined = space.join_meet_at(i, j)
-        if combined is None:
+        vee = space.join_meet_at(i, j, 0)
+        if vee is None:
             continue
         try:
             rhs = fam.upper.vee(bars[i], bars[j])
         except IncomparableError as exc:
             barv = Verdict.failed("bar-join", (funcs[i], funcs[j]), note=str(exc))
             break
-        if bars[combined[0]] != rhs:
-            barv = Verdict.failed("bar-join", (funcs[i], funcs[j], bars[combined[0]], rhs))
+        if bars[vee] != rhs:
+            barv = Verdict.failed("bar-join", (funcs[i], funcs[j], bars[vee], rhs))
             break
     report.add(barv)
 

@@ -11,6 +11,7 @@ suite.  See docs/demo.workspace for a complete example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .convolution import KINDS, ActionSystem, Groupoid, check_action
 from .errors import CapacityError, InputError
@@ -195,7 +196,7 @@ _BUILTINS = {
 def _build_structure(sec: Section) -> FinStruct:
     builtin = sec.get("builtin")
     if builtin is not None:
-        parts = builtin.split()
+        parts = builtin.split() or [""]
         kind, arg = parts[0], (parts[1] if len(parts) > 1 else "")
         if kind not in _BUILTINS:
             raise ParseError(f"unknown builtin structure {kind!r}", sec.line_of("builtin"))
@@ -213,6 +214,12 @@ def _build_structure(sec: Section) -> FinStruct:
             a, b = token.split("<=", 1)
             covers.append((a, b))
         order = OrderRelation.from_covers(elements, covers)
+        for a, b in combinations(elements, 2):
+            if a != b and order.leq(a, b) and order.leq(b, a):
+                raise ParseError(
+                    f"[structure {sec.name}]: order has a cycle: {a} <= {b} and {b} <= {a}",
+                    sec.line_of("order"),
+                )
     zero = sec.require("zero")
     one = sec.require("one")
     tables = {}

@@ -5,14 +5,16 @@ precomputed sets and tables: bounds and extrema by scanning the pairs of
 an order, the order axioms by element loops, the pointwise order of a
 function space point by point, the cubic law scans over all triples, and
 the shifted product by a scan of the whole index window with a linear
-lookup of element values.  Tests compare the library against them
-verdict by verdict and witness by witness.
+lookup of element values, and the laws of functionals as one loop per
+checker over the functions of the space.  Tests compare the library
+against them verdict by verdict and witness by witness.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
-from ordalg import CapacityError, InputError, Verdict
+from ordalg import AxiomReport, CapacityError, InputError, PreconditionError, Verdict
 
 
 # -- order ---------------------------------------------------------------------
@@ -84,6 +86,137 @@ def check_order_axioms(order, mode: str) -> Verdict:
 
 def pointwise_leq(space, f, g) -> bool:
     return all(space.K.leq(a, b) for a, b in zip(f.values, g.values))
+
+
+# -- functionals -------------------------------------------------------------------
+
+
+def evaluator(nu):
+    """nu as a function of functions, each evaluated once."""
+    values = {}
+
+    def value(f):
+        if f not in values:
+            values[f] = nu.value(f)
+        return values[f]
+
+    return value
+
+
+def grid(first, second, budget, seed):
+    if budget is None or len(first) * len(second) <= budget:
+        return product(first, second), False
+    rng = random.Random(seed)
+    return [(rng.choice(first), rng.choice(second)) for _ in range(budget)], True
+
+
+def normalized(space, value) -> Verdict:
+    for c in space.K.elements:
+        v = value(space.constant(c))
+        if v != c:
+            return Verdict.failed("normalized", (c, v))
+    return Verdict.passed("normalized")
+
+
+def check_join_meet(space, value, pairs, laws: dict) -> dict:
+    """Guarded pointwise max ("join") and min ("meet") on pairs of
+    functions; `laws` maps each kind to the law name of its verdict."""
+    order = space.K.order
+    ops = {"join": (space.vee, order.join), "meet": (space.wedge, order.meet)}
+    todo = [(law, *ops[kind]) for kind, law in laws.items()]
+    failed = {}
+    for f, g in pairs:
+        if space.comparable_pointwise(f, g) is not None:
+            continue
+        a, b = value(f), value(g)
+        comparable = order.comparable(a, b)
+        for law, combine, pick in todo:
+            if law in failed:
+                continue
+            if not comparable:
+                failed[law] = Verdict.failed(law, (f, g, a, b), note="values incomparable")
+                continue
+            lhs = value(combine(f, g))
+            rhs = pick(a, b)
+            if lhs != rhs:
+                failed[law] = Verdict.failed(law, (f, g, lhs, rhs))
+        if len(failed) == len(todo):
+            break
+    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
+
+
+def constant_law(space, value, cells, op: str, laws: dict, witness=tuple) -> dict:
+    """nu(c o f) = c o nu(f) on (c, f) cells, o the add or the mul of K
+    put on each side that `laws` names; sides sharing a law name fail at
+    the first failing side."""
+    table = space.K.add if op == "add" else space.K.mul
+    shift = space.odot if op == "add" else space.scale
+    sides = list(laws.items())
+    todo = len(set(laws.values()))
+    failed = {}
+    for c, f in cells:
+        nf = value(f)
+        for side, law in sides:
+            if law in failed:
+                continue
+            lhs = value(shift(c, f, side))
+            rhs = table[(c, nf)] if side == "left" else table[(nf, c)]
+            if lhs != rhs:
+                failed[law] = Verdict.failed(law, witness((c, f, lhs, rhs)))
+        if len(failed) == todo:
+            break
+    return {law: failed.get(law, Verdict.passed(law)) for law in laws.values()}
+
+
+def check_idempotent(nu, budget=None, seed=0) -> AxiomReport:
+    value = evaluator(nu)
+    space = nu.space
+    funcs = space.functions()
+    report = AxiomReport()
+    report.add(normalized(space, value))
+    cells, shifts_sampled = grid(space.K.elements, funcs, budget, seed)
+    pairs, pairs_sampled = grid(funcs, funcs, budget, seed)
+    shifts = constant_law(space, value, cells, "add", {"left": "left-shift", "right": "right-shift"})
+    join_meet = check_join_meet(space, value, pairs, {"join": "join", "meet": "meet"})
+    for verdict in (*shifts.values(), *join_meet.values()):
+        report.add(verdict)
+    report.sampled = shifts_sampled or pairs_sampled
+    return report
+
+
+def weak_laws(nu) -> dict:
+    """Weak additivity (h outer, c inner, the right side first) and
+    normalization, as `check_weak_properties` reports them."""
+    value = evaluator(nu)
+    space = nu.space
+    cells = ((c, h) for h in space.functions() for c in space.K.elements)
+    laws = {"right": "weakly-additive", "left": "weakly-additive"}
+    wa = constant_law(space, value, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3]))
+    return {**wa, "normalized": normalized(space, value)}
+
+
+def check_homogeneous(nu) -> dict:
+    space = nu.space
+    cells = product(space.K.elements, space.functions())
+    laws = {"left": "left-homogeneous", "right": "right-homogeneous"}
+    return constant_law(space, evaluator(nu), cells, "mul", laws, witness=lambda w: w[:2])
+
+
+def check_kind(nu, kind: str) -> Verdict:
+    space = nu.space
+    K = space.K
+    law = f"kind-{kind}"
+    if kind != "add":
+        pairs = product(space.functions(), repeat=2)
+        return check_join_meet(space, evaluator(nu), pairs, {kind: law})[law]
+    if not {"comm-add", "assoc-add"} <= K.flags:
+        raise PreconditionError("kind add needs commutative associative addition in K")
+    for f, g in product(space.functions(), repeat=2):
+        lhs = nu.value(space.add(f, g))
+        rhs = K.addv(nu.value(f), nu.value(g))
+        if lhs != rhs:
+            return Verdict.failed(law, (f, g, lhs, rhs))
+    return Verdict.passed(law)
 
 
 # -- structures --------------------------------------------------------------------

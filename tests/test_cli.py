@@ -1,8 +1,12 @@
 """The command line: records of the demo workspace, and the exit codes of
 `check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordalg.cli import main
 
@@ -88,3 +92,36 @@ def test_homogeneous_regime_is_refused_before_the_seed_family(tmp_path, capsys, 
     code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
     assert (code, out) == (2, "")
     assert err == "error: homogeneous regime applies to homogeneous kinds only\n"
+
+
+@st.composite
+def mutated_demo(draw):
+    """The demo document after one to four edits, each dropping,
+    duplicating or truncating a line, or swapping two of its tokens."""
+    lines = DEMO.read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(("drop", "duplicate", "truncate", "swap")))
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            tokens = lines[i].split()
+            a, b = (draw(st.integers(0, max(len(tokens) - 1, 0))) for _ in range(2))
+            if tokens:
+                tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=mutated_demo())
+def test_a_mutated_demo_exits_0_1_or_2(tmp_path_factory, text):
+    doc = tmp_path_factory.getbasetemp() / "mutated.workspace"
+    doc.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", str(doc), "--budget", "100", "--format", "records"])
+    assert code in (0, 1, 2)

@@ -285,12 +285,15 @@ class TestOrderLookups:
         if sp.variant == "+":
             assert outside
 
-    def test_a_shift_is_made_once(self):
+    def test_a_shift_position_is_kept_once(self):
         sp = space(points=("x1", "x2"), K=MP3)
         f = sp.function({"x1": "1", "x2": "0"})
-        assert sp.odot("2", f, "right") is sp.odot("2", f, "right")
-        assert sp.odot("2", f, "right") == sp.pointwise("add", f, sp.constant("2"))
-        assert sp.scale("2", f) is not sp.odot("2", f)
+        i = sp.position(f)
+        q = sp.shift_at("add", "2", "right", i)
+        assert sp.functions()[q] == sp.odot("2", f, "right") == sp.pointwise("add", f, sp.constant("2"))
+        assert sp.shift_at("add", "2", "right", i) == q
+        assert sp.functions()[sp.shift_at("mul", "2", "right", i)] == sp.scale("2", f, "right")
+        assert len(sp._shift_positions) == 2
 
     def test_leq_refuses_a_foreign_domain(self):
         sp = space()

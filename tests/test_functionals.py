@@ -4,6 +4,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+import scan_oracles
 
 from ordalg import (
     CapacityError,
@@ -23,6 +24,7 @@ from ordalg import (
     boolean_semiring,
     check_homogeneous,
     check_idempotent,
+    check_kind,
     check_weak_properties,
     direct_product,
     enumerate_functionals,
@@ -821,3 +823,58 @@ class TestShiftOutsideTheSpace:
         sp = self.space()
         with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
             check_idempotent(tabulate(Dirac(sp, "x1")))
+
+
+def outcome(check, *args):
+    """What a check returns, or the precondition it refuses."""
+    try:
+        return check(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestLawsAgainstTheScanOracles:
+    """The checkers that run `law_instances` give the verdicts, witnesses
+    and notes of the loops they replaced (tests/scan_oracles.py), in the
+    same report order."""
+
+    @pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda sp: sp.name)
+    def test_every_table(self, space):
+        for nu in enumerate_functionals(space):
+            self.assert_agree(nu)
+
+    @pytest.mark.parametrize(
+        "name, nu",
+        [*sorted(demo_functionals().items()), *sorted(mp3_functionals().items())],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_symbolic_functionals(self, name, nu):
+        self.assert_agree(nu)
+
+    @staticmethod
+    def assert_agree(nu):
+        for budget, seed in ((None, 0), (40, 3)):
+            got = check_idempotent(nu, budget, seed)
+            want = scan_oracles.check_idempotent(nu, budget, seed)
+            assert list(got.verdicts.items()) == list(want.verdicts.items())
+            assert got.sampled == want.sampled
+        weak = check_weak_properties(nu)
+        for law, verdict in scan_oracles.weak_laws(nu).items():
+            assert weak[law] == verdict
+        assert list(check_homogeneous(nu).verdicts.items()) == list(scan_oracles.check_homogeneous(nu).items())
+        for kind in ("join", "meet", "add"):
+            assert outcome(check_kind, nu, kind) == outcome(scan_oracles.check_kind, nu, kind)
+
+    def test_shifts_outside_a_monotone_space(self):
+        sp = TestShiftOutsideTheSpace().space()
+        for nu in (SupOver(sp, frozenset(sp.points)), Dirac(sp, "x1"), InfOver(sp, frozenset(sp.points))):
+            self.assert_agree(nu)
+
+
+def test_the_enumerator_refuses_a_shift_outside_the_space(monkeypatch):
+    def build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(functionals, "TableFunctional", build)
+    with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
+        enumerate_idempotent(TestShiftOutsideTheSpace().space())

@@ -33,10 +33,11 @@ def run_check(tmp_path, capsys, text):
         (SCHEME.format(window="0 5", phi="1", extra="embed = 0:0 1"), 8),
         ("[structure m]\nbuiltin = max-plus-chain x\n", 2),
         ("[structure m]\nbuiltin = max-plus-chain\n", 2),
+        ("[structure m]\nbuiltin =\n", 2),
         ("[structure b]\nbuiltin = boolean\n\n[suite default]\nbudget = lots\n", 5),
         ("[structure b]\nbuiltin = boolean\n[suite default]\nseed = 0.5\n", 4),
     ],
-    ids=["window-token", "window-arity", "phi", "embed", "chain-size", "chain-no-size", "budget", "seed"],
+    ids=["window-token", "window-arity", "phi", "embed", "chain-size", "chain-no-size", "no-builtin", "budget", "seed"],
 )
 def test_malformed_tokens_exit_2_with_the_line(tmp_path, capsys, text, line):
     code, err = run_check(tmp_path, capsys, text)
@@ -159,3 +160,17 @@ def test_unknown_action_kind_is_refused_at_its_line_before_any_check(tmp_path, c
 def test_every_action_kind_parses(tmp_path, capsys, kind):
     text = EVERY_KIND.replace("[action A]\n", f"[action A]\nkind = {kind}\n")
     assert run_check(tmp_path, capsys, text) == (0, "")
+
+
+def test_a_cycle_of_order_covers_is_refused_at_its_line(tmp_path, capsys):
+    # a <= b and b <= a would pass as an order whose join depends on the
+    # order of its arguments
+    text = (
+        "[structure K]\nelements = 0 a b\norder = 0<=a 0<=b a<=b b<=a\nzero = 0\none = a\n"
+        "add.row.0 = 0 a b\nadd.row.a = a a b\nadd.row.b = b b b\n"
+        "mul.row.0 = 0 0 0\nmul.row.a = 0 a b\nmul.row.b = 0 b b\n"
+    )
+    code, err = run_check(tmp_path, capsys, text)
+    assert (code, err) == (2, "error: line 3: [structure K]: order has a cycle: a <= b and b <= a\n")
+    acyclic = text.replace(" b<=a", "")
+    assert run_check(tmp_path, capsys, acyclic)[0] in (0, 1)
