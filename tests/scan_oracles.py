@@ -5,16 +5,32 @@ precomputed sets and tables: bounds and extrema by scanning the pairs of
 an order, the order axioms by element loops, the pointwise order of a
 function space point by point, the cubic law scans over all triples, and
 the shifted product by a scan of the whole index window with a linear
-lookup of element values, and the laws of functionals as one loop per
-checker over the functions of the space.  Tests compare the library
-against them verdict by verdict and witness by witness.
+lookup of element values, the laws of functionals as one loop per
+checker over the functions of the space, and the monad of functionals
+extensionally, with families deduplicated and sorted by their value
+tables over the upper spaces and the flattening tabulated there.  Tests
+compare the library against them verdict by verdict and witness by
+witness.
 """
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
 
-from ordalg import AxiomReport, CapacityError, InputError, PreconditionError, Verdict
+from ordalg import (
+    AxiomReport,
+    CapacityError,
+    Dirac,
+    FunctionSpace,
+    IncomparableError,
+    InputError,
+    PreconditionError,
+    SupOver,
+    TableFunctional,
+    Verdict,
+    enumerate_idempotent,
+    signature,
+)
 
 
 # -- order ---------------------------------------------------------------------
@@ -217,6 +233,132 @@ def check_kind(nu, kind: str) -> Verdict:
         if lhs != rhs:
             return Verdict.failed(law, (f, g, lhs, rhs))
     return Verdict.passed(law)
+
+
+# -- the monad ---------------------------------------------------------------------
+
+
+class FunctionalFamily:
+    """The members deduplicated by signature, the first of each kept, and
+    sorted by it; ids in that order."""
+
+    def __init__(self, space, members, prefix="n"):
+        sigs = {}
+        for m in members:
+            sigs.setdefault(signature(m), m)
+        self.space = space
+        self.members = tuple(sigs[s] for s in sorted(sigs))
+        self.ids = tuple(f"{prefix}{i}" for i in range(len(self.members)))
+        self.upper = FunctionSpace(self.ids, space.K, name=f"C({prefix}-family)")
+        self.by_sig = {signature(m): pid for pid, m in zip(self.ids, self.members)}
+
+    def id_of(self, nu):
+        return self.by_sig.get(signature(nu))
+
+    def bar(self, g):
+        return self.upper.function({pid: m.value(g) for pid, m in zip(self.ids, self.members)})
+
+
+def xi(family, lam):
+    return TableFunctional(
+        family.space, tuple(lam.value(family.bar(g)) for g in family.space.functions())
+    )
+
+
+def generated_family(space, prefix="n"):
+    members = [Dirac(space, x) for x in space.points]
+    n = len(space.points)
+    if 2**n - 1 <= 64:
+        subsets = [frozenset(c) for size in range(1, n + 1) for c in combinations(space.points, size)]
+    else:
+        subsets = [frozenset((x,)) for x in space.points] + [frozenset(space.points)]
+    members.extend(SupOver(space, E) for E in subsets)
+    return FunctionalFamily(space, members, prefix=prefix)
+
+
+def pushed(lam, point_map, upper):
+    inner = lam.space
+    return TableFunctional(
+        upper,
+        tuple(
+            lam.value(inner.function({p: t(point_map[p]) for p in inner.points}))
+            for t in upper.functions()
+        ),
+    )
+
+
+def monad_check(space, family=None) -> AxiomReport:
+    report = AxiomReport()
+    members = (
+        tuple(family)
+        if family is not None
+        else tuple(enumerate_idempotent(space, ("normalized", "left-shift", "right-shift", "join")))
+    )
+    fam = FunctionalFamily(space, members, prefix="n")
+    eta_map = {x: fam.id_of(Dirac(space, x)) for x in space.points}
+    inconclusive = tuple(x for x, pid in eta_map.items() if pid is None)
+    if inconclusive:
+        note = "family lacks point evaluations; unit law cannot be expressed"
+        report.add(Verdict.failed("family-hosts-units", inconclusive, note=note))
+        return report
+    report.add(Verdict.passed("family-hosts-units"))
+
+    unit1 = Verdict.passed("unit-eta-outer")
+    for pid, nu in zip(fam.ids, fam.members):
+        if signature(xi(fam, Dirac(fam.upper, pid))) != signature(nu):
+            unit1 = Verdict.failed("unit-eta-outer", (pid,))
+            break
+    report.add(unit1)
+
+    unit2 = Verdict.passed("unit-eta-inner")
+    for nu in fam.members:
+        if signature(xi(fam, pushed(nu, eta_map, fam.upper))) != signature(nu):
+            unit2 = Verdict.failed("unit-eta-inner", (str(nu),))
+            break
+    report.add(unit2)
+
+    barc = Verdict.passed("bar-constant")
+    for b in space.K.elements:
+        if fam.bar(space.constant(b)) != fam.upper.constant(b):
+            barc = Verdict.failed("bar-constant", (b,))
+            break
+    report.add(barc)
+
+    barv = Verdict.passed("bar-join")
+    for f, g in product(space.functions(), repeat=2):
+        if space.comparable_pointwise(f, g) is not None:
+            continue
+        lhs = fam.bar(space.vee(f, g))
+        try:
+            rhs = fam.upper.vee(fam.bar(f), fam.bar(g))
+        except IncomparableError as exc:
+            barv = Verdict.failed("bar-join", (f, g), note=str(exc))
+            break
+        if lhs != rhs:
+            barv = Verdict.failed("bar-join", (f, g, lhs, rhs))
+            break
+    report.add(barv)
+
+    fam2 = generated_family(fam.upper, prefix="m")
+    fam3 = generated_family(fam2.upper, prefix="t")
+    ximap = {}
+    for pid2, lam in zip(fam2.ids, fam2.members):
+        target = fam.id_of(xi(fam, lam))
+        if target is None:
+            note = "inconclusive: family not closed under flattening"
+            report.add(Verdict.failed("assoc", (pid2,), note=note))
+            return report
+        ximap[pid2] = target
+
+    assoc = Verdict.passed("assoc")
+    for tau in fam3.members:
+        lhs = xi(fam, xi(fam2, tau))
+        rhs = xi(fam, pushed(tau, ximap, fam.upper))
+        if signature(lhs) != signature(rhs):
+            assoc = Verdict.failed("assoc", (str(tau),))
+            break
+    report.add(assoc)
+    return report
 
 
 # -- structures --------------------------------------------------------------------

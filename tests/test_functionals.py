@@ -878,3 +878,59 @@ def test_the_enumerator_refuses_a_shift_outside_the_space(monkeypatch):
     monkeypatch.setattr(functionals, "TableFunctional", build)
     with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
         enumerate_idempotent(TestShiftOutsideTheSpace().space())
+
+
+MONAD_SPACES = [
+    *(FunctionSpace(("x1", "x2", "x3")[:n], K) for K in (BOOL, maxplus_chain(2), trivial_structure()) for n in (1, 2, 3)),
+    *(FunctionSpace(("x1",), K) for K in ORACLE_STRUCTURES if K.name in ("maxplus3", "maxplus4", "rdist", "axb", "skew")),
+    FunctionSpace(("x1", "x2"), skew_structure()),
+]
+MONAD_FAMILIES = {
+    "default": lambda sp: None,
+    "diracs": lambda sp: [Dirac(sp, x) for x in sp.points],
+    "sup": lambda sp: [SupOver(sp, frozenset(sp.points))],
+    "diracs+inf": lambda sp: [*(Dirac(sp, x) for x in sp.points), InfOver(sp, frozenset(sp.points))],
+    "dup-rev": lambda sp: [Dirac(sp, x) for x in sp.points * 2][::-1],
+}
+
+
+class TestMonadAgainstTheOracle:
+    """The lazy `monad_check` gives the verdicts, witnesses and notes of
+    the extensional one (tests/scan_oracles.py), in the same report
+    order."""
+
+    @pytest.mark.parametrize("family", MONAD_FAMILIES)
+    @pytest.mark.parametrize("space", MONAD_SPACES, ids=lambda sp: sp.name)
+    def test_reports_agree(self, space, family):
+        got = monad_check(space, MONAD_FAMILIES[family](space))
+        want = scan_oracles.monad_check(space, MONAD_FAMILIES[family](space))
+        assert list(got.verdicts.items()) == list(want.verdicts.items())
+
+    def test_the_inconclusive_witnesses_are_reached(self):
+        sp = FunctionSpace(("x1", "x2"), skew_structure())
+        for family, pid in (("diracs", "m2"), ("diracs+inf", "m5")):
+            verdict = monad_check(sp, MONAD_FAMILIES[family](sp))["assoc"]
+            assert (verdict.witness, verdict.note) == ((pid,), "inconclusive: family not closed under flattening")
+
+    @pytest.mark.parametrize(
+        "space",
+        [*(bool_space(("x1", "x2", "x3", "x4", "x5", "x6", "x7")[:n]) for n in range(1, 8)), mp3_space()],
+        ids=lambda sp: sp.name,
+    )
+    def test_generated_members_come_in_signature_order(self, space):
+        got = [signature(m) for m in functionals.generated_family(space).members]
+        assert got == [signature(m) for m in scan_oracles.generated_family(space).members]
+
+    def test_no_upper_space_is_enumerated(self, monkeypatch):
+        sp = FunctionSpace(("x1", "x2"), MP3)
+        read = Counter()
+        for name in ("functions", "position"):
+            method = getattr(FunctionSpace, name)
+
+            def counted(self, *args, method=method, name=name):
+                read[self.name, name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(FunctionSpace, name, counted)
+        assert monad_check(sp).all_hold
+        assert read and {space for space, _ in read} == {sp.name}
