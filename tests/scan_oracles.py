@@ -6,21 +6,24 @@ an order, the order axioms by element loops, the pointwise order of a
 function space point by point, the cubic law scans over all triples, and
 the shifted product by a scan of the whole index window with a linear
 lookup of element values, the laws of functionals as one loop per
-checker over the functions of the space, and the monad of functionals
+checker over the functions of the space, the monad of functionals
 extensionally, with families deduplicated and sorted by their value
-tables over the upper spaces and the flattening tabulated there.  Tests
-compare the library against them verdict by verdict and witness by
-witness.
+tables over the upper spaces and the flattening tabulated there, and
+convolution with each translate made by `apply_T` where it is read and
+products cached by the tables of their factors.  Tests compare the
+library against them verdict by verdict and witness by witness.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from ordalg import (
     AxiomReport,
     CapacityError,
     Dirac,
+    Functional,
     FunctionSpace,
     IncomparableError,
     InputError,
@@ -28,9 +31,15 @@ from ordalg import (
     SupOver,
     TableFunctional,
     Verdict,
+    apply_T,
+    check_kind,
+    dirac_unit,
     enumerate_idempotent,
     signature,
+    support_of,
+    tabulate,
 )
+from ordalg.convolution import SupportBounds
 
 
 # -- order ---------------------------------------------------------------------
@@ -359,6 +368,198 @@ def monad_check(space, family=None) -> AxiomReport:
             break
     report.add(assoc)
     return report
+
+
+# -- convolution -------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Convolution(Functional):
+    """(outer * inner)(f) = outer(g -> inner(T_g f)), with each translate
+    made by `apply_T` when it is read."""
+
+    space: FunctionSpace
+    outer: Functional
+    inner: Functional
+    sys: object
+
+    def value(self, f):
+        h = self.space.function(
+            {g: self.inner.value(apply_T(self.sys, g, f)) for g in self.sys.G.elements}
+        )
+        return self.outer.value(h)
+
+
+def plus_kind(kind, nu, lam):
+    space = nu.space
+    order = space.K.order
+    pick = space.K.addv if kind == "add" else order.join if kind == "join" else order.meet
+    values = []
+    for f in space.functions():
+        a, b = nu.value(f), lam.value(f)
+        if kind != "add" and not order.comparable(a, b):
+            raise IncomparableError(f"values {a!r}, {b!r} incomparable", a, b)
+        values.append(pick(a, b))
+    return TableFunctional(space, tuple(values))
+
+
+class ConvAlgebra:
+    """Products cached by the tables of their factors."""
+
+    def __init__(self, kind, sys, members=(), saturated=False, rounds=0):
+        self.kind, self.sys, self.members = kind, sys, tuple(members)
+        self.saturated, self.rounds = saturated, rounds
+        self.made = {}
+
+    def combine(self, op, nu, lam):
+        key = (op, nu.table, lam.table)
+        if key not in self.made:
+            if op == "plus":
+                made = plus_kind(self.kind, nu, lam)
+            else:
+                made = Convolution(self.sys.space, nu, lam, self.sys)
+            self.made[key] = tabulate(made)
+        return self.made[key]
+
+
+def saturate(seed, sys, kind, budget=4096):
+    alg = ConvAlgebra(kind, sys)
+    members = {}
+    for nu in seed:
+        tab = tabulate(nu)
+        members.setdefault(tab.table, tab)
+    while len(members) <= budget:
+        alg.rounds += 1
+        current = list(members.values())
+        for nu, lam in product(current, repeat=2):
+            for op in ("plus", "star"):
+                made = alg.combine(op, nu, lam)
+                members.setdefault(made.table, made)
+        if len(members) == len(current):
+            alg.saturated = True
+            break
+    alg.members = tuple(members.values())
+    return alg
+
+
+def check_quasiring(alg) -> AxiomReport:
+    report = AxiomReport()
+    members = alg.members
+    tables = {m.table for m in members}
+    closure = {"closure-add": "plus", "closure-conv": "star"}
+    failed = {}
+    for nu, lam in product(members, repeat=2):
+        for law, op in closure.items():
+            if law not in failed and alg.combine(op, nu, lam).table not in tables:
+                failed[law] = Verdict.failed(law, (str(nu), str(lam)))
+    if not alg.saturated:
+        failed["closure-add"] = Verdict.failed("closure-add", None, note="saturation budget exhausted")
+    for law in closure:
+        report.add(failed.get(law, Verdict.passed(law)))
+
+    def star(a, b, flip):
+        return alg.combine("star", b, a) if flip else alg.combine("star", a, b)
+
+    dist = {"conv-right-dist": False, "conv-left-dist": True}
+    failed = {}
+    for n1, n2, lam in product(members, repeat=3):
+        total = alg.combine("plus", n1, n2)
+        for law, flip in dist.items():
+            if law in failed:
+                continue
+            lhs = star(total, lam, flip)
+            rhs = alg.combine("plus", star(n1, lam, flip), star(n2, lam, flip))
+            if lhs.table != rhs.table:
+                failed[law] = Verdict.failed(law, (str(n1), str(n2), str(lam)))
+    for law in dist:
+        report.add(failed.get(law, Verdict.passed(law)))
+
+    unit = Verdict.passed("unit-neutral")
+    delta = tabulate(dirac_unit(alg.sys))
+    for nu in members:
+        if {alg.combine("star", nu, delta).table, alg.combine("star", delta, nu).table} != {nu.table}:
+            unit = Verdict.failed("unit-neutral", (str(nu),))
+            break
+    report.add(unit)
+    return report
+
+
+def check_invariant(nu, sys) -> Verdict:
+    for g in sys.G.elements:
+        for f in sys.space.functions():
+            if nu.value(apply_T(sys, g, f)) != nu.value(f):
+                return Verdict.failed("invariant", (g, f, nu.value(apply_T(sys, g, f)), nu.value(f)))
+    return Verdict.passed("invariant")
+
+
+def invariant_subfamily(alg) -> list:
+    return [nu for nu in alg.members if check_invariant(nu, alg.sys)]
+
+
+def check_ideal(H, alg) -> AxiomReport:
+    sys = alg.sys
+    if sys.regime == "homogeneous":
+        raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
+    if any(v != sys.K.one for v in sys.rho.values()):
+        raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
+    report = AxiomReport()
+    H = list(H)
+    for lam in H:
+        if not check_invariant(lam, sys):
+            raise PreconditionError("H contains a non-invariant functional")
+
+    def member_of_H(nu):
+        return bool(check_invariant(nu, sys)) and bool(check_kind(nu, alg.kind))
+
+    add_cl = Verdict.passed("ideal-add")
+    for l1, l2 in product(H, repeat=2):
+        if not member_of_H(alg.combine("plus", l1, l2)):
+            add_cl = Verdict.failed("ideal-add", (str(l1), str(l2)))
+            break
+    report.add(add_cl)
+    failed = {}
+    for nu, lam in product(alg.members, H):
+        for law, a, b in (("ideal-left", nu, lam), ("ideal-right", lam, nu)):
+            if law not in failed and not member_of_H(alg.combine("star", a, b)):
+                failed[law] = Verdict.failed(law, (str(a), str(b)))
+    for law in ("ideal-left", "ideal-right"):
+        report.add(failed.get(law, Verdict.passed(law)))
+    return report
+
+
+def support_bounds(nu, sys) -> SupportBounds:
+    if not check_invariant(nu, sys):
+        raise PreconditionError("support bounds require an invariant functional")
+    space = sys.space
+
+    def t_map(A):
+        out = set()
+        for g in sys.G.elements:
+            out |= space.support(apply_T(sys, g, space.indicator(A)))
+        return frozenset(out)
+
+    def p_map(A, proper):
+        gs = [g for g in sys.G.elements if not (proper and g == sys.G.unit)]
+        return frozenset(sys.act(g, x) for g in gs for x in A) if gs else frozenset(A)
+
+    def fixed(step):
+        A = frozenset(space.points)
+        while step(A) != A:
+            A = step(A)
+        return A
+
+    t_fixed = fixed(t_map)
+    p_fixed = fixed(lambda A: p_map(A, False))
+    p_proper = fixed(lambda A: p_map(A, True))
+    rep = support_of(nu)
+    if rep.degenerate:
+        return SupportBounds(t_fixed, p_fixed, p_proper, rep.support, True, True, True, True, None, rep.note)
+    supp = rep.support
+    g_inv = None
+    if not sys.K.has_zero_divisors():
+        g_inv = frozenset(sys.act(g, x) for g in sys.G.elements for x in supp) == supp
+    inside = (supp <= t_fixed, supp <= p_fixed, supp <= p_proper)
+    return SupportBounds(t_fixed, p_fixed, p_proper, supp, False, *inside, g_inv)
 
 
 # -- structures --------------------------------------------------------------------

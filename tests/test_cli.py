@@ -116,6 +116,43 @@ def test_monad_on_a_monotone_space_passes(tmp_path, capsys, builtin):
     assert {(verdict, witness) for _, _, verdict, witness in records} == {("pass", "-")}
 
 
+# the records of the demo's action with K = mp3: a 46-member algebra
+MP3_ACTION_RECORDS = [
+    f"convolution/A/{law}\t{law}\tpass\t-"
+    for law in (
+        "action",
+        "closure-add",
+        "closure-conv",
+        "conv-right-dist",
+        "conv-left-dist",
+        "unit-neutral",
+        "ideal-add",
+        "ideal-left",
+        "ideal-right",
+    )
+] + [
+    f"convolution/A/support-bound-{i}\tsupport-bound\tpass\t-{note}"
+    for i, note in enumerate([""] * 6 + ["\tsupport degenerate"] * 4)
+]
+
+
+def test_the_demo_action_over_mp3(tmp_path, capsys):
+    text = DEMO.read_text(encoding="utf-8")
+    start = text.index("[action A]")
+    action = text[start : text.index("\n\n", start)]
+    assert "structure = bool" in action
+    doc = tmp_path / "mp3-action.workspace"
+    doc.write_text(
+        "[structure mp3]\nbuiltin = max-plus-chain 3\n\n"
+        + action.replace("structure = bool", "structure = mp3")
+        + "\n\n[suite default]\nrun = convolution\nbudget = 20000\nseed = 0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", doc, "--format", "records")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == MP3_ACTION_RECORDS
+
+
 @st.composite
 def mutated_demo(draw):
     """The demo document after one to four edits, each dropping,

@@ -3,11 +3,15 @@ witnesses, the agreement of the join/meet scans of `check_kind` and
 `check_idempotent`, the witnesses of the mirrored quasiring and ideal
 laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each, the pruned seed family against the
-exhaustive filter, the action and cocycle laws, T_g T_h = T_gh and the
-unit of convolution."""
+exhaustive filter, the action and cocycle laws, T_g T_h = T_gh, the
+unit of convolution, a part on another space refused, each translate
+made once per action, and the positional convolution against the
+translate-by-translate path of tests/scan_oracles.py."""
 from collections import Counter
+from itertools import product
 
 import pytest
+import scan_oracles
 
 from ordalg import (
     ActionSystem,
@@ -20,6 +24,7 @@ from ordalg import (
     InfOver,
     InputError,
     KFunction,
+    OrderRelation,
     PreconditionError,
     SupOver,
     TableFunctional,
@@ -41,8 +46,11 @@ from ordalg import (
     plus_kind,
     saturate,
     signature,
+    support_bounds,
     trivial_structure,
 )
+from ordalg.suites import suite_convolution
+from ordalg.workspace import Workspace
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -376,3 +384,105 @@ def test_dirac_unit_is_neutral_on_both_sides(values):
     delta = dirac_unit(sys)
     assert signature(convolve(nu, delta, sys)) == nu.table
     assert signature(convolve(delta, nu, sys)) == nu.table
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        FunctionSpace(("e", "a"), MP3),
+        FunctionSpace(("a", "e"), BOOL),
+        FunctionSpace(("e", "a"), BOOL, OrderRelation.chain(("e", "a"))),
+        FunctionSpace(("e", "a"), BOOL, OrderRelation.chain(("e", "a")), "+"),
+    ],
+    ids=["other-K", "points-reordered", "point-order", "monotone"],
+)
+def test_convolve_refuses_a_part_on_another_space(space):
+    # a part's table would be read at the positions of the action's space
+    sys = z2_action()
+    nu = TableFunctional(space, ("1",) * len(space.functions()))
+    for parts in ((nu, dirac_unit(sys)), (dirac_unit(sys), nu)):
+        with pytest.raises(InputError, match="does not live on C"):
+            convolve(*parts, sys)
+
+
+def test_each_translate_is_made_once(monkeypatch):
+    calls = Counter()
+
+    def counted(sys, g, f, original=convolution.apply_T):
+        calls[(g, f)] += 1
+        return original(sys, g, f)
+
+    monkeypatch.setattr(convolution, "apply_T", counted)
+    sys = cyclic_action(4, BOOL)
+    records = suite_convolution(Workspace(actions={"Z4": sys}, kinds={"Z4": "join"}), 20000, 0)
+    assert [r.verdict.holds for r in records] == [True] * 12
+    assert sum(calls.values()) == len(sys.G.elements) * len(sys.space.functions()) == 64
+    assert set(calls.values()) == {1}
+
+
+def skewed_seed(sys):
+    """Two Diracs and a sup; on the skewed action the algebra they
+    generate saturates at 11 members."""
+    sp = sys.space
+    return [Dirac(sp, "e"), Dirac(sp, "a"), SupOver(sp, frozenset(("a", "b")))]
+
+
+def every_kind_functional(kind):
+    return lambda sys: all_kind_functionals(sys, kind)
+
+
+# (action, seed family, kind, saturation budget)
+ORACLE_CASES = {
+    "demo-Z2-bool": (z2_action, every_kind_functional("join"), "join", 4096),
+    "demo-Z2-bool-meet": (z2_action, every_kind_functional("meet"), "meet", 4096),
+    "Z4-bool": (lambda: cyclic_action(4, BOOL), every_kind_functional("join"), "join", 4096),
+    "left-zero": (left_zero_action, every_kind_functional("join"), "join", 4096),
+    "left-zero-add": (left_zero_action, every_kind_functional("add"), "add", 4096),
+    "skewed-left-zero": (skewed_left_zero_action, skewed_seed, "join", 4096),
+    "skewed-left-zero-unsaturated": (skewed_left_zero_action, skewed_seed, "join", 8),
+    "Z2-mp3": (lambda: z2_action(MP3), every_kind_functional("join"), "join", 4096),
+}
+
+
+def outcome(check, *args):
+    """A check's report as (law, verdict) pairs in report order, or the
+    precondition it refuses."""
+    try:
+        result = check(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return list(result.verdicts.items())
+
+
+def assert_agrees_with_the_oracle(alg, oracle):
+    members = alg.members
+    assert tables(members) == tables(oracle.members)
+    for nu, lam in product(members, repeat=2):
+        for op in ("plus", "star"):
+            made, want = alg.combine(op, nu, lam), oracle.combine(op, nu, lam)
+            assert made.table == want.table, (op, nu, lam)
+    assert outcome(check_quasiring, alg) == outcome(scan_oracles.check_quasiring, oracle)
+    H, oracle_H = invariant_subfamily(alg), scan_oracles.invariant_subfamily(oracle)
+    assert tables(H) == tables(oracle_H)
+    assert outcome(check_ideal, H, alg) == outcome(scan_oracles.check_ideal, oracle_H, oracle)
+    for nu in H:
+        assert support_bounds(nu, alg.sys) == scan_oracles.support_bounds(nu, alg.sys)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_saturated_algebra_agrees_with_the_translate_oracle(case):
+    make_sys, make_seed, kind, budget = ORACLE_CASES[case]
+    sys = make_sys()
+    assert check_action(sys)
+    seed = make_seed(sys)
+    alg = saturate(seed, sys, kind, budget=budget)
+    oracle = scan_oracles.saturate(seed, sys, kind, budget=budget)
+    assert (alg.rounds, alg.saturated) == (oracle.rounds, oracle.saturated)
+    assert_agrees_with_the_oracle(alg, oracle)
+
+
+def test_unsaturated_algebra_agrees_with_the_translate_oracle():
+    sys = left_zero_action()
+    members = [TableFunctional(sys.space, tuple(v)) for v in ("00100000", "01000100", "10001000")]
+    alg = ConvAlgebra("join", sys, tuple(members), saturated=False, rounds=0)
+    assert_agrees_with_the_oracle(alg, scan_oracles.ConvAlgebra("join", sys, members))
