@@ -14,16 +14,13 @@ from .errors import (
     InputError,
     OrdalgError,
     PreconditionError,
-    UndefinedValueError,
     WindowEscape,
 )
 from .order import (
     OrderedCarrier,
     OrderRelation,
-    check_op_monotone,
     check_order_axioms,
     inf_over,
-    maximal_chains,
     sup_over,
 )
 from .report import AxiomReport, Verdict
@@ -31,14 +28,9 @@ from .structures import (
     FinStruct,
     Homomorphism,
     boolean_semiring,
-    check_exact_chain,
     check_homomorphism,
     check_law,
     direct_product,
-    enumerate_ideals,
-    image,
-    is_simple,
-    kernel,
     maxplus_chain,
     right_dist_only,
     trivial_structure,
@@ -70,9 +62,7 @@ from .funcspace import FunctionSpace, KFunction
 from .functionals import (
     Dirac,
     Functional,
-    InfExtension,
     InfOver,
-    Pushforward,
     SupOver,
     TableFunctional,
     check_homogeneous,
@@ -80,8 +70,6 @@ from .functionals import (
     check_weak_properties,
     enumerate_functionals,
     enumerate_idempotent,
-    extend_inf,
-    extend_over_space,
     extensionally_equal,
     is_support,
     monad_check,

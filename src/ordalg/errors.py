@@ -42,7 +42,3 @@ class IncomparableError(InputError):
         super().__init__(message)
         self.witness = tuple(witness)
 
-
-class UndefinedValueError(OrdalgError):
-    """An extension formula has an empty minorant/majorant set, so no
-    value can be assigned."""

@@ -4,7 +4,8 @@ A FunctionSpace fixes the point set, the coefficient structure K and an
 optional monotone variant ("+" for non-decreasing, "-" for
 non-increasing, which requires a linear point order).  Construction
 verifies that suprema of all possible function images exist in K, so
-sup-style functionals are total on the space.
+sup-style functionals are total on the space.  The member functions are
+enumerated only up to `FUNCTION_CAP` value tuples.
 """
 from __future__ import annotations
 
@@ -12,9 +13,23 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import IncomparableError, InputError
+from .errors import CapacityError, IncomparableError, InputError
 from .order import OrderedCarrier, OrderRelation, check_order_axioms, sup_over
 from .structures import FinStruct
+
+
+FUNCTION_CAP = 2**16
+
+
+def pair_without_sup(order: OrderRelation, size: int) -> tuple | None:
+    """The first pair of carrier elements, in `combinations` order, with
+    no sup, when function images of up to `size` elements are possible;
+    None when there is none or size < 2.  In a preorder pairs suffice:
+    a singleton is its own sup and, by induction, sup(A + {c}) is
+    sup({sup A, c}), so every image set has a sup when every pair does."""
+    if size < 2:
+        return None
+    return next((p for p in combinations(order.carrier, 2) if sup_over(p, order) is None), None)
 
 
 @dataclass(frozen=True)
@@ -86,17 +101,12 @@ class FunctionSpace:
     # -- construction-time guarantee that sups of images exist --------------
 
     def _check_sup_condition(self):
-        order = self.K.order
         if self.variant is not None:
             # monotone images are chains; finite chains always have sups
             return
-        size = min(len(self.points), len(self.K.elements))
-        for k in range(1, size + 1):
-            for subset in combinations(self.K.elements, k):
-                if sup_over(subset, order) is None:
-                    raise InputError(
-                        f"K has no sup for image set {set(subset)}; the space is not admissible"
-                    )
+        pair = pair_without_sup(self.K.order, min(len(self.points), len(self.K.elements)))
+        if pair is not None:
+            raise InputError(f"K has no sup for image set {set(pair)}; the space is not admissible")
 
     # -- membership and enumeration -----------------------------------------
 
@@ -138,8 +148,13 @@ class FunctionSpace:
         return True
 
     def functions(self) -> tuple[KFunction, ...]:
-        """All member functions, in a fixed enumeration order."""
+        """All member functions, in a fixed enumeration order; refused
+        before any is made when there are more than `FUNCTION_CAP`
+        value tuples to run through."""
         if self._funcs is None:
+            count = len(self.K.elements) ** len(self.points)
+            if count > FUNCTION_CAP:
+                raise CapacityError(f"{count} functions on {self.name} exceed the cap {FUNCTION_CAP}")
             out = []
             for vals in product(self.K.elements, repeat=len(self.points)):
                 f = KFunction(self.points, vals)

@@ -1,13 +1,14 @@
 """Skew idempotent functionals on finite function spaces.
 
 Functionals are symbolic constructor trees (evaluation at a point, sup
-over a subset, weighted combination, pushforward along a point map and a
-coefficient homomorphism, extension from a submodule, or an explicit
-value table).  Equality between functionals is extensional: two
-functionals are the same when they agree on every function of the space,
-and `signature`, their values in enumeration order, decides it.  The
-monad check takes signatures on the base space only; the flattening and
-the pushforwards it compares are evaluated lazily there.
+or inf over a subset, weighted combination, an explicit value table, or
+a functional pulled back along a map of functions: the pushforward along
+a point map and the monad's flattening).  Equality between functionals
+is extensional: two functionals are the same when they agree on every
+function of the space, and `signature`, their values in enumeration
+order, decides it.  The monad check takes signatures on the base space
+only; the flattening and the pushforwards it compares are evaluated
+lazily there.
 """
 from __future__ import annotations
 
@@ -22,12 +23,10 @@ from .errors import (
     IncomparableError,
     InputError,
     PreconditionError,
-    UndefinedValueError,
 )
 from .funcspace import FunctionSpace, KFunction
 from .order import inf_over, sup_over
 from .report import AxiomReport, Verdict
-from .structures import Homomorphism
 
 
 class Functional:
@@ -488,184 +487,6 @@ def check_homogeneous(nu: Functional) -> AxiomReport:
     return report
 
 
-
-# ---------------------------------------------------------------------------
-# submodules and extensions
-
-
-def submodule_closure(space: FunctionSpace, seed) -> tuple:
-    """Closure of a function set under both constant shifts and the
-    guarded pointwise max/min."""
-    members = {f for f in seed}
-    frontier = list(members)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for c in space.K.elements:
-                for side in ("left", "right"):
-                    g = space.odot(c, f, side)
-                    if g not in members:
-                        members.add(g)
-                        fresh.append(g)
-            for h in list(members):
-                if space.comparable_pointwise(f, h) is None:
-                    for g in (space.vee(f, h), space.wedge(f, h)):
-                        if g not in members:
-                            members.add(g)
-                            fresh.append(g)
-        frontier = fresh
-    return tuple(f for f in space.functions() if f in members)
-
-
-def is_submodule(space: FunctionSpace, fams) -> bool:
-    """Contains all constants and is closed under shifts and guarded
-    max/min: the hypotheses of the one-step extension."""
-    members = set(fams)
-    for c in space.K.elements:
-        if space.constant(c) not in members:
-            return False
-    for f in members:
-        for c in space.K.elements:
-            if space.odot(c, f, "left") not in members:
-                return False
-            if space.odot(c, f, "right") not in members:
-                return False
-        for h in members:
-            if space.comparable_pointwise(f, h) is None:
-                if space.vee(f, h) not in members or space.wedge(f, h) not in members:
-                    return False
-    return True
-
-
-EXTENSION_VARIANTS = ("inf", "sup", "outer")
-
-
-@dataclass(frozen=True, eq=False)
-class InfExtension(Functional):
-    """Extension of a functional beyond its submodule.
-
-    inf / sup take the inf or sup of the base values over minorants in
-    the submodule (sup is the inner best-approximation); outer takes the
-    inf over majorants, the outer extension, which is the variant that
-    stays compatible with the join rule on the whole space.
-    """
-
-    space: FunctionSpace
-    basis: tuple
-    base: Functional
-    variant: str
-    domain: tuple
-
-    def value(self, f: KFunction) -> str:
-        if f in set(self.basis):
-            return self.base.value(f)
-        if self.variant == "outer":
-            bounds = [h for h in self.basis if self.space.leq(f, h)]
-            if not bounds:
-                raise UndefinedValueError(f"no majorants of {f} in the submodule")
-            v = inf_over({self.base.value(h) for h in bounds}, self.space.K.order)
-        else:
-            bounds = [h for h in self.basis if self.space.leq(h, f)]
-            if not bounds:
-                raise UndefinedValueError(f"no minorants of {f} in the submodule")
-            pick = inf_over if self.variant == "inf" else sup_over
-            v = pick({self.base.value(h) for h in bounds}, self.space.K.order)
-        if v is None:
-            raise CapacityError("extension value does not exist in K")
-        return v
-
-    def __str__(self) -> str:
-        return f"extension[{self.variant}] of {self.base}"
-
-
-def extend_inf(base: Functional, basis, g: KFunction, variant: str = "inf") -> InfExtension:
-    """One extension step onto the minimal submodule containing the basis
-    and the new function."""
-    space = base.space
-    basis = tuple(basis)
-    if variant not in EXTENSION_VARIANTS:
-        raise InputError(f"unknown extension variant {variant!r}")
-    if not is_submodule(space, basis):
-        raise PreconditionError("basis is not a submodule containing the constants")
-    domain = submodule_closure(space, basis + (g,))
-    return InfExtension(space, basis, base, variant, domain)
-
-
-def extend_over_space(base: Functional, basis, variant: str = "inf") -> Functional:
-    """Iterate one-step extensions in enumeration order until the
-    submodule covers the whole space."""
-    space = base.space
-    covered = tuple(basis)
-    nu: Functional = base
-    while True:
-        missing = [f for f in space.functions() if f not in set(covered)]
-        if not missing:
-            return nu
-        nu = extend_inf(nu, covered, missing[0], variant)
-        covered = nu.domain
-
-
-# ---------------------------------------------------------------------------
-# pushforwards
-
-
-@dataclass(frozen=True, eq=False)
-class Pushforward(Functional):
-    space: FunctionSpace
-    point_map: tuple
-    hom: Homomorphism
-    inner: Functional
-    preimages: tuple
-
-    def value(self, g: KFunction) -> str:
-        pre = dict(self.preimages)
-        if g not in pre:
-            raise InputError(f"{g} has no declared preimage under the coefficient map")
-        g1 = pre[g]
-        pm = dict(self.point_map)
-        composed = self.inner.space.function(
-            {x: g1(pm[x]) for x in self.inner.space.points}
-        )
-        return self.hom(self.inner.value(composed))
-
-    def __str__(self) -> str:
-        return f"pushforward of {self.inner}"
-
-
-def pushforward(point_map: dict, hom: Homomorphism, inner: Functional, target_points=None) -> Pushforward:
-    """The induced functional on the image space.
-
-    Preimages are chosen canonically: for every function g1 over the
-    source coefficients on the target points, u o g1 gets g1 as its
-    declared preimage (first in enumeration order wins), which keeps
-    evaluation deterministic.
-    """
-    xs = inner.space.points
-    if set(point_map) != set(xs):
-        raise InputError("point map domain must be the inner space's points")
-    if hom.source is not inner.space.K:
-        raise InputError("homomorphism source must match the inner coefficient structure")
-    ys = tuple(target_points) if target_points is not None else tuple(
-        dict.fromkeys(point_map[x] for x in xs)
-    )
-    if not set(point_map.values()) <= set(ys):
-        raise InputError("point map values outside the target point set")
-    source_side = FunctionSpace(ys, hom.source)
-    target_space = FunctionSpace(ys, hom.target)
-    pre = {}
-    for g1 in source_side.functions():
-        g = target_space.function({y: hom(g1(y)) for y in ys})
-        if g not in pre:
-            pre[g] = g1
-    return Pushforward(
-        target_space,
-        tuple(sorted(point_map.items())),
-        hom,
-        inner,
-        tuple(pre.items()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # supports
 
@@ -798,14 +619,19 @@ class FunctionalFamily:
 @dataclass(frozen=True, eq=False)
 class Pulled(Functional):
     """f -> inner(pull(f)): a functional on `space` that evaluates
-    `inner` at the function `pull` makes of each argument, on demand."""
+    `inner` at the function `pull` makes of each argument, on demand;
+    `kind` names the construction when it is printed."""
 
     space: FunctionSpace
     inner: Functional
     pull: Callable[[KFunction], KFunction]
+    kind: str
 
     def value(self, f: KFunction) -> str:
         return self.inner.value(self.pull(f))
+
+    def __str__(self) -> str:
+        return f"{self.kind} of {self.inner}"
 
 
 def xi(family: FunctionalFamily, lam: Functional) -> Pulled:
@@ -813,7 +639,21 @@ def xi(family: FunctionalFamily, lam: Functional) -> Pulled:
     of each base function."""
     if lam.space is not family.upper:
         raise InputError("xi expects a functional on the family's upper space")
-    return Pulled(family.space, lam, family.bar)
+    return Pulled(family.space, lam, family.bar, "flattening")
+
+
+def pushforward(lam: Functional, point_map: dict, target: FunctionSpace) -> Pulled:
+    """The functor's action on a map: lam pushed along `point_map`, from
+    lam's points into the points of `target`, as t -> lam(t o point_map).
+    The map and the target are checked once, here; evaluation is lazy."""
+    inner = lam.space
+    if set(point_map) != set(inner.points):
+        raise InputError("point map domain must be the functional's points")
+    if not set(point_map.values()) <= set(target.points):
+        raise InputError("point map values outside the target point set")
+    if target.K is not inner.K:
+        raise InputError("target space has another coefficient structure")
+    return Pulled(target, lam, lambda t: inner.function({p: t(point_map[p]) for p in inner.points}), "pushforward")
 
 
 SUBSET_CAP = 64
@@ -834,13 +674,6 @@ def generated_family(space: FunctionSpace, prefix: str = "n") -> FunctionalFamil
         E = [x for i, x in enumerate(points) if m >> i & 1]
         members.append(Dirac(space, E[0]) if len(E) == 1 else SupOver(space, frozenset(E)))
     return FunctionalFamily(space, members, prefix=prefix)
-
-
-def _pushed(lam: Functional, point_map: dict, upper: FunctionSpace) -> Pulled:
-    """lam pushed along a point map from its own points into the points of
-    `upper`: t -> lam(t o point_map)."""
-    inner = lam.space
-    return Pulled(upper, lam, lambda t: inner.function({p: t(point_map[p]) for p in inner.points}))
 
 
 def _first_difference(law: str, cases) -> Verdict:
@@ -892,7 +725,7 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
 
     outer = (((pid,), xi(fam, Dirac(fam.upper, pid)), nu) for pid, nu in zip(fam.ids, fam.members))
     report.add(_first_difference("unit-eta-outer", outer))
-    inner = (((str(nu),), xi(fam, _pushed(nu, eta_map, fam.upper)), nu) for nu in fam.members)
+    inner = (((str(nu),), xi(fam, pushforward(nu, eta_map, fam.upper)), nu) for nu in fam.members)
     report.add(_first_difference("unit-eta-inner", inner))
 
     barc = Verdict.passed("bar-constant")
@@ -938,7 +771,7 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
 
     # the rhs pushes tau along the flattening, as a point map fam2 -> fam
     assoc = (
-        ((str(tau),), xi(fam, xi(fam2, tau)), xi(fam, _pushed(tau, ximap, fam.upper)))
+        ((str(tau),), xi(fam, xi(fam2, tau)), xi(fam, pushforward(tau, ximap, fam.upper)))
         for tau in fam3.members
     )
     report.add(_first_difference("assoc", assoc))

@@ -192,64 +192,6 @@ def _check_well(order: OrderRelation, law: str) -> Verdict:
     return Verdict.passed(law)
 
 
-def maximal_chains(order: OrderRelation) -> list[tuple[str, ...]]:
-    """All maximal chains (maximal pairwise-comparable subsets)."""
-    chains: list[tuple[str, ...]] = []
-    carrier = order.carrier
-
-    def extend(chain: list[str], candidates: list[str]) -> None:
-        extendable = [c for c in candidates if all(order.comparable(c, x) for x in chain)]
-        if not extendable:
-            if all(
-                not all(order.comparable(e, x) for x in chain)
-                for e in carrier
-                if e not in chain
-            ):
-                chains.append(tuple(chain))
-            return
-        for i, c in enumerate(extendable):
-            extend(chain + [c], extendable[i + 1 :])
-
-    extend([], list(carrier))
-    # deduplicate: extension order can reach the same maximal set twice
-    uniq = sorted({tuple(sorted(ch)) for ch in chains})
-    return [tuple(x for x in carrier if x in set(ch)) for ch in uniq]
-
-
-def check_op_monotone(op: dict, order: OrderRelation, domain=None) -> Verdict:
-    """Order-compatibility of a binary operation.
-
-    Verifies op(a,b) <= op(c,d) for all quadruples with a <= c and b <= d
-    drawn from a common maximal chain, which is exactly how ordered
-    algebraic objects qualify the requirement.  `domain` restricts the
-    quantified elements (the table must be total on domain pairs); values
-    may lie anywhere in the carrier.
-    """
-    domain = tuple(domain) if domain is not None else order.carrier
-    dset = set(domain)
-    for a in domain:
-        for b in domain:
-            if (a, b) not in op:
-                raise InputError(f"operation table missing pair ({a},{b})")
-            if op[(a, b)] not in set(order.carrier):
-                raise InputError(f"operation value {op[(a, b)]!r} outside carrier")
-    for chain in maximal_chains(order):
-        zs = [x for x in chain if x in dset]
-        for a in zs:
-            for c in zs:
-                if not order.leq(a, c):
-                    continue
-                for b in zs:
-                    for d in zs:
-                        if not order.leq(b, d):
-                            continue
-                        if not order.leq(op[(a, b)], op[(c, d)]):
-                            return Verdict.failed(
-                                "op-monotone", (a, b, c, d, op[(a, b)], op[(c, d)])
-                            )
-    return Verdict.passed("op-monotone")
-
-
 def sup_over(subset, order: OrderRelation) -> str | None:
     """Least upper bound inside the carrier, or None when there is none."""
     return _extremum(subset, order, True)

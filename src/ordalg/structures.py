@@ -8,7 +8,7 @@ Law checkers are exhaustive and return the first violating tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 from .errors import CapacityError, InputError
 from .order import OrderedCarrier, OrderRelation
@@ -28,7 +28,6 @@ LAWS = (
     "quasi-solvable",
 )
 
-IDEAL_CAP = 16
 # Law flags are re-checked over all triples at construction: about 0.5 s
 # for a 64-element chain on one Xeon core under Python 3.11, cubic beyond.
 CARRIER_CAP = 64
@@ -200,30 +199,6 @@ def _scan_law(s: FinStruct, law: str) -> Verdict:
     raise InputError(f"unknown law {law!r}")
 
 
-def enumerate_ideals(s: FinStruct) -> list[frozenset]:
-    """All two-sided ideals: add-closed subsets containing zero with
-    AK and KA inside A.  Exponential scan, guarded by carrier size."""
-    E = s.elements
-    if len(E) > IDEAL_CAP:
-        raise CapacityError(f"ideal enumeration needs carrier <= {IDEAL_CAP}, got {len(E)}")
-    rest = [x for x in E if x != s.zero]
-    found = []
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            A = frozenset((s.zero,) + extra)
-            if all(s.addv(a, b) in A for a in A for b in A) and all(
-                s.mulv(a, k) in A and s.mulv(k, a) in A for a in A for k in E
-            ):
-                found.append(A)
-    return found
-
-
-def is_simple(s: FinStruct) -> bool:
-    if len(s.elements) == 1:
-        return False
-    return len(enumerate_ideals(s)) == 2
-
-
 @dataclass(frozen=True, eq=False)
 class Homomorphism:
     source: FinStruct
@@ -262,31 +237,6 @@ def check_homomorphism(h: Homomorphism) -> Verdict:
             if s.leq(a, b) and not t.leq(m[a], m[b]):
                 return Verdict.failed(law, ("order", a, b))
     return Verdict.passed(law)
-
-
-def kernel(h: Homomorphism) -> frozenset:
-    return frozenset(a for a in h.source.elements if h(a) == h.target.zero)
-
-
-def image(h: Homomorphism) -> frozenset:
-    return frozenset(h(a) for a in h.source.elements)
-
-
-def check_exact_chain(chain) -> Verdict:
-    """Exactness of a composable chain: image equals kernel at every
-    interior junction.  A single homomorphism is vacuously exact."""
-    chain = list(chain)
-    if not chain:
-        raise InputError("empty chain")
-    for i in range(len(chain) - 1):
-        if chain[i].target is not chain[i + 1].source:
-            raise InputError(f"chain not composable at position {i}")
-    for i in range(len(chain) - 1):
-        im = image(chain[i])
-        ker = kernel(chain[i + 1])
-        if im != ker:
-            return Verdict.failed("exact-chain", (i, im, ker))
-    return Verdict.passed("exact-chain")
 
 
 # ---------------------------------------------------------------------------

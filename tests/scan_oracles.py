@@ -2,8 +2,10 @@
 
 Each function here is the body the library had before it read
 precomputed sets and tables: bounds and extrema by scanning the pairs of
-an order, the order axioms by element loops, the pointwise order of a
-function space point by point, the cubic law scans over all triples, and
+an order, the admissibility of a function space by every subset of K
+up to the size of its point set, the order axioms by element loops, the
+pointwise order of a function space point by point, the cubic law scans
+over all triples, and
 the shifted product by a scan of the whole index window with a linear
 lookup of element values, the laws of functionals as one loop per
 checker over the functions of the space, the monad of functionals
@@ -63,6 +65,16 @@ def extremum(subset, order, up: bool):
     for z in found:
         if all(((z, w) if up else (w, z)) in pairs for w in found):
             return z
+    return None
+
+
+def subset_without_sup(order, size: int):
+    """The first subset of up to `size` carrier elements, by size and
+    then in `combinations` order, with no sup; None when every one has."""
+    for k in range(1, size + 1):
+        for subset in combinations(order.carrier, k):
+            if extremum(subset, order, True) is None:
+                return subset
     return None
 
 

@@ -2,6 +2,7 @@
 `check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
 import contextlib
 import io
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,26 @@ def test_monad_on_a_monotone_space_passes(tmp_path, capsys, builtin):
         "assoc",
     ]
     assert {(verdict, witness) for _, _, verdict, witness in records} == {("pass", "-")}
+
+
+WIDE_SPACE = (
+    "[structure K]\nbuiltin = max-plus-chain 60\n\n"
+    "[space S]\nstructure = K\npoints = a b c d\n\n"
+    "[functional nu]\nspace = S\nkind = sup_over\nset = a b\n"
+)
+
+
+@pytest.mark.parametrize("suite", ["monad", "idempotent"])
+def test_a_space_beyond_the_function_cap_exits_2_promptly(tmp_path, capsys, suite):
+    # 60**4 functions: parsing checks sups by pairs, and enumeration is
+    # refused before any function is made
+    doc = tmp_path / "wide.workspace"
+    doc.write_text(WIDE_SPACE, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", doc, "--suite", suite)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: 12960000 functions on S exceed the cap 65536\n"
 
 
 # the records of the demo's action with K = mp3: a 46-member algebra

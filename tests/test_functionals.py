@@ -12,7 +12,6 @@ from ordalg import (
     FinStruct,
     FunctionSpace,
     Functional,
-    Homomorphism,
     InfOver,
     InputError,
     KFunction,
@@ -29,8 +28,6 @@ from ordalg import (
     direct_product,
     enumerate_functionals,
     enumerate_idempotent,
-    extend_inf,
-    extend_over_space,
     extensionally_equal,
     is_support,
     maxplus_chain,
@@ -48,8 +45,6 @@ from ordalg import functionals
 from ordalg.functionals import (
     IDEMPOTENT_AXIOMS,
     TABLE_CAP,
-    is_submodule,
-    submodule_closure,
     vanishes_agreement,
 )
 from ordalg.workspace import parse
@@ -240,105 +235,75 @@ class TestWeightedCombo:
         assert rep["left-homogeneous"].holds and rep["right-homogeneous"].holds
 
 
-class TestExtension:
-    def constants_basis(self, sp):
-        return tuple(sp.constant(c) for c in sp.K.elements)
-
-    def test_agreement_on_the_submodule(self):
-        sp = FunctionSpace(("x1", "x2"), MP3)
-        basis = self.constants_basis(sp)
-        base = PartialFunctional(sp, {sp.constant(c): c for c in MP3.elements})
-        g = sp.function({"x1": "1", "x2": "2"})
-        for variant in ("inf", "sup", "outer"):
-            ext = extend_inf(base, basis, g, variant)
-            for c in MP3.elements:
-                assert ext.value(sp.constant(c)) == c
-
-    def test_worked_chain_example(self):
-        # constants only, normalized base, g = [1,2] on the chain {0,1,2}:
-        # minorant-inf gives 0, minorant-sup gives 1
-        sp = FunctionSpace(("x1", "x2"), MP3)
-        basis = self.constants_basis(sp)
-        base = PartialFunctional(sp, {sp.constant(c): c for c in MP3.elements})
-        g = sp.function({"x1": "1", "x2": "2"})
-        assert extend_inf(base, basis, g, "inf").value(g) == "0"
-        assert extend_inf(base, basis, g, "sup").value(g) == "1"
-        assert extend_inf(base, basis, g, "outer").value(g) == "2"
-
-    def test_basis_must_be_a_submodule(self):
-        sp = FunctionSpace(("x1", "x2"), MP3)
-        base = Dirac(sp, "x1")
-        with pytest.raises(PreconditionError):
-            extend_inf(base, (sp.constant("0"),), sp.constant("1"), "sup")
-
-    def test_iterated_extension_keeps_shift_axioms(self):
-        sp = FunctionSpace(("x1", "x2"), MP3)
-        basis = self.constants_basis(sp)
-        base = PartialFunctional(sp, {sp.constant(c): c for c in MP3.elements})
-        for variant in ("sup", "outer"):
-            total = extend_over_space(base, basis, variant)
-            rep = check_idempotent(total)
-            assert rep["left-shift"].holds and rep["right-shift"].holds, variant
-            assert rep["normalized"].holds
-
-    def test_submodule_closure_is_a_submodule(self):
-        sp = FunctionSpace(("x1", "x2"), MP3)
-        seed = self.constants_basis(sp) + (sp.function({"x1": "0", "x2": "2"}),)
-        closed = submodule_closure(sp, seed)
-        assert is_submodule(sp, closed)
+JOIN_AXIOMS = ("normalized", "left-shift", "right-shift", "join")
 
 
 class TestPushforward:
-    def identity_hom(self, K):
-        return Homomorphism(K, K, {e: e for e in K.elements})
-
-    def test_identity_pushforward_is_identity(self):
-        sp = bool_space()
-        u = self.identity_hom(BOOL)
-        for nu in enumerate_idempotent(sp, ("normalized", "left-shift", "right-shift", "join")):
-            pushed = pushforward({"x1": "x1", "x2": "x2"}, u, nu, sp.points)
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_identity_pushforward_is_identity(self, K):
+        sp = FunctionSpace(("x1", "x2"), K)
+        for nu in enumerate_idempotent(sp, JOIN_AXIOMS):
+            pushed = pushforward(nu, {"x1": "x1", "x2": "x2"}, sp)
             assert signature(pushed) == signature(nu)
 
     def test_constant_map_reads_the_point(self):
         sp = bool_space()
-        u = self.identity_hom(BOOL)
         nu = SupOver(sp, frozenset(sp.points))
-        pushed = pushforward({"x1": "y", "x2": "y"}, u, nu, ("y",))
-        target = pushed.space
+        target = FunctionSpace(("y",), BOOL)
+        pushed = pushforward(nu, {"x1": "y", "x2": "y"}, target)
+        assert pushed.space is target
         for g in target.functions():
             assert pushed.value(g) == g("y")
 
-    def test_composition_functor_law(self):
-        spx = bool_space()
-        u = self.identity_hom(BOOL)
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_composition_functor_law(self, K):
+        spx = FunctionSpace(("x1", "x2"), K)
         points = spx.points
         maps = [dict(zip(points, images)) for images in product(points, repeat=2)]
-        family = enumerate_idempotent(spx, ("normalized", "left-shift", "right-shift", "join"))
+        family = enumerate_idempotent(spx, JOIN_AXIOMS)
         for f in maps:
             for s in maps:
                 fs = {x: f[s[x]] for x in points}
                 for nu in family:
-                    once = pushforward(fs, u, nu, points)
-                    stepwise = pushforward(f, u, pushforward(s, u, nu, points), points)
+                    once = pushforward(nu, fs, spx)
+                    stepwise = pushforward(pushforward(nu, s, spx), f, spx)
                     assert signature(once) == signature(stepwise)
 
-    def test_missing_preimage_is_input_error(self):
-        sp = bool_space()
-        embed = Homomorphism(BOOL, MP3, {"0": "0", "1": "1"})
-        pushed = pushforward({"x1": "x1", "x2": "x2"}, embed, Dirac(sp, "x1"), sp.points)
-        target = pushed.space
-        good = target.function({"x1": "1", "x2": "0"})
-        assert pushed.value(good) == "1"
+    @pytest.mark.parametrize(
+        "point_map, K",
+        [({"x1": "y"}, BOOL), ({"x1": "y", "x2": "z"}, BOOL), ({"x1": "y", "x2": "y"}, MP3)],
+        ids=["domain-not-the-points", "image-outside-the-target", "target-over-another-K"],
+    )
+    def test_refusals_are_input_errors(self, point_map, K):
         with pytest.raises(InputError):
-            pushed.value(target.function({"x1": "2", "x2": "0"}))
+            pushforward(Dirac(bool_space(), "x1"), point_map, FunctionSpace(("y",), K))
+
+    def test_str_names_the_construction(self):
+        sp = bool_space()
+        target = FunctionSpace(("y",), BOOL)
+        pushed = pushforward(SupOver(sp, frozenset(sp.points)), {"x1": "y", "x2": "y"}, target)
+        assert str(pushed) == "pushforward of sup_over {x1, x2}"
+        assert str(pushforward(pushed, {"y": "y"}, target)) == "pushforward of pushforward of sup_over {x1, x2}"
+
+    def test_monad_check_pushes_with_the_public_pushforward(self, monkeypatch):
+        domains = []
+
+        def spy(lam, point_map, target):
+            domains.append(lam.space.points)
+            return pushforward(lam, point_map, target)
+
+        monkeypatch.setattr(functionals, "pushforward", spy)
+        sp = bool_space()
+        assert monad_check(sp).all_hold
+        # unit-eta-inner pushes base functionals, assoc third-level ones
+        assert {d[0][0] for d in domains} == {"x", "m"}
 
     def test_pushforward_preserves_passing_axioms(self):
         sp = bool_space()
-        u = self.identity_hom(BOOL)
         fmap = {"x1": "x2", "x2": "x2"}
         for nu in [Dirac(sp, "x1"), SupOver(sp, frozenset(sp.points))]:
             before = check_idempotent(nu)
-            pushed = pushforward(fmap, u, nu, sp.points)
+            pushed = pushforward(nu, fmap, sp)
             after = check_idempotent(pushed)
             for law, verdict in before.verdicts.items():
                 if verdict.holds:
@@ -347,38 +312,15 @@ class TestPushforward:
     def test_monomorphic_on_injective_maps(self):
         spx = bool_space()
         spy = FunctionSpace(("x1", "x2", "x3"), BOOL)
-        u = self.identity_hom(BOOL)
         inject = {"x1": "x1", "x2": "x2"}
-        family = enumerate_idempotent(spx, ("normalized", "left-shift", "right-shift", "join"))
+        family = enumerate_idempotent(spx, JOIN_AXIOMS)
         for n1 in family:
             for n2 in family:
                 if signature(n1) == signature(n2):
                     continue
-                p1 = pushforward(inject, u, n1, spy.points)
-                p2 = pushforward(inject, u, n2, spy.points)
+                p1 = pushforward(n1, inject, spy)
+                p2 = pushforward(n2, inject, spy)
                 assert signature(p1) != signature(p2)
-
-    def test_epimorphic_outer_extension_on_surjections(self):
-        # pull an idempotent functional back through a surjection, then
-        # extend outer to the whole space: the join-side axioms survive
-        spx = FunctionSpace(("x1", "x2", "x3"), BOOL)
-        spy = bool_space(("y1", "y2"))
-        fmap = {"x1": "y1", "x2": "y2", "x3": "y2"}
-        for nu in enumerate_idempotent(spy, ("normalized", "left-shift", "right-shift", "join")):
-            pulled = {}
-            for g in spy.functions():
-                composed = spx.function({x: g(fmap[x]) for x in spx.points})
-                pulled[composed] = nu.value(g)
-            basis = tuple(f for f in spx.functions() if f in pulled)
-            assert is_submodule(spx, basis)
-            base = PartialFunctional(spx, pulled)
-            total = extend_over_space(base, basis, "outer")
-            rep = check_idempotent(total)
-            for law in ("normalized", "left-shift", "right-shift", "join"):
-                assert rep[law].holds, (signature(nu), law)
-            # and it genuinely extends the pulled-back functional
-            for composed, value in pulled.items():
-                assert total.value(composed) == value
 
 
 class TestSupports:
@@ -458,14 +400,13 @@ class TestSupports:
 class TestSupportImageLaw:
     def test_pushforward_support_is_image_of_support(self):
         sp = bool_space()
-        u = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
         points = sp.points
         family = [Dirac(sp, x) for x in points]
         family += [SupOver(sp, frozenset(s)) for size in (1, 2) for s in combinations(points, size)]
         for images in product(points, repeat=2):
             fmap = dict(zip(points, images))
             for nu in family:
-                pushed = pushforward(fmap, u, nu, points)
+                pushed = pushforward(nu, fmap, sp)
                 lhs = support_of(pushed).support
                 rhs = frozenset(fmap[x] for x in support_of(nu).support)
                 assert lhs == rhs
@@ -484,26 +425,6 @@ class TestMonad:
         sp = bool_space()
         rep = monad_check(sp, family=[SupOver(sp, frozenset(sp.points))])
         assert not rep["family-hosts-units"].holds
-
-
-class TestExactTransport:
-    def test_function_level_exactness_transports(self):
-        from ordalg import check_exact_chain, trivial_structure
-
-        triv = trivial_structure()
-        inj = Homomorphism(triv, BOOL, {"0": "0"})
-        ident = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        assert check_exact_chain([inj, ident]).holds
-        points = ("x1", "x2")
-        sp1 = FunctionSpace(points, triv)
-        sp2 = FunctionSpace(points, BOOL)
-        lifted_image = {
-            sp2.function({x: inj(f(x)) for x in points}) for f in sp1.functions()
-        }
-        lifted_kernel = {
-            f for f in sp2.functions() if all(ident(f(x)) == BOOL.zero for x in points)
-        }
-        assert lifted_image == lifted_kernel == {sp2.zero()}
 
 
 def skew_structure():

@@ -171,3 +171,45 @@ def test_scanner_finds_an_unread_private():
 def test_every_private_definition_is_read():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
     assert unread_privates(sources) == []
+
+
+# Public definitions that no module of the package reads, each kept for a reason.
+UNREAD_PUBLIC = {
+    "extensionally_equal": "equality of functionals as the library states it; commands compare signatures",
+    "check_homogeneous": "the checker of the homogeneity laws `law_instances` defines",
+    "is_support": "the minimality criterion that tests pin `support_of` against",
+    "omega": "ordinals in Cantor normal form: the first infinite ordinal",
+    "ord_sup": "ordinals in Cantor normal form: the sup of two ordinals",
+    "parse_ordinal": "ordinals in Cantor normal form: their text form",
+    "MaxReduct": "ordinals in Cantor normal form: the max-plus reduct",
+    "direct_product": "tests build product structures with it",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level functions and classes whose names do not start with
+    an underscore."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def unread_publics(sources: list[str]) -> list[str]:
+    read = set().union(*(names_read(s) for s in sources))
+    return [name for s in sources for name in public_definitions(s) if name not in read]
+
+
+def test_scanner_finds_an_unread_public():
+    sources = [
+        "def used():\n    return 1\nclass Unread:\n    pass\ndef _private():\n    return 0\n",
+        "from .a import used\nx = used()\n",
+    ]
+    assert unread_publics(sources) == ["Unread"]
+
+
+def test_every_public_definition_is_read():
+    # __init__.py only re-exports: a name it reads is not reached by any command
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert sorted(unread_publics(sources)) == sorted(UNREAD_PUBLIC)

@@ -6,12 +6,11 @@ from ordalg import (
     InputError,
     OrderedCarrier,
     OrderRelation,
-    check_op_monotone,
     check_order_axioms,
     inf_over,
-    maximal_chains,
     sup_over,
 )
+from ordalg.funcspace import pair_without_sup
 
 
 def divisibility_order():
@@ -111,47 +110,6 @@ class TestSupInf:
         assert order.leq(small, big)
 
 
-class TestOpMonotone:
-    def test_max_on_chain(self):
-        order = OrderRelation.chain(("0", "1", "2"))
-        op = {(a, b): max(a, b) for a in order.carrier for b in order.carrier}
-        assert check_op_monotone(op, order).holds
-
-    def test_violation_reported(self):
-        order = OrderRelation.chain(("0", "1", "2"))
-        op = {(a, b): max(a, b) for a in order.carrier for b in order.carrier}
-        op[("0", "1")] = "2"
-        op[("1", "1")] = "0"
-        v = check_op_monotone(op, order)
-        assert not v.holds
-        assert v.witness == ("0", "1", "1", "1", "2", "0")
-
-    def test_non_total_rejected(self):
-        order = OrderRelation.chain(("0", "1"))
-        with pytest.raises(InputError):
-            check_op_monotone({("0", "0"): "0"}, order)
-
-    def test_quantified_over_common_chains_only(self):
-        # mul on the diamond: quadruples mixing the incomparable middle
-        # elements are skipped, so a table misbehaving across branches
-        # still passes
-        order = diamond()
-        op = {}
-        for a in order.carrier:
-            for b in order.carrier:
-                op[(a, b)] = sup_over({a, b}, order)
-        assert check_op_monotone(op, order).holds
-
-
-class TestMaximalChains:
-    def test_chain_is_single(self):
-        assert maximal_chains(OrderRelation.chain("abc")) == [("a", "b", "c")]
-
-    def test_diamond_has_two(self):
-        chains = maximal_chains(diamond())
-        assert sorted(chains) == [("0", "1", "3"), ("0", "2", "3")]
-
-
 class TestOrderedCarrier:
     def test_zero_must_be_minimal(self):
         with pytest.raises(InputError):
@@ -221,6 +179,16 @@ def test_sup_is_genuinely_least_upper_bound(order, data):
         assert all(order.leq(x, v) for x in subset)
         for z in order.upper_bounds(subset):
             assert order.leq(v, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_covers())
+def test_pairs_decide_the_sup_condition(drawn):
+    # the subset scan over images of up to `size` elements, against the
+    # pair check a function space runs at construction
+    order = OrderRelation.from_covers(*drawn)
+    for size in range(len(order.carrier) + 2):
+        assert pair_without_sup(order, size) == scan_oracles.subset_without_sup(order, size)
 
 
 @st.composite

@@ -11,14 +11,9 @@ from ordalg import (
     OrderedCarrier,
     OrderRelation,
     boolean_semiring,
-    check_exact_chain,
     check_homomorphism,
     check_law,
     direct_product,
-    enumerate_ideals,
-    image,
-    is_simple,
-    kernel,
     maxplus_chain,
     right_dist_only,
     trivial_structure,
@@ -92,41 +87,6 @@ class TestLaws:
             FinStruct("bad", order, add, mul, "0", "1")
 
 
-class TestIdeals:
-    def test_boolean_ideals(self):
-        assert enumerate_ideals(BOOL) == [frozenset({"0"}), frozenset({"0", "1"})]
-
-    def test_zero_is_always_an_ideal(self):
-        for s in (BOOL, MP3, RD):
-            assert frozenset({s.zero}) in enumerate_ideals(s)
-
-    def test_maxplus_ideals_are_mul_absorbing(self):
-        ideals = enumerate_ideals(MP3)
-        assert sorted(map(sorted, ideals)) == [["0"], ["0", "1", "2"], ["0", "2"]]
-        for A in ideals:
-            for a in A:
-                for k in MP3.elements:
-                    assert MP3.mulv(a, k) in A and MP3.mulv(k, a) in A
-
-    def test_ideals_closed_under_intersection(self):
-        for s in (BOOL, MP3, RD):
-            ideals = enumerate_ideals(s)
-            for A in ideals:
-                for B in ideals:
-                    assert A & B in ideals
-
-    def test_capacity_guard(self):
-        big = maxplus_chain(17)
-        with pytest.raises(CapacityError):
-            enumerate_ideals(big)
-
-    def test_simplicity(self):
-        assert is_simple(BOOL)
-        assert not is_simple(trivial_structure())
-        assert not is_simple(direct_product(BOOL, BOOL))
-        assert not is_simple(MP3)
-
-
 class TestHomomorphisms:
     def test_identity_holds(self):
         h = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
@@ -146,45 +106,6 @@ class TestHomomorphisms:
     def test_image_out_of_carrier_rejected(self):
         with pytest.raises(InputError):
             Homomorphism(BOOL, BOOL, {"0": "0", "1": "7"})
-
-    def test_kernel_is_an_ideal(self):
-        h = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        assert kernel(h) in enumerate_ideals(BOOL)
-
-
-class TestExactChains:
-    def test_zero_into_identity_is_exact(self):
-        triv = trivial_structure()
-        inj = Homomorphism(triv, BOOL, {"0": "0"})
-        ident = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        assert check_exact_chain([inj, ident]).holds
-
-    def test_positionwise_verdicts(self):
-        ident = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        collapse = Homomorphism(BOOL, BOOL, {"0": "0", "1": "0"})
-        # identity's image is all of K and the collapse kills all of K
-        assert image(ident) == kernel(collapse)
-        assert check_exact_chain([ident, collapse]).holds
-        assert check_exact_chain([collapse, ident]).holds
-        # zero-inclusion followed by the collapse is where exactness breaks
-        triv = trivial_structure()
-        inj = Homomorphism(triv, BOOL, {"0": "0"})
-        v = check_exact_chain([inj, collapse])
-        assert not v.holds
-        position, im, ker = v.witness
-        assert position == 0
-        assert im == frozenset({"0"})
-        assert ker == frozenset({"0", "1"})
-
-    def test_single_hom_vacuously_exact(self):
-        ident = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        assert check_exact_chain([ident]).holds
-
-    def test_non_composable_rejected(self):
-        ident = Homomorphism(BOOL, BOOL, {"0": "0", "1": "1"})
-        other = Homomorphism(MP3, MP3, {e: e for e in MP3.elements})
-        with pytest.raises(InputError):
-            check_exact_chain([ident, other])
 
 
 def test_nontriviality_predicate():
