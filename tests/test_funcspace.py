@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 import scan_oracles
+from ordalg import funcspace
 from ordalg import (
+    CapacityError,
     FinStruct,
     FunctionSpace,
     IncomparableError,
@@ -253,6 +255,35 @@ def test_sup_condition_enforced_at_construction():
     K = FinStruct("nosup", OrderedCarrier(order, "0"), add, mul, "0", "a")
     with pytest.raises(InputError):
         FunctionSpace(("x1", "x2"), K)
+
+
+class TestFunctionCap:
+    def test_the_cap_admits_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(funcspace, "FUNCTION_CAP", 8)
+        assert len(space(points=("x1", "x2", "x3")).functions()) == 8
+
+    def test_one_past_the_cap_is_refused_with_count_and_cap(self, monkeypatch):
+        monkeypatch.setattr(funcspace, "FUNCTION_CAP", 8)
+        sp = space(points=("x1", "x2", "x3"), K=MP3)
+        with pytest.raises(CapacityError, match="27 functions on .* exceed the cap 8"):
+            sp.functions()
+
+    def test_the_cap_counts_value_tuples_before_the_monotone_filter(self, monkeypatch):
+        # 10 non-increasing functions, but 27 value tuples to run through
+        monkeypatch.setattr(funcspace, "FUNCTION_CAP", 26)
+        points = ("x1", "x2", "x3")
+        sp = space(points=points, K=MP3, point_order=OrderRelation.chain(points), variant="-")
+        with pytest.raises(CapacityError, match="27 functions"):
+            sp.functions()
+
+    def test_a_space_over_the_cap_still_builds_functions(self):
+        # parsing and pointwise work never enumerate the space
+        points = tuple(f"x{i}" for i in range(17))
+        sp = space(points=points)
+        f = sp.function({x: "1" for x in points})
+        assert sp.pointwise("add", f, sp.zero()) == f
+        with pytest.raises(CapacityError):
+            sp.functions()
 
 
 def skew_chain():

@@ -246,10 +246,11 @@ class TestPushforward:
             pushed = pushforward(nu, {"x1": "x1", "x2": "x2"}, sp)
             assert signature(pushed) == signature(nu)
 
-    def test_constant_map_reads_the_point(self):
-        sp = bool_space()
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_constant_map_reads_the_point(self, K):
+        sp = FunctionSpace(("x1", "x2"), K)
         nu = SupOver(sp, frozenset(sp.points))
-        target = FunctionSpace(("y",), BOOL)
+        target = FunctionSpace(("y",), K)
         pushed = pushforward(nu, {"x1": "y", "x2": "y"}, target)
         assert pushed.space is target
         for g in target.functions():
@@ -271,8 +272,13 @@ class TestPushforward:
 
     @pytest.mark.parametrize(
         "point_map, K",
-        [({"x1": "y"}, BOOL), ({"x1": "y", "x2": "z"}, BOOL), ({"x1": "y", "x2": "y"}, MP3)],
-        ids=["domain-not-the-points", "image-outside-the-target", "target-over-another-K"],
+        [
+            ({"x1": "y"}, BOOL),
+            ({"x1": "y", "x2": "y", "x3": "y"}, BOOL),
+            ({"x1": "y", "x2": "z"}, BOOL),
+            ({"x1": "y", "x2": "y"}, MP3),
+        ],
+        ids=["domain-not-the-points", "domain-beyond-the-points", "image-outside-the-target", "target-over-another-K"],
     )
     def test_refusals_are_input_errors(self, point_map, K):
         with pytest.raises(InputError):
@@ -284,6 +290,13 @@ class TestPushforward:
         pushed = pushforward(SupOver(sp, frozenset(sp.points)), {"x1": "y", "x2": "y"}, target)
         assert str(pushed) == "pushforward of sup_over {x1, x2}"
         assert str(pushforward(pushed, {"y": "y"}, target)) == "pushforward of pushforward of sup_over {x1, x2}"
+
+    def test_flattening_prints_its_kind_and_refuses_a_foreign_space(self):
+        family = functionals.generated_family(bool_space())
+        lam = Dirac(family.upper, family.ids[-1])
+        assert str(functionals.xi(family, lam)) == f"flattening of {lam}"
+        with pytest.raises(InputError):
+            functionals.xi(family, Dirac(bool_space(), "x1"))
 
     def test_monad_check_pushes_with_the_public_pushforward(self, monkeypatch):
         domains = []
@@ -298,8 +311,9 @@ class TestPushforward:
         # unit-eta-inner pushes base functionals, assoc third-level ones
         assert {d[0][0] for d in domains} == {"x", "m"}
 
-    def test_pushforward_preserves_passing_axioms(self):
-        sp = bool_space()
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_pushforward_preserves_passing_axioms(self, K):
+        sp = FunctionSpace(("x1", "x2"), K)
         fmap = {"x1": "x2", "x2": "x2"}
         for nu in [Dirac(sp, "x1"), SupOver(sp, frozenset(sp.points))]:
             before = check_idempotent(nu)
@@ -309,9 +323,10 @@ class TestPushforward:
                 if verdict.holds:
                     assert after[law].holds, law
 
-    def test_monomorphic_on_injective_maps(self):
-        spx = bool_space()
-        spy = FunctionSpace(("x1", "x2", "x3"), BOOL)
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_monomorphic_on_injective_maps(self, K):
+        spx = FunctionSpace(("x1", "x2"), K)
+        spy = FunctionSpace(("x1", "x2", "x3"), K)
         inject = {"x1": "x1", "x2": "x2"}
         family = enumerate_idempotent(spx, JOIN_AXIOMS)
         for n1 in family:
@@ -321,6 +336,41 @@ class TestPushforward:
                 p1 = pushforward(n1, inject, spy)
                 p2 = pushforward(n2, inject, spy)
                 assert signature(p1) != signature(p2)
+
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_a_dirac_goes_to_the_dirac_at_the_image(self, K):
+        # naturality of the unit: pushing delta_x along f gives delta_f(x)
+        spx = FunctionSpace(("x1", "x2"), K)
+        spy = FunctionSpace(("y1", "y2", "y3"), K)
+        for images in product(spy.points, repeat=2):
+            fmap = dict(zip(spx.points, images))
+            for x in spx.points:
+                pushed = pushforward(Dirac(spx, x), fmap, spy)
+                assert signature(pushed) == signature(Dirac(spy, fmap[x]))
+
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_a_sup_over_goes_to_the_sup_over_the_image(self, K):
+        spx = FunctionSpace(("x1", "x2", "x3"), K)
+        spy = FunctionSpace(("y1", "y2"), K)
+        for images in product(spy.points, repeat=3):
+            fmap = dict(zip(spx.points, images))
+            for size in (1, 2, 3):
+                for E in combinations(spx.points, size):
+                    pushed = pushforward(SupOver(spx, frozenset(E)), fmap, spy)
+                    image = frozenset(fmap[x] for x in E)
+                    assert signature(pushed) == signature(SupOver(spy, image))
+
+    def test_evaluation_is_lazy_and_reads_the_inner_once(self):
+        sp = bool_space()
+        inner = Counting(SupOver(sp, frozenset(sp.points)))
+        target = FunctionSpace(("y1", "y2", "y3"), BOOL)
+        pushed = pushforward(inner, {"x1": "y1", "x2": "y3"}, target)
+        assert not inner.calls
+        for t in target.functions():
+            assert pushed.value(t) == BOOL.addv(t("y1"), t("y3"))
+        # each target function is read through one composite t o f
+        assert sum(inner.calls.values()) == len(target.functions())
+        assert set(inner.calls) == set(sp.functions())
 
 
 class TestSupports:
@@ -398,8 +448,9 @@ class TestSupports:
 
 
 class TestSupportImageLaw:
-    def test_pushforward_support_is_image_of_support(self):
-        sp = bool_space()
+    @pytest.mark.parametrize("K", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_pushforward_support_is_image_of_support(self, K):
+        sp = FunctionSpace(("x1", "x2"), K)
         points = sp.points
         family = [Dirac(sp, x) for x in points]
         family += [SupOver(sp, frozenset(s)) for size in (1, 2) for s in combinations(points, size)]

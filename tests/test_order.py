@@ -191,6 +191,30 @@ def test_pairs_decide_the_sup_condition(drawn):
         assert pair_without_sup(order, size) == scan_oracles.subset_without_sup(order, size)
 
 
+class TestPairWithoutSup:
+    def test_images_of_fewer_than_two_elements_need_no_check(self):
+        order = OrderRelation.from_covers(("a", "b"), [])
+        assert pair_without_sup(order, 0) is None
+        assert pair_without_sup(order, 1) is None
+        assert pair_without_sup(order, 2) == ("a", "b")
+
+    def test_a_chain_has_every_sup(self):
+        assert pair_without_sup(OrderRelation.chain(("0", "1", "2", "3")), 4) is None
+
+    def test_a_diamond_with_a_top_has_every_sup(self):
+        order = OrderRelation.from_covers(
+            ("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+        )
+        assert pair_without_sup(order, 4) is None
+
+    def test_the_first_failing_pair_in_combinations_order(self):
+        # a and b have two minimal upper bounds p and q, and p, q none
+        elems = ("0", "a", "b", "p", "q")
+        covers = [("0", "a"), ("0", "b"), ("a", "p"), ("b", "p"), ("a", "q"), ("b", "q")]
+        order = OrderRelation.from_covers(elems, covers)
+        assert pair_without_sup(order, 2) == ("a", "b")
+
+
 @st.composite
 def random_relations(draw):
     """Arbitrary pair sets, so that reflexivity, transitivity and
