@@ -70,8 +70,6 @@ from .functionals import (
     check_weak_properties,
     enumerate_functionals,
     enumerate_idempotent,
-    extensionally_equal,
-    is_support,
     monad_check,
     pushforward,
     signature,

@@ -63,10 +63,10 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(ws: Workspace, args) -> int:
-    defaults = ws.suite_defaults or {}
-    suites = [args.suite] if args.suite else defaults.get("run", ["all"])
-    budget = args.budget if args.budget is not None else defaults.get("budget", 20000)
-    seed = args.seed if args.seed is not None else defaults.get("seed", 0)
+    defaults = ws.suite_defaults
+    suites = [args.suite] if args.suite else defaults["run"]
+    budget = args.budget if args.budget is not None else defaults["budget"]
+    seed = args.seed if args.seed is not None else defaults["seed"]
     code, records = run_suite(ws, suites, budget, seed)
     if args.format == "records":
         for rec in records:

@@ -421,7 +421,6 @@ class SupportBounds:
     contained_in_p: bool
     contained_in_p_proper: bool
     g_invariant: bool | None
-    note: str = ""
 
 
 def support_bounds(nu: Functional, sys: ActionSystem) -> SupportBounds:
@@ -464,9 +463,7 @@ def support_bounds(nu: Functional, sys: ActionSystem) -> SupportBounds:
 
     rep = support_of(nu)
     if rep.degenerate:
-        return SupportBounds(
-            t_fixed, p_fixed, p_proper, rep.support, True, True, True, True, None, rep.note
-        )
+        return SupportBounds(t_fixed, p_fixed, p_proper, rep.support, True, True, True, True, None)
     supp = rep.support
     g_inv = None
     if not K.has_zero_divisors():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import CapacityError, IncomparableError, InputError
-from .order import OrderedCarrier, OrderRelation, check_order_axioms, sup_over
+from .order import OrderRelation, check_order_axioms, sup_over
 from .structures import FinStruct
 
 
@@ -132,9 +132,6 @@ class FunctionSpace:
     def constant(self, c: str) -> KFunction:
         return self.function({x: c for x in self.points})
 
-    def zero(self) -> KFunction:
-        return self.constant(self.K.zero)
-
     def is_monotone(self, f: KFunction, variant: str) -> bool:
         if self.point_order is None:
             raise InputError("no point order declared")
@@ -194,9 +191,6 @@ class FunctionSpace:
 
     def add(self, f: KFunction, g: KFunction) -> KFunction:
         return self.pointwise("add", f, g)
-
-    def mul(self, f: KFunction, g: KFunction) -> KFunction:
-        return self.pointwise("mul", f, g)
 
     def odot(self, c: str, f: KFunction, side: str = "left") -> KFunction:
         """Add the constant c on the named side of every value."""
@@ -289,70 +283,13 @@ class FunctionSpace:
             self._shift_positions[key] = self.position_of(g)
         return self._shift_positions[key]
 
-    def sup_value(self, f: KFunction, subset=None) -> str | None:
-        pts = self.points if subset is None else tuple(subset)
-        return sup_over({f(x) for x in pts}, self.K.order)
-
     # -- supports ---------------------------------------------------------------
 
     def support(self, f: KFunction) -> frozenset:
         self._require(f)
         return frozenset(x for x, v in zip(self.points, f.values) if v != self.K.zero)
 
-    def in_support_ideal(self, f: KFunction, E) -> bool:
-        E = frozenset(E)
-        if not E <= set(self.points):
-            raise InputError("E is not a subset of the point set")
-        return self.support(f) <= E
-
-    def extend_by_zero(self, f: KFunction) -> KFunction:
-        """Embed a function on a sub-point-set into this space with zeros."""
-        sub = set(f.domain)
-        if not sub <= set(self.points):
-            raise InputError("sub-domain is not contained in the point set")
-        vals = tuple(f(x) if x in sub else self.K.zero for x in self.points)
-        return KFunction(self.points, vals)
-
     def indicator(self, E) -> KFunction:
         E = set(E)
         vals = tuple(self.K.one if x in E else self.K.zero for x in self.points)
         return KFunction(self.points, vals)
-
-    # -- the induced finite structure ------------------------------------------
-
-    def as_finstruct(self, name: str | None = None) -> FinStruct:
-        """The whole space as a table structure, for running law checkers.
-
-        Only usable when the member set is closed under pointwise add and
-        mul, which holds for the full space and for monotone variants.
-        """
-        members = list(self.functions())
-        ids = {f: f"f{str(f.values).replace(' ', '')}" for f in members}
-        pairs = set()
-        for f in members:
-            for g in members:
-                if self.leq(f, g):
-                    pairs.add((ids[f], ids[g]))
-        zero = ids[self.zero()]
-        elems = tuple(ids[f] for f in members)
-        order = OrderRelation(elems, frozenset(pairs))
-        add = {}
-        mul = {}
-        for f in members:
-            for g in members:
-                s = self.add(f, g)
-                p = self.mul(f, g)
-                if s not in ids or p not in ids:
-                    raise InputError("space is not closed under pointwise operations")
-                add[(ids[f], ids[g])] = ids[s]
-                mul[(ids[f], ids[g])] = ids[p]
-        flags = frozenset(self.K.flags - {"quasi-solvable"})
-        return FinStruct(
-            name or self.name,
-            OrderedCarrier(order, zero),
-            add,
-            mul,
-            zero,
-            ids[self.constant(self.K.one)],
-            flags,
-        )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, product
+from itertools import groupby, product
 from operator import itemgetter
 
 from .errors import (
@@ -174,12 +174,6 @@ def signature(nu: Functional) -> tuple:
 def tabulate(nu: Functional) -> TableFunctional:
     """nu as a value table; a table is returned as it is."""
     return nu if isinstance(nu, TableFunctional) else TableFunctional(nu.space, signature(nu))
-
-
-def extensionally_equal(nu: Functional, lam: Functional) -> bool:
-    if nu.space is not lam.space and nu.space.points != lam.space.points:
-        raise InputError("functionals live on different spaces")
-    return signature(nu) == signature(lam)
 
 
 TABLE_CAP = 100_000
@@ -494,10 +488,7 @@ def check_homogeneous(nu: Functional) -> AxiomReport:
 @dataclass(frozen=True)
 class SupportReport:
     support: frozenset
-    supported_sets: tuple
-    exhaustive: bool
     degenerate: bool
-    note: str = ""
 
 
 def supported_on(nu: Functional, E) -> bool:
@@ -513,82 +504,23 @@ def supported_on(nu: Functional, E) -> bool:
     return True
 
 
-def vanishes_agreement(nu: Functional, E) -> bool:
-    """The equivalent support condition: the value depends only on the
-    restriction to E."""
-    space = nu.space
-    E = frozenset(E)
-    funcs = list(space.functions())
-    for f in funcs:
-        for g in funcs:
-            if all(f(x) == g(x) for x in E) and nu.value(f) != nu.value(g):
-                return False
-    return True
-
-
-SUPPORT_BUDGET = 100_000
-SUPPORT_SEED = 0
-
-
 def support_of(nu: Functional) -> SupportReport:
-    """Intersection of all subsets the functional is supported on.
+    """Intersection of all point sets the functional is supported on.
 
-    Exhaustive for enumerable spaces within the budget; beyond it the
-    vanishing functions are sampled and the report says so.  When not
-    even the full point set supports the functional, the support notion
-    degenerates and the report is flagged.
+    Supported sets are closed upward: a function that vanishes on E'
+    containing E also vanishes on E, so a functional supported on E is
+    supported on E'.  Hence some set supports nu exactly when the whole
+    point set does, and a point x lies in every supported set exactly
+    when the points other than x do not support nu.  So n + 1 scans of
+    `supported_on` decide the support, each over the functions of the
+    space and so guarded by `FUNCTION_CAP`.  When not even the whole
+    point set supports the functional, the support notion degenerates
+    to the whole set and the report is flagged.
     """
-    space = nu.space
-    points = space.points
-    n_functions = len(space.K.elements) ** len(points)
-    exhaustive = n_functions * (2 ** len(points)) <= SUPPORT_BUDGET
-    supported = []
-    for size in range(0, len(points) + 1):
-        for subset in combinations(points, size):
-            E = frozenset(subset)
-            ok = supported_on(nu, E) if exhaustive else _supported_sampled(nu, E)
-            if ok:
-                supported.append(E)
-    if not supported:
-        return SupportReport(
-            frozenset(points),
-            (),
-            exhaustive,
-            True,
-            "no subset supports the functional; support degenerates to the whole set",
-        )
-    support = frozenset(points)
-    for E in supported:
-        support &= E
-    note = "" if exhaustive else f"sampled with budget {SUPPORT_BUDGET}, seed {SUPPORT_SEED}"
-    return SupportReport(support, tuple(supported), exhaustive, False, note)
-
-
-def _supported_sampled(nu: Functional, E) -> bool:
-    space = nu.space
-    zero = space.K.zero
-    rng = random.Random(SUPPORT_SEED)
-    others = [x for x in space.points if x not in E]
-    for _ in range(max(64, SUPPORT_BUDGET // (2 ** len(space.points)))):
-        values = {x: zero for x in E}
-        for x in others:
-            values[x] = rng.choice(space.K.elements)
-        if nu.value(space.function(values)) != zero:
-            return False
-    return True
-
-
-def is_support(nu: Functional, E) -> bool:
-    """Minimality criterion: supported on E, and every proper subset
-    fails to pin the value down."""
-    E = frozenset(E)
-    if not supported_on(nu, E):
-        return False
-    for size in range(len(E)):
-        for sub in combinations(sorted(E), size):
-            if vanishes_agreement(nu, sub):
-                return False
-    return True
+    points = frozenset(nu.space.points)
+    if not supported_on(nu, points):
+        return SupportReport(points, True)
+    return SupportReport(frozenset(x for x in nu.space.points if not supported_on(nu, points - {x})), False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ failure comes with a concrete witness tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import InputError
 from .report import Verdict
 
-Mode = str  # "directed" | "linear" | "well"
+Mode = str  # "directed" | "linear"
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,6 @@ class OrderRelation:
         return cls(elements, pairs)
 
     @classmethod
-    def antichain(cls, elements) -> "OrderRelation":
-        """Only the reflexive pairs."""
-        elements = tuple(elements)
-        return cls(elements, frozenset((x, x) for x in elements))
-
-    @classmethod
     def from_covers(cls, elements, covers) -> "OrderRelation":
         """Reflexive-transitive closure of the given covering pairs, by
         Warshall's algorithm on the sets of elements above each element."""
@@ -75,13 +68,6 @@ class OrderRelation:
                 if k in up:
                     up |= above[k]
         return cls(elements, frozenset((x, y) for x, up in above.items() for y in up))
-
-    @classmethod
-    def from_predicate(cls, elements, pred) -> "OrderRelation":
-        """Materialize `pred(x, y)` over all carrier pairs."""
-        elements = tuple(elements)
-        pairs = frozenset((x, y) for x in elements for y in elements if pred(x, y))
-        return cls(elements, pairs)
 
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self.pairs
@@ -134,12 +120,12 @@ def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:
 
     directed: transitivity, reflexivity, and upper bounds for all pairs.
     linear:   directed axioms plus the strict-order axioms on `<`
-              (which force antisymmetry).
-    well:     linear plus a least element for every non-empty subset.
+              (which force antisymmetry).  On a finite carrier a linear
+              order is a well-order, so no subset scan is needed.
 
     Returns the first violated axiom with a minimal witness.
     """
-    if mode not in ("directed", "linear", "well"):
+    if mode not in ("directed", "linear"):
         raise InputError(f"unknown order mode {mode!r}")
     if not order.carrier:
         raise InputError("carrier must be non-empty")
@@ -173,22 +159,6 @@ def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:
             for z in order.carrier:
                 if order.lt(y, z) and not order.lt(x, z):
                     return Verdict.failed(law, ("LO1", x, y, z))
-    if mode == "linear":
-        return Verdict.passed(law)
-    return _check_well(order, law)
-
-
-def _check_well(order: OrderRelation, law: str) -> Verdict:
-    # Finite carrier: scan subsets directly while that is cheap; a finite
-    # linear antisymmetric order always passes, so larger carriers rely on
-    # the equivalence with the linear checks already done.
-    n = len(order.carrier)
-    if n > 16:
-        return Verdict.passed(law, note="WO via linearity (carrier > 16)")
-    for size in range(1, n + 1):
-        for subset in combinations(order.carrier, size):
-            if not any(all(order.leq(m, x) for x in subset) for m in subset):
-                return Verdict.failed(law, ("WO", subset))
     return Verdict.passed(law)
 
 

@@ -60,7 +60,3 @@ class AxiomReport:
 
     def __getitem__(self, law: str) -> Verdict:
         return self.verdicts[law]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(v.holds for v in self.verdicts.values())

@@ -152,14 +152,6 @@ class IndexScheme:
                 items.append((j, v))
         return SuppElement(tuple(items))
 
-    def zero_element(self) -> SuppElement:
-        return SuppElement(())
-
-    def theta(self, x: str, horizon=None) -> SuppElement:
-        """The diagonal embedding, truncated to a finite horizon."""
-        horizon = self.window if horizon is None else horizon
-        return self.element({j: x for j in horizon})
-
     def all_elements(self, indices=None):
         """Deterministic enumeration of every element supported on the
         given indices (default: the whole window)."""

@@ -107,10 +107,6 @@ class FinStruct:
     def leq(self, a: str, b: str) -> bool:
         return self.order.leq(a, b)
 
-    def is_nontrivial(self) -> bool:
-        """Contains an element that is neutral for no operation."""
-        return any(x not in (self.zero, self.one) for x in self.elements)
-
     def has_zero_divisors(self) -> bool:
         return any(
             self.mulv(a, b) == self.zero

@@ -95,7 +95,7 @@ def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
     records = []
     for name in sorted(ws.spaces):
         space = ws.spaces[name]
-        if len(space.K.elements) ** len(list(space.functions())) > budget:
+        if len(space.K.elements) ** len(space.functions()) > budget:
             records.append(
                 CheckRecord(
                     f"monad/{name}/skipped",
@@ -114,7 +114,7 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
     records = []
     for name in sorted(ws.actions):
         sys = ws.actions[name]
-        kind = ws.kinds.get(name, "join")
+        kind = ws.kinds[name]
         records.append(CheckRecord(f"convolution/{name}/action", "action", check_action(sys)))
         _validate_regime(sys)
         try:
@@ -220,7 +220,7 @@ def _upper(scheme, a, b):
     return bounds[0]
 
 
-def run_suite(ws: Workspace, suites, budget: int = 20000, seed: int = 0):
+def run_suite(ws: Workspace, suites, budget: int, seed: int):
     """Run the named suites in order, each a suite name or "all", and
     return (exit_code, records)."""
     chosen = [s for name in suites for s in (SUITES if name == "all" else (name,))]

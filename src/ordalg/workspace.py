@@ -97,7 +97,8 @@ class Workspace:
     functionals: dict = field(default_factory=dict)
     actions: dict = field(default_factory=dict)
     schemes: dict = field(default_factory=dict)
-    suite_defaults: dict = field(default_factory=dict)
+    # what `ordalg check` runs when no option overrides it; a [suite] section overrides the keys it names
+    suite_defaults: dict = field(default_factory=lambda: {"run": ["all"], "budget": 20000, "seed": 0})
     kinds: dict = field(default_factory=dict)
 
 
@@ -167,12 +168,10 @@ def _build(ws: Workspace, sec: Section) -> None:
     elif sec.kind == "scheme":
         ws.schemes[sec.name] = _build_scheme(ws, sec)
     elif sec.kind == "suite":
-        runs = sec.get("run", "").split()
-        ws.suite_defaults = {
-            "run": runs or ["all"],
-            "budget": sec.integer("budget", "20000"),
-            "seed": sec.integer("seed", "0"),
-        }
+        defaults = ws.suite_defaults
+        defaults["run"] = sec.get("run", "").split() or defaults["run"]
+        for key in ("budget", "seed"):
+            defaults[key] = sec.integer(key, str(defaults[key]))
     else:
         raise ParseError(f"unknown section kind {sec.kind!r}", sec.line)
 

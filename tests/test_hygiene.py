@@ -175,9 +175,7 @@ def test_every_private_definition_is_read():
 
 # Public definitions that no module of the package reads, each kept for a reason.
 UNREAD_PUBLIC = {
-    "extensionally_equal": "equality of functionals as the library states it; commands compare signatures",
     "check_homogeneous": "the checker of the homogeneity laws `law_instances` defines",
-    "is_support": "the minimality criterion that tests pin `support_of` against",
     "omega": "ordinals in Cantor normal form: the first infinite ordinal",
     "ord_sup": "ordinals in Cantor normal form: the sup of two ordinals",
     "parse_ordinal": "ordinals in Cantor normal form: their text form",
@@ -213,3 +211,61 @@ def test_every_public_definition_is_read():
     # __init__.py only re-exports: a name it reads is not reached by any command
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert sorted(unread_publics(sources)) == sorted(UNREAD_PUBLIC)
+
+
+# Public methods, as Class.method, that no module of the package reads, each kept for a reason.
+UNREAD_METHODS = {
+    "FunctionSpace.wedge": "perfbench/spans.py times it by name as a pointwise operation",
+}
+
+
+def public_methods(source: str) -> list[tuple[str, str]]:
+    """(class, method) for the methods of module-level classes whose
+    names do not start with an underscore; dunder methods are read by
+    the language, and other private methods by `unread_privates`."""
+    return [
+        (node.name, item.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, FUNCTIONS) and not item.name.startswith("_")
+    ]
+
+
+def unread_methods(sources: list[str]) -> list[str]:
+    """Public methods no source reads by name.  A method of a class that
+    no source reads is unread with its class, which `unread_publics`
+    reports."""
+    read = set().union(*(names_read(s) for s in sources))
+    return [
+        f"{cls}.{name}"
+        for s in sources
+        for cls, name in public_methods(s)
+        if cls in read and name not in read
+    ]
+
+
+def test_scanner_finds_an_unread_method():
+    sources = [
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self.other()\n"
+        "    def other(self):\n"
+        "        return 0\n"
+        "    def unread(self):\n"
+        "        return 1\n"
+        "    def _private(self):\n"
+        "        return 2\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "class Unread:\n"
+        "    def method(self):\n"
+        "        return 3\n",
+        "from .a import Box\nx = Box().used()\n",
+    ]
+    assert unread_methods(sources) == ["Box.unread"]
+
+
+def test_every_public_method_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert sorted(unread_methods(sources)) == sorted(UNREAD_METHODS)

@@ -16,7 +16,6 @@ from ordalg import (
     direct_product,
     maxplus_chain,
     right_dist_only,
-    trivial_structure,
 )
 from ordalg import structures
 
@@ -106,12 +105,6 @@ class TestHomomorphisms:
     def test_image_out_of_carrier_rejected(self):
         with pytest.raises(InputError):
             Homomorphism(BOOL, BOOL, {"0": "0", "1": "7"})
-
-
-def test_nontriviality_predicate():
-    assert MP3.is_nontrivial()  # element 2 is neutral for nothing
-    assert not BOOL.is_nontrivial()  # only 0 and 1
-    assert not trivial_structure().is_nontrivial()
 
 
 def test_zero_divisors_flag():

@@ -174,3 +174,17 @@ def test_a_cycle_of_order_covers_is_refused_at_its_line(tmp_path, capsys):
     assert (code, err) == (2, "error: line 3: [structure K]: order has a cycle: a <= b and b <= a\n")
     acyclic = text.replace(" b<=a", "")
     assert run_check(tmp_path, capsys, acyclic)[0] in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "suite, defaults",
+    [
+        ("", {"run": ["all"], "budget": 20000, "seed": 0}),
+        ("[suite default]\nbudget = 7\n", {"run": ["all"], "budget": 7, "seed": 0}),
+        ("[suite default]\nrun = laws monad\nseed = 3\n", {"run": ["laws", "monad"], "budget": 20000, "seed": 3}),
+    ],
+    ids=["no-section", "budget-only", "run-and-seed"],
+)
+def test_a_suite_section_overrides_the_defaults_it_names(suite, defaults):
+    ws = workspace.parse("[structure b]\nbuiltin = boolean\n\n" + suite)
+    assert ws.suite_defaults == defaults
