@@ -60,11 +60,12 @@ class FunctionSpace:
 
     The points, K and the point order are never mutated after
     construction, so what is derived from them is built once, on first
-    use: the member functions and their positions, and, by position and
-    each when first read, the order of two members (`leq_at`), their
-    guarded vee and wedge (`join_meet_at`), the constant shifts of a
-    member (`shift_at`) and the law instances of functionals on the space
-    (`functionals.law_instances`).
+    use: the member functions and their positions by value tuple, and, by
+    position and each when first read, the order of two members
+    (`leq_at`), their guarded vee and wedge (`join_meet_at`), the members
+    below a member (`down_set`, read by `check_weak_properties`), the
+    constant shifts of a member (`shift_at`) and the law instances of
+    functionals on the space (`functionals.law_instances`).
     """
 
     def __init__(
@@ -90,10 +91,15 @@ class FunctionSpace:
             if not check_order_axioms(point_order, "linear"):
                 raise InputError("monotone variants need a linear point order")
         self._funcs: tuple[KFunction, ...] | None = None
-        self._positions: dict[KFunction, int] | None = None
+        self._positions: dict[tuple, int] | None = None
         # rows by first position: small positions are shared ints, so keys cost nothing
         self._leq: defaultdict[int, dict[int, bool]] = defaultdict(dict)
         self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
+        self._below: dict[int, list[int]] = {}
+        # (join, meet) of each comparable pair of values
+        order = K.order
+        comparable = ((a, b) for a in K.elements for b in order.above[a] | order.below[a])
+        self._picks = {(a, b): (order.join(a, b), order.meet(a, b)) for a, b in comparable}
         self._shift_positions: dict[tuple, int | KFunction] = {}
         self._instances: dict[str, list] = {}
         self._check_sup_condition()
@@ -162,19 +168,26 @@ class FunctionSpace:
 
     def position(self, f: KFunction) -> int:
         """The index of f in `functions()`."""
-        i = self._position_map().get(f)
-        if i is None:
+        i = self.position_of(f)
+        if i is f:
             raise InputError(f"{f} is not a function of {self.name}")
         return i
 
     def position_of(self, f: KFunction):
         """The index of f in `functions()`, or f itself when it is not a
         member (a shift or sum can leave a monotone space)."""
-        return self._position_map().get(f, f)
+        return self._position_map().get(f.values, f) if f.domain == self.points else f
 
-    def _position_map(self) -> dict[KFunction, int]:
+    def positions_within(self, choices) -> list[int]:
+        """The positions of the members whose value at each point is one
+        of that point's choices, in enumeration order when every choice
+        lists its values in `K.elements` order."""
+        get = self._position_map().get
+        return [i for i in map(get, product(*choices)) if i is not None]
+
+    def _position_map(self) -> dict[tuple, int]:
         if self._positions is None:
-            self._positions = {g: i for i, g in enumerate(self.functions())}
+            self._positions = {g.values: i for i, g in enumerate(self.functions())}
         return self._positions
 
     def _require(self, *fs: KFunction):
@@ -257,21 +270,21 @@ class FunctionSpace:
     def join_meet_at(self, i: int, j: int, k: int) -> int | None:
         """The position of vee (k = 0) or wedge (k = 1) of the members at
         positions i and j, or None when some point has incomparable values.
-        Comparability is decided once per pair, and each of vee and wedge
-        when first read."""
+        Both are decided once per pair, from K's (join, meet) of each pair
+        of values, and looked up by value tuple (the vee and wedge of two
+        members are members, monotone ones too)."""
         row = self._join_meet[i]
         if j not in row:
-            apart = self.comparable_pointwise(self._funcs[i], self._funcs[j])
-            row[j] = (None, None) if apart is None else None
+            picks = list(map(self._picks.get, zip(self._funcs[i].values, self._funcs[j].values)))
+            row[j] = None if None in picks else tuple(map(self._position_map().__getitem__, zip(*picks)))
         halves = row[j]
-        if halves is None:
-            return None
-        if halves[k] is None:
-            f, g = self._funcs[i], self._funcs[j]
-            pick = self.K.order.join if k == 0 else self.K.order.meet
-            made = self.position(KFunction(self.points, tuple(map(pick, f.values, g.values))))
-            halves = row[j] = (made, halves[1]) if k == 0 else (halves[0], made)
-        return halves[k]
+        return None if halves is None else halves[k]
+
+    def down_set(self, q: int) -> list[int]:
+        """The positions of the members below the member at position q, decided once per q."""
+        if q not in self._below:
+            self._below[q] = self.positions_within([self.K.order.below[v] for v in self._funcs[q].values])
+        return self._below[q]
 
     def shift_at(self, op: str, c: str, side: str, i: int):
         """The position of the constant shift of the member at position i,

@@ -421,7 +421,10 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
 def check_weak_properties(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Weak additivity, order preservation, normalization and the
     non-expansion property, plus the consistency entry asserting that the
-    first two force the last.  Each function is evaluated at most once."""
+    first two force the last.  Each function is evaluated at most once.
+    On the whole grid, with every shift a member, order preservation and
+    non-expansion are decided from the upper bounds of nu over each
+    down-set, and the pairs are scanned only for a failing law's witness."""
     values = LazyValues(nu)
     space = nu.space
     K = space.K
@@ -430,36 +433,46 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     funcs = space.functions()
     n = range(len(funcs))
     wa = law_verdict(values, "weakly-additive")
-
-    # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
-    # (f <= c o h gives nu(f) <= c o nu(h), for c added on the right, then
-    # on the left) in one pass over the pairs (f, h) of positions; the
-    # shifts of each h and their bounds are looked up once.
     pairs, sampled = _grid(n, n, budget, seed)
     shifted = {}
-    leq_at = space.leq_at
-    op = ne = None
-    for i, j in product(n, n) if pairs is None else pairs:
+
+    def shifts(j):
+        # nu(h) and the shifts of h with their bounds; a (shift, bound)
+        # seen before decides alike: keep its first (c, side)
         if j not in shifted:
             nh = values[j]
-            # a (shift, bound) seen before decides alike: keep its first (c, side)
             firsts = {}
             for c in K.elements:
                 for side in ("right", "left"):
                     bound = K.add[(nh, c)] if side == "right" else K.add[(c, nh)]
                     firsts.setdefault((space.shift_at("add", c, side, j), bound), (c, side))
             shifted[j] = nh, list(firsts.items())
-        nh, shifts = shifted[j]
-        nf = values[i]
-        if op is None and leq_at(i, j) and not K.leq(nf, nh):
-            op = (funcs[i], funcs[j], nf, nh)
-        if ne is None:
-            for (q, bound), (c, side) in shifts:
-                if leq_at(i, q) and not K.leq(nf, bound):
-                    ne = (funcs[i], funcs[j], c, side)
-                    break
-        if op is not None and ne is not None:
+        return shifted[j]
+
+    find_op = find_ne = True
+    if pairs is None and all(isinstance(q, int) for j in n for (q, _), _ in shifts(j)[1]):
+        above = K.order.above
+        # bounds[q]: the upper bounds of nu over the members below the member at q
+        bounds = [frozenset.intersection(*{above[values[i]] for i in space.down_set(q)}) for q in n]
+        find_op = any(values[q] not in bounds[q] for q in n)
+        find_ne = any(bound not in bounds[q] for j in n for (q, bound), _ in shifted[j][1])
+
+    # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
+    # (f <= c o h gives nu(f) <= c o nu(h), c added on the right, then on
+    # the left): their first witnesses in one pass over the pairs (f, h)
+    leq_at = space.leq_at
+    op = ne = None
+    for i, j in product(n, n) if pairs is None else pairs:
+        if not (find_op or find_ne):
             break
+        nh, cells = shifts(j)
+        nf = values[i]
+        if find_op and leq_at(i, j) and not K.leq(nf, nh):
+            op, find_op = (funcs[i], funcs[j], nf, nh), False
+        for (q, bound), (c, side) in cells if find_ne else ():
+            if leq_at(i, q) and not K.leq(nf, bound):
+                ne, find_ne = (funcs[i], funcs[j], c, side), False
+                break
 
     report.add(wa)
     report.add(Verdict(op is None, "order-preserving", op))
@@ -492,16 +505,16 @@ class SupportReport:
 
 
 def supported_on(nu: Functional, E) -> bool:
-    """All functions vanishing on E are sent to zero."""
+    """All functions vanishing on E are sent to zero; only those
+    functions are made, in enumeration order."""
     space = nu.space
     E = frozenset(E)
     if not E <= set(space.points):
         raise InputError("E is not a subset of the point set")
-    zero = space.K.zero
-    for f in space.functions():
-        if all(f(x) == zero for x in E) and nu.value(f) != zero:
-            return False
-    return True
+    K = space.K
+    funcs = space.functions()
+    choices = [(K.zero,) if x in E else K.elements for x in space.points]
+    return all(nu.value(funcs[i]) == K.zero for i in space.positions_within(choices))
 
 
 def support_of(nu: Functional) -> SupportReport:

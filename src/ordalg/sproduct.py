@@ -57,8 +57,10 @@ class IndexScheme:
 
     The component, the window and the maps are never mutated after
     construction: `phi_inverse[op]` maps phi(j) back to j for j in the
-    window (phi is strictly monotone there), and `elements` is the
-    component carrier as a set.
+    window (phi is strictly monotone there), `elements` is the component
+    carrier as a set, and `plan[op]` holds, for each j in the window,
+    psi(j) (None when it escapes the window), phi(j) and the table of
+    t^{phi(j)}_j over the component, which `s_mu` reads.
     """
 
     component: FinStruct
@@ -68,6 +70,7 @@ class IndexScheme:
     embed: dict | None = None
     phi_inverse: dict = field(init=False, repr=False)
     elements: frozenset = field(init=False, repr=False)
+    plan: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.window) == 0:
@@ -98,6 +101,15 @@ class IndexScheme:
                 for b in self.component.elements:
                     if order.lt(a, b) and not order.lt(self.embed[a], self.embed[b]):
                         raise InputError(f"embedding not strictly monotone at ({a},{b})")
+        # one embedding table per distance phi(j) - j, shared by every j at that distance
+        psi, phi, window = self.psi, self.phi, self.window
+        distances = {phi[op][j] - j for op in OPS for j in window}
+        down = {d: {a: self.embed_down(d, 0, a) for a in self.elements} for d in distances}
+
+        def step(op, j):
+            return psi[op][j] if psi[op][j] in window else None, phi[op][j], down[phi[op][j] - j]
+
+        object.__setattr__(self, "plan", {op: {j: step(op, j) for j in window} for op in OPS})
 
     def _validate_map(self, m, op, down: bool):
         if isinstance(m, int):
@@ -164,28 +176,28 @@ def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppEl
     """One product operation: the value at psi(j) combines y at j with the
     embedded z value read at phi(j).  Zero results are dropped, so the
     output is canonical.  Only y's support and the window indices that
-    phi sends into z's support are visited."""
+    phi sends into z's support are visited, in increasing order, so the
+    entries come out sorted (psi is strictly monotone)."""
     if op not in OPS:
         raise InputError(f"unknown operation {op!r}")
     K = scheme.component
     zero = K.zero
     table = K.add if op == "add" else K.mul
-    touched = set(y.support)
+    ys, zs = y.by_index, z.by_index
     inverse = scheme.phi_inverse[op]
-    touched.update(inverse[k] for k in z.support if k in inverse)
-    out = {}
+    touched = set(ys).union(inverse[k] for k in zs if k in inverse)
+    plan = scheme.plan[op]
+    items = []
     for j in sorted(touched):
-        if j not in scheme.window:
+        if j not in plan:
             raise CapacityError(f"support index {j} outside the active window")
-        target = scheme.psi_at(op, j)
-        if target not in scheme.window:
-            raise CapacityError(f"shifted index psi({j}) = {target} escapes the window")
-        pj = scheme.phi_at(op, j)
-        zv = z.get(pj, zero)
-        value = table[(y.get(j, zero), scheme.embed_down(pj, j, zv))]
+        target, pj, down = plan[j]
+        if target is None:
+            raise CapacityError(f"shifted index psi({j}) = {scheme.psi_at(op, j)} escapes the window")
+        value = table[(ys.get(j, zero), down[zs.get(pj, zero)])]
         if value != zero:
-            out[target] = value
-    return scheme.element(out)
+            items.append((target, value))
+    return SuppElement(tuple(items))
 
 
 def componentwise_leq(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> bool:

@@ -8,16 +8,17 @@ pointwise order of a function space point by point, the cubic law scans
 over all triples, and
 the shifted product by a scan of the whole index window with a linear
 lookup of element values, the laws of functionals as one loop per
-checker over the functions of the space, the monad of functionals
+checker over the functions of the space (order preservation and
+non-expansion as one joint scan of the pairs), the monad of functionals
 extensionally, with families deduplicated and sorted by their value
 tables over the upper spaces and the flattening tabulated there, and
 convolution with each translate made by `apply_T` where it is read and
 products cached by the tables of their factors, and the support of a
 functional as the intersection over every subset of its points that
-supports it.  Tests compare the library against them verdict by verdict
-and witness by witness.  The support section also keeps the minimality
-criterion and the restriction-agreement condition that tests pin
-supports against.
+supports it, each subset decided by a walk over every function.  Tests
+compare the library against them verdict by verdict and witness by
+witness.  The support section also keeps the minimality criterion and
+the restriction-agreement condition that tests pin supports against.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from ordalg import (
     dirac_unit,
     enumerate_idempotent,
     signature,
-    supported_on,
     tabulate,
 )
 from ordalg.convolution import SupportBounds
@@ -226,6 +226,34 @@ def weak_laws(nu) -> dict:
     laws = {"right": "weakly-additive", "left": "weakly-additive"}
     wa = constant_law(space, value, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3]))
     return {**wa, "normalized": normalized(space, value)}
+
+
+def weak_order_laws(nu, budget=None, seed=0) -> dict:
+    """Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
+    (f <= c o h gives nu(f) <= c o nu(h), c added on the right, then on
+    the left), by one joint scan of the pairs (f, h), sampled as
+    `check_weak_properties` samples them, each law failing at its first
+    failing pair; and whether the pairs were sampled."""
+    value = evaluator(nu)
+    space = nu.space
+    K = space.K
+    funcs = space.functions()
+    pairs, sampled = grid(funcs, funcs, budget, seed)
+    op = ne = None
+    for f, h in pairs:
+        nf, nh = value(f), value(h)
+        if op is None and pointwise_leq(space, f, h) and not K.leq(nf, nh):
+            op = (f, h, nf, nh)
+        for c, side in product(K.elements, ("right", "left")):
+            if ne is not None:
+                break
+            bound = K.addv(nh, c) if side == "right" else K.addv(c, nh)
+            if pointwise_leq(space, f, space.odot(c, h, side)) and not K.leq(nf, bound):
+                ne = (f, h, c, side)
+        if op is not None and ne is not None:
+            break
+    laws = {"order-preserving": op, "non-expanding": ne}
+    return {law: Verdict(w is None, law, w) for law, w in laws.items()}, sampled
 
 
 def check_homogeneous(nu) -> dict:
@@ -571,6 +599,17 @@ def support_bounds(nu, sys) -> SupportBounds:
 
 
 # -- supports ----------------------------------------------------------------------
+
+
+def supported_on(nu, E) -> bool:
+    """All functions vanishing on E are sent to zero, by a walk over every
+    function, each point of E read through the function."""
+    space = nu.space
+    zero = space.K.zero
+    for f in space.functions():
+        if all(f(x) == zero for x in E) and nu.value(f) != zero:
+            return False
+    return True
 
 
 def support_of(nu) -> SupportReport:

@@ -242,6 +242,38 @@ def test_each_product_is_made_once(monkeypatch, seed):
     assert len(made) >= 2 * len(alg.members) ** 2
 
 
+def test_distributivity_reads_each_product_row_once(monkeypatch):
+    sys = z2_action(MP3)
+    alg = saturate(all_kind_functionals(sys, "join"), sys, "join")
+    reads = Counter()
+    combine = ConvAlgebra.combine
+
+    def counted(self, op, nu, lam):
+        reads[op] += 1
+        return combine(self, op, nu, lam)
+
+    monkeypatch.setattr(ConvAlgebra, "combine", counted)
+    rep = check_quasiring(alg)
+    m = len(alg.members)
+    assert m > 10 and all(rep.verdicts.values())
+    # closure reads each product once, distributivity each (member, lam,
+    # flip) once, and the unit two per member: no product per triple
+    assert reads["star"] <= 3 * m * m + 2 * m
+    assert reads["plus"] <= 2 * m * m + 2 * m**3
+
+
+def test_distributivity_fails_at_the_first_triple_of_each_law():
+    sys = left_zero_action()
+    alg = saturate([TableFunctional(sys.space, tuple(NU))], sys, "join")
+    nu, mu, sigma, zero = alg.members
+    # a wrong sum: nu + mu read as zero.  The pair (nu, mu) is the first
+    # to fail both laws; the left law fails there at lam = nu and at
+    # lam = sigma, and the first lam is kept
+    alg._made["plus", nu, mu] = zero
+    rep = check_quasiring(alg)
+    assert rep["conv-right-dist"].witness == rep["conv-left-dist"].witness == (str(nu), str(mu), str(nu))
+
+
 class TestTableLookup:
     def test_value_reads_the_position_of_the_function(self):
         sp, funcs = bool_square()

@@ -298,6 +298,35 @@ class TestOrderLookups:
         if sp.variant == "+":
             assert outside
 
+    @pytest.mark.parametrize("sp", LEQ_SPACES, ids=lambda sp: sp.name + (sp.variant or ""))
+    def test_down_sets_vee_and_wedge_are_the_pointwise_ones(self, sp):
+        members = sp.functions()
+        for q, g in enumerate(members):
+            assert sorted(sp.down_set(q)) == [i for i, f in enumerate(members) if scan_oracles.pointwise_leq(sp, f, g)]
+        incomparable = 0
+        for (i, f), (j, g) in product(enumerate(members), repeat=2):
+            try:
+                want = sp.position(sp.vee(f, g)), sp.position(sp.wedge(f, g))
+            except IncomparableError:
+                want, incomparable = (None, None), incomparable + 1
+            assert (sp.join_meet_at(i, j, 0), sp.join_meet_at(i, j, 1)) == want
+        if sp.K.name == "pxq":
+            assert incomparable
+
+    def test_positions_within_keep_enumeration_order(self):
+        sp = space(points=("x1", "x2", "x3"), K=MP3, point_order=OrderRelation.chain(("x1", "x2", "x3")), variant="-")
+        members = sp.functions()
+        choices = [MP3.elements, ("0",), MP3.elements]
+        want = [i for i, f in enumerate(members) if f.values[1] == "0"]
+        assert sp.positions_within(choices) == want and len(want) == 3
+
+    def test_a_function_on_other_points_has_no_position(self):
+        sp = space()
+        f = KFunction(("y1", "y2"), ("0", "1"))
+        assert sp.position_of(f) is f
+        with pytest.raises(InputError, match="is not a function of"):
+            sp.position(f)
+
     def test_a_shift_position_is_kept_once(self):
         sp = space(points=("x1", "x2"), K=MP3)
         f = sp.function({"x1": "1", "x2": "0"})

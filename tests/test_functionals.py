@@ -41,6 +41,7 @@ from ordalg import (
 )
 from ordalg import functionals
 from ordalg.functionals import IDEMPOTENT_AXIOMS, TABLE_CAP, SupportReport
+from ordalg.suites import suite_idempotent
 from ordalg.workspace import parse
 
 BOOL = boolean_semiring()
@@ -799,6 +800,75 @@ class TestSharedRelations:
         assert sizes() == first
 
 
+SYMBOLIC_SPACE = """
+[structure mp3]
+builtin = max-plus-chain 3
+
+[space S]
+structure = mp3
+points = a b c d
+
+[functional d0]
+space = S
+kind = dirac
+point = d
+
+[functional d1]
+space = S
+kind = dirac
+point = b
+
+[functional s2]
+space = S
+kind = sup_over
+set = a d
+
+[functional s3]
+space = S
+kind = sup_over
+set = a b c
+
+[functional i2]
+space = S
+kind = inf_over
+set = b c
+
+[functional cl]
+space = S
+kind = combo
+side = left
+coeffs = 1 1
+parts = s2 d1
+
+[functional cr]
+space = S
+kind = combo
+side = right
+coeffs = 1 1
+parts = i2 d0
+"""
+
+
+def test_the_idempotent_suite_reads_the_pair_order_once_per_space(monkeypatch):
+    """Order preservation and non-expansion are decided from down-sets, so
+    the seven functionals of the space together read the pointwise order
+    of at most |funcs|^2 pairs, not that many each."""
+    ws = parse(SYMBOLIC_SPACE)
+    reads = Counter()
+    leq_at = FunctionSpace.leq_at
+
+    def counted(self, i, j):
+        reads[self.name] += 1
+        return leq_at(self, i, j)
+
+    monkeypatch.setattr(FunctionSpace, "leq_at", counted)
+    records = suite_idempotent(ws, 20000, 0)
+    n = len(ws.spaces["S"].functions())
+    assert len(ws.functionals) == 7 and len(records) == 7 * 9
+    assert all(r.verdict.holds for r in records if r.check_id.startswith("weak/"))
+    assert sum(reads.values()) <= n * n
+
+
 class TestShiftOutsideTheSpace:
     """On a non-decreasing space over the skew chain, 2 + (0, 1) = (2, 1)
     leaves the space.  A symbolic functional is evaluated there; a value
@@ -863,6 +933,13 @@ class TestLawsAgainstTheScanOracles:
         weak = check_weak_properties(nu)
         for law, verdict in scan_oracles.weak_laws(nu).items():
             assert weak[law] == verdict
+        for budget, seed in ((None, 0), (40, 3)):
+            weak = check_weak_properties(nu, budget, seed)
+            want, sampled = scan_oracles.weak_order_laws(nu, budget, seed)
+            assert {law: weak[law] for law in want} == want
+            assert weak.sampled == sampled
+            implied = weak["weakly-additive"].holds and want["order-preserving"].holds
+            assert weak["weak-implies-nonexpanding"].holds == (not implied or want["non-expanding"].holds)
         assert list(check_homogeneous(nu).verdicts.items()) == list(scan_oracles.check_homogeneous(nu).items())
         for kind in ("join", "meet", "add"):
             assert outcome(check_kind, nu, kind) == outcome(scan_oracles.check_kind, nu, kind)
@@ -898,6 +975,27 @@ class TestSupportAgainstTheOracle:
     )
     def test_symbolic_functionals(self, name, nu):
         assert support_of(nu) == scan_oracles.support_of(nu)
+
+    @pytest.mark.parametrize(
+        "space", [*ORACLE_SPACES, TestShiftOutsideTheSpace().space()], ids=lambda sp: sp.name + (sp.variant or "")
+    )
+    def test_supported_on_every_table_and_point_set(self, space):
+        point_sets = [E for size in range(len(space.points) + 1) for E in combinations(space.points, size)]
+        for nu in enumerate_functionals(space):
+            for E in point_sets:
+                assert supported_on(nu, E) == scan_oracles.supported_on(nu, E)
+
+    def test_only_the_functions_vanishing_on_E_are_read(self, monkeypatch):
+        sp = FunctionSpace(("x1", "x2", "x3", "x4"), MP3)
+        nu = Counting(tabulate(SupOver(sp, frozenset({"x1", "x3"}))))
+
+        def called(self, x):
+            raise AssertionError("a function was read point by point")
+
+        monkeypatch.setattr(KFunction, "__call__", called)
+        assert supported_on(nu, {"x1", "x3"})
+        vanishing = [f for f in sp.functions() if f.values[0] == f.values[2] == "0"]
+        assert list(nu.calls) == vanishing and set(nu.calls.values()) == {1}
 
 
 MONAD_SPACES = [

@@ -293,6 +293,28 @@ class TestSMuAgainstWindowScan:
                 assert s_mu(op, y, z, scheme) == expected
         assert escapes > 0
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+    def test_results_are_canonical_without_the_element_constructor(self, name, monkeypatch):
+        scheme = ORACLE_SCHEMES[name]
+        rng = random.Random(name)
+        pairs = [(random_element(rng, scheme), random_element(rng, scheme)) for _ in range(200)]
+
+        def refused(self, mapping):
+            raise AssertionError("s_mu built its result through IndexScheme.element")
+
+        monkeypatch.setattr(IndexScheme, "element", refused)
+        results = []
+        for (y, z), op in product(pairs, ("add", "mul")):
+            try:
+                results.append(s_mu(op, y, z, scheme))
+            except CapacityError:
+                continue
+        monkeypatch.undo()
+        assert len(results) > 200
+        for got in results:
+            again = scheme.element(dict(got.items))
+            assert got == again and hash(got) == hash(again) and got.by_index == again.by_index
+
     def test_values_are_read_by_index(self):
         sch = bool_scheme()
         y = sch.element({3: "1", 1: "1"})
