@@ -36,31 +36,29 @@ class SuppElement:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.items)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def __str__(self) -> str:
         if not self.items:
             return "{}"
         return "{" + ", ".join(f"{k}: {v}" for k, v in self.items) + "}"
 
 
+WINDOW_CAP = 10_000
+
+
 @dataclass(frozen=True, eq=False)
 class IndexScheme:
-    """Shift maps, embeddings and the active index window.
+    """Shift offsets, embeddings and the active index window.
 
-    Shifts are given per operation either as non-negative integers
-    (psi(j) = j - s, phi(j) = j + r) or as explicit monotone tables over
-    the window; integers become tables at construction.  The embedding
-    `embed` is a single one-step map applied (j - k) times for t^j_k;
-    identity when None.
+    Each operation has two non-negative integer offsets, `psi[op] = s`
+    and `phi[op] = r`, read as psi(j) = j - s and phi(j) = j + r.  The
+    embedding `embed` is a single one-step map, and t^r applies it r
+    times; identity when None.  A window of more than `WINDOW_CAP`
+    indices is refused.
 
-    The component, the window and the maps are never mutated after
-    construction: `phi_inverse[op]` maps phi(j) back to j for j in the
-    window (phi is strictly monotone there), `elements` is the component
-    carrier as a set, and `plan[op]` holds, for each j in the window,
-    psi(j) (None when it escapes the window), phi(j) and the table of
-    t^{phi(j)}_j over the component, which `s_mu` reads.
+    The component, the window and the offsets are never mutated after
+    construction: `elements` is the component carrier as a set, and
+    `down[op]` is the table of t^r_0 over the component, which `s_mu`
+    reads.
     """
 
     component: FinStruct
@@ -68,26 +66,21 @@ class IndexScheme:
     psi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
     phi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
     embed: dict | None = None
-    phi_inverse: dict = field(init=False, repr=False)
     elements: frozenset = field(init=False, repr=False)
-    plan: dict = field(init=False, repr=False)
+    down: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.window) == 0:
+        size = self.window.stop - self.window.start
+        if size <= 0:
             raise InputError("empty index window")
+        if size > WINDOW_CAP:
+            raise CapacityError(f"window of {size} indices exceeds the cap {WINDOW_CAP}")
         for op in OPS:
             if op not in self.psi or op not in self.phi:
                 raise InputError(f"missing shift maps for operation {op!r}")
-            self._validate_map(self.psi[op], op, down=True)
-            self._validate_map(self.phi[op], op, down=False)
-        for name, sign in (("psi", -1), ("phi", 1)):
-            tables = {
-                op: {j: j + sign * m for j in self.window} if isinstance(m, int) else m
-                for op, m in getattr(self, name).items()
-            }
-            object.__setattr__(self, name, tables)
-        inverse = {op: {self.phi[op][j]: j for j in self.window} for op in OPS}
-        object.__setattr__(self, "phi_inverse", inverse)
+            for name, m in (("psi", self.psi[op]), ("phi", self.phi[op])):
+                if type(m) is not int or m < 0:
+                    raise InputError(f"{name}[{op}] must be a non-negative integer offset, got {m!r}")
         object.__setattr__(self, "elements", frozenset(self.component.elements))
         if self.embed is not None:
             hom = Homomorphism(self.component, self.component, dict(self.embed))
@@ -101,54 +94,18 @@ class IndexScheme:
                 for b in self.component.elements:
                     if order.lt(a, b) and not order.lt(self.embed[a], self.embed[b]):
                         raise InputError(f"embedding not strictly monotone at ({a},{b})")
-        # one embedding table per distance phi(j) - j, shared by every j at that distance
-        psi, phi, window = self.psi, self.phi, self.window
-        distances = {phi[op][j] - j for op in OPS for j in window}
-        down = {d: {a: self.embed_down(d, 0, a) for a in self.elements} for d in distances}
+        down = {op: {a: self._embed_times(self.phi[op], a) for a in self.elements} for op in OPS}
+        object.__setattr__(self, "down", down)
 
-        def step(op, j):
-            return psi[op][j] if psi[op][j] in window else None, phi[op][j], down[phi[op][j] - j]
-
-        object.__setattr__(self, "plan", {op: {j: step(op, j) for j in window} for op in OPS})
-
-    def _validate_map(self, m, op, down: bool):
-        if isinstance(m, int):
-            if m < 0:
-                raise InputError(f"{op} shift must be non-negative")
-            return
-        if not isinstance(m, dict):
-            raise InputError("shift map must be an int shift or an explicit table")
-        for j in self.window:
-            if j not in m:
-                raise InputError(f"{op} shift table missing index {j}")
-        vals = [m[j] for j in self.window]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise InputError(f"{op} shift table must be strictly monotone")
-        if down:
-            if any(m[j] > j for j in self.window):
-                raise InputError(f"psi[{op}] must satisfy psi(j) <= j")
-        else:
-            if any(m[j] < j for j in self.window):
-                raise InputError(f"phi[{op}] must satisfy j <= phi(j)")
-
-    def psi_at(self, op: str, j: int) -> int:
-        return self.psi[op][j]
-
-    def phi_at(self, op: str, j: int) -> int:
-        return self.phi[op][j]
-
-    def phi_moves(self, op: str) -> bool:
-        return any(self.phi[op][j] > j for j in self.window)
-
-    def embed_down(self, j: int, k: int, a: str) -> str:
-        """t^j_k(a): push a from level j down to level k <= j."""
-        if k > j:
-            raise InputError("embeddings only go downward in index")
+    def _embed_times(self, r: int, a: str) -> str:
+        """t^r_0(a).  The embedding permutes the finite carrier, so r is
+        read modulo the length of a's cycle."""
         if self.embed is None:
             return a
-        for _ in range(j - k):
-            a = self.embed[a]
-        return a
+        cycle = [a]
+        while self.embed[cycle[-1]] != a:
+            cycle.append(self.embed[cycle[-1]])
+        return cycle[r % len(cycle)]
 
     # -- element constructors ------------------------------------------------
 
@@ -173,28 +130,27 @@ class IndexScheme:
 
 
 def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppElement:
-    """One product operation: the value at psi(j) combines y at j with the
-    embedded z value read at phi(j).  Zero results are dropped, so the
-    output is canonical.  Only y's support and the window indices that
-    phi sends into z's support are visited, in increasing order, so the
-    entries come out sorted (psi is strictly monotone)."""
+    """One product operation: the value at psi(j) = j - s combines y at j
+    with z read at phi(j) = j + r and embedded by t^r.  Zero results are
+    dropped, so the output is canonical.  Only y's support and the window
+    indices k - r for k in z's support are visited, in increasing order,
+    so the entries come out sorted."""
     if op not in OPS:
         raise InputError(f"unknown operation {op!r}")
     K = scheme.component
     zero = K.zero
     table = K.add if op == "add" else K.mul
+    s, r, down = scheme.psi[op], scheme.phi[op], scheme.down[op]
+    lo, hi = scheme.window.start, scheme.window.stop
     ys, zs = y.by_index, z.by_index
-    inverse = scheme.phi_inverse[op]
-    touched = set(ys).union(inverse[k] for k in zs if k in inverse)
-    plan = scheme.plan[op]
     items = []
-    for j in sorted(touched):
-        if j not in plan:
+    for j in sorted(set(ys).union([k - r for k in zs if lo + r <= k < hi + r])):
+        if not lo <= j < hi:
             raise CapacityError(f"support index {j} outside the active window")
-        target, pj, down = plan[j]
-        if target is None:
-            raise CapacityError(f"shifted index psi({j}) = {scheme.psi_at(op, j)} escapes the window")
-        value = table[(ys.get(j, zero), down[zs.get(pj, zero)])]
+        target = j - s
+        if target < lo:
+            raise CapacityError(f"shifted index psi({j}) = {target} escapes the window")
+        value = table[(ys.get(j, zero), down[zs.get(j + r, zero)])]
         if value != zero:
             items.append((target, value))
     return SuppElement(tuple(items))
@@ -243,11 +199,11 @@ def find_nonassoc_witness(op: str, scheme: IndexScheme, budget: int = 1000) -> S
     construction degenerates to the plain product otherwise) and at least
     two component elements, so that a difference can show up at all.
     """
-    if not scheme.phi_moves(op):
+    if not scheme.phi[op]:
         raise PreconditionError("phi must satisfy j < phi(j) for the non-associativity search")
     if len(scheme.component.elements) < 2:
         raise PreconditionError("components must have at least two elements")
-    sub = scheme.window[: max(1, len(scheme.window) - 2 * _max_shift(scheme, op))]
+    sub = scheme.window[: max(1, len(scheme.window) - 2 * scheme.phi[op])]
     sample = list(islice(scheme.all_elements(sub), 64))
     tested = 0
     for a, b, c in product(sample, repeat=3):
@@ -265,10 +221,6 @@ def find_nonassoc_witness(op: str, scheme: IndexScheme, budget: int = 1000) -> S
     return SearchResult(None, tested)
 
 
-def _max_shift(scheme: IndexScheme, op: str) -> int:
-    return max(scheme.phi[op][j] - j for j in scheme.window)
-
-
 def _first_diff(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> int:
     zero = scheme.component.zero
     for j in sorted(set(y.support) | set(z.support)):
@@ -280,7 +232,7 @@ def _first_diff(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> int:
 def check_transfer_distributivity(scheme: IndexScheme, side: str, triples) -> Verdict:
     """Distributivity transfer: with identity shifts on add, each side
     that holds in the component holds for the product operations."""
-    if any(scheme.psi_at("add", j) != j or scheme.phi_at("add", j) != j for j in scheme.window):
+    if scheme.psi["add"] or scheme.phi["add"]:
         raise PreconditionError("transfer requires identity shifts for add")
     if side not in ("left", "right"):
         raise InputError(f"unknown side {side!r}")

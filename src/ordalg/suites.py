@@ -20,7 +20,7 @@ from .convolution import (
     saturate,
     support_bounds,
 )
-from .errors import OrdalgError, PreconditionError
+from .errors import InputError, OrdalgError, PreconditionError
 from .functionals import check_idempotent, check_weak_properties, monad_check
 from .order import check_order_axioms
 from .report import Verdict, fmt_witness
@@ -170,7 +170,7 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
                 break
         records.append(CheckRecord(f"s-construction/{name}/directed", "directed", directed))
 
-        if scheme.phi_moves("mul"):
+        if scheme.phi["mul"]:
             result = find_nonassoc_witness("mul", scheme, budget=min(budget, 1000))
             if result.found:
                 a, b, c, left, right = result.witness
@@ -188,9 +188,7 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
         for side in ("left", "right"):
             if f"{side}-dist" not in scheme.component.flags:
                 continue
-            if any(
-                scheme.psi_at("add", j) != j or scheme.phi_at("add", j) != j for j in scheme.window
-            ):
+            if scheme.psi["add"] or scheme.phi["add"]:
                 continue
             pool = list(islice(scheme.all_elements(scheme.window[:2]), 32))
             triples = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(min(budget, 500))]
@@ -223,6 +221,8 @@ def _upper(scheme, a, b):
 def run_suite(ws: Workspace, suites, budget: int, seed: int):
     """Run the named suites in order, each a suite name or "all", and
     return (exit_code, records)."""
+    if budget < 1:
+        raise InputError(f"budget {budget} must be at least 1")
     chosen = [s for name in suites for s in (SUITES if name == "all" else (name,))]
     for s in chosen:
         if s not in SUITES:

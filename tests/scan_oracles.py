@@ -685,20 +685,22 @@ def s_mu(op: str, y, z, scheme):
     K = scheme.component
     zero = K.zero
     table = K.add if op == "add" else K.mul
+    s, r = scheme.psi[op], scheme.phi[op]
     touched = set(y.support)
     for j in scheme.window:
-        if get(z, scheme.phi_at(op, j), zero) != zero:
+        if get(z, j + r, zero) != zero:
             touched.add(j)
     out = {}
     for j in sorted(touched):
         if j not in scheme.window:
             raise CapacityError(f"support index {j} outside the active window")
-        target = scheme.psi_at(op, j)
-        if target not in scheme.window:
-            raise CapacityError(f"shifted index psi({j}) = {target} escapes the window")
-        pj = scheme.phi_at(op, j)
-        zv = get(z, pj, zero)
-        value = table[(get(y, j, zero), scheme.embed_down(pj, j, zv))]
+        if j - s not in scheme.window:
+            raise CapacityError(f"shifted index psi({j}) = {j - s} escapes the window")
+        zv = get(z, j + r, zero)
+        if scheme.embed is not None:
+            for _ in range(r):
+                zv = scheme.embed[zv]
+        value = table[(get(y, j, zero), zv)]
         if value != zero:
-            out[target] = value
+            out[j - s] = value
     return scheme.element(out)

@@ -137,6 +137,27 @@ def test_a_space_beyond_the_function_cap_exits_2_promptly(tmp_path, capsys, suit
     assert err == "error: 12960000 functions on S exceed the cap 65536\n"
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_1_exits_2_from_either_source(tmp_path, capsys, budget):
+    message = f"error: budget {budget} must be at least 1\n"
+    assert run(capsys, "check", DEMO, "--budget", budget) == (2, "", message)
+    doc = tmp_path / "budget.workspace"
+    doc.write_text(DEMO.read_text(encoding="utf-8").replace("budget = 20000", f"budget = {budget}"), encoding="utf-8")
+    assert run(capsys, "check", doc, "--format", "records") == (2, "", message)
+    code, out, err = run(capsys, "check", doc, "--format", "records", "--budget", 20000)
+    assert (code, out.encode("utf-8"), err) == (1, GOLDEN.read_bytes(), "")
+
+
+def test_a_window_beyond_the_cap_exits_2_promptly(tmp_path, capsys):
+    doc = tmp_path / "wide-window.workspace"
+    doc.write_text(DEMO.read_text(encoding="utf-8").replace("window = 0 5", "window = 0 1000000000000"), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", doc, "--suite", "s-construction")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: line 53: [scheme Sch]: window of 1000000000000 indices exceeds the cap 10000\n"
+
+
 # the records of the demo's action with K = mp3: a 46-member algebra
 MP3_ACTION_RECORDS = [
     f"convolution/A/{law}\t{law}\tpass\t-"
@@ -204,4 +225,31 @@ def test_a_mutated_demo_exits_0_1_or_2(tmp_path_factory, text):
     doc.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["check", str(doc), "--format", "records"])
+    assert code in (0, 1, 2)
+
+
+@st.composite
+def rescaled_scheme(draw):
+    """The demo with the window and the four offsets of its [scheme Sch]
+    replaced by integers from -10**12 to 10**12, half of them small."""
+    integer = st.integers(-2, 12) | st.integers(-(10**12), 10**12)
+    values = {"window": f"{draw(integer)} {draw(integer)}"}
+    values.update((key, draw(integer)) for key in ("add.psi", "add.phi", "mul.psi", "mul.phi"))
+    lines = DEMO.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        key = line.split(" = ")[0]
+        if key in values:
+            lines[i] = f"{key} = {values[key]}"
+    return "\n".join(lines) + "\n"
+
+
+# a scheme within the guards checks in well under a second; one that runs
+# for 5 s has slipped past them
+@settings(max_examples=100, derandomize=True, deadline=5000)
+@given(text=rescaled_scheme())
+def test_a_rescaled_scheme_exits_0_1_or_2(tmp_path_factory, text):
+    doc = tmp_path_factory.getbasetemp() / "rescaled.workspace"
+    doc.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", str(doc), "--suite", "s-construction"])
     assert code in (0, 1, 2)

@@ -11,6 +11,7 @@ from ordalg import (
     IndexScheme,
     InputError,
     PreconditionError,
+    SuppElement,
     boolean_semiring,
     check_transfer_distributivity,
     componentwise_leq,
@@ -21,9 +22,12 @@ from ordalg import (
     right_dist_only,
     s_mu,
 )
+from ordalg.sproduct import WINDOW_CAP
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
+BB = direct_product(boolean_semiring("p"), boolean_semiring("q"))
+ZERO = SuppElement(())
 
 
 def bool_scheme(phi_mul=1, window=range(0, 5)):
@@ -34,8 +38,8 @@ class TestSMu:
     def test_zero_times_zero(self):
         sch = bool_scheme()
         z = sch.element({})
-        assert s_mu("mul", z, z, sch).is_zero()
-        assert s_mu("add", z, z, sch).is_zero()
+        assert s_mu("mul", z, z, sch) == ZERO
+        assert s_mu("add", z, z, sch) == ZERO
 
     def test_identity_shifts_degenerate_to_componentwise(self):
         sch = IndexScheme(MP3, range(0, 3))
@@ -55,7 +59,7 @@ class TestSMu:
         assert s_mu("mul", y, z, sch) == sch.element({0: "1"})
         # support that never meets the shifted support vanishes
         z2 = sch.element({3: "1"})
-        assert s_mu("mul", y, z2, sch).is_zero()
+        assert s_mu("mul", y, z2, sch) == ZERO
 
     def test_window_escape_names_index(self):
         sch = IndexScheme(BOOL, range(0, 3), psi={"add": 0, "mul": 1}, phi={"add": 0, "mul": 0})
@@ -73,34 +77,36 @@ class TestSMu:
 
 class TestScheme:
     def test_shift_validation(self):
-        with pytest.raises(InputError):
-            IndexScheme(BOOL, range(0, 3), psi={"add": -1, "mul": 0}, phi={"add": 0, "mul": 0})
-        # non-injective psi table rejected
-        with pytest.raises(InputError):
-            IndexScheme(
-                BOOL,
-                range(0, 3),
-                psi={"add": 0, "mul": {0: 0, 1: 0, 2: 1}},
-                phi={"add": 0, "mul": 0},
-            )
-        # phi below the identity rejected
-        with pytest.raises(InputError):
-            IndexScheme(
-                BOOL,
-                range(0, 3),
-                psi={"add": 0, "mul": 0},
-                phi={"add": 0, "mul": {0: 0, 1: 0, 2: 2}},
-            )
+        # only non-negative integer offsets are shifts; a table is refused
+        refused = [
+            ({"add": -1, "mul": 0}, {"add": 0, "mul": 0}),
+            ({"add": 0, "mul": 0}, {"add": 0, "mul": -2}),
+            ({"add": 0, "mul": {0: 0, 1: 0, 2: 1}}, {"add": 0, "mul": 0}),
+            ({"add": 0, "mul": 0}, {"add": 0, "mul": {0: 1}}),
+            ({"add": 0, "mul": 0}, {"add": True, "mul": 0}),
+            ({"add": 0, "mul": 0}, {"add": 0}),
+        ]
+        for psi, phi in refused:
+            with pytest.raises(InputError):
+                IndexScheme(BOOL, range(0, 3), psi=psi, phi=phi)
 
-    def test_explicit_monotone_phi_table_accepted(self):
-        sch = IndexScheme(
-            BOOL,
-            range(0, 3),
-            psi={"add": 0, "mul": 0},
-            phi={"add": 0, "mul": {0: 1, 1: 3, 2: 4}},
-        )
-        assert sch.phi_at("mul", 1) == 3
-        assert sch.phi_moves("mul")
+    def test_offsets_are_kept_as_declared(self):
+        sch = IndexScheme(BOOL, range(-2, 3), psi={"add": 0, "mul": 2}, phi={"add": 1, "mul": 3})
+        assert (sch.psi, sch.phi) == ({"add": 0, "mul": 2}, {"add": 1, "mul": 3})
+        assert sch.down == {op: {"0": "0", "1": "1"} for op in ("add", "mul")}
+
+    def test_the_embedding_table_is_the_rth_power(self):
+        swap = {"0,0": "0,0", "0,1": "1,0", "1,0": "0,1", "1,1": "1,1"}
+        sch = IndexScheme(BB, range(0, 3), phi={"add": 2, "mul": 10**12 + 1}, embed=swap)
+        assert sch.down["add"] == {a: a for a in BB.elements}
+        assert sch.down["mul"] == swap
+
+    def test_a_window_beyond_the_cap_is_refused(self):
+        assert IndexScheme(BOOL, range(0, WINDOW_CAP)).window == range(0, WINDOW_CAP)
+        with pytest.raises(CapacityError, match="window of 10001 indices exceeds the cap 10000"):
+            IndexScheme(BOOL, range(-1, WINDOW_CAP))
+        with pytest.raises(InputError):
+            IndexScheme(BOOL, range(3, 3))
 
     def test_embedding_must_be_strictly_monotone_hom(self):
         with pytest.raises(InputError):
@@ -249,16 +255,10 @@ def random_element(rng, scheme, edge=3):
     return scheme.element({j: rng.choice(nonzero) for j in indices})
 
 
-BB = direct_product(boolean_semiring("p"), boolean_semiring("q"))
 ORACLE_SCHEMES = {
     "bool": IndexScheme(BOOL, range(0, 12), psi={"add": 1, "mul": 0}, phi={"add": 0, "mul": 1}),
     "mp3": IndexScheme(MP3, range(-3, 9), psi={"add": 0, "mul": 2}, phi={"add": 1, "mul": 3}),
-    "rdist": IndexScheme(
-        right_dist_only(),
-        range(0, 10),
-        psi={"add": 0, "mul": {j: j - 2 if j < 5 else j - 1 for j in range(0, 10)}},
-        phi={"add": 0, "mul": {j: 2 * j + 1 for j in range(0, 10)}},
-    ),
+    "rdist": IndexScheme(right_dist_only(), range(0, 10), psi={"add": 0, "mul": 2}, phi={"add": 0, "mul": 1}),
     # the swap of the two factors is a strictly monotone injective embedding
     "embed": IndexScheme(
         BB,
@@ -268,6 +268,20 @@ ORACLE_SCHEMES = {
         embed={"0,0": "0,0", "0,1": "1,0", "1,0": "0,1", "1,1": "1,1"},
     ),
 }
+
+
+def agrees_with_the_scan(op, y, z, scheme) -> bool:
+    """Assert that s_mu equals the window scan, or escapes with the same
+    message; return whether it escaped."""
+    try:
+        expected = scan_oracles.s_mu(op, y, z, scheme)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as err:
+            s_mu(op, y, z, scheme)
+        assert str(err.value) == str(exc)
+        return True
+    assert s_mu(op, y, z, scheme) == expected
+    return False
 
 
 class TestSMuAgainstWindowScan:
@@ -281,17 +295,21 @@ class TestSMuAgainstWindowScan:
         escapes = 0
         for _ in range(400):
             y, z = random_element(rng, scheme), random_element(rng, scheme)
-            for op in ("add", "mul"):
-                try:
-                    expected = scan_oracles.s_mu(op, y, z, scheme)
-                except CapacityError as exc:
-                    escapes += 1
-                    with pytest.raises(CapacityError) as err:
-                        s_mu(op, y, z, scheme)
-                    assert str(err.value) == str(exc)
-                    continue
-                assert s_mu(op, y, z, scheme) == expected
+            escapes += sum(agrees_with_the_scan(op, y, z, scheme) for op in ("add", "mul"))
         assert escapes > 0
+
+    @pytest.mark.parametrize("window", [range(0, 1), range(0, 3), range(-2, 2)], ids=lambda w: f"{w.start}:{w.stop}")
+    @pytest.mark.parametrize("component", [BOOL, MP3], ids=["bool", "mp3"])
+    def test_every_pair_on_small_windows(self, component, window):
+        # add runs the offsets (s, r) and mul runs (r, s), so each
+        # operation meets all nine pairs of offsets 0-2
+        grid = list(IndexScheme(component, window).all_elements())
+        escapes = 0
+        for s, r in product(range(3), repeat=2):
+            scheme = IndexScheme(component, window, psi={"add": s, "mul": r}, phi={"add": r, "mul": s})
+            for y, z, op in product(grid, grid, ("add", "mul")):
+                escapes += agrees_with_the_scan(op, y, z, scheme)
+        assert 0 < escapes < 18 * len(grid) ** 2
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
     def test_results_are_canonical_without_the_element_constructor(self, name, monkeypatch):
