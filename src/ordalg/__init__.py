@@ -52,10 +52,7 @@ from .ordinals import (
 from .sproduct import (
     IndexScheme,
     SuppElement,
-    check_transfer_distributivity,
-    componentwise_leq,
     find_nonassoc_witness,
-    lex_compare,
     s_mu,
 )
 from .funcspace import FunctionSpace, KFunction

@@ -16,8 +16,9 @@ import sys
 
 from .errors import OrdalgError
 from .report import fmt_witness
+from .sproduct import find_nonassoc_witness
 from .structures import check_law
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, scheme_law
 from .workspace import Workspace, parse
 
 
@@ -118,8 +119,6 @@ def _cmd_witness(ws: Workspace, args) -> int:
     if entity in ws.structures:
         verdict = check_law(ws.structures[entity], law)
     elif entity in ws.schemes and law.startswith("nonassoc"):
-        from .sproduct import find_nonassoc_witness
-
         op = law.split("-", 1)[1] if "-" in law else "mul"
         result = find_nonassoc_witness(op, ws.schemes[entity])
         if result.found:
@@ -131,6 +130,8 @@ def _cmd_witness(ws: Workspace, args) -> int:
             return 0
         print(f"exhausted after {result.tested} triples")
         return 1
+    elif entity in ws.schemes:
+        verdict = scheme_law(ws.schemes[entity], law)
     else:
         raise OrdalgError(f"unknown entity {entity!r}")
     if verdict.holds:

@@ -96,9 +96,6 @@ class OrderRelation:
             common.intersection_update(sets.get(x, ()))
         return [z for z in self.carrier if z in common]
 
-    def upper_bounds(self, subset) -> list[str]:
-        return self.bounds(subset, True)
-
 
 @dataclass(frozen=True)
 class OrderedCarrier:

@@ -5,15 +5,19 @@ structure; the binary operations re-index through a pair of shift maps
 per operation and push the right operand through iterated embeddings,
 which is what makes the product non-associative as soon as the phi shift
 actually moves indices.
+
+The product's order and distributivity laws follow index by index from
+the component's, so `suites.scheme_law` decides them from the laws the
+component has already checked.  Non-associativity has no such reading,
+and `find_nonassoc_witness` searches for it over a bounded sample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .errors import CapacityError, IncomparableError, InputError, PreconditionError
+from .errors import CapacityError, InputError, PreconditionError
 from .structures import FinStruct, Homomorphism, check_homomorphism
-from .report import Verdict
 
 OPS = ("add", "mul")
 
@@ -156,31 +160,6 @@ def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppEl
     return SuppElement(tuple(items))
 
 
-def componentwise_leq(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> bool:
-    zero = scheme.component.zero
-    order = scheme.component.order
-    for j in sorted(set(y.support) | set(z.support)):
-        if not order.leq(y.get(j, zero), z.get(j, zero)):
-            return False
-    return True
-
-
-def lex_compare(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> str:
-    """Lexicographic comparison by the least differing index."""
-    zero = scheme.component.zero
-    order = scheme.component.order
-    for j in sorted(set(y.support) | set(z.support)):
-        a, b = y.get(j, zero), z.get(j, zero)
-        if a == b:
-            continue
-        if order.lt(a, b):
-            return "lt"
-        if order.lt(b, a):
-            return "gt"
-        raise IncomparableError(f"component values {a!r}, {b!r} incomparable at index {j}", j, a, b)
-    return "eq"
-
-
 @dataclass(frozen=True)
 class SearchResult:
     witness: tuple | None
@@ -227,25 +206,3 @@ def _first_diff(y: SuppElement, z: SuppElement, scheme: IndexScheme) -> int:
         if y.get(j, zero) != z.get(j, zero):
             return j
     raise InputError("elements do not differ")
-
-
-def check_transfer_distributivity(scheme: IndexScheme, side: str, triples) -> Verdict:
-    """Distributivity transfer: with identity shifts on add, each side
-    that holds in the component holds for the product operations."""
-    if scheme.psi["add"] or scheme.phi["add"]:
-        raise PreconditionError("transfer requires identity shifts for add")
-    if side not in ("left", "right"):
-        raise InputError(f"unknown side {side!r}")
-    law = f"transfer-{side}-dist"
-
-    # right-dist (b+c)a = ba+ca reads as left-dist a(b+c) = ab+ac with
-    # the operands of mul flipped
-    def mul(y, z):
-        return s_mu("mul", z, y, scheme) if side == "right" else s_mu("mul", y, z, scheme)
-
-    for a, b, c in triples:
-        lhs = mul(a, s_mu("add", b, c, scheme))
-        rhs = s_mu("add", mul(a, b), mul(a, c), scheme)
-        if lhs != rhs:
-            return Verdict.failed(law, (a, b, c, lhs, rhs))
-    return Verdict.passed(law)

@@ -330,5 +330,9 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
             if ":" not in token:
                 raise ParseError(f"embed entry {token!r} must look like a:b", sec.line_of("embed"))
             a, b = token.split(":", 1)
+            if a not in K.elements or b not in K.elements:
+                raise ParseError(
+                    f"embed entry {token!r} names an element outside structure {K.name!r}", sec.line_of("embed")
+                )
             embed[a] = b
     return IndexScheme(K, range(lo, hi), psi, phi, embed)

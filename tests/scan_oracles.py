@@ -13,9 +13,11 @@ non-expansion as one joint scan of the pairs), the monad of functionals
 extensionally, with families deduplicated and sorted by their value
 tables over the upper spaces and the flattening tabulated there, and
 convolution with each translate made by `apply_T` where it is read and
-products cached by the tables of their factors, and the support of a
+products cached by the tables of their factors, the support of a
 functional as the intersection over every subset of its points that
-supports it, each subset decided by a walk over every function.  Tests
+supports it, each subset decided by a walk over every function, and the
+shifted product's directedness, lexicographic order and transfer of
+distributivity by scans over the pairs and triples of a window.  Tests
 compare the library against them verdict by verdict and witness by
 witness.  The support section also keeps the minimality criterion and
 the restriction-agreement condition that tests pin supports against.
@@ -704,3 +706,83 @@ def s_mu(op: str, y, z, scheme):
         if value != zero:
             out[j - s] = value
     return scheme.element(out)
+
+
+# -- the shifted product's order and distributivity ---------------------------------
+
+
+def componentwise_leq(y, z, scheme) -> bool:
+    zero = scheme.component.zero
+    order = scheme.component.order
+    for j in sorted(set(y.support) | set(z.support)):
+        if not order.leq(y.get(j, zero), z.get(j, zero)):
+            return False
+    return True
+
+
+def lex_compare(y, z, scheme) -> str:
+    """Lexicographic comparison by the least differing index."""
+    zero = scheme.component.zero
+    order = scheme.component.order
+    for j in sorted(set(y.support) | set(z.support)):
+        a, b = y.get(j, zero), z.get(j, zero)
+        if a == b:
+            continue
+        if order.lt(a, b):
+            return "lt"
+        if order.lt(b, a):
+            return "gt"
+        raise IncomparableError(f"component values {a!r}, {b!r} incomparable at index {j}", j, a, b)
+    return "eq"
+
+
+def directed_failure(scheme, pairs=None):
+    """The first of the pairs (default: every pair of the window's
+    elements) with no common upper bound among the window's elements, or
+    None."""
+    grid = list(scheme.all_elements())
+    above = {y: {w for w in grid if componentwise_leq(y, w, scheme)} for y in grid}
+    for y, z in product(grid, repeat=2) if pairs is None else pairs:
+        if above[y].isdisjoint(above[z]):
+            return y, z
+    return None
+
+
+def lex_failure(scheme, pairs=None):
+    """The first of the pairs (default: every pair of the window's
+    elements) that the order by least differing index does not order
+    strictly and totally, or None."""
+    for y, z in product(list(scheme.all_elements()), repeat=2) if pairs is None else pairs:
+        try:
+            c1, c2 = lex_compare(y, z, scheme), lex_compare(z, y, scheme)
+        except IncomparableError:
+            return y, z
+        if (c1 == "eq") != (y == z) or {c1, c2} not in ({"eq"}, {"lt", "gt"}):
+            return y, z
+    return None
+
+
+def check_transfer_distributivity(scheme, side: str, triples) -> Verdict:
+    """The side's distributivity over the given triples, each operation
+    scanned over the window.  Triples whose evaluation escapes the window
+    are skipped."""
+    if scheme.psi["add"] or scheme.phi["add"]:
+        raise PreconditionError("transfer requires identity shifts for add")
+    if side not in ("left", "right"):
+        raise InputError(f"unknown side {side!r}")
+    law = f"transfer-{side}-dist"
+
+    # right-dist (b+c)a = ba+ca reads as left-dist a(b+c) = ab+ac with
+    # the operands of mul flipped
+    def mul(y, z):
+        return s_mu("mul", z, y, scheme) if side == "right" else s_mu("mul", y, z, scheme)
+
+    for a, b, c in triples:
+        try:
+            lhs = mul(a, s_mu("add", b, c, scheme))
+            rhs = s_mu("add", mul(a, b), mul(a, c), scheme)
+        except CapacityError:
+            continue
+        if lhs != rhs:
+            return Verdict.failed(law, (a, b, c, lhs, rhs))
+    return Verdict.passed(law)

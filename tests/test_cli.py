@@ -53,6 +53,10 @@ def test_eval_refuses_bad_expressions(capsys, expr):
         ("bool:assoc-add", 0, "holds\n"),
         ("rd:left-dist", 1, "witness: (3,1,2,2,3)\n"),
         ("Sch:nonassoc-mul", 0, None),
+        ("Sch:directed", 0, "holds\n"),
+        ("Sch:lex", 0, "holds\n"),
+        ("Sch:transfer-left", 0, "holds\n"),
+        ("Sch:transfer-right", 0, "holds\n"),
     ],
 )
 def test_witness_exit_codes(capsys, law, code, out):
@@ -69,6 +73,129 @@ def test_witness_refuses_unknown_entities(capsys, law):
     code, out, err = run(capsys, "witness", DEMO, "--law", law)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_witness_refuses_an_unknown_scheme_law(capsys):
+    assert run(capsys, "witness", DEMO, "--law", "Sch:middle") == (2, "", "error: unknown scheme law 'middle'\n")
+
+
+# the demo's right-distributive structure as the component of a second scheme
+RD_SCHEME = "\n[scheme R]\nstructure = rd\nwindow = 0 4\nmul.phi = 1\n"
+
+
+@pytest.mark.parametrize(
+    "law, code, out",
+    [
+        ("R:transfer-left", 1, "witness: ({0: 3},{1: 1},{1: 2},{0: 2},{0: 3})\n"),
+        ("R:transfer-right", 0, "holds\n"),
+        ("R:lex", 0, "holds\n"),
+    ],
+)
+def test_witness_reaches_the_suite_decisions(tmp_path, capsys, law, code, out):
+    doc = tmp_path / "rd-scheme.workspace"
+    doc.write_text(DEMO.read_text(encoding="utf-8") + RD_SCHEME, encoding="utf-8")
+    assert run(capsys, "witness", doc, "--law", law) == (code, out, "")
+
+
+def test_an_embed_entry_outside_the_component_exits_2(tmp_path, capsys):
+    doc = tmp_path / "embed.workspace"
+    doc.write_text(DEMO.read_text(encoding="utf-8").replace("mul.phi = 1", "mul.phi = 1\nembed = 0:0 1:1 x:y"), encoding="utf-8")
+    line = next(i for i, text in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1) if text.startswith("embed"))
+    message = f"error: line {line}: embed entry 'x:y' names an element outside structure 'bool'\n"
+    assert run(capsys, "check", doc) == (2, "", message)
+
+
+DIAMOND = """
+[structure D]
+elements = 0 a b 1
+order = 0<=a 0<=b a<=1 b<=1
+zero = 0
+one = 1
+add.row.0 = 0 a b 1
+add.row.a = a a 1 1
+add.row.b = b 1 b 1
+add.row.1 = 1 1 1 1
+mul.row.0 = 0 0 0 0
+mul.row.a = 0 a 0 a
+mul.row.b = 0 0 b b
+mul.row.1 = 0 a b 1
+flags = assoc-add assoc-mul comm-add comm-mul left-dist right-dist
+
+[scheme DS]
+structure = D
+window = 0 3
+mul.phi = 1
+"""
+
+VEE = """
+[structure V]
+elements = 0 a b
+order = 0<=a 0<=b
+zero = 0
+one = a
+add.row.0 = 0 a b
+add.row.a = a a b
+add.row.b = b b b
+mul.row.0 = 0 0 0
+mul.row.a = 0 a b
+mul.row.b = 0 b b
+
+[scheme VS]
+structure = V
+window = 0 3
+"""
+
+
+def psi_demo():
+    text = DEMO.read_text(encoding="utf-8")
+    assert "mul.psi = 0" in text
+    return text.replace("mul.psi = 0", "mul.psi = 1")
+
+
+@pytest.mark.parametrize(
+    "text, code, records",
+    [
+        # incomparable component values: the lex order is not total
+        (
+            DIAMOND,
+            1,
+            [
+                "s-construction/DS/directed\tdirected\tpass\t-",
+                "s-construction/DS/nonassoc\tnonassoc-witness\tfail\t-\texhausted after 64 triples",
+                "s-construction/DS/transfer-left\ttransfer-left-dist\tpass\t-",
+                "s-construction/DS/transfer-right\ttransfer-right-dist\tpass\t-",
+                "s-construction/DS/lex\tlex-order\tfail\t({0: a},{0: b})",
+            ],
+        ),
+        # no upper bound of a and b: the componentwise order is not directed
+        (
+            VEE,
+            1,
+            [
+                "s-construction/VS/directed\tdirected\tfail\t({0: a},{0: b})",
+                "s-construction/VS/lex\tlex-order\tfail\t({0: a},{0: b})",
+            ],
+        ),
+        # products at index 0 escape the window; distributivity still transfers
+        (
+            psi_demo(),
+            1,
+            [
+                "s-construction/Sch/directed\tdirected\tpass\t-",
+                "s-construction/Sch/nonassoc\tnonassoc-witness\tfail\t-\texhausted after 512 triples",
+                "s-construction/Sch/transfer-left\ttransfer-left-dist\tpass\t-",
+                "s-construction/Sch/transfer-right\ttransfer-right-dist\tpass\t-",
+                "s-construction/Sch/lex\tlex-order\tpass\t-",
+            ],
+        ),
+    ],
+    ids=["diamond", "vee", "demo-psi-1"],
+)
+def test_schemes_that_once_exited_2_print_their_records(tmp_path, capsys, text, code, records):
+    doc = tmp_path / "scheme.workspace"
+    doc.write_text(text, encoding="utf-8")
+    got_code, out, err = run(capsys, "check", doc, "--suite", "s-construction", "--format", "records")
+    assert (got_code, out.splitlines(), err) == (code, records, "")
 
 
 def homogeneous_demo(tmp_path):

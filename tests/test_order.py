@@ -176,7 +176,7 @@ def test_sup_is_genuinely_least_upper_bound(order, data):
     v = sup_over(subset, order)
     if v is not None:
         assert all(order.leq(x, v) for x in subset)
-        for z in order.upper_bounds(subset):
+        for z in order.bounds(subset, True):
             assert order.leq(v, z)
 
 

@@ -7,22 +7,24 @@ import scan_oracles
 
 from ordalg import (
     CapacityError,
+    FinStruct,
     IncomparableError,
     IndexScheme,
     InputError,
+    OrderedCarrier,
+    OrderRelation,
     PreconditionError,
     SuppElement,
     boolean_semiring,
-    check_transfer_distributivity,
-    componentwise_leq,
     direct_product,
     find_nonassoc_witness,
-    lex_compare,
     maxplus_chain,
     right_dist_only,
     s_mu,
 )
 from ordalg.sproduct import WINDOW_CAP
+from ordalg.suites import scheme_law
+from scan_oracles import check_transfer_distributivity, componentwise_leq, lex_compare
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -217,6 +219,8 @@ class TestTransfer:
         assert v.law == "transfer-left-dist"
         assert [str(x) for x in v.witness] == ["{0: 3}", "{1: 1}", "{1: 2}", "{0: 2}", "{0: 3}"]
         assert triples.index(v.witness[:3]) == 3090
+        assert scheme_law(sch, "transfer-left") == v
+        assert scheme_law(sch, "transfer-right").holds
         assert check_transfer_distributivity(sch, "right", triples).holds
         with pytest.raises(InputError):
             check_transfer_distributivity(sch, "middle", triples)
@@ -339,3 +343,96 @@ class TestSMuAgainstWindowScan:
         assert y.items == ((1, "1"), (3, "1"))
         assert [y.get(j, "0") for j in range(5)] == ["0", "1", "0", "1", "0"]
         assert y == sch.element({1: "1", 3: "1"}) and hash(y) == hash(sch.element({1: "1", 3: "1"}))
+
+
+def table_struct(name, elements, order, one, add, mul):
+    """A structure from its rows, each a string of results in the order of
+    `elements`, with every law flag it satisfies declared."""
+
+    def table(rows):
+        return {(a, b): v for a, row in zip(elements, rows) for b, v in zip(elements, row.split())}
+
+    flags = frozenset(("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist"))
+    carrier = OrderedCarrier(OrderRelation.from_covers(elements, order), elements[0])
+    return FinStruct(name, carrier, table(add), table(mul), elements[0], one, flags)
+
+
+# 0 < a, b < 1: the four-element Boolean algebra, join and meet
+DIAMOND = table_struct(
+    "diamond",
+    ("0", "a", "b", "1"),
+    [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+    "1",
+    ["0 a b 1", "a a 1 1", "b 1 b 1", "1 1 1 1"],
+    ["0 0 0 0", "0 a 0 a", "0 0 b b", "0 a b 1"],
+)
+# 0 < a, 0 < b with no top; add and mul are max on 0 < a < b, 0 absorbing for mul
+VEE = table_struct(
+    "vee", ("0", "a", "b"), [("0", "a"), ("0", "b")], "a", ["0 a b", "a a b", "b b b"], ["0 0 0", "0 a b", "0 b b"]
+)
+RDIST = right_dist_only()
+# the transpose of RDIST: left- but not right-distributive
+LDIST = FinStruct(
+    "ldist",
+    RDIST.carrier,
+    RDIST.add,
+    {(b, a): v for (a, b), v in RDIST.mul.items()},
+    "0",
+    "1",
+    frozenset(("assoc-add", "comm-add", "left-dist")),
+)
+DECIDED = {"bool": BOOL, "mp3": MP3, "rdist": RDIST, "ldist": LDIST, "diamond": DIAMOND, "vee": VEE}
+
+
+class TestSchemeLawsAgainstTheScans:
+    """`scheme_law` decides directed, lex and transfer from the
+    component's laws; the scans over every pair and triple of small
+    windows agree, and each failing witness fails again in them."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(DECIDED))
+    def test_every_pair(self, name, size):
+        K = DECIDED[name]
+        for law, scan in (("directed", scan_oracles.directed_failure), ("lex", scan_oracles.lex_failure)):
+            failure = scan(IndexScheme(K, range(-1, size - 1)))
+            for phi in (0, 1):
+                scheme = IndexScheme(K, range(-1, size - 1), phi={"add": 0, "mul": phi})
+                verdict = scheme_law(scheme, law)
+                assert verdict.holds == (failure is None)
+                if not verdict.holds:
+                    assert scan(scheme, [verdict.witness]) == verdict.witness
+
+    def test_the_order_witnesses_are_monomials(self):
+        for K, law in ((DIAMOND, "lex"), (VEE, "directed"), (VEE, "lex")):
+            verdict = scheme_law(IndexScheme(K, range(2, 5)), law)
+            assert [str(y) for y in verdict.witness] == ["{2: a}", "{2: b}"]
+        assert scheme_law(IndexScheme(DIAMOND, range(0, 3)), "directed").holds
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("name", sorted(DECIDED) + ["diamond-swap"])
+    def test_every_triple(self, name, size):
+        K = DECIDED[name.split("-")[0]]
+        # swapping a and b is an automorphism of the diamond, so t^r is not the identity for odd r
+        embed = {"0": "0", "a": "b", "b": "a", "1": "1"} if name == "diamond-swap" else None
+        failures = expected = 0
+        for psi, phi in product((0, 1), repeat=2):
+            # one side of rdist and ldist fails, and shows on windows of more than s + r indices
+            expected += name in ("rdist", "ldist") and psi + phi < size
+            scheme = IndexScheme(K, range(0, size), psi={"add": 0, "mul": psi}, phi={"add": 0, "mul": phi}, embed=embed)
+            triples = list(product(list(scheme.all_elements()), repeat=3))
+            for side in ("left", "right"):
+                verdict = scheme_law(scheme, f"transfer-{side}")
+                scanned = check_transfer_distributivity(scheme, side, triples)
+                assert verdict.holds == scanned.holds
+                if not verdict.holds:
+                    failures += 1
+                    assert check_transfer_distributivity(scheme, side, [verdict.witness[:3]]) == verdict
+        assert failures == expected
+
+    def test_transfer_needs_add_unshifted_and_a_known_law(self):
+        shifted = IndexScheme(BOOL, range(0, 3), psi={"add": 1, "mul": 0})
+        with pytest.raises(PreconditionError):
+            scheme_law(shifted, "transfer-left")
+        assert scheme_law(shifted, "directed").holds
+        with pytest.raises(InputError, match="unknown scheme law 'middle'"):
+            scheme_law(shifted, "middle")
