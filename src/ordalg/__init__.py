@@ -62,7 +62,6 @@ from .functionals import (
     InfOver,
     SupOver,
     TableFunctional,
-    check_homogeneous,
     check_idempotent,
     check_weak_properties,
     enumerate_functionals,

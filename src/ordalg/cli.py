@@ -2,11 +2,14 @@
 
     ordalg check <file> [--suite S] [--budget N] [--seed N] [--format text|records]
     ordalg eval <file> --expr "nu(f)"
-    ordalg witness <file> --law entity:law
+    ordalg witness <file> --check <record-id>
 
 Exit codes: 0 all checks hold, 1 at least one counterexample, 2 input or
 capacity error.  The records format emits one tab-separated line per
-check: check-id, law, pass/fail, witness.
+check: check-id, law, pass/fail, witness.  `witness` runs what `check`
+runs with the document's own suites, budget and seed, and prints the
+one record with that id as `check` prints it; it exits 0 if the record
+passes, 1 if it fails and 2 if no record has that id.
 """
 from __future__ import annotations
 
@@ -15,10 +18,7 @@ import re
 import sys
 
 from .errors import OrdalgError
-from .report import fmt_witness
-from .sproduct import find_nonassoc_witness
-from .structures import check_law
-from .suites import SUITES, run_suite, scheme_law
+from .suites import SUITES, run_suite
 from .workspace import Workspace, parse
 
 
@@ -37,9 +37,14 @@ def main(argv=None) -> int:
     p_eval.add_argument("file")
     p_eval.add_argument("--expr", required=True)
 
-    p_wit = sub.add_parser("witness", help="run one named law check and print its witness")
+    p_wit = sub.add_parser("witness", help="print the one record `check` makes under an id")
     p_wit.add_argument("file")
-    p_wit.add_argument("--law", required=True)
+    p_wit.add_argument(
+        "--check",
+        required=True,
+        metavar="RECORD-ID",
+        help="a record id as `check` prints it; exit 0 if the record passes, 1 if it fails, 2 if there is none",
+    )
 
     args = parser.parse_args(argv)
     try:
@@ -113,32 +118,13 @@ def _cmd_eval(ws: Workspace, args) -> int:
 
 
 def _cmd_witness(ws: Workspace, args) -> int:
-    if ":" not in args.law:
-        raise OrdalgError("--law must look like entity:law")
-    entity, law = args.law.split(":", 1)
-    if entity in ws.structures:
-        verdict = check_law(ws.structures[entity], law)
-    elif entity in ws.schemes and law.startswith("nonassoc"):
-        op = law.split("-", 1)[1] if "-" in law else "mul"
-        result = find_nonassoc_witness(op, ws.schemes[entity])
-        if result.found:
-            a, b, c, left, right = result.witness
-            print(f"witness: a={a} b={b} c={c}")
-            print(f"  (a{op}b){op}c = {left}")
-            print(f"  a{op}(b{op}c) = {right}")
-            print(f"  differ at index {result.diff_index}")
-            return 0
-        print(f"exhausted after {result.tested} triples")
-        return 1
-    elif entity in ws.schemes:
-        verdict = scheme_law(ws.schemes[entity], law)
-    else:
-        raise OrdalgError(f"unknown entity {entity!r}")
-    if verdict.holds:
-        print("holds")
-        return 0
-    print(f"witness: {fmt_witness(verdict.witness)}")
-    return 1
+    defaults = ws.suite_defaults
+    _, records = run_suite(ws, defaults["run"], defaults["budget"], defaults["seed"])
+    for rec in records:
+        if rec.check_id == args.check:
+            print(rec.as_text())
+            return 0 if rec.verdict.holds else 1
+    raise OrdalgError(f"no record with id {args.check!r}")
 
 
 if __name__ == "__main__":

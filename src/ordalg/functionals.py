@@ -232,13 +232,14 @@ def law_instances(space: FunctionSpace, laws, cells=None):
 
     The laws are "normalized", "left-shift", "right-shift", "join" and
     "meet" (`check_idempotent`), "weakly-additive"
-    (`check_weak_properties`), "left-homogeneous", "right-homogeneous"
-    (`check_homogeneous`) and "add" (`check_kind`), each in its checker's
-    cell order.  A law's whole grid is compiled once per space, when first
-    read; `cells`, a sampled grid from `_grid`, compiles only those cells,
-    as they are read.  A shift or sum that leaves a monotone space keeps
-    the function as its position.  Nothing is made before the first run
-    is read, so the enumerator applies its cap first.
+    (`check_weak_properties`) and "add" (`check_kind`), each in its
+    checker's cell order, and "left-homogeneous" and "right-homogeneous",
+    which no checker runs and `law_verdict` decides.  A law's whole grid
+    is compiled once per space, when first read; `cells`, a sampled grid
+    from `_grid`, compiles only those cells, as they are read.  A shift or
+    sum that leaves a monotone space keeps the function as its position.
+    Nothing is made before the first run is read, so the enumerator
+    applies its cap first.
     """
     for law in laws:
         if cells is not None:
@@ -483,14 +484,6 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
         Verdict(not implied, "weak-implies-nonexpanding", None if not implied else (str(nu),))
     )
     report.sampled = sampled
-    return report
-
-
-def check_homogeneous(nu: Functional) -> AxiomReport:
-    values = LazyValues(nu)
-    report = AxiomReport()
-    for law in ("left-homogeneous", "right-homogeneous"):
-        report.add(law_verdict(values, law))
     return report
 
 

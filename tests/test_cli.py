@@ -2,6 +2,7 @@
 `check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
 import contextlib
 import io
+import re
 import time
 from pathlib import Path
 
@@ -47,36 +48,67 @@ def test_eval_refuses_bad_expressions(capsys, expr):
     assert err.startswith("error: ")
 
 
+def pass_block(check_id, law, note=None):
+    return f"[PASS] {check_id} ({law})\n" + (f"       note: {note}\n" if note else "")
+
+
 @pytest.mark.parametrize(
-    "law, code, out",
+    "check_id, code, out",
     [
-        ("bool:assoc-add", 0, "holds\n"),
-        ("rd:left-dist", 1, "witness: (3,1,2,2,3)\n"),
-        ("Sch:nonassoc-mul", 0, None),
-        ("Sch:directed", 0, "holds\n"),
-        ("Sch:lex", 0, "holds\n"),
-        ("Sch:transfer-left", 0, "holds\n"),
-        ("Sch:transfer-right", 0, "holds\n"),
+        ("laws/bool/assoc-add", 0, pass_block("laws/bool/assoc-add", "assoc-add")),
+        # undeclared: an informational pass that names the first exception
+        (
+            "laws/rd/left-dist",
+            0,
+            pass_block("laws/rd/left-dist", "left-dist", "not declared; first exception (3,1,2,2,3)"),
+        ),
+        ("s-construction/Sch/nonassoc", 0, None),
+        ("s-construction/Sch/directed", 0, pass_block("s-construction/Sch/directed", "directed")),
+        ("s-construction/Sch/lex", 0, pass_block("s-construction/Sch/lex", "lex-order")),
+        ("s-construction/Sch/transfer-left", 0, pass_block("s-construction/Sch/transfer-left", "transfer-left-dist")),
+        ("s-construction/Sch/transfer-right", 0, pass_block("s-construction/Sch/transfer-right", "transfer-right-dist")),
+        (
+            "idempotent/nu/meet",
+            1,
+            "[FAIL] idempotent/nu/meet (meet)\n       witness: ({x1: 0, x2: 1},{x1: 1, x2: 0},0,1)\n",
+        ),
     ],
 )
-def test_witness_exit_codes(capsys, law, code, out):
-    got_code, got_out, err = run(capsys, "witness", DEMO, "--law", law)
+def test_witness_exit_codes(capsys, check_id, code, out):
+    got_code, got_out, err = run(capsys, "witness", DEMO, "--check", check_id)
     assert (got_code, err) == (code, "")
     if out is None:
-        assert got_out.startswith("witness: a=") and "differ at index" in got_out
+        assert got_out.startswith(f"[PASS] {check_id} (nonassoc-witness)\n       note: witness ")
+        assert "differs at index" in got_out
     else:
         assert got_out == out
 
 
-@pytest.mark.parametrize("law", ["ghost:assoc-add", "bool"])
-def test_witness_refuses_unknown_entities(capsys, law):
-    code, out, err = run(capsys, "witness", DEMO, "--law", law)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+def demo_text_blocks():
+    """The text block of each record `check` prints for the demo, by id."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(DEMO)]) == 1
+    *blocks, summary = re.split(r"\n(?=\S)", out.getvalue())
+    assert summary == "77 checks, 2 failed\n"
+    return {block.split()[1]: block + "\n" for block in blocks}
 
 
-def test_witness_refuses_an_unknown_scheme_law(capsys):
-    assert run(capsys, "witness", DEMO, "--law", "Sch:middle") == (2, "", "error: unknown scheme law 'middle'\n")
+def test_every_demo_record_can_be_replayed(capsys):
+    blocks = demo_text_blocks()
+    golden = [line.split("\t") for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    assert list(blocks) == [fields[0] for fields in golden]
+    for check_id, _, status, *_ in golden:
+        code = {"pass": 0, "fail": 1}[status]
+        assert run(capsys, "witness", DEMO, "--check", check_id) == (code, blocks[check_id], "")
+
+
+@pytest.mark.parametrize(
+    "check_id",
+    ["laws/ghost/assoc-add", "laws/bool", "bool:assoc-add", "s-construction/Sch/middle", "s-construction/Sch/nonassoc-foo"],
+)
+def test_witness_refuses_unknown_ids(capsys, check_id):
+    assert run(capsys, "witness", DEMO, "--check", check_id) == (2, "", f"error: no record with id {check_id!r}\n")
 
 
 # the demo's right-distributive structure as the component of a second scheme
@@ -84,17 +116,20 @@ RD_SCHEME = "\n[scheme R]\nstructure = rd\nwindow = 0 4\nmul.phi = 1\n"
 
 
 @pytest.mark.parametrize(
-    "law, code, out",
+    "check_id, code, out",
     [
-        ("R:transfer-left", 1, "witness: ({0: 3},{1: 1},{1: 2},{0: 2},{0: 3})\n"),
-        ("R:transfer-right", 0, "holds\n"),
-        ("R:lex", 0, "holds\n"),
+        ("s-construction/R/transfer-right", 0, pass_block("s-construction/R/transfer-right", "transfer-right-dist")),
+        ("s-construction/R/lex", 0, pass_block("s-construction/R/lex", "lex-order")),
+        # rd does not declare left-dist, so the suite makes no transfer-left record
+        ("s-construction/R/transfer-left", 2, ""),
     ],
 )
-def test_witness_reaches_the_suite_decisions(tmp_path, capsys, law, code, out):
+def test_witness_replays_the_records_of_a_second_scheme(tmp_path, capsys, check_id, code, out):
     doc = tmp_path / "rd-scheme.workspace"
     doc.write_text(DEMO.read_text(encoding="utf-8") + RD_SCHEME, encoding="utf-8")
-    assert run(capsys, "witness", doc, "--law", law) == (code, out, "")
+    got_code, got_out, err = run(capsys, "witness", doc, "--check", check_id)
+    assert (got_code, got_out) == (code, out)
+    assert err == ("" if code < 2 else f"error: no record with id {check_id!r}\n")
 
 
 def test_an_embed_entry_outside_the_component_exits_2(tmp_path, capsys):
@@ -345,14 +380,33 @@ def mutated_demo(draw):
     return "\n".join(lines) + "\n"
 
 
+def quiet_main(*argv):
+    """main's exit code and what it printed to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(text=mutated_demo())
-def test_a_mutated_demo_exits_0_1_or_2(tmp_path_factory, text):
+@given(text=mutated_demo(), data=st.data())
+def test_a_mutated_demo_exits_0_1_or_2(tmp_path_factory, text, data):
+    # witness replays one record of the same run, or fails as check does
     doc = tmp_path_factory.getbasetemp() / "mutated.workspace"
     doc.write_text(text, encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["check", str(doc), "--format", "records"])
+    code, out = quiet_main("check", doc, "--format", "records")
     assert code in (0, 1, 2)
+    if code == 2:
+        assert quiet_main("witness", doc, "--check", "laws/bool/order")[0] == 2
+        return
+    statuses = {}
+    for line in out.splitlines():
+        check_id, _, status = line.split("\t")[:3]
+        statuses.setdefault(check_id, status)
+    if statuses:
+        check_id = data.draw(st.sampled_from(sorted(statuses)))
+        expected = {"pass": 0, "fail": 1}[statuses[check_id]]
+        assert quiet_main("witness", doc, "--check", check_id)[0] == expected
 
 
 @st.composite
@@ -377,6 +431,4 @@ def rescaled_scheme(draw):
 def test_a_rescaled_scheme_exits_0_1_or_2(tmp_path_factory, text):
     doc = tmp_path_factory.getbasetemp() / "rescaled.workspace"
     doc.write_text(text, encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["check", str(doc), "--suite", "s-construction"])
-    assert code in (0, 1, 2)
+    assert quiet_main("check", doc, "--suite", "s-construction")[0] in (0, 1, 2)

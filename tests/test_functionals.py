@@ -21,7 +21,6 @@ from ordalg import (
     SupOver,
     TableFunctional,
     boolean_semiring,
-    check_homogeneous,
     check_idempotent,
     check_kind,
     check_weak_properties,
@@ -40,7 +39,7 @@ from ordalg import (
     weighted_combo,
 )
 from ordalg import functionals
-from ordalg.functionals import IDEMPOTENT_AXIOMS, TABLE_CAP, SupportReport
+from ordalg.functionals import IDEMPOTENT_AXIOMS, TABLE_CAP, LazyValues, SupportReport, law_verdict
 from ordalg.suites import suite_idempotent
 from ordalg.workspace import parse
 
@@ -55,6 +54,12 @@ def bool_space(points=("x1", "x2")):
 
 def mp3_space(points=("x1", "x2", "x3")):
     return FunctionSpace(points, MP3)
+
+
+def homogeneity(nu):
+    """The verdicts of both homogeneity laws, as `law_verdict` decides them."""
+    values = LazyValues(nu)
+    return {law: law_verdict(values, law) for law in ("left-homogeneous", "right-homogeneous")}
 
 
 class PartialFunctional(Functional):
@@ -184,12 +189,12 @@ def test_weak_properties_obey_the_budget():
 class TestHomogeneity:
     def test_dirac_homogeneous(self):
         sp = mp3_space(("x1", "x2"))
-        rep = check_homogeneous(Dirac(sp, "x2"))
+        rep = homogeneity(Dirac(sp, "x2"))
         assert rep["left-homogeneous"].holds and rep["right-homogeneous"].holds
 
     def test_sup_functional_homogeneous_on_chain(self):
         sp = mp3_space(("x1", "x2"))
-        rep = check_homogeneous(SupOver(sp, frozenset(sp.points)))
+        rep = homogeneity(SupOver(sp, frozenset(sp.points)))
         assert rep["left-homogeneous"].holds and rep["right-homogeneous"].holds
 
 
@@ -226,7 +231,7 @@ class TestWeightedCombo:
     def test_homogeneous_parts_give_homogeneous_combo(self):
         sp = bool_space()
         combo = weighted_combo("right", ["1", "1"], [Dirac(sp, "x1"), Dirac(sp, "x2")])
-        rep = check_homogeneous(combo)
+        rep = homogeneity(combo)
         assert rep["left-homogeneous"].holds and rep["right-homogeneous"].holds
 
 
@@ -524,8 +529,8 @@ CONSTANT_AND_ORDER_LAWS = {
     "weakly-additive": check_weak_properties,
     "order-preserving": check_weak_properties,
     "non-expanding": check_weak_properties,
-    "left-homogeneous": check_homogeneous,
-    "right-homogeneous": check_homogeneous,
+    "left-homogeneous": homogeneity,
+    "right-homogeneous": homogeneity,
 }
 
 
@@ -602,7 +607,7 @@ class TestPinnedWitnesses:
         sp = FunctionSpace(("x",), right_dist_only())
         nu = list(enumerate_functionals(sp))[2]
         assert nu.table == ("0", "0", "0", "2")
-        rep = check_homogeneous(nu)
+        rep = homogeneity(nu)
         assert plain(rep["left-homogeneous"].witness) == ("3", ("1",))
         assert plain(rep["right-homogeneous"].witness) == ("2", ("3",))
 
@@ -940,7 +945,7 @@ class TestLawsAgainstTheScanOracles:
             assert weak.sampled == sampled
             implied = weak["weakly-additive"].holds and want["order-preserving"].holds
             assert weak["weak-implies-nonexpanding"].holds == (not implied or want["non-expanding"].holds)
-        assert list(check_homogeneous(nu).verdicts.items()) == list(scan_oracles.check_homogeneous(nu).items())
+        assert list(homogeneity(nu).items()) == list(scan_oracles.check_homogeneous(nu).items())
         for kind in ("join", "meet", "add"):
             assert outcome(check_kind, nu, kind) == outcome(scan_oracles.check_kind, nu, kind)
 

@@ -175,7 +175,6 @@ def test_every_private_definition_is_read():
 
 # Public definitions that no module of the package reads, each kept for a reason.
 UNREAD_PUBLIC = {
-    "check_homogeneous": "the checker of the homogeneity laws `law_instances` defines",
     "omega": "ordinals in Cantor normal form: the first infinite ordinal",
     "ord_sup": "ordinals in Cantor normal form: the sup of two ordinals",
     "parse_ordinal": "ordinals in Cantor normal form: their text form",
@@ -232,16 +231,32 @@ def public_methods(source: str) -> list[tuple[str, str]]:
     ]
 
 
+def method_reads(source: str) -> set[tuple[str | None, str]]:
+    """The names and attributes a module reads, as (class, name) for a
+    read through `self` or `cls` inside a module-level class, which
+    reaches only that class's own method, and (None, name) for any
+    other read."""
+    tree = ast.parse(source)
+    own = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in ("self", "cls"):
+                    own[sub] = node.name
+    reads = {(None, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return reads | {(own.get(node), node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def unread_methods(sources: list[str]) -> list[str]:
-    """Public methods no source reads by name.  A method of a class that
-    no source reads is unread with its class, which `unread_publics`
-    reports."""
-    read = set().union(*(names_read(s) for s in sources))
+    """Public methods no source reads by name, through an instance of
+    their own class or otherwise.  A method of a class that no source
+    reads is unread with its class, which `unread_publics` reports."""
+    read = set().union(*(method_reads(s) for s in sources))
     return [
         f"{cls}.{name}"
         for s in sources
         for cls, name in public_methods(s)
-        if cls in read and name not in read
+        if (None, cls) in read and (None, name) not in read and (cls, name) not in read
     ]
 
 
@@ -264,6 +279,21 @@ def test_scanner_finds_an_unread_method():
         "from .a import Box\nx = Box().used()\n",
     ]
     assert unread_methods(sources) == ["Box.unread"]
+
+
+def test_scanner_counts_a_self_read_for_its_own_class_only():
+    sources = [
+        "class Chain:\n"
+        "    def is_zero(self):\n"
+        "        return True\n"
+        "class Table:\n"
+        "    def is_zero(self):\n"
+        "        return False\n"
+        "    def check(self):\n"
+        "        return self.is_zero()\n",
+        "from .a import Chain, Table\nx = Chain(), Table().check()\n",
+    ]
+    assert unread_methods(sources) == ["Chain.is_zero"]
 
 
 def test_every_public_method_is_read():
