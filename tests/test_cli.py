@@ -140,6 +140,21 @@ def test_an_embed_entry_outside_the_component_exits_2(tmp_path, capsys):
     assert run(capsys, "check", doc) == (2, "", message)
 
 
+def test_a_false_left_dist_flag_exits_2_with_the_first_witness(tmp_path, capsys):
+    # mul is generated by {0, 1, 2}, whose left multiplications all
+    # distribute, but mul is not associative and L_3 does not distribute
+    doc = tmp_path / "guard.workspace"
+    doc.write_text(
+        "[structure G]\nelements = 0 1 2 3\norder = chain\nzero = 0\none = 1\n"
+        "add.row.0 = 0 1 2 3\nadd.row.1 = 1 2 3 3\nadd.row.2 = 2 2 3 3\nadd.row.3 = 3 3 3 3\n"
+        "mul.row.0 = 0 0 0 0\nmul.row.1 = 0 1 2 3\nmul.row.2 = 0 2 3 3\nmul.row.3 = 0 3 1 3\n"
+        "flags = left-dist\n",
+        encoding="utf-8",
+    )
+    message = "error: line 1: [structure G]: G: declared flag left-dist fails at ('3', '1', '1', '1', '3')\n"
+    assert run(capsys, "check", doc) == (2, "", message)
+
+
 DIAMOND = """
 [structure D]
 elements = 0 a b 1

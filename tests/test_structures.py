@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -10,12 +11,14 @@ from ordalg import (
     InputError,
     OrderedCarrier,
     OrderRelation,
+    Verdict,
     boolean_semiring,
     check_homomorphism,
     check_law,
     direct_product,
     maxplus_chain,
     right_dist_only,
+    trivial_structure,
 )
 from ordalg import structures
 
@@ -132,14 +135,62 @@ def random_structure(rng, n):
 class TestLawScans:
     def test_cubic_scans_equal_the_triple_scans(self):
         rng = random.Random(0)
-        failed = 0
-        for trial in range(300):
-            s = random_structure(rng, 2 + trial % 4)
+        structs = [random_structure(rng, 2 + trial % 4) for trial in range(300)]
+        structs += [perturbed_structure(rng, 3 + trial % 4) for trial in range(300)]
+        failed = rescanned = 0
+        for s in structs:
             for law in ("assoc-add", "assoc-mul", "left-dist", "right-dist"):
                 verdict = check_law(s, law)
                 assert verdict == scan_oracles.check_law(s, law)
                 failed += not verdict.holds
-        assert failed > 300
+                if law.startswith("assoc") and not verdict.holds:
+                    # a middle factor off the generators: the scan over G alone
+                    # would report a later triple
+                    gens = structures._generators(s.rows[law[-3:]], s.elements)
+                    rescanned += verdict.witness[1] not in gens
+        assert failed > 1500 and rescanned > 100
+        # structures whose mul is associative, where dist reads generators only
+        builtins = (BOOL, MP3, RD, trivial_structure())
+        structs = [maxplus_mul_structure(rng, 2 + trial % 5) for trial in range(200)]
+        structs += [direct_product(s1, s2) for s1 in builtins for s2 in builtins]
+        structs += [maxplus_chain(k) for k in (*range(2, 21), 60)]
+        dist = set()
+        for s in structs:
+            assert check_law(s, "assoc-mul").holds
+            for law in ("assoc-add", "assoc-mul", "left-dist", "right-dist"):
+                verdict = check_law(s, law)
+                assert verdict == scan_oracles.check_law(s, law)
+                if law.endswith("dist"):
+                    dist.add(verdict.holds)
+        assert dist == {True, False}
+
+    def test_dist_reads_generators_only_when_mul_is_associative(self):
+        s = guard_structure()
+        gens = structures._generators(s.rows["mul"], s.elements)
+        assert gens == ("0", "1", "2")
+        assert not check_law(s, "assoc-mul").holds
+        # each L_g for a generator g is an add-endomorphism ...
+        assert structures._dist_failure(s.rows["mul"], s.rows["add"], s.elements, gens) is None
+        # ... yet L_3 is not: 3*(1+1) = 3*2 = 1, while 3*1 + 3*1 = 3+3 = 3
+        verdict = check_law(s, "left-dist")
+        assert verdict == Verdict.failed("left-dist", ("3", "1", "1", "1", "3"))
+        assert verdict == scan_oracles.check_law(s, "left-dist")
+
+    def test_maxplus60_decides_the_mul_laws_on_three_generators(self, monkeypatch):
+        ranges = []
+        for name in ("_assoc_failure", "_dist_failure"):
+
+            def recording(*args, scan=getattr(structures, name)):
+                ranges.append((args[0], args[-1]))
+                return scan(*args)
+
+            monkeypatch.setattr(structures, name, recording)
+        s = maxplus_chain(60)
+        gens = ("0", "1", "2")
+        assert structures._generators(s.rows["mul"], s.elements) == gens
+        # assoc-mul, left-dist and right-dist each ran once, never over all of E
+        mul = [r for rows, r in ranges if rows is not s.rows["add"]]
+        assert mul == [gens, gens, gens]
 
     def test_a_verdict_is_scanned_once(self, monkeypatch):
         scanned = []
@@ -151,9 +202,13 @@ class TestLawScans:
 
         monkeypatch.setattr(structures, "_scan_law", counting)
         s = right_dist_only()
-        assert scanned == ["neutral", "absorb", *s.flags]
+        # right-dist reads the assoc-mul verdict, which is scanned with it
+        expected = ["neutral", "absorb"]
+        for flag in s.flags:
+            expected += [flag, "assoc-mul"] if flag == "right-dist" else [flag]
+        assert scanned == expected
         scanned.clear()
-        for law in ("neutral", "absorb", *s.flags):
+        for law in ("neutral", "absorb", "assoc-mul", *s.flags):
             assert check_law(s, law).holds
         assert scanned == []
         first = check_law(s, "left-dist")
@@ -168,3 +223,36 @@ class TestLawScans:
             with pytest.raises(InputError):
                 check_law(BOOL, "assoc")
         assert "assoc" not in BOOL.verdicts
+
+
+def perturbed_structure(rng, n):
+    """The saturating sum on the chain 0 < 1 < ... as add and the mul of
+    maxplus_chain(n), each with one or two entries off zero and one
+    changed at random: both stay nearly associative, with few generators."""
+    elems = tuple(str(i) for i in range(n))
+    add = {(a, b): str(min(int(a) + int(b), n - 1)) for a, b in product(elems, repeat=2)}
+    mul = dict(maxplus_chain(n).mul)
+    for table, low in ((add, 1), (mul, 2)):
+        for _ in range(rng.randint(1, 2)):
+            table[(rng.choice(elems[low:]), rng.choice(elems[low:]))] = rng.choice(elems)
+    return FinStruct("p", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+
+
+def maxplus_mul_structure(rng, n):
+    """The mul of maxplus_chain(n), which is associative, with a random
+    add that keeps zero neutral."""
+    elems = tuple(str(i) for i in range(n))
+    add = {(a, b): b if a == "0" else a if b == "0" else rng.choice(elems) for a, b in product(elems, repeat=2)}
+    mul = maxplus_chain(n).mul
+    return FinStruct("m", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+
+
+def guard_structure():
+    """The chain 0 < 1 < 2 < 3 with 0 add-neutral and mul-absorbing, 1 the
+    mul unit, 2*2 = 3, 2*3 = 3, 3*2 = 1, 3*3 = 3, 1+1 = 2, 2+1 = 2 and every
+    other sum of nonzero elements 3.  Its mul is not associative,
+    (3*2)*2 = 2 but 3*(2*2) = 3, and is generated by {0, 1, 2}."""
+    elems = ("0", "1", "2", "3")
+    add = dict(zip(product(elems, repeat=2), "0123" "1233" "2233" "3333"))
+    mul = dict(zip(product(elems, repeat=2), "0000" "0123" "0233" "0313"))
+    return FinStruct("g", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
