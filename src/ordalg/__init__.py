@@ -77,7 +77,6 @@ from .functionals import (
 from .convolution import (
     ActionSystem,
     ConvAlgebra,
-    Convolution,
     Groupoid,
     all_kind_functionals,
     apply_T,

@@ -106,8 +106,10 @@ def _cmd_eval(ws: Workspace, args) -> int:
                 continue
             if ":" not in piece:
                 raise OrdalgError(f"bad function literal entry {piece!r}")
-            x, v = piece.split(":", 1)
-            values[x.strip()] = v.strip()
+            x, v = (part.strip() for part in piece.split(":", 1))
+            if x in values:
+                raise OrdalgError(f"point {x!r} repeated in the function literal")
+            values[x] = v
         f = nu.space.function(values)
     elif arg in ws.functions:
         f = ws.functions[arg]

@@ -30,7 +30,7 @@ from .functionals import (
     support_of,
     tabulate,
 )
-from .report import AxiomReport, Verdict
+from .report import AxiomReport, Verdict, first_failure
 from .structures import FinStruct
 
 KINDS = ("add", "join", "meet")
@@ -48,6 +48,8 @@ class Groupoid:
 
     def __post_init__(self):
         eset = set(self.elements)
+        if len(eset) < len(self.elements):
+            raise InputError(f"{self.name}: repeated element in {' '.join(self.elements)}")
         if self.unit not in eset:
             raise InputError(f"{self.name}: unit {self.unit!r} not an element")
         for a in self.elements:
@@ -152,31 +154,6 @@ def apply_T(sys: ActionSystem, g: str, f: KFunction) -> KFunction:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Convolution(Functional):
-    """(outer * inner)(f) = outer(g -> inner(T_g f)).  T_g f is read from
-    the action's translation table, and both parts by position through
-    `LazyValues`, so a table is read by index and never re-hashed."""
-
-    space: FunctionSpace
-    outer: Functional
-    inner: Functional
-    sys: ActionSystem
-
-    @cached_property
-    def _values(self) -> tuple:
-        return LazyValues(self.outer), LazyValues(self.inner)
-
-    def value(self, f: KFunction) -> str:
-        outer, inner = self._values
-        i = self.space.position(f)
-        h = self.space.function([inner[row[i]] for row in self.sys.moved])
-        return outer[self.space.position(h)]
-
-    def __str__(self) -> str:
-        return f"({self.outer}) * ({self.inner})"
-
-
 def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
     """Refuse a functional whose positions are not those of C(G,K)."""
     sp = nu.space
@@ -184,12 +161,20 @@ def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
         raise InputError("functional does not live on C(G,K)")
 
 
-def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> Convolution:
+def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctional:
+    """nu * lam as a value table: (nu * lam)(f) = nu(h) with h(g) =
+    lam(T_g f).  T_g f is read from the action's translation table, and
+    both parts by position through `LazyValues`, so a table is read by
+    index and never re-hashed."""
     if tuple(sys.points) != tuple(sys.G.elements):
         raise PreconditionError("convolution requires the action on X = G itself")
     for part in (nu, lam):
         _require_action_space(part, sys)
-    return Convolution(sys.space, nu, lam, sys)
+    space, outer, inner = sys.space, LazyValues(nu), LazyValues(lam)
+    # column i of the translation table holds the positions of T_g f_i;
+    # h is a member of C(G,K) unless a value of lam lies outside K
+    hs = (KFunction(space.points, tuple(inner[j] for j in column)) for column in zip(*sys.moved))
+    return TableFunctional(space, tuple(outer[space.position(h)] for h in hs))
 
 
 def dirac_unit(sys: ActionSystem) -> Dirac:
@@ -269,7 +254,7 @@ class ConvAlgebra:
         made = self._made.get(key)
         if made is None:
             made = plus_kind(self.kind, nu, lam) if op == "plus" else convolve(nu, lam, self.sys)
-            made = self._made[key] = self.member(tabulate(made))
+            made = self._made[key] = self.member(made)
         return made
 
 
@@ -303,23 +288,25 @@ def saturate(seed, sys: ActionSystem, kind: str, budget: int = 4096) -> ConvAlge
 
 def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     """Closure of both operations, the two distributive laws between the
-    kind addition and convolution, and neutrality of the unit evaluation."""
+    kind addition and convolution, and neutrality of the unit evaluation,
+    each one scan over the members that stops at its first failure."""
     report = AxiomReport()
     members = alg.members
     inside = set(members)
+    # each pair's sum is read once, by closure-add and both distributive laws
+    sums = {pair: alg.combine("plus", *pair) for pair in product(members, repeat=2)}
 
-    closure = {"closure-add": "plus", "closure-conv": "star"}
-    failed = {}
-    for nu, lam in product(members, repeat=2):
-        for law, op in closure.items():
-            if law not in failed and alg.combine(op, nu, lam) not in inside:
-                failed[law] = Verdict.failed(law, (str(nu), str(lam)))
-        if len(failed) == len(closure):
-            break
-    if not alg.saturated:
-        failed["closure-add"] = Verdict.failed("closure-add", None, note="saturation budget exhausted")
-    for law in closure:
-        report.add(failed.get(law, Verdict.passed(law)))
+    def leaves(op):
+        for nu, lam in product(members, repeat=2):
+            made = sums[nu, lam] if op == "plus" else alg.combine(op, nu, lam)
+            if made not in inside:
+                yield (str(nu), str(lam))
+
+    if alg.saturated:
+        report.add(first_failure("closure-add", leaves("plus")))
+    else:
+        report.add(Verdict.failed("closure-add", None, note="saturation budget exhausted"))
+    report.add(first_failure("closure-conv", leaves("star")))
 
     # (n1 + n2) * lam = n1 * lam + n2 * lam, and the same law with the
     # convolution flipped: lam * (n1 + n2) = lam * n1 + lam * n2.  The
@@ -331,28 +318,21 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     def starred(a, flip):
         return [alg.combine("star", *((lam, a) if flip else (a, lam))) for lam in members]
 
-    dist = {"conv-right-dist": False, "conv-left-dist": True}
-    failed = {}
-    for n1, n2 in product(members, repeat=2):
-        total = alg.combine("plus", n1, n2)
-        rows = [(law, starred(total, flip), starred(n1, flip), starred(n2, flip))
-                for law, flip in dist.items() if law not in failed]
-        for k, lam in enumerate(members):
-            for law, lhs, r1, r2 in rows:
-                if law not in failed and lhs[k] is not alg.combine("plus", r1[k], r2[k]):
-                    failed[law] = Verdict.failed(law, (str(n1), str(n2), str(lam)))
-        if len(failed) == len(dist):
-            break
-    for law in dist:
-        report.add(failed.get(law, Verdict.passed(law)))
+    def undistributed(flip):
+        for n1, n2 in product(members, repeat=2):
+            rows = zip(members, starred(sums[n1, n2], flip), starred(n1, flip), starred(n2, flip))
+            for lam, lhs, r1, r2 in rows:
+                if lhs is not alg.combine("plus", r1, r2):
+                    yield (str(n1), str(n2), str(lam))
 
-    unit = Verdict.passed("unit-neutral")
+    report.add(first_failure("conv-right-dist", undistributed(False)))
+    report.add(first_failure("conv-left-dist", undistributed(True)))
+
     delta = alg.member(tabulate(dirac_unit(alg.sys)))
-    for nu in members:
-        if {alg.combine("star", nu, delta), alg.combine("star", delta, nu)} != {nu}:
-            unit = Verdict.failed("unit-neutral", (str(nu),))
-            break
-    report.add(unit)
+    moved = (
+        (str(nu),) for nu in members if {alg.combine("star", nu, delta), alg.combine("star", delta, nu)} != {nu}
+    )
+    report.add(first_failure("unit-neutral", moved))
     return report
 
 
@@ -387,23 +367,21 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
             in_H[nu] = bool(check_invariant(nu, sys)) and bool(check_kind(nu, kind))
         return in_H[nu]
 
-    add_cl = Verdict.passed("ideal-add")
-    for l1, l2 in product(H, repeat=2):
-        if not member_of_H(alg.combine("plus", l1, l2)):
-            add_cl = Verdict.failed("ideal-add", (str(l1), str(l2)))
-            break
-    report.add(add_cl)
+    outside = (
+        (str(l1), str(l2)) for l1, l2 in product(H, repeat=2) if not member_of_H(alg.combine("plus", l1, l2))
+    )
+    report.add(first_failure("ideal-add", outside))
 
-    # nu * lam and lam * nu stay in H for every member nu and lam in H
-    failed = {}
-    for nu, lam in product(alg.members, H):
-        for law, a, b in (("ideal-left", nu, lam), ("ideal-right", lam, nu)):
-            if law not in failed and not member_of_H(alg.combine("star", a, b)):
-                failed[law] = Verdict.failed(law, (str(a), str(b)))
-        if len(failed) == 2:
-            break
-    for law in ("ideal-left", "ideal-right"):
-        report.add(failed.get(law, Verdict.passed(law)))
+    # nu * lam stays in H for every member nu and lam in H, and with the
+    # convolution flipped, lam * nu
+    def leaves(flip):
+        for nu, lam in product(alg.members, H):
+            a, b = (lam, nu) if flip else (nu, lam)
+            if not member_of_H(alg.combine("star", a, b)):
+                yield (str(a), str(b))
+
+    report.add(first_failure("ideal-left", leaves(False)))
+    report.add(first_failure("ideal-right", leaves(True)))
     return report
 
 

@@ -83,6 +83,8 @@ class FunctionSpace:
         self.name = name or f"C({','.join(self.points)};{K.name})"
         if not self.points:
             raise InputError("point set must be non-empty")
+        if len(set(self.points)) < len(self.points):
+            raise InputError(f"repeated point in {' '.join(self.points)}")
         if variant not in (None, "+", "-"):
             raise InputError(f"unknown variant {variant!r}")
         if variant is not None:
@@ -118,9 +120,9 @@ class FunctionSpace:
 
     def function(self, values) -> KFunction:
         if isinstance(values, dict):
-            missing = [x for x in self.points if x not in values]
-            if missing:
-                raise InputError(f"function missing points {missing}")
+            odd = set(values).symmetric_difference(self.points)
+            if odd:
+                raise InputError(f"function points differ from the space's at {sorted(odd)}")
             vals = tuple(values[x] for x in self.points)
         else:
             vals = tuple(values)

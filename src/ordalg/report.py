@@ -29,6 +29,15 @@ class Verdict:
         return self.holds
 
 
+def first_failure(law: str, witnesses) -> Verdict:
+    """The verdict of `law` from the witnesses of its failing cases in
+    scan order: failed at the first, passed when there is none.  The
+    witnesses are read lazily, so the scan stops at its first failure."""
+    for witness in witnesses:
+        return Verdict.failed(law, witness)
+    return Verdict.passed(law)
+
+
 def fmt_witness(witness: tuple | None) -> str:
     """Compact single-line rendering used by the machine report format."""
     if witness is None:

@@ -101,9 +101,11 @@ class FinStruct:
         v = check_law(self, "absorb")
         if not v:
             raise InputError(f"{self.name}: absorption fails at {v.witness}")
-        for flag in self.flags:
-            if flag not in LAWS:
-                raise InputError(f"{self.name}: unknown law flag {flag!r}")
+        # unknown flags first, then LAWS order: a frozenset's order depends on string hashing
+        unknown = sorted(self.flags - set(LAWS))
+        if unknown:
+            raise InputError(f"{self.name}: unknown law flag {unknown[0]!r}")
+        for flag in (law for law in LAWS if law in self.flags):
             v = check_law(self, flag)
             if not v:
                 raise InputError(f"{self.name}: declared flag {flag} fails at {v.witness}")

@@ -67,12 +67,16 @@ class Section:
                 return ln
         return self.line
 
-    def rows(self, prefix: str) -> list:
+    def rows(self, prefix: str, names) -> list:
+        """(name, value, line) of each `prefix.name` key; a name not in `names` is refused."""
         out = []
         for k, v, ln in self.entries:
             if k.startswith(prefix + "."):
                 self.read.add(k)
-                out.append((k[len(prefix) + 1 :], v, ln))
+                name = k[len(prefix) + 1 :]
+                if name not in names:
+                    raise ParseError(f"[{self.kind} {self.name}]: {k!r} names {name!r}, outside its carrier", ln)
+                out.append((name, v, ln))
         return out
 
     def refuse_unread(self) -> None:
@@ -105,7 +109,7 @@ class Workspace:
 def split_sections(text: str) -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
-    seen = set()
+    seen = set()  # (kind, name) of each section header, (kind, name, key) of each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -127,7 +131,11 @@ def split_sections(text: str) -> list[Section]:
         if "=" not in line:
             raise ParseError("expected `key = value`", lineno)
         key, value = line.split("=", 1)
-        current.entries.append((key.strip(), value.strip(), lineno))
+        key = key.strip()
+        if (current.kind, current.name, key) in seen:
+            raise ParseError(f"[{current.kind} {current.name}]: repeated key {key!r}", lineno)
+        seen.add((current.kind, current.name, key))
+        current.entries.append((key, value.strip(), lineno))
     return sections
 
 
@@ -224,7 +232,7 @@ def _build_structure(sec: Section) -> FinStruct:
     tables = {}
     for label in ("add", "mul"):
         table = {}
-        for a, value, ln in sec.rows(f"{label}.row"):
+        for a, value, ln in sec.rows(f"{label}.row", elements):
             values = value.split()
             if len(values) != len(elements):
                 raise ParseError(
@@ -254,6 +262,8 @@ def _build_function(space: FunctionSpace, sec: Section) -> KFunction:
         if ":" not in token:
             raise ParseError(f"function value {token!r} must look like point:value", sec.line_of("values"))
         x, v = token.split(":", 1)
+        if x in values:
+            raise ParseError(f"point {x!r} repeated in the function values", sec.line_of("values"))
         values[x] = v
     return space.function(values)
 
@@ -280,7 +290,7 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
     table = {}
-    for a, value, ln in sec.rows("groupoid.row"):
+    for a, value, ln in sec.rows("groupoid.row", gelems):
         values = value.split()
         if len(values) != len(gelems):
             raise ParseError(f"groupoid row {a!r} has wrong arity", ln)
@@ -290,12 +300,12 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
     points = tuple(sec.require("points").split())
     v = {}
     rho = {}
-    for g, value, ln in sec.rows("act"):
+    for g, value, ln in sec.rows("act", gelems):
         images = value.split()
         if len(images) != len(points):
             raise ParseError(f"action row for {g!r} has wrong arity", ln)
         v[g] = dict(zip(points, images))
-    for g, value, ln in sec.rows("rho"):
+    for g, value, ln in sec.rows("rho", gelems):
         values = value.split()
         if len(values) != len(points):
             raise ParseError(f"cocycle row for {g!r} has wrong arity", ln)

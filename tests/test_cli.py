@@ -2,7 +2,10 @@
 `check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -46,6 +49,17 @@ def test_eval_refuses_bad_expressions(capsys, expr):
     code, out, err = run(capsys, "eval", DEMO, "--expr", expr)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("nu({x1: 0, x2: 1, x1: 1})", "point 'x1' repeated in the function literal"),
+        ("nu({x1: 0, x2: 1, bogus: 1})", "function points differ from the space's at ['bogus']"),
+    ],
+)
+def test_eval_refuses_a_literal_that_repeats_or_adds_a_point(capsys, expr, message):
+    assert run(capsys, "eval", DEMO, "--expr", expr) == (2, "", f"error: {message}\n")
 
 
 def pass_block(check_id, law, note=None):
@@ -140,19 +154,39 @@ def test_an_embed_entry_outside_the_component_exits_2(tmp_path, capsys):
     assert run(capsys, "check", doc) == (2, "", message)
 
 
+# mul is generated by {0, 1, 2}, whose left multiplications all
+# distribute, but mul is not associative and L_3 does not distribute
+GUARD = (
+    "[structure G]\nelements = 0 1 2 3\norder = chain\nzero = 0\none = 1\n"
+    "add.row.0 = 0 1 2 3\nadd.row.1 = 1 2 3 3\nadd.row.2 = 2 2 3 3\nadd.row.3 = 3 3 3 3\n"
+    "mul.row.0 = 0 0 0 0\nmul.row.1 = 0 1 2 3\nmul.row.2 = 0 2 3 3\nmul.row.3 = 0 3 1 3\n"
+)
+
+
 def test_a_false_left_dist_flag_exits_2_with_the_first_witness(tmp_path, capsys):
-    # mul is generated by {0, 1, 2}, whose left multiplications all
-    # distribute, but mul is not associative and L_3 does not distribute
     doc = tmp_path / "guard.workspace"
-    doc.write_text(
-        "[structure G]\nelements = 0 1 2 3\norder = chain\nzero = 0\none = 1\n"
-        "add.row.0 = 0 1 2 3\nadd.row.1 = 1 2 3 3\nadd.row.2 = 2 2 3 3\nadd.row.3 = 3 3 3 3\n"
-        "mul.row.0 = 0 0 0 0\nmul.row.1 = 0 1 2 3\nmul.row.2 = 0 2 3 3\nmul.row.3 = 0 3 1 3\n"
-        "flags = left-dist\n",
-        encoding="utf-8",
-    )
+    doc.write_text(GUARD + "flags = left-dist\n", encoding="utf-8")
     message = "error: line 1: [structure G]: G: declared flag left-dist fails at ('3', '1', '1', '1', '3')\n"
     assert run(capsys, "check", doc) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        ("left-dist assoc-mul", "declared flag assoc-mul fails at ('2', '2', '2', '1', '3')"),
+        ("left-dist nonsense assoc-mul bogus", "unknown law flag 'bogus'"),
+    ],
+)
+def test_the_flag_refused_does_not_depend_on_string_hashing(tmp_path, flags, named):
+    # unknown flags are refused first, then the declared laws in LAWS order
+    doc = tmp_path / "guard.workspace"
+    doc.write_text(GUARD + f"flags = {flags}\n", encoding="utf-8")
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordalg.cli", "check", str(doc)], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (2, f"error: line 1: [structure G]: G: {named}\n"), seed
 
 
 DIAMOND = """

@@ -4,8 +4,9 @@ witnesses, the agreement of the join/meet scans of `check_kind` and
 laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each, the pruned seed family against the
 exhaustive filter, the action and cocycle laws, T_g T_h = T_gh, the
-unit of convolution, a part on another space refused, each translate
-made once per action, and the positional convolution against the
+unit of convolution, a part on another space or a value outside K
+refused, each translate made once per action, and the positional
+convolution, of symbolic parts and of whole algebras, against the
 translate-by-translate path of tests/scan_oracles.py."""
 from collections import Counter
 from itertools import product
@@ -47,6 +48,7 @@ from ordalg import (
     saturate,
     signature,
     support_bounds,
+    tabulate,
     trivial_structure,
 )
 from ordalg.suites import suite_convolution
@@ -376,6 +378,11 @@ class TestCheckAction:
         v = check_action(z2_action(**changes))
         assert (v.holds, v.law, v.witness) == (False, "action", witness)
 
+    def test_a_repeated_groupoid_element_is_refused(self):
+        table = {(x, y): x for x in "ea" for y in "ea"}
+        with pytest.raises(InputError, match="G: repeated element in e a e"):
+            Groupoid("G", ("e", "a", "e"), table, "e")
+
     @pytest.mark.parametrize("value", ["0", "2"])
     def test_cocycle_value_outside_L_minus_zero(self, value):
         sys = z2_action(MP3, L={"0", "1"}, rho={("a", "e"): value})
@@ -435,6 +442,14 @@ def test_convolve_refuses_a_part_on_another_space(space):
     for parts in ((nu, dirac_unit(sys)), (dirac_unit(sys), nu)):
         with pytest.raises(InputError, match="does not live on C"):
             convolve(*parts, sys)
+
+
+def test_an_inner_value_outside_K_is_refused():
+    # the product is tabulated at once, so the bad value is met in convolve
+    sys = z2_action()
+    lam = TableFunctional(sys.space, ("0", "1", "7", "1"))
+    with pytest.raises(InputError, match="is not a function of"):
+        convolve(dirac_unit(sys), lam, sys)
 
 
 def test_each_translate_is_made_once(monkeypatch):
@@ -518,3 +533,17 @@ def test_unsaturated_algebra_agrees_with_the_translate_oracle():
     members = [TableFunctional(sys.space, tuple(v)) for v in ("00100000", "01000100", "10001000")]
     alg = ConvAlgebra("join", sys, tuple(members), saturated=False, rounds=0)
     assert_agrees_with_the_oracle(alg, scan_oracles.ConvAlgebra("join", sys, members))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_convolve_agrees_with_the_translate_oracle_on_symbolic_parts(case):
+    # each Dirac, the sup over all points and a seed table, in both orders
+    make_sys, make_seed, _, _ = ORACLE_CASES[case]
+    sys = make_sys()
+    sp = sys.space
+    parts = [Dirac(sp, x) for x in sp.points]
+    parts += [SupOver(sp, frozenset(sp.points)), tabulate(make_seed(sys)[-1])]
+    for nu, lam in product(parts, repeat=2):
+        made = convolve(nu, lam, sys)
+        assert isinstance(made, TableFunctional)
+        assert made.table == signature(scan_oracles.Convolution(sp, nu, lam, sys)), (str(nu), str(lam))

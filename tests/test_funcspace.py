@@ -327,6 +327,18 @@ class TestOrderLookups:
         with pytest.raises(InputError, match="is not a function of"):
             sp.position(f)
 
+    def test_a_repeated_point_is_refused(self):
+        with pytest.raises(InputError, match="repeated point in x1 x2 x1"):
+            space(points=("x1", "x2", "x1"))
+
+    def test_a_dict_naming_a_foreign_or_missing_point_is_refused(self):
+        sp = space()
+        with pytest.raises(InputError, match=r"differ from the space's at \['bogus'\]"):
+            sp.function({"x1": "0", "x2": "1", "bogus": "1"})
+        with pytest.raises(InputError, match=r"differ from the space's at \['x2'\]"):
+            sp.function({"x1": "0"})
+        assert sp.function({"x1": "0", "x2": "1"}).values == ("0", "1")
+
     def test_a_shift_position_is_kept_once(self):
         sp = space(points=("x1", "x2"), K=MP3)
         f = sp.function({"x1": "1", "x2": "0"})

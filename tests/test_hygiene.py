@@ -299,3 +299,74 @@ def test_scanner_counts_a_self_read_for_its_own_class_only():
 def test_every_public_method_is_read():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert sorted(unread_methods(sources)) == sorted(UNREAD_METHODS)
+
+
+# Dataclass fields, as Class.field, that no module of the package reads, each kept for a reason.
+UNREAD_FIELDS = {
+    "AxiomReport.sampled": "the sampled checkers set it; no record reports it yet (ROADMAP item 4)",
+    "SupportBounds.t_fixed": "a support-bound record cannot fail yet; tri-state verdicts will report it (ROADMAP item 4)",
+    "SupportBounds.p_fixed": "as t_fixed (ROADMAP item 4)",
+    "SupportBounds.p_fixed_proper": "the bound with content for collapsing actions (ROADMAP item 4)",
+    "SupportBounds.contained_in_p_proper": "as p_fixed_proper (ROADMAP item 4)",
+    "SupportBounds.g_invariant": "as t_fixed (ROADMAP item 4)",
+    "ConvAlgebra.rounds": "perfbench/spans.py reads it as convolution.saturate_rounds",
+}
+
+
+def is_dataclass(node) -> bool:
+    """Whether a class is decorated with `dataclass`, called or not."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for the annotated fields of module-level dataclasses."""
+    return [
+        (node.name, item.target.id)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def attributes_loaded(source: str) -> set[str]:
+    """The attributes a module reads; assigning one is not reading it."""
+    tree = ast.parse(source)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """Dataclass fields that no source reads as an attribute, through an
+    instance of their own class or otherwise."""
+    read = set().union(*(attributes_loaded(s) for s in sources))
+    return [f"{cls}.{name}" for s in sources for cls, name in dataclass_fields(s) if name not in read]
+
+
+def test_scanner_finds_an_unread_field():
+    sources = [
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    kept: int\n"
+        "    written: int\n"
+        "    never: int = 0\n"
+        "    cache: dict = field(default_factory=dict)\n"
+        "    def total(self):\n"
+        "        return self.kept + len(self.cache)\n"
+        "@dataclasses.dataclass\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "class Plain:\n"
+        "    skipped: int\n",
+        "from .a import Box\nb = Box(1, 2)\nb.written = 3\nb.written += 1\n",
+    ]
+    assert unread_fields(sources) == ["Box.written", "Box.never", "Pair.left"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)

@@ -188,3 +188,75 @@ def test_a_cycle_of_order_covers_is_refused_at_its_line(tmp_path, capsys):
 def test_a_suite_section_overrides_the_defaults_it_names(suite, defaults):
     ws = workspace.parse("[structure b]\nbuiltin = boolean\n\n" + suite)
     assert ws.suite_defaults == defaults
+
+
+# EVERY_KIND with a structure given by its tables, whose rows are keys.
+WITH_TABLES = EVERY_KIND + """
+[structure K]
+elements = 0 1
+order = chain
+zero = 0
+one = 1
+add.row.0 = 0 1
+add.row.1 = 1 1
+mul.row.0 = 0 0
+mul.row.1 = 0 1
+"""
+
+
+def with_line_after(line: str, new: str) -> tuple[str, int]:
+    """WITH_TABLES with `new` put right after its first `line`, and the
+    new line's number."""
+    lines = WITH_TABLES.splitlines()
+    at = lines.index(line) + 1
+    lines.insert(at, new)
+    return "\n".join(lines) + "\n", at + 1
+
+
+@pytest.mark.parametrize(
+    "line, new, section",
+    [
+        ("window = 0 3", "window = 0 2", "[scheme Sch]"),
+        ("mul.row.1 = 0 1", "mul.row.1 = 0 0", "[structure K]"),
+        ("act.e = e", "act.e = e", "[action A]"),
+        ("run = laws", "run = laws monad", "[suite default]"),
+    ],
+    ids=["window", "mul-row", "act-row", "run"],
+)
+def test_a_repeated_key_is_refused_at_its_second_line(tmp_path, capsys, line, new, section):
+    text, at = with_line_after(line, new)
+    key = new.split(" = ")[0]
+    assert run_check(tmp_path, capsys, text) == (2, f"error: line {at}: {section}: repeated key {key!r}\n")
+
+
+@pytest.mark.parametrize(
+    "line, new, section",
+    [
+        ("add.row.1 = 1 1", "add.row.x = 0 1", "[structure K]"),
+        ("mul.row.1 = 0 1", "mul.row.x = 0 1", "[structure K]"),
+        ("groupoid.row.e = e", "groupoid.row.x = e", "[action A]"),
+        ("act.e = e", "act.g = e", "[action A]"),
+        ("rho.e = 1", "rho.g = 1", "[action A]"),
+    ],
+    ids=["add-row", "mul-row", "groupoid-row", "act", "rho"],
+)
+def test_a_row_key_outside_its_carrier_is_refused_at_its_line(tmp_path, capsys, line, new, section):
+    text, at = with_line_after(line, new)
+    key = new.split(" = ")[0]
+    name = key.rsplit(".", 1)[1]
+    message = f"error: line {at}: {section}: {key!r} names {name!r}, outside its carrier\n"
+    assert run_check(tmp_path, capsys, text) == (2, message)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("points = x y", "points = x y x", "line 4: [space S]: repeated point in x y x"),
+        ("values = x:0 y:1", "values = x:0 y:1 x:1", "line 10: point 'x' repeated in the function values"),
+        ("values = x:0 y:1", "values = x:0 y:1 z:1", "line 8: [function f]: function points differ from the space's at ['z']"),
+    ],
+    ids=["space", "function-repeat", "function-outside"],
+)
+def test_a_repeated_or_foreign_point_is_refused(tmp_path, capsys, old, new, message):
+    text = EVERY_KIND.replace(old, new)
+    assert run_check(tmp_path, capsys, text) == (2, f"error: {message}\n")
