@@ -55,17 +55,17 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(ws, args)
         return _cmd_witness(ws, args)
-    except OrdalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OrdalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise OrdalgError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _cmd_check(ws: Workspace, args) -> int:

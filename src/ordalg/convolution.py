@@ -13,7 +13,6 @@ an algebra reads each product of two members from its own table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
 
@@ -37,17 +36,15 @@ KINDS = ("add", "join", "meet")
 REGIMES = ("unit-cocycle", "homogeneous")
 
 
-@dataclass(frozen=True, eq=False)
 class Groupoid:
     """One total binary operation with a two-sided unit; no other laws."""
 
-    name: str
-    elements: tuple
-    table: dict
-    unit: str
-
-    def __post_init__(self):
-        eset = set(self.elements)
+    def __init__(self, name: str, elements: tuple, table: dict, unit: str):
+        self.name = name
+        self.elements = elements
+        self.table = table
+        self.unit = unit
+        eset = set(elements)
         if len(eset) < len(self.elements):
             raise InputError(f"{self.name}: repeated element in {' '.join(self.elements)}")
         if self.unit not in eset:
@@ -66,22 +63,22 @@ class Groupoid:
         return self.table[(a, b)]
 
 
-@dataclass(eq=False)
 class ActionSystem:
     """A groupoid action on a finite set with a cocycle into an
     associative part of the coefficient structure."""
 
-    G: Groupoid
-    K: FinStruct
-    points: tuple
-    v: dict
-    L: frozenset
-    rho: dict
-    regime: str = "unit-cocycle"
-    space: FunctionSpace = field(init=False)
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
+    def __init__(
+        self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict,
+        regime: str = "unit-cocycle",
+    ):
+        self.G = G
+        self.K = K
+        self.points = points
+        self.v = v
+        self.L = L
+        self.rho = rho
+        self.regime = regime
+        if regime not in REGIMES:
             raise InputError(f"unknown regime {self.regime!r}")
         pset = set(self.points)
         for g in self.G.elements:
@@ -225,23 +222,20 @@ def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
 # saturation, quasiring and ideal checks
 
 
-@dataclass(eq=False)
 class ConvAlgebra:
     """A family of value tables on C(G,K) with the kind addition ("plus")
     and convolution ("star").  It keeps one object per table (`member`),
     registered when it enters, so each product of two tables is keyed by
     their identities, made once, by `combine`, and read from there."""
 
-    kind: str
-    sys: ActionSystem
-    members: tuple
-    saturated: bool
-    rounds: int
-    _made: dict = field(default_factory=dict, init=False, repr=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        self.members = tuple(map(self.member, self.members))
+    def __init__(self, kind: str, sys: ActionSystem, members: tuple, saturated: bool, rounds: int):
+        self.kind = kind
+        self.sys = sys
+        self.saturated = saturated
+        self.rounds = rounds
+        self._made = {}
+        self._tables = {}
+        self.members = tuple(map(self.member, members))
 
     def member(self, nu: TableFunctional) -> TableFunctional:
         """The algebra's one object for nu's table."""
@@ -389,17 +383,33 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
 # support bounds for invariant functionals
 
 
-@dataclass(frozen=True)
 class SupportBounds:
-    t_fixed: frozenset
-    p_fixed: frozenset
-    p_fixed_proper: frozenset
-    support: frozenset
-    support_degenerate: bool
-    contained_in_t: bool
-    contained_in_p: bool
-    contained_in_p_proper: bool
-    g_invariant: bool | None
+    def __init__(
+        self,
+        t_fixed: frozenset,
+        p_fixed: frozenset,
+        p_fixed_proper: frozenset,
+        support: frozenset,
+        support_degenerate: bool,
+        contained_in_t: bool,
+        contained_in_p: bool,
+        contained_in_p_proper: bool,
+        g_invariant: bool | None,
+    ):
+        self.t_fixed = t_fixed
+        self.p_fixed = p_fixed
+        self.p_fixed_proper = p_fixed_proper
+        self.support = support
+        self.support_degenerate = support_degenerate
+        self.contained_in_t = contained_in_t
+        self.contained_in_p = contained_in_p
+        self.contained_in_p_proper = contained_in_p_proper
+        self.g_invariant = g_invariant
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def support_bounds(nu: Functional, sys: ActionSystem) -> SupportBounds:

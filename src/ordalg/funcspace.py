@@ -10,7 +10,6 @@ enumerated only up to `FUNCTION_CAP` value tuples.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import CapacityError, IncomparableError, InputError
@@ -32,17 +31,23 @@ def pair_without_sup(order: OrderRelation, size: int) -> tuple | None:
     return next((p for p in combinations(order.carrier, 2) if sup_over(p, order) is None), None)
 
 
-@dataclass(frozen=True)
 class KFunction:
     """A total map from the point tuple to K element ids, stored aligned
     with the domain so functions hash and compare by value."""
 
-    domain: tuple[str, ...]
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.values):
+    def __init__(self, domain: tuple[str, ...], values: tuple[str, ...]):
+        self.domain = domain
+        self.values = values
+        if len(domain) != len(values):
             raise InputError("function values must align with the domain")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.values) == (other.domain, other.values)
+
+    def __hash__(self):
+        return hash((self.domain, self.values))
 
     def __call__(self, x: str) -> str:
         try:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import groupby, product
 from operator import itemgetter
 
@@ -41,13 +40,11 @@ class Functional:
         return self.value(f)
 
 
-@dataclass(frozen=True, eq=False)
 class Dirac(Functional):
-    space: FunctionSpace
-    point: str
-
-    def __post_init__(self):
-        if self.point not in self.space.points:
+    def __init__(self, space: FunctionSpace, point: str):
+        self.space = space
+        self.point = point
+        if point not in space.points:
             raise InputError(f"Dirac point {self.point!r} not in the space")
 
     def value(self, f: KFunction) -> str:
@@ -57,20 +54,19 @@ class Dirac(Functional):
         return f"dirac {self.point}"
 
 
-@dataclass(frozen=True, eq=False)
 class _Extremum(Functional):
     """The `bound` ("sup" or "inf") of the function values over a fixed
     non-empty subset."""
 
-    space: FunctionSpace
-    subset: frozenset
     bound = "sup"
 
-    def __post_init__(self):
+    def __init__(self, space: FunctionSpace, subset: frozenset):
+        self.space = space
+        self.subset = subset
         name = type(self).__name__
-        if not self.subset:
+        if not subset:
             raise InputError(f"{name} needs a non-empty subset")
-        if not self.subset <= set(self.space.points):
+        if not subset <= set(space.points):
             raise InputError(f"{name} subset not contained in the point set")
 
     def value(self, f: KFunction) -> str:
@@ -92,12 +88,12 @@ class InfOver(_Extremum):
     bound = "inf"
 
 
-@dataclass(frozen=True, eq=False)
 class TableFunctional(Functional):
     """An arbitrary functional given by its full value table."""
 
-    space: FunctionSpace
-    table: tuple
+    def __init__(self, space: FunctionSpace, table: tuple):
+        self.space = space
+        self.table = table
 
     def value(self, f: KFunction) -> str:
         try:
@@ -109,12 +105,12 @@ class TableFunctional(Functional):
         return f"table{self.table}"
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedCombo(Functional):
-    space: FunctionSpace
-    side: str
-    coeffs: tuple
-    parts: tuple
+    def __init__(self, space: FunctionSpace, side: str, coeffs: tuple, parts: tuple):
+        self.space = space
+        self.side = side
+        self.coeffs = coeffs
+        self.parts = parts
 
     def value(self, f: KFunction) -> str:
         K = self.space.K
@@ -491,10 +487,15 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
 # supports
 
 
-@dataclass(frozen=True)
 class SupportReport:
-    support: frozenset
-    degenerate: bool
+    def __init__(self, support: frozenset, degenerate: bool):
+        self.support = support
+        self.degenerate = degenerate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.support, self.degenerate) == (other.support, other.degenerate)
 
 
 def supported_on(nu: Functional, E) -> bool:
@@ -533,19 +534,17 @@ def support_of(nu: Functional) -> SupportReport:
 # the monad structure
 
 
-@dataclass(eq=False)
 class FunctionalFamily:
     """An indexed family of functionals treated as a point set, in the
     order given, together with the function space over it."""
 
-    space: FunctionSpace
-    members: tuple
-    prefix: str = "n"
-    ids: tuple = field(init=False)
-    upper: FunctionSpace = field(init=False)
+    def __init__(self, space: FunctionSpace, members: tuple, prefix: str = "n"):
+        self.space = space
+        self.members = tuple(members)
+        self.prefix = prefix
+        self.__post_init__()  # the upper space, a method of its own so perfbench/spans.py can time it
 
     def __post_init__(self):
-        self.members = tuple(self.members)
         self.ids = tuple(f"{self.prefix}{i}" for i in range(len(self.members)))
         self.upper = FunctionSpace(self.ids, self.space.K, name=f"C({self.prefix}-family)")
 
@@ -554,16 +553,16 @@ class FunctionalFamily:
         return self.upper.function({pid: m.value(g) for pid, m in zip(self.ids, self.members)})
 
 
-@dataclass(frozen=True, eq=False)
 class Pulled(Functional):
     """f -> inner(pull(f)): a functional on `space` that evaluates
     `inner` at the function `pull` makes of each argument, on demand;
     `kind` names the construction when it is printed."""
 
-    space: FunctionSpace
-    inner: Functional
-    pull: Callable[[KFunction], KFunction]
-    kind: str
+    def __init__(self, space: FunctionSpace, inner: Functional, pull: Callable[[KFunction], KFunction], kind: str):
+        self.space = space
+        self.inner = inner
+        self.pull = pull
+        self.kind = kind
 
     def value(self, f: KFunction) -> str:
         return self.inner.value(self.pull(f))

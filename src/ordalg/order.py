@@ -7,15 +7,12 @@ failure comes with a concrete witness tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 from .report import Verdict
 
 Mode = str  # "directed" | "linear"
 
 
-@dataclass(frozen=True)
 class OrderRelation:
     """A binary relation `leq` over a finite carrier of identifiers.
 
@@ -24,14 +21,11 @@ class OrderRelation:
     built from them once, and bounds and extrema are read from those sets.
     """
 
-    carrier: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
-    above: dict = field(init=False, repr=False, compare=False)
-    below: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        seen = set(self.carrier)
-        if len(seen) != len(self.carrier):
+    def __init__(self, carrier: tuple[str, ...], pairs: frozenset[tuple[str, str]]):
+        self.carrier = carrier
+        self.pairs = pairs
+        seen = set(carrier)
+        if len(seen) != len(carrier):
             raise InputError("carrier contains duplicate identifiers")
         above = {x: set() for x in self.carrier}
         below = {x: set() for x in self.carrier}
@@ -40,8 +34,13 @@ class OrderRelation:
                 raise InputError(f"relation mentions unknown identifier in pair ({x},{y})")
             above[x].add(y)
             below[y].add(x)
-        object.__setattr__(self, "above", {x: frozenset(up) for x, up in above.items()})
-        object.__setattr__(self, "below", {x: frozenset(down) for x, down in below.items()})
+        self.above = {x: frozenset(up) for x, up in above.items()}
+        self.below = {x: frozenset(down) for x, down in below.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.pairs) == (other.carrier, other.pairs)
 
     @classmethod
     def chain(cls, elements) -> "OrderRelation":
@@ -97,18 +96,16 @@ class OrderRelation:
         return [z for z in self.carrier if z in common]
 
 
-@dataclass(frozen=True)
 class OrderedCarrier:
     """An order together with its distinguished minimal element (zero)."""
 
-    order: OrderRelation
-    zero: str
-
-    def __post_init__(self):
-        if self.zero not in self.order.carrier:
+    def __init__(self, order: OrderRelation, zero: str):
+        self.order = order
+        self.zero = zero
+        if zero not in order.carrier:
             raise InputError(f"zero element {self.zero!r} not in carrier")
-        for x in self.order.carrier:
-            if not self.order.leq(self.zero, x):
+        for x in order.carrier:
+            if not order.leq(zero, x):
                 raise InputError(f"zero element {self.zero!r} is not minimal: not leq {x!r}")
 
 

@@ -7,15 +7,19 @@ caller can re-evaluate them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Verdict:
-    holds: bool
-    law: str
-    witness: tuple | None = None
-    note: str = ""
+    def __init__(self, holds: bool, law: str, witness: tuple | None = None, note: str = ""):
+        self.holds = holds
+        self.law = law
+        self.witness = witness
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = (self.holds, self.law, self.witness, self.note)
+        return fields == (other.holds, other.law, other.witness, other.note)
 
     @classmethod
     def passed(cls, law: str, note: str = "") -> "Verdict":
@@ -53,7 +57,6 @@ def _fmt_item(item) -> str:
     return str(item)
 
 
-@dataclass
 class AxiomReport:
     """Per-axiom verdicts for one functional (or one structure).
 
@@ -61,8 +64,14 @@ class AxiomReport:
     report is never silently treated as a full pass.
     """
 
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
-    sampled: bool = False
+    def __init__(self, verdicts: dict[str, Verdict] | None = None, sampled: bool = False):
+        self.verdicts = {} if verdicts is None else verdicts
+        self.sampled = sampled
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.verdicts, self.sampled) == (other.verdicts, other.sampled)
 
     def add(self, verdict: Verdict) -> None:
         self.verdicts[verdict.law] = verdict

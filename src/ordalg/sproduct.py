@@ -13,7 +13,6 @@ and `find_nonassoc_witness` searches for it over a bounded sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .errors import CapacityError, InputError, PreconditionError
@@ -22,16 +21,21 @@ from .structures import FinStruct, Homomorphism, check_homomorphism
 OPS = ("add", "mul")
 
 
-@dataclass(frozen=True)
 class SuppElement:
     """Finite-support element: stored entries are nonzero, absent means 0.
     Values are looked up through `by_index`, the entries as a dict."""
 
-    items: tuple[tuple[int, str], ...]
-    by_index: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, items: tuple[tuple[int, str], ...]):
+        self.items = items
+        self.by_index = dict(items)
 
-    def __post_init__(self):
-        object.__setattr__(self, "by_index", dict(self.items))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
     def get(self, j: int, zero: str) -> str:
         return self.by_index.get(j, zero)
@@ -49,7 +53,6 @@ class SuppElement:
 WINDOW_CAP = 10_000
 
 
-@dataclass(frozen=True, eq=False)
 class IndexScheme:
     """Shift offsets, embeddings and the active index window.
 
@@ -65,16 +68,16 @@ class IndexScheme:
     reads.
     """
 
-    component: FinStruct
-    window: range
-    psi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
-    phi: dict = field(default_factory=lambda: {"add": 0, "mul": 0})
-    embed: dict | None = None
-    elements: frozenset = field(init=False, repr=False)
-    down: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        size = self.window.stop - self.window.start
+    def __init__(
+        self, component: FinStruct, window: range, psi: dict | None = None, phi: dict | None = None,
+        embed: dict | None = None,
+    ):
+        self.component = component
+        self.window = window
+        self.psi = {"add": 0, "mul": 0} if psi is None else psi
+        self.phi = {"add": 0, "mul": 0} if phi is None else phi
+        self.embed = embed
+        size = window.stop - window.start
         if size <= 0:
             raise InputError("empty index window")
         if size > WINDOW_CAP:
@@ -85,7 +88,7 @@ class IndexScheme:
             for name, m in (("psi", self.psi[op]), ("phi", self.phi[op])):
                 if type(m) is not int or m < 0:
                     raise InputError(f"{name}[{op}] must be a non-negative integer offset, got {m!r}")
-        object.__setattr__(self, "elements", frozenset(self.component.elements))
+        self.elements = frozenset(component.elements)
         if self.embed is not None:
             hom = Homomorphism(self.component, self.component, dict(self.embed))
             v = check_homomorphism(hom)
@@ -98,8 +101,7 @@ class IndexScheme:
                 for b in self.component.elements:
                     if order.lt(a, b) and not order.lt(self.embed[a], self.embed[b]):
                         raise InputError(f"embedding not strictly monotone at ({a},{b})")
-        down = {op: {a: self._embed_times(self.phi[op], a) for a in self.elements} for op in OPS}
-        object.__setattr__(self, "down", down)
+        self.down = {op: {a: self._embed_times(self.phi[op], a) for a in self.elements} for op in OPS}
 
     def _embed_times(self, r: int, a: str) -> str:
         """t^r_0(a).  The embedding permutes the finite carrier, so r is
@@ -160,11 +162,11 @@ def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppEl
     return SuppElement(tuple(items))
 
 
-@dataclass(frozen=True)
 class SearchResult:
-    witness: tuple | None
-    tested: int
-    diff_index: int | None = None
+    def __init__(self, witness: tuple | None, tested: int, diff_index: int | None = None):
+        self.witness = witness
+        self.tested = tested
+        self.diff_index = diff_index
 
     @property
     def found(self) -> bool:

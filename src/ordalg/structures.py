@@ -21,7 +21,6 @@ witness.  A failing associative law is scanned again over all of E.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import CapacityError, InputError
@@ -53,7 +52,6 @@ def require_desk_scale(name: str, size: int) -> None:
         raise CapacityError(f"{name}: carrier of {size} elements exceeds the cap {CARRIER_CAP}")
 
 
-@dataclass(frozen=True, eq=False)
 class FinStruct:
     """A finite double-operation structure (semiring / quasiring / worse).
 
@@ -67,15 +65,20 @@ class FinStruct:
     read the tables as rows built once (`rows["mul"][a][b]` is a*b).
     """
 
-    name: str
-    carrier: OrderedCarrier
-    add: Table
-    mul: Table
-    zero: str
-    one: str
-    flags: frozenset = frozenset()
-    verdicts: dict = field(default_factory=dict, init=False, repr=False)
-    rows: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(
+        self, name: str, carrier: OrderedCarrier, add: Table, mul: Table, zero: str, one: str,
+        flags: frozenset = frozenset(),
+    ):
+        self.name = name
+        self.carrier = carrier
+        self.add = add
+        self.mul = mul
+        self.zero = zero
+        self.one = one
+        self.flags = flags
+        self.verdicts = {}
+        self.rows = {}
+        self.__post_init__()  # the validation, a method of its own so perfbench/spans.py can time it
 
     def __post_init__(self):
         elems = self.elements
@@ -253,18 +256,16 @@ def _scan_law(s: FinStruct, law: str) -> Verdict:
     raise InputError(f"unknown law {law!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class Homomorphism:
-    source: FinStruct
-    target: FinStruct
-    mapping: dict
-
-    def __post_init__(self):
-        for a in self.source.elements:
-            if a not in self.mapping:
+    def __init__(self, source: FinStruct, target: FinStruct, mapping: dict):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+        for a in source.elements:
+            if a not in mapping:
                 raise InputError(f"homomorphism map missing element {a!r}")
-            if self.mapping[a] not in set(self.target.elements):
-                raise InputError(f"image {self.mapping[a]!r} not in target carrier")
+            if mapping[a] not in set(target.elements):
+                raise InputError(f"image {mapping[a]!r} not in target carrier")
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]

@@ -6,23 +6,10 @@ budget and seed produces byte-identical machine reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .convolution import (
-    _validate_regime,
-    all_kind_functionals,
-    check_action,
-    check_ideal,
-    check_quasiring,
-    invariant_subfamily,
-    saturate,
-    support_bounds,
-)
 from .errors import InputError, OrdalgError, PreconditionError
 from .functionals import check_idempotent, check_weak_properties, monad_check
 from .order import check_order_axioms
 from .report import Verdict, fmt_witness
-from .sproduct import IndexScheme, find_nonassoc_witness
 from .structures import check_law
 from .workspace import Workspace
 
@@ -31,11 +18,11 @@ SUITES = ("laws", "idempotent", "monad", "convolution", "s-construction")
 CORE_LAWS = ("neutral", "absorb", "assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist")
 
 
-@dataclass(frozen=True)
 class CheckRecord:
-    check_id: str
-    law: str
-    verdict: Verdict
+    def __init__(self, check_id: str, law: str, verdict: Verdict):
+        self.check_id = check_id
+        self.law = law
+        self.verdict = verdict
 
     def as_record_line(self) -> str:
         status = "pass" if self.verdict.holds else "fail"
@@ -104,6 +91,18 @@ def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
 
 
 def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
+    # imported here, as the workspace's action builder does, so that only a document with actions loads it
+    from .convolution import (
+        _validate_regime,
+        all_kind_functionals,
+        check_action,
+        check_ideal,
+        check_quasiring,
+        invariant_subfamily,
+        saturate,
+        support_bounds,
+    )
+
     records = []
     for name in sorted(ws.actions):
         sys = ws.actions[name]
@@ -170,6 +169,8 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
       nonzero, and the law holds there.  A side is recorded when K
       declares it and add is unshifted.
     """
+    from .sproduct import find_nonassoc_witness  # as in suite_convolution
+
     records = []
     for name in sorted(ws.schemes):
         scheme = ws.schemes[name]

@@ -6,19 +6,18 @@ parser validates everything it builds (tables are total, flags re-verify,
 cross-references resolve) and reports failures with line numbers.
 
 Section kinds: structure, space, function, functional, action, scheme,
-suite.  See docs/demo.workspace for a complete example.
+suite.  See docs/demo.workspace for a complete example.  The builders of
+action and scheme sections import `convolution` and `sproduct`, so a
+document without such a section never loads them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .convolution import KINDS, ActionSystem, Groupoid, check_action
 from .errors import CapacityError, InputError
 from .funcspace import FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
 from .order import OrderedCarrier, OrderRelation
-from .sproduct import IndexScheme
 from .structures import (
     FinStruct,
     boolean_semiring,
@@ -36,13 +35,13 @@ class ParseError(InputError):
         self.line = line
 
 
-@dataclass
 class Section:
-    kind: str
-    name: str
-    line: int
-    entries: list  # (key, value, line)
-    read: set = field(default_factory=set)  # the keys its builder asked for
+    def __init__(self, kind: str, name: str, line: int, entries: list):
+        self.kind = kind
+        self.name = name
+        self.line = line
+        self.entries = entries  # (key, value, line)
+        self.read = set()  # the keys its builder asked for
 
     def get(self, key: str, default=None) -> str | None:
         self.read.add(key)
@@ -93,17 +92,17 @@ def _integer(text: str, what: str, line: int) -> int:
         raise ParseError(f"{what} must be an integer, got {text!r}", line) from None
 
 
-@dataclass
 class Workspace:
-    structures: dict = field(default_factory=dict)
-    spaces: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    functionals: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    schemes: dict = field(default_factory=dict)
-    # what `ordalg check` runs when no option overrides it; a [suite] section overrides the keys it names
-    suite_defaults: dict = field(default_factory=lambda: {"run": ["all"], "budget": 20000, "seed": 0})
-    kinds: dict = field(default_factory=dict)
+    def __init__(self):
+        self.structures = {}
+        self.spaces = {}
+        self.functions = {}
+        self.functionals = {}
+        self.actions = {}
+        self.schemes = {}
+        # what `ordalg check` runs when no option overrides it; a [suite] section overrides the keys it names
+        self.suite_defaults = {"run": ["all"], "budget": 20000, "seed": 0}
+        self.kinds = {}
 
 
 def split_sections(text: str) -> list[Section]:
@@ -168,11 +167,7 @@ def _build(ws: Workspace, sec: Section) -> None:
         space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functionals[sec.name] = _build_functional(ws, space, sec)
     elif sec.kind == "action":
-        kind = sec.get("kind", "join")
-        if kind not in KINDS:
-            raise ParseError(f"[action {sec.name}]: unknown kind {kind!r}", sec.line_of("kind"))
-        ws.actions[sec.name] = _build_action(ws, sec)
-        ws.kinds[sec.name] = kind
+        ws.actions[sec.name], ws.kinds[sec.name] = _build_action(ws, sec)
     elif sec.kind == "scheme":
         ws.schemes[sec.name] = _build_scheme(ws, sec)
     elif sec.kind == "suite":
@@ -286,7 +281,13 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
     raise ParseError(f"unknown functional kind {kind!r}", sec.line_of("kind"))
 
 
-def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
+def _build_action(ws: Workspace, sec: Section) -> tuple:
+    """The section's action and its kind; the kind is checked first."""
+    from .convolution import KINDS, ActionSystem, Groupoid, check_action
+
+    kind = sec.get("kind", "join")
+    if kind not in KINDS:
+        raise ParseError(f"[action {sec.name}]: unknown kind {kind!r}", sec.line_of("kind"))
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
     table = {}
@@ -319,10 +320,12 @@ def _build_action(ws: Workspace, sec: Section) -> ActionSystem:
         raise ParseError(
             f"[action {sec.name}] fails the action laws at {verdict.witness}", sec.line
         )
-    return sys
+    return sys, kind
 
 
 def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
+    from .sproduct import IndexScheme
+
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     window = sec.require("window").split()
     if len(window) != 2:

@@ -181,7 +181,7 @@ def ordinal_to_vec(o) -> tuple:
 
 
 def vec_to_ordinal(vec):
-    from ordalg import ZERO, omega_power, ord_add
+    from ordalg.ordinals import ZERO, omega_power, ord_add
 
     total = ZERO
     for i in range(len(vec) - 1, -1, -1):

@@ -28,27 +28,20 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from ordalg import (
-    AxiomReport,
-    CapacityError,
+from ordalg.convolution import SupportBounds, apply_T, check_kind, dirac_unit
+from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
+from ordalg.funcspace import FunctionSpace
+from ordalg.functionals import (
     Dirac,
     Functional,
-    FunctionSpace,
-    IncomparableError,
-    InputError,
-    PreconditionError,
     SupOver,
+    SupportReport,
     TableFunctional,
-    Verdict,
-    apply_T,
-    check_kind,
-    dirac_unit,
     enumerate_idempotent,
     signature,
     tabulate,
 )
-from ordalg.convolution import SupportBounds
-from ordalg.functionals import SupportReport
+from ordalg.report import AxiomReport, Verdict
 
 
 # -- order ---------------------------------------------------------------------

@@ -44,6 +44,17 @@ def test_eval_prints_the_value(capsys, expr, code, out):
     assert run(capsys, "eval", DEMO, "--expr", expr) == (code, out, "")
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["eval", "--expr", "nu(f)"], ["witness", "--check", "laws/bool/order"]], ids=lambda a: a[0]
+)
+def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    doc = tmp_path / "latin.workspace"
+    doc.write_bytes(b"\xff\xfebad")
+    code, out, err = run(capsys, argv[0], doc, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {doc} is not UTF-8 text: ")
+
+
 @pytest.mark.parametrize("expr", ["ghost(f)", "nu(g)", "nu f", "nu({x1: 1})", "nu({x1: 7, x2: 0})"])
 def test_eval_refuses_bad_expressions(capsys, expr):
     code, out, err = run(capsys, "eval", DEMO, "--expr", expr)
@@ -300,7 +311,7 @@ def test_homogeneous_regime_is_refused_before_the_seed_family(tmp_path, capsys, 
     def seed(sys, kind):
         raise AssertionError("the seed family was built before the regime was checked")
 
-    monkeypatch.setattr("ordalg.suites.all_kind_functionals", seed)
+    monkeypatch.setattr("ordalg.convolution.all_kind_functionals", seed)
     code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
     assert (code, out) == (2, "")
     assert err == "error: homogeneous regime applies to homogeneous kinds only\n"

@@ -14,43 +14,39 @@ from itertools import product
 import pytest
 import scan_oracles
 
-from ordalg import (
+from ordalg import convolution
+from ordalg.convolution import (
     ActionSystem,
     ConvAlgebra,
-    Dirac,
-    FunctionSpace,
-    Functional,
     Groupoid,
-    IncomparableError,
-    InfOver,
-    InputError,
-    KFunction,
-    OrderRelation,
-    PreconditionError,
-    SupOver,
-    TableFunctional,
     all_kind_functionals,
     apply_T,
-    boolean_semiring,
     check_action,
     check_ideal,
-    check_idempotent,
     check_kind,
     check_quasiring,
-    convolution,
     convolve,
     dirac_unit,
-    direct_product,
-    enumerate_functionals,
     invariant_subfamily,
-    maxplus_chain,
     plus_kind,
     saturate,
-    signature,
     support_bounds,
-    tabulate,
-    trivial_structure,
 )
+from ordalg.errors import IncomparableError, InputError, PreconditionError
+from ordalg.funcspace import FunctionSpace, KFunction
+from ordalg.functionals import (
+    Dirac,
+    Functional,
+    InfOver,
+    SupOver,
+    TableFunctional,
+    check_idempotent,
+    enumerate_functionals,
+    signature,
+    tabulate,
+)
+from ordalg.order import OrderRelation
+from ordalg.structures import boolean_semiring, direct_product, maxplus_chain, trivial_structure
 from ordalg.suites import suite_convolution
 from ordalg.workspace import Workspace
 
@@ -461,7 +457,9 @@ def test_each_translate_is_made_once(monkeypatch):
 
     monkeypatch.setattr(convolution, "apply_T", counted)
     sys = cyclic_action(4, BOOL)
-    records = suite_convolution(Workspace(actions={"Z4": sys}, kinds={"Z4": "join"}), 20000, 0)
+    ws = Workspace()
+    ws.actions["Z4"], ws.kinds["Z4"] = sys, "join"
+    records = suite_convolution(ws, 20000, 0)
     assert [r.verdict.holds for r in records] == [True] * 12
     assert sum(calls.values()) == len(sys.G.elements) * len(sys.space.functions()) == 64
     assert set(calls.values()) == {1}

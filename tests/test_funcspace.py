@@ -4,20 +4,15 @@ import pytest
 
 import scan_oracles
 from ordalg import funcspace
-from ordalg import (
-    CapacityError,
+from ordalg.errors import CapacityError, IncomparableError, InputError
+from ordalg.funcspace import FunctionSpace, KFunction
+from ordalg.order import OrderedCarrier, OrderRelation, sup_over
+from ordalg.structures import (
     FinStruct,
-    FunctionSpace,
-    IncomparableError,
-    InputError,
-    KFunction,
-    OrderedCarrier,
-    OrderRelation,
     boolean_semiring,
     direct_product,
     maxplus_chain,
     right_dist_only,
-    sup_over,
 )
 
 BOOL = boolean_semiring()
@@ -76,7 +71,8 @@ class TestOdot:
                 else:
                     add[(a, b)] = b  # keep the right argument
         mul = {(a, b): "0" if "0" in (a, b) else ("2" if "2" in (a, b) else "1") for a in elems for b in elems}
-        from ordalg import FinStruct, OrderedCarrier
+        from ordalg.order import OrderedCarrier
+        from ordalg.structures import FinStruct
 
         K = FinStruct(
             "skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1"

@@ -6,40 +6,42 @@ from pathlib import Path
 import pytest
 import scan_oracles
 
-from ordalg import (
-    CapacityError,
+from ordalg import functionals
+from ordalg.convolution import check_kind
+from ordalg.errors import CapacityError, InputError, PreconditionError
+from ordalg.funcspace import FunctionSpace, KFunction
+from ordalg.functionals import (
+    IDEMPOTENT_AXIOMS,
+    TABLE_CAP,
     Dirac,
-    FinStruct,
-    FunctionSpace,
     Functional,
     InfOver,
-    InputError,
-    KFunction,
-    OrderedCarrier,
-    OrderRelation,
-    PreconditionError,
+    LazyValues,
     SupOver,
+    SupportReport,
     TableFunctional,
-    boolean_semiring,
     check_idempotent,
-    check_kind,
     check_weak_properties,
-    direct_product,
     enumerate_functionals,
     enumerate_idempotent,
-    maxplus_chain,
+    law_verdict,
     monad_check,
     pushforward,
-    right_dist_only,
     signature,
     support_of,
     supported_on,
     tabulate,
-    trivial_structure,
     weighted_combo,
 )
-from ordalg import functionals
-from ordalg.functionals import IDEMPOTENT_AXIOMS, TABLE_CAP, LazyValues, SupportReport, law_verdict
+from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.structures import (
+    FinStruct,
+    boolean_semiring,
+    direct_product,
+    maxplus_chain,
+    right_dist_only,
+    trivial_structure,
+)
 from ordalg.suites import suite_idempotent
 from ordalg.workspace import parse
 
@@ -223,7 +225,7 @@ class TestWeightedCombo:
             weighted_combo("left", ["2"], [Dirac(sp, "x1")])
 
     def test_distributive_coefficients_needed(self):
-        rd = __import__("ordalg").right_dist_only()
+        rd = right_dist_only()
         sp = FunctionSpace(("x1",), rd)
         with pytest.raises(PreconditionError):
             weighted_combo("left", ["1"], [Dirac(sp, "x1")])

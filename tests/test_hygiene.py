@@ -301,7 +301,7 @@ def test_every_public_method_is_read():
     assert sorted(unread_methods(sources)) == sorted(UNREAD_METHODS)
 
 
-# Dataclass fields, as Class.field, that no module of the package reads, each kept for a reason.
+# Fields, as Class.field, that no module of the package reads, each kept for a reason.
 UNREAD_FIELDS = {
     "AxiomReport.sampled": "the sampled checkers set it; no record reports it yet (ROADMAP item 4)",
     "SupportBounds.t_fixed": "a support-bound record cannot fail yet; tri-state verdicts will report it (ROADMAP item 4)",
@@ -312,61 +312,80 @@ UNREAD_FIELDS = {
     "ConvAlgebra.rounds": "perfbench/spans.py reads it as convolution.saturate_rounds",
 }
 
-
-def is_dataclass(node) -> bool:
-    """Whether a class is decorated with `dataclass`, called or not."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
-            return True
-    return False
+# The methods that set up an instance; a field is an attribute of `self` one of them assigns.
+SETUP = ("__init__", "__post_init__")
 
 
-def dataclass_fields(source: str) -> list[tuple[str, str]]:
-    """(class, field) for the annotated fields of module-level dataclasses."""
-    return [
-        (node.name, item.target.id)
-        for node in ast.parse(source).body
-        if isinstance(node, ast.ClassDef) and is_dataclass(node)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-    ]
+def instance_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for the `self.<name> = ...` targets of the
+    `__init__` of each module-level class, and of the `__post_init__`
+    it calls, in source order and each once."""
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        setup = [m for m in node.body if isinstance(m, FUNCTIONS) and m.name in SETUP]
+        for sub in (sub for m in setup for sub in ast.walk(m)):
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target] if isinstance(sub, ast.AnnAssign) else []
+            for target in targets:
+                for item in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(item, ast.Attribute) and getattr(item.value, "id", None) == "self":
+                        found.setdefault((node.name, item.attr))
+    return list(found)
+
+
+# Comparing or hashing an instance reads every field, but uses none of them.
+IDENTITY = ("__eq__", "__hash__")
 
 
 def attributes_loaded(source: str) -> set[str]:
-    """The attributes a module reads; assigning one is not reading it."""
+    """The attributes a module reads outside `__eq__` and `__hash__`;
+    assigning one is not reading it."""
     tree = ast.parse(source)
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    identity = [f for f in ast.walk(tree) if isinstance(f, FUNCTIONS) and f.name in IDENTITY]
+    skipped = {id(node) for f in identity for node in ast.walk(f)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
+    }
 
 
 def unread_fields(sources: list[str]) -> list[str]:
-    """Dataclass fields that no source reads as an attribute, through an
-    instance of their own class or otherwise."""
+    """Fields that no source reads as an attribute, through an instance
+    of their own class or otherwise."""
     read = set().union(*(attributes_loaded(s) for s in sources))
-    return [f"{cls}.{name}" for s in sources for cls, name in dataclass_fields(s) if name not in read]
+    return [f"{cls}.{name}" for s in sources for cls, name in instance_fields(s) if name not in read]
 
 
 def test_scanner_finds_an_unread_field():
     sources = [
-        "from dataclasses import dataclass, field\n"
-        "@dataclass(frozen=True)\n"
         "class Box:\n"
-        "    kept: int\n"
-        "    written: int\n"
-        "    never: int = 0\n"
-        "    cache: dict = field(default_factory=dict)\n"
+        "    def __init__(self, kept, written, never=0):\n"
+        "        self.kept = kept\n"
+        "        self.written = written\n"
+        "        self.never = never\n"
+        "        self.cache: dict = {}\n"
+        "        self.__post_init__()\n"
+        "    def __post_init__(self):\n"
+        "        self.size, self.spare = len(self.cache), 0\n"
         "    def total(self):\n"
-        "        return self.kept + len(self.cache)\n"
-        "@dataclasses.dataclass\n"
+        "        self.later = 1\n"
+        "        return self.kept + self.size\n"
         "class Pair:\n"
-        "    left: int\n"
+        "    def __init__(self, left):\n"
+        "        self.left = left\n"
+        "    def __eq__(self, other):\n"
+        "        return self.left == other.left\n"
         "class Plain:\n"
-        "    skipped: int\n",
+        "    skipped: int\n"
+        "    def helper(self):\n"
+        "        self.late = 0\n",
         "from .a import Box\nb = Box(1, 2)\nb.written = 3\nb.written += 1\n",
     ]
-    assert unread_fields(sources) == ["Box.written", "Box.never", "Pair.left"]
+    assert unread_fields(sources) == ["Box.written", "Box.never", "Box.spare", "Pair.left"]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_field_is_read():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)

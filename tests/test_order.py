@@ -2,14 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scan_oracles
-from ordalg import (
-    InputError,
-    OrderedCarrier,
-    OrderRelation,
-    check_order_axioms,
-    inf_over,
-    sup_over,
-)
+from ordalg.errors import InputError
+from ordalg.order import OrderedCarrier, OrderRelation, check_order_axioms, inf_over, sup_over
 from ordalg.funcspace import pair_without_sup
 
 

@@ -3,13 +3,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordalg import (
-    CapacityError,
-    InputError,
+from ordalg.errors import CapacityError, InputError, WindowEscape
+from ordalg.ordinals import (
     MaxReduct,
     ONE,
     Ordinal,
-    WindowEscape,
     ZERO,
     format_ordinal,
     omega,

@@ -5,24 +5,16 @@ import pytest
 
 import scan_oracles
 
-from ordalg import (
-    CapacityError,
+from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
+from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.sproduct import WINDOW_CAP, IndexScheme, SuppElement, find_nonassoc_witness, s_mu
+from ordalg.structures import (
     FinStruct,
-    IncomparableError,
-    IndexScheme,
-    InputError,
-    OrderedCarrier,
-    OrderRelation,
-    PreconditionError,
-    SuppElement,
     boolean_semiring,
     direct_product,
-    find_nonassoc_witness,
     maxplus_chain,
     right_dist_only,
-    s_mu,
 )
-from ordalg.sproduct import WINDOW_CAP
 from ordalg.suites import scheme_law
 from scan_oracles import check_transfer_distributivity, componentwise_leq, lex_compare
 

@@ -4,14 +4,12 @@ from itertools import product
 import pytest
 
 import scan_oracles
-from ordalg import (
-    CapacityError,
+from ordalg.errors import CapacityError, InputError
+from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.report import Verdict
+from ordalg.structures import (
     FinStruct,
     Homomorphism,
-    InputError,
-    OrderedCarrier,
-    OrderRelation,
-    Verdict,
     boolean_semiring,
     check_homomorphism,
     check_law,

@@ -2,7 +2,10 @@
 never in a traceback; a key that no builder reads is one of them."""
 import pytest
 
-from ordalg import CapacityError, OrderRelation, maxplus_chain, workspace
+from ordalg import convolution, workspace
+from ordalg.errors import CapacityError
+from ordalg.order import OrderRelation
+from ordalg.structures import maxplus_chain
 from ordalg.cli import main
 
 SCHEME = """\
@@ -148,7 +151,7 @@ def test_unknown_action_kind_is_refused_at_its_line_before_any_check(tmp_path, c
     def check(*args):
         raise AssertionError("a check ran before the kind was refused")
 
-    monkeypatch.setattr(workspace, "check_action", check)
+    monkeypatch.setattr(convolution, "check_action", check)
     lines = EVERY_KIND.splitlines()
     at = lines.index("[action A]") + 1
     lines.insert(at, "kind = sum")
