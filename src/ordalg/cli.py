@@ -112,10 +112,13 @@ def _cmd_eval(ws: Workspace, args) -> int:
             values[x] = v
         f = nu.space.function(values)
     elif arg in ws.functions:
-        f = ws.functions[arg]
+        f, space = ws.functions[arg], ws.function_spaces[arg]
+        if space is not nu.space:
+            where = f"space {space.name!r}, not on space {nu.space.name!r} of functional {name!r}"
+            raise OrdalgError(f"function {arg!r} is declared on {where}")
     else:
         raise OrdalgError(f"unknown function {arg!r}")
-    print(nu.value(f))
+    print(nu.space.K.names[nu.value(f)])
     return 0
 
 

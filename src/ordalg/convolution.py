@@ -10,6 +10,10 @@ Everything after the action check reads positions in C(G,K): an action
 translates each function once (`ActionSystem.moved`), convolution and
 the invariance and support checks read translates from that table, and
 an algebra reads each product of two members from its own table.
+
+Values of K are codes (see `structures`).  An action is built from the
+names of its cocycle values and of L, and a failing check names them
+in its witness.
 """
 from __future__ import annotations
 
@@ -59,13 +63,12 @@ class Groupoid:
             if self.table[(self.unit, a)] != a or self.table[(a, self.unit)] != a:
                 raise InputError(f"{self.name}: unit is not neutral at {a!r}")
 
-    def mulv(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
-
 
 class ActionSystem:
     """A groupoid action on a finite set with a cocycle into an
-    associative part of the coefficient structure."""
+    associative part of the coefficient structure.  L and the cocycle
+    values are given by their names and kept as codes; a cocycle value
+    outside K is kept as None, for `check_action` to refuse."""
 
     def __init__(
         self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict,
@@ -91,8 +94,10 @@ class ActionSystem:
                     raise InputError(f"action image {self.v[g][x]!r} outside the point set")
                 if (g, x) not in self.rho:
                     raise InputError(f"cocycle missing value at ({g},{x})")
-        if not self.L <= set(self.K.elements):
+        if not self.L <= self.K.code.keys():
             raise InputError("L is not a subset of the coefficient carrier")
+        self.L = frozenset(K.code[a] for a in self.L)
+        self.rho = {gx: K.code.get(value) for gx, value in self.rho.items()}
         self.space = FunctionSpace(self.points, self.K)
 
     def act(self, g: str, x: str) -> str:
@@ -115,19 +120,20 @@ def check_action(sys: ActionSystem) -> Verdict:
             return Verdict.failed(law, ("unit-action", x))
     for g in G.elements:
         for h in G.elements:
-            gh = G.mulv(g, h)
+            gh = G.table[(g, h)]
             for x in sys.points:
                 if sys.act(h, sys.act(g, x)) != sys.act(gh, x):
                     return Verdict.failed(law, ("composition", g, h, x))
+    mul, named = K.mul, K.order.named
     if not {K.zero, K.one} <= sys.L:
-        return Verdict.failed(law, ("L-units", sys.L))
-    for a in sys.L:
-        for b in sys.L:
-            if K.mulv(a, b) not in sys.L:
-                return Verdict.failed(law, ("L-closed", a, b))
+        return Verdict.failed(law, ("L-units", frozenset(K.names[a] for a in sys.L)))
+    for a in sorted(sys.L):
+        for b in sorted(sys.L):
+            if mul[a][b] not in sys.L:
+                return Verdict.failed(law, named(("L-closed", a, b)))
             for c in K.elements:
-                if K.mulv(a, K.mulv(b, c)) != K.mulv(K.mulv(a, b), c):
-                    return Verdict.failed(law, ("L-assoc", a, b, c))
+                if mul[a][mul[b][c]] != mul[mul[a][b]][c]:
+                    return Verdict.failed(law, named(("L-assoc", a, b, c)))
     for (g, x), value in sorted(sys.rho.items()):
         if value == K.zero or value not in sys.L:
             raise InputError(f"cocycle value at ({g},{x}) must lie in L minus zero")
@@ -137,18 +143,16 @@ def check_action(sys: ActionSystem) -> Verdict:
     for g in G.elements:
         for h in G.elements:
             for x in sys.points:
-                lhs = K.mulv(sys.rho[(g, x)], sys.rho[(h, sys.act(g, x))])
-                if lhs != sys.rho[(G.mulv(g, h), x)]:
+                lhs = mul[sys.rho[(g, x)]][sys.rho[(h, sys.act(g, x))]]
+                if lhs != sys.rho[(G.table[(g, h)], x)]:
                     return Verdict.failed(law, ("cocycle", g, h, x))
     return Verdict.passed(law)
 
 
 def apply_T(sys: ActionSystem, g: str, f: KFunction) -> KFunction:
     """x maps to rho(g,x) * f(v_g(x))."""
-    K = sys.K
-    return sys.space.function(
-        {x: K.mulv(sys.rho[(g, x)], f(sys.act(g, x))) for x in sys.points}
-    )
+    mul = sys.K.mul
+    return sys.space.member(tuple(mul[sys.rho[(g, x)]][f(sys.act(g, x))] for x in sys.points))
 
 
 def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
@@ -170,7 +174,7 @@ def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctio
     space, outer, inner = sys.space, LazyValues(nu), LazyValues(lam)
     # column i of the translation table holds the positions of T_g f_i;
     # h is a member of C(G,K) unless a value of lam lies outside K
-    hs = (KFunction(space.points, tuple(inner[j] for j in column)) for column in zip(*sys.moved))
+    hs = (KFunction(space.points, tuple(inner[j] for j in column), sys.K.names) for column in zip(*sys.moved))
     return TableFunctional(space, tuple(outer[space.position(h)] for h in hs))
 
 
@@ -195,26 +199,28 @@ def check_invariant(nu: Functional, sys: ActionSystem) -> Verdict:
     """Invariance under the whole representation: the functional cannot
     tell a function from any of its translates."""
     _require_action_space(nu, sys)
-    values, funcs = LazyValues(nu), sys.space.functions()
+    values, funcs, names = LazyValues(nu), sys.space.functions(), sys.K.names
     for g, row in zip(sys.G.elements, sys.moved):
         for i, j in enumerate(row):
             if values[j] != values[i]:
-                return Verdict.failed("invariant", (g, funcs[i], values[j], values[i]))
+                return Verdict.failed("invariant", (g, funcs[i], names[values[j]], names[values[i]]))
     return Verdict.passed("invariant")
 
 
 def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
     """The kind's addition of two functionals, value by value."""
     space = nu.space
-    order = space.K.order
-    pick = space.K.addv if kind == "add" else order.join if kind == "join" else order.meet
+    K = space.K
     nus, lams = LazyValues(nu), LazyValues(lam)
-    values = []
-    for i in range(len(space.functions())):
-        a, b = nus[i], lams[i]
-        if kind != "add" and not order.comparable(a, b):
+    pairs = ((nus[i], lams[i]) for i in range(len(space.functions())))
+    if kind == "add":
+        return TableFunctional(space, tuple(K.add[a][b] for a, b in pairs))
+    k, picks, values = (0 if kind == "join" else 1), K.order.picks, []
+    for a, b in pairs:
+        if picks[a][b] is None:
+            a, b = K.names[a], K.names[b]
             raise IncomparableError(f"values {a!r}, {b!r} incomparable", a, b)
-        values.append(pick(a, b))
+        values.append(picks[a][b][k])
     return TableFunctional(space, tuple(values))
 
 

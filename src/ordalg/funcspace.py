@@ -6,6 +6,13 @@ non-increasing, which requires a linear point order).  Construction
 verifies that suprema of all possible function images exist in K, so
 sup-style functionals are total on the space.  The member functions are
 enumerated only up to `FUNCTION_CAP` value tuples.
+
+A function's values are the codes of K's elements (see `structures`).
+`function` is where names are read, from a workspace or an `eval`
+literal; `member` makes a function from codes.  Names are applied only
+by `KFunction.__str__`, which reads K's names.  On a space with no
+variant, a member's position in `functions()` is its value tuple read as
+a number in base |K|; only a monotone space keeps a position map.
 """
 from __future__ import annotations
 
@@ -21,23 +28,29 @@ FUNCTION_CAP = 2**16
 
 
 def pair_without_sup(order: OrderRelation, size: int) -> tuple | None:
-    """The first pair of carrier elements, in `combinations` order, with
-    no sup, when function images of up to `size` elements are possible;
-    None when there is none or size < 2.  In a preorder pairs suffice:
+    """The names of the first pair of carrier elements, in `combinations`
+    order, with no sup, when function images of up to `size` elements are
+    possible; None when there is none or size < 2.  In a preorder pairs suffice:
     a singleton is its own sup and, by induction, sup(A + {c}) is
     sup({sup A, c}), so every image set has a sup when every pair does."""
     if size < 2:
         return None
-    return next((p for p in combinations(order.carrier, 2) if sup_over(p, order) is None), None)
+    pairs = combinations(range(len(order.carrier)), 2)
+    pair = next((p for p in pairs if sup_over(p, order) is None), None)
+    return None if pair is None else order.named(pair)
 
 
 class KFunction:
-    """A total map from the point tuple to K element ids, stored aligned
-    with the domain so functions hash and compare by value."""
+    """A total map from the point tuple to codes of K's elements, stored
+    aligned with the domain so functions hash and compare by value;
+    `names` are K's element names, read only to print."""
 
-    def __init__(self, domain: tuple[str, ...], values: tuple[str, ...]):
+    __slots__ = ("domain", "values", "names")
+
+    def __init__(self, domain: tuple[str, ...], values: tuple[int, ...], names: tuple[str, ...]):
         self.domain = domain
         self.values = values
+        self.names = names
         if len(domain) != len(values):
             raise InputError("function values must align with the domain")
 
@@ -49,14 +62,16 @@ class KFunction:
     def __hash__(self):
         return hash((self.domain, self.values))
 
-    def __call__(self, x: str) -> str:
+    def __call__(self, x: str) -> int:
         try:
             return self.values[self.domain.index(x)]
         except ValueError:
             raise InputError(f"point {x!r} not in domain") from None
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{x}: {v}" for x, v in zip(self.domain, self.values))
+        # a value that is no code of K, as a bad value table can give, prints as it is
+        named = dict(enumerate(self.names))
+        inner = ", ".join(f"{x}: {named.get(v, v)}" for x, v in zip(self.domain, self.values))
         return "{" + inner + "}"
 
 
@@ -65,9 +80,9 @@ class FunctionSpace:
 
     The points, K and the point order are never mutated after
     construction, so what is derived from them is built once, on first
-    use: the member functions and their positions by value tuple, and, by
-    position and each when first read, the order of two members
-    (`leq_at`), their guarded vee and wedge (`join_meet_at`), the members
+    use: the member functions (and, on a monotone space, their positions
+    by value tuple), and, by position and each when first read, the order
+    of two members (`leq_at`), their guarded vee and wedge (`join_meet_at`), the members
     below a member (`down_set`, read by `check_weak_properties`), the
     constant shifts of a member (`shift_at`) and the law instances of
     functionals on the space (`functionals.law_instances`).
@@ -97,16 +112,14 @@ class FunctionSpace:
                 raise InputError("monotone variants need a linear point order")
             if not check_order_axioms(point_order, "linear"):
                 raise InputError("monotone variants need a linear point order")
+        if point_order is not None and point_order.carrier != self.points:
+            raise InputError("the point order must list the space's points in order")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[tuple, int] | None = None
         # rows by first position: small positions are shared ints, so keys cost nothing
         self._leq: defaultdict[int, dict[int, bool]] = defaultdict(dict)
         self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
         self._below: dict[int, list[int]] = {}
-        # (join, meet) of each comparable pair of values
-        order = K.order
-        comparable = ((a, b) for a in K.elements for b in order.above[a] | order.below[a])
-        self._picks = {(a, b): (order.join(a, b), order.meet(a, b)) for a, b in comparable}
         self._shift_positions: dict[tuple, int | KFunction] = {}
         self._instances: dict[str, list] = {}
         self._check_sup_condition()
@@ -124,6 +137,8 @@ class FunctionSpace:
     # -- membership and enumeration -----------------------------------------
 
     def function(self, values) -> KFunction:
+        """The function with these values, given by element names: a dict
+        by point, or a sequence aligned with the points."""
         if isinstance(values, dict):
             odd = set(values).symmetric_difference(self.points)
             if odd:
@@ -133,29 +148,31 @@ class FunctionSpace:
             vals = tuple(values)
             if len(vals) != len(self.points):
                 raise InputError("function values must align with the domain")
-        eset = set(self.K.elements)
+        code = self.K.code
         for v in vals:
-            if v not in eset:
+            if v not in code:
                 raise InputError(f"value {v!r} not in K")
-        f = KFunction(self.points, vals)
+        return self.member(tuple(code[v] for v in vals))
+
+    def member(self, values: tuple) -> KFunction:
+        """The function with these value codes, refused when it is not
+        monotone on a monotone space."""
+        f = KFunction(self.points, values, self.K.names)
         if self.variant is not None and not self.is_monotone(f, self.variant):
             raise InputError(f"function {f} is not monotone {self.variant}")
         return f
 
-    def constant(self, c: str) -> KFunction:
-        return self.function({x: c for x in self.points})
+    def constant(self, c: int) -> KFunction:
+        if c not in self.K.elements:
+            raise InputError(f"value {c!r} not in K")
+        return self.member((c,) * len(self.points))
 
     def is_monotone(self, f: KFunction, variant: str) -> bool:
         if self.point_order is None:
             raise InputError("no point order declared")
-        for x in self.points:
-            for y in self.points:
-                if self.point_order.leq(x, y):
-                    a, b = f(x), f(y)
-                    ok = self.K.leq(a, b) if variant == "+" else self.K.leq(b, a)
-                    if not ok:
-                        return False
-        return True
+        above, leq, vals = self.point_order.above, self.K.leq, f.values
+        pairs = ((vals[x], vals[y]) for x in range(len(vals)) for y in above[x])
+        return all(leq(a, b) if variant == "+" else leq(b, a) for a, b in pairs)
 
     def functions(self) -> tuple[KFunction, ...]:
         """All member functions, in a fixed enumeration order; refused
@@ -165,37 +182,45 @@ class FunctionSpace:
             count = len(self.K.elements) ** len(self.points)
             if count > FUNCTION_CAP:
                 raise CapacityError(f"{count} functions on {self.name} exceed the cap {FUNCTION_CAP}")
-            out = []
-            for vals in product(self.K.elements, repeat=len(self.points)):
-                f = KFunction(self.points, vals)
-                if self.variant is None or self.is_monotone(f, self.variant):
-                    out.append(f)
+            points, names = self.points, self.K.names
+            out = [KFunction(points, vals, names) for vals in product(self.K.elements, repeat=len(points))]
+            if self.variant is not None:
+                out = [f for f in out if self.is_monotone(f, self.variant)]
             self._funcs = tuple(out)
         return self._funcs
 
     def position(self, f: KFunction) -> int:
         """The index of f in `functions()`."""
-        i = self.position_of(f)
-        if i is f:
+        i = self._index(f.values) if f.domain == self.points else None
+        if i is None:
             raise InputError(f"{f} is not a function of {self.name}")
         return i
 
     def position_of(self, f: KFunction):
         """The index of f in `functions()`, or f itself when it is not a
         member (a shift or sum can leave a monotone space)."""
-        return self._position_map().get(f.values, f) if f.domain == self.points else f
+        i = self._index(f.values) if f.domain == self.points else None
+        return f if i is None else i
 
     def positions_within(self, choices) -> list[int]:
         """The positions of the members whose value at each point is one
         of that point's choices, in enumeration order when every choice
-        lists its values in `K.elements` order."""
-        get = self._position_map().get
-        return [i for i in map(get, product(*choices)) if i is not None]
+        lists its values in code order."""
+        return [i for i in map(self._index, product(*choices)) if i is not None]
 
-    def _position_map(self) -> dict[tuple, int]:
+    def _index(self, values: tuple) -> int | None:
+        """The position of the member with these values, or None: in
+        base |K| on a space with no variant, else from the position map."""
+        if self.variant is None:
+            n, i = len(self.K.elements), 0
+            for v in values:
+                if not 0 <= v < n:
+                    return None
+                i = i * n + v
+            return i
         if self._positions is None:
             self._positions = {g.values: i for i, g in enumerate(self.functions())}
-        return self._positions
+        return self._positions.get(values)
 
     def _require(self, *fs: KFunction):
         for f in fs:
@@ -207,20 +232,20 @@ class FunctionSpace:
     def pointwise(self, op: str, f: KFunction, g: KFunction) -> KFunction:
         self._require(f, g)
         table = self.K.add if op == "add" else self.K.mul
-        return KFunction(self.points, tuple(table[(a, b)] for a, b in zip(f.values, g.values)))
+        return KFunction(self.points, tuple(table[a][b] for a, b in zip(f.values, g.values)), self.K.names)
 
     def add(self, f: KFunction, g: KFunction) -> KFunction:
         return self.pointwise("add", f, g)
 
-    def odot(self, c: str, f: KFunction, side: str = "left") -> KFunction:
+    def odot(self, c: int, f: KFunction, side: str = "left") -> KFunction:
         """Add the constant c on the named side of every value."""
         return self._with_constant("add", c, f, side)
 
-    def scale(self, b: str, f: KFunction, side: str = "left") -> KFunction:
+    def scale(self, b: int, f: KFunction, side: str = "left") -> KFunction:
         """Multiply by the constant b on the named side (homogeneity tests)."""
         return self._with_constant("mul", b, f, side)
 
-    def _with_constant(self, op: str, c: str, f: KFunction, side: str) -> KFunction:
+    def _with_constant(self, op: str, c: int, f: KFunction, side: str) -> KFunction:
         self._require(f)
         if side == "left":
             return self.pointwise(op, self.constant(c), f)
@@ -232,25 +257,27 @@ class FunctionSpace:
         """None when every point has comparable values, else the first
         incomparable point."""
         self._require(f, g)
-        comparable = self.K.order.comparable
+        picks = self.K.order.picks
         for x, a, b in zip(self.points, f.values, g.values):
-            if not comparable(a, b):
+            if picks[a][b] is None:
                 return x
         return None
 
     def vee(self, f: KFunction, g: KFunction) -> KFunction:
         """Pointwise max; refuses when some point has incomparable values."""
-        return self._guarded(f, g, self.K.order.join)
+        return self._guarded(f, g, 0)
 
     def wedge(self, f: KFunction, g: KFunction) -> KFunction:
         """Pointwise min under the same comparability guard."""
-        return self._guarded(f, g, self.K.order.meet)
+        return self._guarded(f, g, 1)
 
-    def _guarded(self, f: KFunction, g: KFunction, pick) -> KFunction:
+    def _guarded(self, f: KFunction, g: KFunction, k: int) -> KFunction:
+        """The pointwise join (k = 0) or meet (k = 1), read from K's picks."""
         bad = self.comparable_pointwise(f, g)
         if bad is not None:
             raise IncomparableError(f"values incomparable at point {bad!r}", bad)
-        return KFunction(self.points, tuple(map(pick, f.values, g.values)))
+        picks = self.K.order.picks
+        return KFunction(self.points, tuple(picks[a][b][k] for a, b in zip(f.values, g.values)), self.K.names)
 
     def leq(self, f: KFunction, g: KFunction) -> bool:
         """The pointwise order, read point by point from K's up-sets."""
@@ -261,7 +288,7 @@ class FunctionSpace:
                 return False
         return True
 
-    # -- relations among members, by position ----------------------------------
+    # -- relations among members, by position in `functions()`, once made -------
 
     def leq_at(self, i: int, j) -> bool:
         """Whether the member at position i is below j: the member at
@@ -278,12 +305,13 @@ class FunctionSpace:
         """The position of vee (k = 0) or wedge (k = 1) of the members at
         positions i and j, or None when some point has incomparable values.
         Both are decided once per pair, from K's (join, meet) of each pair
-        of values, and looked up by value tuple (the vee and wedge of two
-        members are members, monotone ones too)."""
+        of values (the vee and wedge of two members are members, monotone
+        ones too)."""
         row = self._join_meet[i]
         if j not in row:
-            picks = list(map(self._picks.get, zip(self._funcs[i].values, self._funcs[j].values)))
-            row[j] = None if None in picks else tuple(map(self._position_map().__getitem__, zip(*picks)))
+            pick = self.K.order.picks
+            picks = [pick[a][b] for a, b in zip(self._funcs[i].values, self._funcs[j].values)]
+            row[j] = None if None in picks else tuple(map(self._index, zip(*picks)))
         halves = row[j]
         return None if halves is None else halves[k]
 
@@ -293,7 +321,7 @@ class FunctionSpace:
             self._below[q] = self.positions_within([self.K.order.below[v] for v in self._funcs[q].values])
         return self._below[q]
 
-    def shift_at(self, op: str, c: str, side: str, i: int):
+    def shift_at(self, op: str, c: int, side: str, i: int):
         """The position of the constant shift of the member at position i,
         by `odot` (op "add") or `scale` (op "mul"); a shift that is not a
         member, as in a monotone space, is returned as the function."""
@@ -312,4 +340,4 @@ class FunctionSpace:
     def indicator(self, E) -> KFunction:
         E = set(E)
         vals = tuple(self.K.one if x in E else self.K.zero for x in self.points)
-        return KFunction(self.points, vals)
+        return KFunction(self.points, vals, self.K.names)

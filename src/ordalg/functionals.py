@@ -33,10 +33,10 @@ class Functional:
 
     space: FunctionSpace
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         raise NotImplementedError
 
-    def __call__(self, f: KFunction) -> str:
+    def __call__(self, f: KFunction) -> int:
         return self.value(f)
 
 
@@ -47,7 +47,7 @@ class Dirac(Functional):
         if point not in space.points:
             raise InputError(f"Dirac point {self.point!r} not in the space")
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         return f(self.point)
 
     def __str__(self) -> str:
@@ -68,10 +68,13 @@ class _Extremum(Functional):
             raise InputError(f"{name} needs a non-empty subset")
         if not subset <= set(space.points):
             raise InputError(f"{name} subset not contained in the point set")
+        self.at = [i for i, x in enumerate(space.points) if x in subset]
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         pick = sup_over if self.bound == "sup" else inf_over
-        v = pick({f(x) for x in self.subset}, self.space.K.order)
+        # the values at the subset's points, read by position on the space's own points
+        values = map(f.values.__getitem__, self.at) if f.domain == self.space.points else map(f, self.subset)
+        v = pick(frozenset(values), self.space.K.order)
         if v is None:
             raise CapacityError(f"image of {f} over {set(self.subset)} has no {self.bound} in K")
         return v
@@ -95,14 +98,14 @@ class TableFunctional(Functional):
         self.space = space
         self.table = table
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         try:
             return self.table[self.space.position(f)]
         except IndexError:
             raise InputError(f"{f} not in the functional's space") from None
 
     def __str__(self) -> str:
-        return f"table{self.table}"
+        return f"table{tuple(self.space.K.names[v] for v in self.table)}"
 
 
 class WeightedCombo(Functional):
@@ -112,26 +115,26 @@ class WeightedCombo(Functional):
         self.coeffs = coeffs
         self.parts = parts
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         K = self.space.K
         pieces = []
         for c, part in zip(self.coeffs, self.parts):
             v = part.value(f)
-            pieces.append(K.mulv(c, v) if self.side == "left" else K.mulv(v, c))
+            pieces.append(K.mul[c][v] if self.side == "left" else K.mul[v][c])
         total = pieces[0]
         for p in pieces[1:]:
-            total = K.addv(total, p)
+            total = K.add[total][p]
         return total
 
     def __str__(self) -> str:
-        cs = ", ".join(self.coeffs)
+        cs = ", ".join(self.space.K.names[c] for c in self.coeffs)
         ps = ", ".join(str(p) for p in self.parts)
         return f"combo {self.side} [{cs}] [{ps}]"
 
 
 def weighted_combo(side: str, coeffs, parts) -> WeightedCombo:
-    """Validated weighted combination: positive coefficients summing to
-    one, over a distributive K."""
+    """Validated weighted combination: positive coefficients, given by
+    their names, summing to one, over a distributive K."""
     coeffs = tuple(coeffs)
     parts = tuple(parts)
     if side not in ("left", "right"):
@@ -145,15 +148,16 @@ def weighted_combo(side: str, coeffs, parts) -> WeightedCombo:
     if not {"left-dist", "right-dist"} <= K.flags:
         raise PreconditionError("weighted combinations need a distributive K")
     for c in coeffs:
-        if c == K.zero:
+        if c == K.names[K.zero]:
             raise PreconditionError("coefficients must be strictly positive")
-        if c not in set(K.elements):
+        if c not in K.code:
             raise InputError(f"coefficient {c!r} not in K")
+    coeffs = tuple(K.code[c] for c in coeffs)
     total = coeffs[0]
     for c in coeffs[1:]:
-        total = K.addv(total, c)
+        total = K.add[total][c]
     if total != K.one:
-        raise PreconditionError(f"coefficients sum to {total!r}, not one")
+        raise PreconditionError(f"coefficients sum to {K.names[total]!r}, not one")
     return WeightedCombo(space, side, coeffs, parts)
 
 
@@ -181,8 +185,8 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     are none.
 
     `instances` are runs as `law_instances` makes them.  Positions are
-    assigned in `functions()` order, each trying the values in
-    `K.elements` order, and a partial table is dropped as soon as an
+    assigned in `functions()` order, each trying the value codes in
+    order, and a partial table is dropped as soon as an
     instance whose positions are all assigned fails its test.  The cap
     counts every table and is applied before `instances` is read; an
     instance at a function outside the space is refused before any table
@@ -259,6 +263,7 @@ def _instances(space: FunctionSpace, law: str, cells):
     """The (positions, test, witness) instances of one law over `cells`,
     or over the law's whole grid when it is None, in scan order."""
     K = space.K
+    names = K.names
     funcs = space.functions()
     n = range(len(funcs))
     if law == "normalized":
@@ -266,7 +271,7 @@ def _instances(space: FunctionSpace, law: str, cells):
             yield (
                 (space.position(space.constant(c)),),
                 lambda t, pos, c=c: t[pos[0]] == c,
-                lambda t, pos, c=c: ((c, t[pos[0]]), ""),
+                lambda t, pos, c=c: ((names[c], names[t[pos[0]]]), ""),
             )
     elif law in ("left-shift", "right-shift", "left-homogeneous", "right-homogeneous"):
         side, name = law.split("-")
@@ -283,20 +288,19 @@ def _instances(space: FunctionSpace, law: str, cells):
             yield (p, space.shift_at("add", c, side, p)), *laws[c, side]
     elif law in ("join", "meet"):
         k = 0 if law == "join" else 1
-        order = K.order
-        pick = order.join if k == 0 else order.meet
+        picks = K.order.picks
 
         def test(t, pos):
             p, q, r = pos
-            a, b = t[p], t[q]
-            return order.comparable(a, b) and t[r] == pick(a, b)
+            pair = picks[t[p]][t[q]]
+            return pair is not None and t[r] == pair[k]
 
         def witness(t, pos):
             p, q, r = pos
             a, b = t[p], t[q]
-            if not order.comparable(a, b):
-                return (funcs[p], funcs[q], a, b), "values incomparable"
-            return (funcs[p], funcs[q], t[r], pick(a, b)), ""
+            if picks[a][b] is None:
+                return (funcs[p], funcs[q], names[a], names[b]), "values incomparable"
+            return (funcs[p], funcs[q], names[t[r]], names[picks[a][b][k]]), ""
 
         for p, q in product(n, n) if cells is None else cells:
             r = space.join_meet_at(p, q, k)
@@ -309,11 +313,11 @@ def _instances(space: FunctionSpace, law: str, cells):
 
         def test(t, pos):
             p, q, r = pos
-            return t[r] == add[(t[p], t[q])]
+            return t[r] == add[t[p]][t[q]]
 
         def witness(t, pos):
             p, q, r = pos
-            return (funcs[p], funcs[q], t[r], add[(t[p], t[q])]), ""
+            return (funcs[p], funcs[q], names[t[r]], names[add[t[p]][t[q]]]), ""
 
         for p, q in product(n, n):
             yield (p, q, space.position_of(space.add(funcs[p], funcs[q]))), test, witness
@@ -321,22 +325,23 @@ def _instances(space: FunctionSpace, law: str, cells):
         raise InputError(f"unknown law {law!r}")
 
 
-def _shift_law(space: FunctionSpace, op: str, c: str, side: str, arrange):
+def _shift_law(space: FunctionSpace, op: str, c: int, side: str, arrange):
     """The test and witness of nu(c o f) = c o nu(f) at positions
     (f, c o f), with o the add (op "add") or mul ("mul") of K put on
-    `side`; the witness is `arrange((c, f, lhs, rhs))`."""
+    `side`; the witness is `arrange((c, f, lhs, rhs))`, in names."""
     table = space.K.add if op == "add" else space.K.mul
+    names = space.K.names
     funcs = space.functions()
 
     def rhs(t, p):
-        return table[(c, t[p])] if side == "left" else table[(t[p], c)]
+        return table[c][t[p]] if side == "left" else table[t[p]][c]
 
     def test(t, pos):
         return t[pos[1]] == rhs(t, pos[0])
 
     def witness(t, pos):
         p, q = pos
-        return arrange((c, funcs[p], t[q], rhs(t, p))), ""
+        return arrange((names[c], funcs[p], names[t[q]], names[rhs(t, p)])), ""
 
     return test, witness
 
@@ -441,7 +446,7 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
             firsts = {}
             for c in K.elements:
                 for side in ("right", "left"):
-                    bound = K.add[(nh, c)] if side == "right" else K.add[(c, nh)]
+                    bound = K.add[nh][c] if side == "right" else K.add[c][nh]
                     firsts.setdefault((space.shift_at("add", c, side, j), bound), (c, side))
             shifted[j] = nh, list(firsts.items())
         return shifted[j]
@@ -465,10 +470,10 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
         nh, cells = shifts(j)
         nf = values[i]
         if find_op and leq_at(i, j) and not K.leq(nf, nh):
-            op, find_op = (funcs[i], funcs[j], nf, nh), False
+            op, find_op = (funcs[i], funcs[j], K.names[nf], K.names[nh]), False
         for (q, bound), (c, side) in cells if find_ne else ():
             if leq_at(i, q) and not K.leq(nf, bound):
-                ne, find_ne = (funcs[i], funcs[j], c, side), False
+                ne, find_ne = (funcs[i], funcs[j], K.names[c], side), False
                 break
 
     report.add(wa)
@@ -550,7 +555,7 @@ class FunctionalFamily:
 
     def bar(self, g: KFunction) -> KFunction:
         """The evaluation function induced by g on the family."""
-        return self.upper.function({pid: m.value(g) for pid, m in zip(self.ids, self.members)})
+        return self.upper.member(tuple(m.value(g) for m in self.members))
 
 
 class Pulled(Functional):
@@ -564,7 +569,7 @@ class Pulled(Functional):
         self.pull = pull
         self.kind = kind
 
-    def value(self, f: KFunction) -> str:
+    def value(self, f: KFunction) -> int:
         return self.inner.value(self.pull(f))
 
     def __str__(self) -> str:
@@ -590,7 +595,7 @@ def pushforward(lam: Functional, point_map: dict, target: FunctionSpace) -> Pull
         raise InputError("point map values outside the target point set")
     if target.K is not inner.K:
         raise InputError("target space has another coefficient structure")
-    return Pulled(target, lam, lambda t: inner.function({p: t(point_map[p]) for p in inner.points}), "pushforward")
+    return Pulled(target, lam, lambda t: inner.member(tuple(t(point_map[p]) for p in inner.points)), "pushforward")
 
 
 SUBSET_CAP = 64
@@ -664,7 +669,7 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
         if signature(xi(fam, pushforward(nu, eta_map, fam.upper))) != signature(nu)
     )
     report.add(first_failure("unit-eta-inner", inner))
-    bent = ((b,) for b in space.K.elements if fam.bar(space.constant(b)) != fam.upper.constant(b))
+    bent = ((space.K.names[b],) for b in space.K.elements if fam.bar(space.constant(b)) != fam.upper.constant(b))
     report.add(first_failure("bar-constant", bent))
 
     barv = Verdict.passed("bar-join")

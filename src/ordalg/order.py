@@ -1,8 +1,12 @@
 """Order-theoretic foundations: materialized order relations, axiom
 checkers with witnesses, and finite sup/inf.
 
-Relations are stored as explicit pair sets rather than comparison
-callbacks so that every axiom check is an exhaustive scan and every
+The elements of an order are codes 0..n-1 in carrier order; `carrier`
+keeps their names.  Names are read only where an order is built (its
+pairs are pairs of names) and where a failing axiom names its witness.
+Everything else reads code-indexed tables built once: the up-sets and
+down-sets, and `picks`, the one place that join, meet and comparability
+are read from.  Every axiom check is an exhaustive scan, and every
 failure comes with a concrete witness tuple.
 """
 from __future__ import annotations
@@ -14,43 +18,43 @@ Mode = str  # "directed" | "linear"
 
 
 class OrderRelation:
-    """A binary relation `leq` over a finite carrier of identifiers.
+    """A binary relation `leq` over a finite carrier of named elements.
 
-    The carrier and the pairs are never mutated after construction:
-    `above[x]` (the z with x <= z) and `below[x]` (the z with z <= x) are
-    built from them once, and bounds and extrema are read from those sets.
+    It is never mutated after construction.  `above[x]` (the z with
+    x <= z) and `below[x]` (the z with z <= x) are frozensets of codes,
+    and `picks[a][b]` is (join, meet) of comparable a and b, the larger
+    and the smaller, or None when they are incomparable.  `extrema[up]`
+    keeps the sup (up) or inf of each set of codes once it is decided.
     """
 
-    def __init__(self, carrier: tuple[str, ...], pairs: frozenset[tuple[str, str]]):
+    def __init__(self, carrier: tuple[str, ...], pairs):
         self.carrier = carrier
-        self.pairs = pairs
-        seen = set(carrier)
-        if len(seen) != len(carrier):
+        code = {x: i for i, x in enumerate(carrier)}
+        if len(code) != len(carrier):
             raise InputError("carrier contains duplicate identifiers")
-        above = {x: set() for x in self.carrier}
-        below = {x: set() for x in self.carrier}
-        for x, y in self.pairs:
-            if x not in seen or y not in seen:
+        above = [set() for _ in carrier]
+        for x, y in pairs:
+            if x not in code or y not in code:
                 raise InputError(f"relation mentions unknown identifier in pair ({x},{y})")
-            above[x].add(y)
-            below[y].add(x)
-        self.above = {x: frozenset(up) for x, up in above.items()}
-        self.below = {x: frozenset(down) for x, down in below.items()}
+            above[code[x]].add(code[y])
+        n = range(len(carrier))
+        self.above = tuple(map(frozenset, above))
+        self.below = tuple(frozenset(x for x in n if y in above[x]) for y in n)
+        self.picks = tuple(
+            tuple((b, a) if b in above[a] else (a, b) if a in above[b] else None for b in n) for a in n
+        )
+        self.extrema = {True: {}, False: {}}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.carrier, self.pairs) == (other.carrier, other.pairs)
+        return (self.carrier, self.above) == (other.carrier, other.above)
 
     @classmethod
     def chain(cls, elements) -> "OrderRelation":
         """Total order in the listed element order."""
         elements = tuple(elements)
-        pairs = frozenset(
-            (elements[i], elements[j])
-            for i in range(len(elements))
-            for j in range(i, len(elements))
-        )
+        pairs = ((elements[i], elements[j]) for i in range(len(elements)) for j in range(i, len(elements)))
         return cls(elements, pairs)
 
     @classmethod
@@ -66,47 +70,35 @@ class OrderRelation:
             for up in above.values():
                 if k in up:
                     up |= above[k]
-        return cls(elements, frozenset((x, y) for x, up in above.items() for y in up))
+        return cls(elements, ((x, y) for x, up in above.items() for y in up))
 
-    def leq(self, x: str, y: str) -> bool:
-        return (x, y) in self.pairs
+    def leq(self, x: int, y: int) -> bool:
+        return y in self.above[x]
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and (x, y) in self.pairs
+    def lt(self, x: int, y: int) -> bool:
+        return x != y and y in self.above[x]
 
-    def comparable(self, x: str, y: str) -> bool:
-        return (x, y) in self.pairs or (y, x) in self.pairs
+    def comparable(self, x: int, y: int) -> bool:
+        return self.picks[x][y] is not None
 
-    def join(self, a: str, b: str) -> str:
-        """The larger of two comparable elements; callers check that
-        they are comparable."""
-        return b if (a, b) in self.pairs else a
-
-    def meet(self, a: str, b: str) -> str:
-        """The smaller of two comparable elements."""
-        return a if (a, b) in self.pairs else b
-
-    def bounds(self, subset, up: bool) -> list[str]:
-        """The upper bounds of the subset when `up`, else the lower bounds,
-        in carrier order."""
-        sets = self.above if up else self.below
-        common = set(self.carrier)
-        for x in subset:
-            common.intersection_update(sets.get(x, ()))
-        return [z for z in self.carrier if z in common]
+    def named(self, witness: tuple) -> tuple:
+        """A witness with each code replaced by its element's name; tags
+        (strings) are kept."""
+        return tuple(w if isinstance(w, str) else self.carrier[w] for w in witness)
 
 
 class OrderedCarrier:
-    """An order together with its distinguished minimal element (zero)."""
+    """An order together with its distinguished minimal element (zero),
+    named at construction and kept as its code."""
 
     def __init__(self, order: OrderRelation, zero: str):
         self.order = order
-        self.zero = zero
         if zero not in order.carrier:
-            raise InputError(f"zero element {self.zero!r} not in carrier")
-        for x in order.carrier:
-            if not order.leq(zero, x):
-                raise InputError(f"zero element {self.zero!r} is not minimal: not leq {x!r}")
+            raise InputError(f"zero element {zero!r} not in carrier")
+        self.zero = order.carrier.index(zero)
+        for x, name in enumerate(order.carrier):
+            if not order.leq(self.zero, x):
+                raise InputError(f"zero element {zero!r} is not minimal: not leq {name!r}")
 
 
 def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:
@@ -124,60 +116,70 @@ def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:
     if not order.carrier:
         raise InputError("carrier must be non-empty")
     law = f"order-{mode}"
-    for x in order.carrier:  # D2
-        if not order.leq(x, x):
-            return Verdict.failed(law, ("D2", x))
+    witness = axiom_failure(order, mode)
+    return Verdict.passed(law) if witness is None else Verdict.failed(law, order.named(witness))
+
+
+def axiom_failure(order: OrderRelation, mode: Mode) -> tuple | None:
+    """The first violated axiom, tagged, with the codes of its witness."""
+    E = range(len(order.carrier))
     above = order.above
-    for x, y in order.pairs:  # D1
-        escaped = above[y] - above[x]
-        if escaped:
-            z = next(z for z in order.carrier if z in escaped)
-            return Verdict.failed(law, ("D1", x, y, z))
+    for x in E:  # D2
+        if x not in above[x]:
+            return ("D2", x)
+    for x in E:  # D1
+        for y in sorted(above[x]):
+            escaped = above[y] - above[x]
+            if escaped:
+                return ("D1", x, y, min(escaped))
     if mode == "directed":
-        for x in order.carrier:  # D3
-            for y in order.carrier:
+        for x in E:  # D3
+            for y in E:
                 if above[x].isdisjoint(above[y]):
-                    return Verdict.failed(law, ("D3", x, y))
-        return Verdict.passed(law)
+                    return ("D3", x, y)
+        return None
     # strict-order axioms; LO1 follows from D1 plus LO2 but is scanned anyway
-    for x in order.carrier:
-        for y in order.carrier:
+    for x in E:
+        for y in E:
             if order.lt(x, y) and order.lt(y, x):
-                return Verdict.failed(law, ("LO2", x, y))
+                return ("LO2", x, y)
             if x != y and not order.comparable(x, y):
-                return Verdict.failed(law, ("LO3", x, y))
-    for x in order.carrier:
-        for y in order.carrier:
+                return ("LO3", x, y)
+    for x in E:
+        for y in E:
             if not order.lt(x, y):
                 continue
-            for z in order.carrier:
+            for z in E:
                 if order.lt(y, z) and not order.lt(x, z):
-                    return Verdict.failed(law, ("LO1", x, y, z))
-    return Verdict.passed(law)
+                    return ("LO1", x, y, z)
+    return None
 
 
-def sup_over(subset, order: OrderRelation) -> str | None:
-    """Least upper bound inside the carrier, or None when there is none."""
+def sup_over(subset, order: OrderRelation) -> int | None:
+    """Least upper bound of a set of codes inside the carrier, or None
+    when there is none."""
     return _extremum(subset, order, True)
 
 
-def inf_over(subset, order: OrderRelation) -> str | None:
+def inf_over(subset, order: OrderRelation) -> int | None:
     """Greatest lower bound inside the carrier, or None."""
     return _extremum(subset, order, False)
 
 
-def _extremum(subset, order: OrderRelation, up: bool) -> str | None:
-    """The least upper bound when `up`, else the greatest lower bound."""
-    subset = set(subset)
+def _extremum(subset, order: OrderRelation, up: bool) -> int | None:
+    """The least upper bound when `up`, else the greatest lower bound;
+    each is decided once per set of codes and kept in `order.extrema`."""
+    subset = frozenset(subset)
+    known = order.extrema[up]
+    if subset in known:
+        return known[subset]
     if not subset:
         raise InputError(f"{'sup' if up else 'inf'} of an empty subset")
-    if not subset <= order.above.keys():
-        raise InputError("subset not contained in carrier")
-    bounds = order.bounds(subset, up)
+    sets = order.above if up else order.below
+    try:
+        common = frozenset.intersection(*[sets[x] for x in subset])
+    except (IndexError, TypeError):
+        raise InputError("subset not contained in carrier") from None
     # the least upper bound lies below every upper bound, and dually
-    beyond = order.above if up else order.below
-    every = set(bounds)
-    for z in bounds:
-        if every <= beyond[z]:
-            return z
-    return None
+    known[subset] = next((z for z in sorted(common) if common <= sets[z]), None)
+    return known[subset]

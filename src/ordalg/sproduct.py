@@ -10,6 +10,9 @@ The product's order and distributivity laws follow index by index from
 the component's, so `suites.scheme_law` decides them from the laws the
 component has already checked.  Non-associativity has no such reading,
 and `find_nonassoc_witness` searches for it over a bounded sample.
+
+Entries hold codes of the component's elements (see `structures`);
+an element's `__str__` prints their names.
 """
 from __future__ import annotations
 
@@ -23,11 +26,13 @@ OPS = ("add", "mul")
 
 class SuppElement:
     """Finite-support element: stored entries are nonzero, absent means 0.
-    Values are looked up through `by_index`, the entries as a dict."""
+    Values are looked up through `by_index`, the entries as a dict;
+    `names` are the component's element names, read only to print."""
 
-    def __init__(self, items: tuple[tuple[int, str], ...]):
+    def __init__(self, items: tuple[tuple[int, int], ...], names: tuple[str, ...]):
         self.items = items
         self.by_index = dict(items)
+        self.names = names
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -37,7 +42,7 @@ class SuppElement:
     def __hash__(self):
         return hash((self.items,))
 
-    def get(self, j: int, zero: str) -> str:
+    def get(self, j: int, zero: int) -> int:
         return self.by_index.get(j, zero)
 
     @property
@@ -47,7 +52,7 @@ class SuppElement:
     def __str__(self) -> str:
         if not self.items:
             return "{}"
-        return "{" + ", ".join(f"{k}: {v}" for k, v in self.items) + "}"
+        return "{" + ", ".join(f"{k}: {self.names[v]}" for k, v in self.items) + "}"
 
 
 WINDOW_CAP = 10_000
@@ -59,13 +64,13 @@ class IndexScheme:
     Each operation has two non-negative integer offsets, `psi[op] = s`
     and `phi[op] = r`, read as psi(j) = j - s and phi(j) = j + r.  The
     embedding `embed` is a single one-step map, and t^r applies it r
-    times; identity when None.  A window of more than `WINDOW_CAP`
-    indices is refused.
+    times; identity when None.  The embedding is given by element names
+    and kept as the codes of a `Homomorphism`.  A window of more than
+    `WINDOW_CAP` indices is refused.
 
     The component, the window and the offsets are never mutated after
-    construction: `elements` is the component carrier as a set, and
-    `down[op]` is the table of t^r_0 over the component, which `s_mu`
-    reads.
+    construction: `down[op]` is the table of t^r_0 by code over the
+    component, which `s_mu` reads.
     """
 
     def __init__(
@@ -88,7 +93,7 @@ class IndexScheme:
             for name, m in (("psi", self.psi[op]), ("phi", self.phi[op])):
                 if type(m) is not int or m < 0:
                     raise InputError(f"{name}[{op}] must be a non-negative integer offset, got {m!r}")
-        self.elements = frozenset(component.elements)
+        step = tuple(component.elements)
         if self.embed is not None:
             hom = Homomorphism(self.component, self.component, dict(self.embed))
             v = check_homomorphism(hom)
@@ -96,36 +101,28 @@ class IndexScheme:
                 raise InputError(f"embedding is not a homomorphism: {v.witness}")
             if len(set(self.embed.values())) != len(self.embed):
                 raise InputError("embedding must be injective")
-            order = self.component.order
+            order, step = self.component.order, hom.mapping
             for a in self.component.elements:
                 for b in self.component.elements:
-                    if order.lt(a, b) and not order.lt(self.embed[a], self.embed[b]):
+                    if order.lt(a, b) and not order.lt(step[a], step[b]):
+                        a, b = order.carrier[a], order.carrier[b]
                         raise InputError(f"embedding not strictly monotone at ({a},{b})")
-        self.down = {op: {a: self._embed_times(self.phi[op], a) for a in self.elements} for op in OPS}
-
-    def _embed_times(self, r: int, a: str) -> str:
-        """t^r_0(a).  The embedding permutes the finite carrier, so r is
-        read modulo the length of a's cycle."""
-        if self.embed is None:
-            return a
-        cycle = [a]
-        while self.embed[cycle[-1]] != a:
-            cycle.append(self.embed[cycle[-1]])
-        return cycle[r % len(cycle)]
+        self.down = {op: tuple(_iterate(step, self.phi[op], a) for a in component.elements) for op in OPS}
 
     # -- element constructors ------------------------------------------------
 
     def element(self, mapping: dict) -> SuppElement:
+        """The element with these entries, codes by index."""
         zero = self.component.zero
         items = []
         for j, v in sorted(mapping.items()):
             if j not in self.window:
                 raise InputError(f"index {j} outside the active window")
-            if v not in self.elements:
+            if v not in self.component.elements:
                 raise InputError(f"unknown component element {v!r}")
             if v != zero:
                 items.append((j, v))
-        return SuppElement(tuple(items))
+        return SuppElement(tuple(items), self.component.names)
 
     def all_elements(self, indices=None):
         """Deterministic enumeration of every element supported on the
@@ -133,6 +130,15 @@ class IndexScheme:
         indices = tuple(self.window if indices is None else indices)
         for values in product(self.component.elements, repeat=len(indices)):
             yield self.element(dict(zip(indices, values)))
+
+
+def _iterate(step: tuple, r: int, a: int) -> int:
+    """step applied r times to a.  The embedding permutes the finite
+    carrier, so r is read modulo the length of a's cycle."""
+    cycle = [a]
+    while step[cycle[-1]] != a:
+        cycle.append(step[cycle[-1]])
+    return cycle[r % len(cycle)]
 
 
 def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppElement:
@@ -156,10 +162,10 @@ def s_mu(op: str, y: SuppElement, z: SuppElement, scheme: IndexScheme) -> SuppEl
         target = j - s
         if target < lo:
             raise CapacityError(f"shifted index psi({j}) = {target} escapes the window")
-        value = table[(ys.get(j, zero), down[zs.get(j + r, zero)])]
+        value = table[ys.get(j, zero)][down[zs.get(j + r, zero)]]
         if value != zero:
             items.append((target, value))
-    return SuppElement(tuple(items))
+    return SuppElement(tuple(items), K.names)
 
 
 class SearchResult:
@@ -173,13 +179,15 @@ class SearchResult:
         return self.witness is not None
 
 
-def find_nonassoc_witness(op: str, scheme: IndexScheme, budget: int = 1000) -> SearchResult:
-    """Search for (a,b,c) where the two association orders differ.
+def find_nonassoc_witness(scheme: IndexScheme, budget: int) -> SearchResult:
+    """Search for (a,b,c) where the two association orders of mul differ,
+    over at most `budget` triples.
 
-    Requires the phi shift of the operation to actually move indices (the
+    Requires the phi shift of mul to actually move indices (the
     construction degenerates to the plain product otherwise) and at least
     two component elements, so that a difference can show up at all.
     """
+    op = "mul"
     if not scheme.phi[op]:
         raise PreconditionError("phi must satisfy j < phi(j) for the non-associativity search")
     if len(scheme.component.elements) < 2:

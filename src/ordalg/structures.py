@@ -3,6 +3,14 @@
 A FinStruct owns two total operation tables over an ordered carrier,
 validates the neutral/absorption laws at construction and re-verifies
 every declared law flag, so a constructed structure is trustworthy.
+
+Its elements are codes 0..n-1 in carrier order, and every module
+computes on codes: `add[a][b]` and `mul[a][b]` are rows of codes.  The
+element names (`names`) are read where a structure is built, from
+tables keyed by pairs of names, and where a name is printed: a failing
+law's witness, an error message, and `__str__` of the values that hold
+codes (functions, value tables, s-product elements).
+
 Law checkers are exact and return the first violating tuple of the full
 scan.  Associativity and distributivity are decided from a generating
 set G of the operation (Clifford and Preston, The Algebraic Theory of
@@ -26,8 +34,6 @@ from itertools import product
 from .errors import CapacityError, InputError
 from .order import OrderedCarrier, OrderRelation
 from .report import Verdict
-
-Table = dict  # (str, str) -> str
 
 LAWS = (
     "assoc-add",
@@ -59,14 +65,15 @@ class FinStruct:
     re-checked at construction.  Identity semantics: two FinStructs are
     the same structure only if they are the same object.
 
-    The carrier and the `add`/`mul` tables are never mutated after
-    construction: `check_law` keeps each verdict in `verdicts`, so the
-    laws decided at construction are not scanned again, and the scans
-    read the tables as rows built once (`rows["mul"][a][b]` is a*b).
+    It is built from `add` and `mul` tables keyed by pairs of element
+    names and from the names of `zero` and `one`; construction replaces
+    each by codes, and nothing is mutated after that.  `check_law` keeps
+    each verdict in `verdicts`, so the laws decided at construction are
+    not scanned again.
     """
 
     def __init__(
-        self, name: str, carrier: OrderedCarrier, add: Table, mul: Table, zero: str, one: str,
+        self, name: str, carrier: OrderedCarrier, add: dict, mul: dict, zero: str, one: str,
         flags: frozenset = frozenset(),
     ):
         self.name = name
@@ -77,27 +84,26 @@ class FinStruct:
         self.one = one
         self.flags = flags
         self.verdicts = {}
-        self.rows = {}
         self.__post_init__()  # the validation, a method of its own so perfbench/spans.py can time it
 
     def __post_init__(self):
-        elems = self.elements
-        require_desk_scale(self.name, len(elems))
-        eset = set(elems)
-        for label, table in (("add", self.add), ("mul", self.mul)):
-            rows = self.rows[label] = {}
-            for a in elems:
-                row = rows[a] = {}
-                for b in elems:
-                    if (a, b) not in table:
-                        raise InputError(f"{self.name}: {label} table missing ({a},{b})")
-                    value = row[b] = table[(a, b)]
-                    if value not in eset:
-                        raise InputError(f"{self.name}: {label}({a},{b}) = {value!r} outside carrier")
-        if self.zero != self.carrier.zero:
+        names = self.names = self.carrier.order.carrier
+        require_desk_scale(self.name, len(names))
+        self.elements = range(len(names))
+        code = self.code = {x: i for i, x in enumerate(names)}
+        for label in ("add", "mul"):
+            table = getattr(self, label)
+            for a, b in product(names, repeat=2):
+                if (a, b) not in table:
+                    raise InputError(f"{self.name}: {label} table missing ({a},{b})")
+                if table[(a, b)] not in code:
+                    raise InputError(f"{self.name}: {label}({a},{b}) = {table[(a, b)]!r} outside carrier")
+            setattr(self, label, tuple(tuple(code[table[(a, b)]] for b in names) for a in names))
+        if code.get(self.zero) != self.carrier.zero:
             raise InputError(f"{self.name}: zero {self.zero!r} differs from order minimum")
-        if self.one not in eset:
+        if self.one not in code:
             raise InputError(f"{self.name}: one {self.one!r} not in carrier")
+        self.zero, self.one = code[self.zero], code[self.one]
         v = check_law(self, "neutral")
         if not v:
             raise InputError(f"{self.name}: neutral law fails at {v.witness}")
@@ -114,43 +120,31 @@ class FinStruct:
                 raise InputError(f"{self.name}: declared flag {flag} fails at {v.witness}")
 
     @property
-    def elements(self) -> tuple[str, ...]:
-        return self.carrier.order.carrier
-
-    @property
     def order(self) -> OrderRelation:
         return self.carrier.order
 
-    def addv(self, a: str, b: str) -> str:
-        return self.add[(a, b)]
-
-    def mulv(self, a: str, b: str) -> str:
-        return self.mul[(a, b)]
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.order.leq(a, b)
+    def leq(self, a: int, b: int) -> bool:
+        return b in self.carrier.order.above[a]
 
     def has_zero_divisors(self) -> bool:
-        return any(
-            self.mulv(a, b) == self.zero
-            for a in self.elements
-            for b in self.elements
-            if a != self.zero and b != self.zero
-        )
+        nonzero = [a for a in self.elements if a != self.zero]
+        return any(self.mul[a][b] == self.zero for a in nonzero for b in nonzero)
 
 
 def check_law(s: FinStruct, law: str) -> Verdict:
     """Decide one law exactly; a failure's witness is the first violating
-    tuple over all pairs/triples.  The decision runs once per structure
-    and law; its verdict is kept on `s`."""
+    tuple over all pairs/triples, in element names.  The decision runs
+    once per structure and law; its verdict is kept on `s`."""
     verdict = s.verdicts.get(law)
     if verdict is None:
-        verdict = s.verdicts[law] = _scan_law(s, law)
+        witness = _scan_law(s, law)
+        verdict = Verdict.passed(law) if witness is None else Verdict.failed(law, s.order.named(witness))
+        s.verdicts[law] = verdict
     return verdict
 
 
-def _generators(rows: dict, E) -> tuple:
-    """A generating set of the operation given by `rows`, picked greedily
+def _generators(op, E) -> tuple:
+    """A generating set of the operation `op`, a table of rows, picked greedily
     in carrier order: an element is picked when it is not yet a product
     of earlier picks, and the closure takes products in both orders."""
     gens, closed, seen = [], [], set()
@@ -163,33 +157,33 @@ def _generators(rows: dict, E) -> tuple:
         while todo:
             x = todo.pop()
             closed.append(x)
-            rx = rows[x]
+            ox = op[x]
             for y in closed:
-                for z in (rx[y], rows[y][x]):
+                for z in (ox[y], op[y][x]):
                     if z not in seen:
                         seen.add(z)
                         todo.append(z)
     return tuple(gens)
 
 
-def _assoc_failure(rows: dict, E, middle) -> tuple | None:
+def _assoc_failure(op, E, middle) -> tuple | None:
     """The first (a, b, c, (ab)c, a(bc)) with (ab)c != a(bc), b in `middle`."""
     for a in E:
-        ra = rows[a]
+        oa = op[a]
         for b in middle:
-            rab, rb = rows[ra[b]], rows[b]
+            oab, ob = op[oa[b]], op[b]
             for c in E:
-                if rab[c] != ra[rb[c]]:
-                    return (a, b, c, rab[c], ra[rb[c]])
+                if oab[c] != oa[ob[c]]:
+                    return (a, b, c, oab[c], oa[ob[c]])
     return None
 
 
-def _dist_failure(mrows: dict, arows: dict, E, left) -> tuple | None:
+def _dist_failure(mul, add, E, left) -> tuple | None:
     """The first (a, b, c, a(b+c), ab+ac) with a(b+c) != ab+ac, a in `left`."""
     for a in left:
-        ma = mrows[a]
+        ma = mul[a]
         for b in E:
-            ab, amb = arows[b], arows[ma[b]]
+            ab, amb = add[b], add[ma[b]]
             for c in E:
                 lhs = ma[ab[c]]
                 rhs = amb[ma[c]]
@@ -198,77 +192,68 @@ def _dist_failure(mrows: dict, arows: dict, E, left) -> tuple | None:
     return None
 
 
-def _scan_law(s: FinStruct, law: str) -> Verdict:
+def _scan_law(s: FinStruct, law: str) -> tuple | None:
+    """The codes of the law's first violating tuple, after a tag where
+    the law has parts, or None when it holds."""
     E = s.elements
     if law == "assoc-add" or law == "assoc-mul":
         # Light's test: the middle factors b that associate with every pair
         # are closed under the operation, so a generating set decides; the
         # full scan runs only to find a failing law's first witness.
-        rows = s.rows["add" if law == "assoc-add" else "mul"]
-        witness = _assoc_failure(rows, E, _generators(rows, E)) and _assoc_failure(rows, E, E)
-        return Verdict.failed(law, witness) if witness else Verdict.passed(law)
+        op = s.add if law == "assoc-add" else s.mul
+        return _assoc_failure(op, E, _generators(op, E)) and _assoc_failure(op, E, E)
     if law == "comm-add" or law == "comm-mul":
         op = s.add if law == "comm-add" else s.mul
-        for a, b in product(E, repeat=2):
-            if op[(a, b)] != op[(b, a)]:
-                return Verdict.failed(law, (a, b, op[(a, b)], op[(b, a)]))
-        return Verdict.passed(law)
+        return next(((a, b, op[a][b], op[b][a]) for a, b in product(E, repeat=2) if op[a][b] != op[b][a]), None)
     if law == "left-dist" or law == "right-dist":
-        mrows, arows = s.rows["mul"], s.rows["add"]
-        if law == "right-dist":
-            # (b+c)a = ba+ca reads as left-dist on the columns of mul
-            mrows = {a: {b: mrows[b][a] for b in E} for a in E}
+        # (b+c)a = ba+ca reads as left-dist on the columns of mul
+        mul = s.mul if law == "left-dist" else tuple(zip(*s.mul))
         # With mul associative, the a that distribute are closed under mul
         # (see the module docstring), so the mul generators decide, and the
         # first failing a of the full scan is a generator.
-        left = _generators(s.rows["mul"], E) if check_law(s, "assoc-mul") else E
-        witness = _dist_failure(mrows, arows, E, left)
-        return Verdict.failed(law, witness) if witness else Verdict.passed(law)
+        left = _generators(s.mul, E) if check_law(s, "assoc-mul") else E
+        return _dist_failure(mul, s.add, E, left)
+    zero, one, add, mul = s.zero, s.one, s.add, s.mul
     if law == "neutral":
         for a in E:
-            if s.addv(a, s.zero) != a or s.addv(s.zero, a) != a:
-                return Verdict.failed(law, ("add-neutral", a))
+            if add[a][zero] != a or add[zero][a] != a:
+                return ("add-neutral", a)
         if len(E) > 1:
             for a in E:
-                if a == s.zero:
-                    continue
-                if s.mulv(a, s.one) != a or s.mulv(s.one, a) != a:
-                    return Verdict.failed(law, ("mul-neutral", a))
-        return Verdict.passed(law)
+                if a != zero and (mul[a][one] != a or mul[one][a] != a):
+                    return ("mul-neutral", a)
+        return None
     if law == "absorb":
-        for a in E:
-            if s.mulv(a, s.zero) != s.zero or s.mulv(s.zero, a) != s.zero:
-                return Verdict.failed(law, ("absorb", a))
-        return Verdict.passed(law)
+        return next((("absorb", a) for a in E if mul[a][zero] != zero or mul[zero][a] != zero), None)
     if law == "quasi-solvable":
         # ax = b and xa = b solvable on the carrier minus zero: the row and
         # column maps of the mul table must be surjective there.
-        nz = [x for x in E if x != s.zero]
+        nz = [x for x in E if x != zero]
         for a in nz:
-            row = {s.mulv(a, x) for x in nz}
-            col = {s.mulv(x, a) for x in nz}
+            row = {mul[a][x] for x in nz}
+            col = {mul[x][a] for x in nz}
             for b in nz:
                 if b not in row:
-                    return Verdict.failed(law, ("row", a, b))
+                    return ("row", a, b)
                 if b not in col:
-                    return Verdict.failed(law, ("col", a, b))
-        return Verdict.passed(law)
+                    return ("col", a, b)
+        return None
     raise InputError(f"unknown law {law!r}")
 
 
 class Homomorphism:
+    """A map between carriers, given by the names of each element and its
+    image and kept as codes: `mapping[a]` is the image of a."""
+
     def __init__(self, source: FinStruct, target: FinStruct, mapping: dict):
         self.source = source
         self.target = target
-        self.mapping = mapping
-        for a in source.elements:
+        for a in source.names:
             if a not in mapping:
                 raise InputError(f"homomorphism map missing element {a!r}")
-            if mapping[a] not in set(target.elements):
+            if mapping[a] not in target.code:
                 raise InputError(f"image {mapping[a]!r} not in target carrier")
-
-    def __call__(self, a: str) -> str:
-        return self.mapping[a]
+        self.mapping = tuple(target.code[mapping[a]] for a in source.names)
 
 
 def check_homomorphism(h: Homomorphism) -> Verdict:
@@ -280,17 +265,17 @@ def check_homomorphism(h: Homomorphism) -> Verdict:
     s, t, m = h.source, h.target, h.mapping
     law = "homomorphism"
     if m[s.zero] != t.zero:
-        return Verdict.failed(law, ("zero", s.zero, m[s.zero]))
+        return Verdict.failed(law, ("zero", s.names[s.zero], t.names[m[s.zero]]))
     if len(s.elements) > 1 and m[s.one] != t.one:
-        return Verdict.failed(law, ("one", s.one, m[s.one]))
+        return Verdict.failed(law, ("one", s.names[s.one], t.names[m[s.one]]))
     for a in s.elements:
         for b in s.elements:
-            if m[s.addv(a, b)] != t.addv(m[a], m[b]):
-                return Verdict.failed(law, ("add", a, b))
-            if m[s.mulv(a, b)] != t.mulv(m[a], m[b]):
-                return Verdict.failed(law, ("mul", a, b))
+            if m[s.add[a][b]] != t.add[m[a]][m[b]]:
+                return Verdict.failed(law, s.order.named(("add", a, b)))
+            if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
+                return Verdict.failed(law, s.order.named(("mul", a, b)))
             if s.leq(a, b) and not t.leq(m[a], m[b]):
-                return Verdict.failed(law, ("order", a, b))
+                return Verdict.failed(law, s.order.named(("order", a, b)))
     return Verdict.passed(law)
 
 
@@ -298,25 +283,22 @@ def check_homomorphism(h: Homomorphism) -> Verdict:
 # stock structures
 
 
-def _struct(name, elems, addf, mulf, zero, one, flags) -> FinStruct:
-    add = {(a, b): addf(a, b) for a in elems for b in elems}
-    mul = {(a, b): mulf(a, b) for a in elems for b in elems}
-    carrier = OrderedCarrier(OrderRelation.chain(elems), elems[0])
-    return FinStruct(name, carrier, add, mul, zero, one, frozenset(flags))
+def _struct(name, names, addf, mulf, flags) -> FinStruct:
+    """The structure on the chain of `names`, zero first and the unit
+    second, whose operations `addf` and `mulf` act on codes."""
+    E = range(len(names))
+    add = {(names[a], names[b]): names[addf(a, b)] for a in E for b in E}
+    mul = {(names[a], names[b]): names[mulf(a, b)] for a in E for b in E}
+    carrier = OrderedCarrier(OrderRelation.chain(names), names[0])
+    return FinStruct(name, carrier, add, mul, names[0], names[min(1, len(E) - 1)], frozenset(flags))
+
+
+SEMIRING = ("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist")
 
 
 def boolean_semiring(name: str = "bool") -> FinStruct:
     """{0,1} with add = or, mul = and."""
-    elems = ("0", "1")
-    return _struct(
-        name,
-        elems,
-        lambda a, b: "1" if "1" in (a, b) else "0",
-        lambda a, b: "1" if a == b == "1" else "0",
-        "0",
-        "1",
-        ("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist"),
-    )
+    return _struct(name, ("0", "1"), max, min, SEMIRING)
 
 
 def maxplus_chain(n: int, name: str | None = None) -> FinStruct:
@@ -330,32 +312,16 @@ def maxplus_chain(n: int, name: str | None = None) -> FinStruct:
         raise InputError("maxplus chain needs at least 2 elements")
     name = name or f"maxplus{n}"
     require_desk_scale(name, n)
-    elems = tuple(str(i) for i in range(n))
 
-    def addf(a, b):
-        return str(max(int(a), int(b)))
+    def mulf(i, j):
+        return 0 if i == 0 or j == 0 else min(i + j - 1, n - 1)
 
-    def mulf(a, b):
-        i, j = int(a), int(b)
-        if i == 0 or j == 0:
-            return "0"
-        return str(min(i + j - 1, n - 1))
-
-    return _struct(
-        name,
-        elems,
-        addf,
-        mulf,
-        "0",
-        "1",
-        ("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist"),
-    )
+    return _struct(name, tuple(map(str, range(n))), max, mulf, SEMIRING)
 
 
 def trivial_structure(name: str = "trivial") -> FinStruct:
     """The one-point structure {0}; zero and one coincide."""
-    elems = ("0",)
-    return _struct(name, elems, lambda a, b: "0", lambda a, b: "0", "0", "0", ())
+    return _struct(name, ("0",), max, min, ())
 
 
 def right_dist_only(name: str = "rdist") -> FinStruct:
@@ -368,55 +334,26 @@ def right_dist_only(name: str = "rdist") -> FinStruct:
     a(b+c) = ab+ac at a=3, b=1, c=2.  This is the only such table with
     this chain, unit and addition.
     """
-    elems = ("0", "1", "2", "3")
-    mul = {}
-    for a in elems:
-        for b in elems:
-            if a == "0" or b == "0":
-                mul[(a, b)] = "0"
-            elif a == "1":
-                mul[(a, b)] = b
-            elif b == "1":
-                mul[(a, b)] = a
-            else:
-                mul[(a, b)] = b
-    add = {(a, b): str(max(int(a), int(b))) for a in elems for b in elems}
-    carrier = OrderedCarrier(OrderRelation.chain(elems), "0")
-    return FinStruct(
-        name, carrier, add, mul, "0", "1", frozenset(("assoc-add", "comm-add", "right-dist"))
-    )
+
+    def mulf(a, b):
+        return 0 if a == 0 or b == 0 else a if b == 1 else b
+
+    return _struct(name, ("0", "1", "2", "3"), max, mulf, ("assoc-add", "comm-add", "right-dist"))
 
 
 def direct_product(s1: FinStruct, s2: FinStruct, name: str | None = None) -> FinStruct:
-    """Componentwise product structure; element ids are "a,b" pairs."""
+    """Componentwise product structure; element names are "a,b" pairs,
+    and the code of (a, b) is a * |s2| + b."""
+    n2 = len(s2.elements)
+    names = tuple(f"{a},{b}" for a in s1.names for b in s2.names)
+    E = range(len(names))
 
-    def pid(a, b):
-        return f"{a},{b}"
+    def table(op1, op2):
+        return {(names[x], names[y]): names[op1[x // n2][y // n2] * n2 + op2[x % n2][y % n2]] for x in E for y in E}
 
-    elems = tuple(pid(a, b) for a in s1.elements for b in s2.elements)
-    split = {pid(a, b): (a, b) for a in s1.elements for b in s2.elements}
-    pairs = set()
-    for x in elems:
-        for y in elems:
-            (a1, b1), (a2, b2) = split[x], split[y]
-            if s1.leq(a1, a2) and s2.leq(b1, b2):
-                pairs.add((x, y))
-    order = OrderRelation(elems, frozenset(pairs))
-    zero = pid(s1.zero, s2.zero)
-    add = {}
-    mul = {}
-    for x in elems:
-        for y in elems:
-            (a1, b1), (a2, b2) = split[x], split[y]
-            add[(x, y)] = pid(s1.addv(a1, a2), s2.addv(b1, b2))
-            mul[(x, y)] = pid(s1.mulv(a1, a2), s2.mulv(b1, b2))
+    pairs = ((names[x], names[y]) for x in E for y in E if s1.leq(x // n2, y // n2) and s2.leq(x % n2, y % n2))
+    zero = names[s1.zero * n2 + s2.zero]
     flags = frozenset((s1.flags & s2.flags) - {"quasi-solvable"})
-    return FinStruct(
-        name or f"{s1.name}x{s2.name}",
-        OrderedCarrier(order, zero),
-        add,
-        mul,
-        zero,
-        pid(s1.one, s2.one),
-        flags,
-    )
+    carrier = OrderedCarrier(OrderRelation(names, pairs), zero)
+    add, mul = table(s1.add, s2.add), table(s1.mul, s2.mul)
+    return FinStruct(name or f"{s1.name}x{s2.name}", carrier, add, mul, zero, names[s1.one * n2 + s2.one], flags)

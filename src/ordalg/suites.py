@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import InputError, OrdalgError, PreconditionError
 from .functionals import check_idempotent, check_weak_properties, monad_check
-from .order import check_order_axioms
+from .order import axiom_failure, check_order_axioms
 from .report import Verdict, fmt_witness
 from .structures import check_law
 from .workspace import Workspace
@@ -176,7 +176,7 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
         scheme = ws.schemes[name]
         records.append(_scheme_record(name, scheme, "directed"))
         if scheme.phi["mul"]:
-            result = find_nonassoc_witness("mul", scheme, budget=min(budget, 1000))
+            result = find_nonassoc_witness(scheme, min(budget, 1000))
             if result.found:
                 a, b, c, left, right = result.witness
                 verdict = Verdict.passed(
@@ -206,27 +206,23 @@ def _scheme_record(name: str, scheme: IndexScheme, law: str) -> CheckRecord:
 def scheme_law(scheme: IndexScheme, law: str) -> Verdict:
     """Decide directed, lex, transfer-left or transfer-right for the
     shifted product from the component's laws, as `suite_sconstruction`
-    explains."""
+    explains; a transfer law is asked for only when add is unshifted."""
     K, lo = scheme.component, scheme.window.start
     if law in ("directed", "lex"):
         mode, recorded = ("directed", "directed") if law == "directed" else ("linear", "lex-order")
-        verdict = check_order_axioms(K.order, mode)
-        if verdict:
+        witness = axiom_failure(K.order, mode)
+        if witness is None:
             return Verdict.passed(recorded)
         # the witness is the axiom's tag followed by its component values
-        return Verdict.failed(recorded, tuple(scheme.element({lo: x}) for x in verdict.witness[1:]))
-    if law not in ("transfer-left", "transfer-right"):
-        raise InputError(f"unknown scheme law {law!r}")
-    if scheme.psi["add"] or scheme.phi["add"]:
-        raise PreconditionError("transfer requires identity shifts for add")
+        return Verdict.failed(recorded, tuple(scheme.element({lo: x}) for x in witness[1:]))
     side = law.split("-")[1]
     verdict = check_law(K, f"{side}-dist")
     s, r = scheme.psi["mul"], scheme.phi["mul"]
     j = lo + s
     if verdict or j + r >= scheme.window.stop:
         return Verdict.passed(f"{law}-dist")
-    a, b, c, lhs, rhs = verdict.witness
-    back = {v: x for x, v in scheme.down["mul"].items()}  # t^-r: t^r permutes K
+    a, b, c, lhs, rhs = (K.code[x] for x in verdict.witness)
+    back = {v: x for x, v in enumerate(scheme.down["mul"])}  # t^-r: t^r permutes K
 
     def at(i, x):
         return scheme.element({i: x})

@@ -97,6 +97,7 @@ class Workspace:
         self.structures = {}
         self.spaces = {}
         self.functions = {}
+        self.function_spaces = {}  # the space each function is declared on
         self.functionals = {}
         self.actions = {}
         self.schemes = {}
@@ -163,6 +164,7 @@ def _build(ws: Workspace, sec: Section) -> None:
     elif sec.kind == "function":
         space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functions[sec.name] = _build_function(space, sec)
+        ws.function_spaces[sec.name] = space
     elif sec.kind == "functional":
         space = _lookup(ws.spaces, sec.require("space"), sec, "space")
         ws.functionals[sec.name] = _build_functional(ws, space, sec)
@@ -216,8 +218,8 @@ def _build_structure(sec: Section) -> FinStruct:
             a, b = token.split("<=", 1)
             covers.append((a, b))
         order = OrderRelation.from_covers(elements, covers)
-        for a, b in combinations(elements, 2):
-            if a != b and order.leq(a, b) and order.leq(b, a):
+        for (i, a), (j, b) in combinations(enumerate(elements), 2):
+            if order.leq(i, j) and order.leq(j, i):
                 raise ParseError(
                     f"[structure {sec.name}]: order has a cycle: {a} <= {b} and {b} <= {a}",
                     sec.line_of("order"),
@@ -343,7 +345,7 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
             if ":" not in token:
                 raise ParseError(f"embed entry {token!r} must look like a:b", sec.line_of("embed"))
             a, b = token.split(":", 1)
-            if a not in K.elements or b not in K.elements:
+            if a not in K.code or b not in K.code:
                 raise ParseError(
                     f"embed entry {token!r} names an element outside structure {K.name!r}", sec.line_of("embed")
                 )

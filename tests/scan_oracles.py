@@ -21,16 +21,24 @@ distributivity by scans over the pairs and triples of a window.  Tests
 compare the library against them verdict by verdict and witness by
 witness.  The support section also keeps the minimality criterion and
 the restriction-agreement condition that tests pin supports against.
+
+The library computes on the codes of elements; these scans compute on
+their names.  An order is read as its pairs of names, K's operations as
+tables keyed by pairs of names, a function and an s-product element by
+the names of their values, and a value is coded again only to make a
+function or a value table.  So every comparison with the library also
+checks its encoding.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from ordalg.convolution import SupportBounds, apply_T, check_kind, dirac_unit
 from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
-from ordalg.funcspace import FunctionSpace
+from ordalg.funcspace import FunctionSpace, KFunction
 from ordalg.functionals import (
     Dirac,
     Functional,
@@ -44,14 +52,61 @@ from ordalg.functionals import (
 from ordalg.report import AxiomReport, Verdict
 
 
+# -- names -------------------------------------------------------------------
+
+
+def pairs(order) -> list:
+    """The pairs (x, y) of names with x <= y, in carrier order."""
+    names = order.carrier
+    return [(names[x], names[y]) for x in range(len(names)) for y in sorted(order.above[x])]
+
+
+def named(f) -> tuple:
+    """The names of a function's values, aligned with its points."""
+    return tuple(f.names[v] for v in f.values)
+
+
+def make(space, values):
+    """The function with these named values, a member of the space or not."""
+    return KFunction(space.points, tuple(space.K.code[v] for v in values), space.K.names)
+
+
+@cache
+class Named:
+    """K on names: its carrier, zero and one, both operations as tables
+    keyed by pairs of names, and its order as pairs of names; made once
+    per structure."""
+
+    def __init__(self, K):
+        names = K.names
+        self.elements, self.zero, self.one = names, names[K.zero], names[K.one]
+        self.add, self.mul = (
+            {(names[a], names[b]): names[rows[a][b]] for a in K.elements for b in K.elements} for rows in (K.add, K.mul)
+        )
+        self.pairs = set(pairs(K.order))
+
+    def leq(self, a, b) -> bool:
+        return (a, b) in self.pairs
+
+    def comparable(self, a, b) -> bool:
+        return (a, b) in self.pairs or (b, a) in self.pairs
+
+    def join(self, a, b):
+        return b if (a, b) in self.pairs else a
+
+    def meet(self, a, b):
+        return a if (a, b) in self.pairs else b
+
+
 # -- order ---------------------------------------------------------------------
 
 
 def bounds(order, subset, up: bool) -> list:
-    pairs = order.pairs
+    """The names of the bounds of a set of names, in carrier order."""
+    leq = set(pairs(order))
     if up:
-        return [z for z in order.carrier if all((x, z) in pairs for x in subset)]
-    return [z for z in order.carrier if all((z, x) in pairs for x in subset)]
+        return [z for z in order.carrier if all((x, z) in leq for x in subset)]
+    return [z for z in order.carrier if all((z, x) in leq for x in subset)]
 
 
 def extremum(subset, order, up: bool):
@@ -60,10 +115,10 @@ def extremum(subset, order, up: bool):
         raise InputError(f"{'sup' if up else 'inf'} of an empty subset")
     if not set(subset) <= set(order.carrier):
         raise InputError("subset not contained in carrier")
-    pairs = order.pairs
+    leq = set(pairs(order))
     found = bounds(order, subset, up)
     for z in found:
-        if all(((z, w) if up else (w, z)) in pairs for w in found):
+        if all(((z, w) if up else (w, z)) in leq for w in found):
             return z
     return None
 
@@ -80,12 +135,17 @@ def subset_without_sup(order, size: int):
 
 def check_order_axioms(order, mode: str) -> Verdict:
     law = f"order-{mode}"
+    leq = set(pairs(order))
+
+    def lt(x, y):
+        return x != y and (x, y) in leq
+
     for x in order.carrier:  # D2
-        if not order.leq(x, x):
+        if (x, x) not in leq:
             return Verdict.failed(law, ("D2", x))
-    for x, y in order.pairs:  # D1
+    for x, y in pairs(order):  # D1
         for z in order.carrier:
-            if order.leq(y, z) and not order.leq(x, z):
+            if (y, z) in leq and (x, z) not in leq:
                 return Verdict.failed(law, ("D1", x, y, z))
     if mode == "directed":
         for x in order.carrier:  # D3
@@ -95,16 +155,16 @@ def check_order_axioms(order, mode: str) -> Verdict:
         return Verdict.passed(law)
     for x in order.carrier:
         for y in order.carrier:
-            if order.lt(x, y) and order.lt(y, x):
+            if lt(x, y) and lt(y, x):
                 return Verdict.failed(law, ("LO2", x, y))
-            if x != y and not order.comparable(x, y):
+            if x != y and (x, y) not in leq and (y, x) not in leq:
                 return Verdict.failed(law, ("LO3", x, y))
     for x in order.carrier:
         for y in order.carrier:
-            if not order.lt(x, y):
+            if not lt(x, y):
                 continue
             for z in order.carrier:
-                if order.lt(y, z) and not order.lt(x, z):
+                if lt(y, z) and not lt(x, z):
                     return Verdict.failed(law, ("LO1", x, y, z))
     return Verdict.passed(law)
 
@@ -113,19 +173,21 @@ def check_order_axioms(order, mode: str) -> Verdict:
 
 
 def pointwise_leq(space, f, g) -> bool:
-    return all(space.K.leq(a, b) for a, b in zip(f.values, g.values))
+    leq = set(pairs(space.K.order))
+    return all((a, b) in leq for a, b in zip(named(f), named(g)))
 
 
 # -- functionals -------------------------------------------------------------------
 
 
 def evaluator(nu):
-    """nu as a function of functions, each evaluated once."""
+    """nu as a function of functions to names, each evaluated once."""
     values = {}
+    names = nu.space.K.names
 
     def value(f):
         if f not in values:
-            values[f] = nu.value(f)
+            values[f] = names[nu.value(f)]
         return values[f]
 
     return value
@@ -139,8 +201,8 @@ def grid(first, second, budget, seed):
 
 
 def normalized(space, value) -> Verdict:
-    for c in space.K.elements:
-        v = value(space.constant(c))
+    for c in space.K.names:
+        v = value(space.function({x: c for x in space.points}))
         if v != c:
             return Verdict.failed("normalized", (c, v))
     return Verdict.passed("normalized")
@@ -149,22 +211,21 @@ def normalized(space, value) -> Verdict:
 def check_join_meet(space, value, pairs, laws: dict) -> dict:
     """Guarded pointwise max ("join") and min ("meet") on pairs of
     functions; `laws` maps each kind to the law name of its verdict."""
-    order = space.K.order
-    ops = {"join": (space.vee, order.join), "meet": (space.wedge, order.meet)}
-    todo = [(law, *ops[kind]) for kind, law in laws.items()]
+    K = Named(space.K)
+    todo = [(law, K.join if kind == "join" else K.meet) for kind, law in laws.items()]
     failed = {}
     for f, g in pairs:
-        if space.comparable_pointwise(f, g) is not None:
+        if not all(map(K.comparable, named(f), named(g))):
             continue
         a, b = value(f), value(g)
-        comparable = order.comparable(a, b)
-        for law, combine, pick in todo:
+        comparable = K.comparable(a, b)
+        for law, pick in todo:
             if law in failed:
                 continue
             if not comparable:
                 failed[law] = Verdict.failed(law, (f, g, a, b), note="values incomparable")
                 continue
-            lhs = value(combine(f, g))
+            lhs = value(make(space, map(pick, named(f), named(g))))
             rhs = pick(a, b)
             if lhs != rhs:
                 failed[law] = Verdict.failed(law, (f, g, lhs, rhs))
@@ -177,8 +238,8 @@ def constant_law(space, value, cells, op: str, laws: dict, witness=tuple) -> dic
     """nu(c o f) = c o nu(f) on (c, f) cells, o the add or the mul of K
     put on each side that `laws` names; sides sharing a law name fail at
     the first failing side."""
-    table = space.K.add if op == "add" else space.K.mul
-    shift = space.odot if op == "add" else space.scale
+    K = Named(space.K)
+    table = K.add if op == "add" else K.mul
     sides = list(laws.items())
     todo = len(set(laws.values()))
     failed = {}
@@ -187,7 +248,8 @@ def constant_law(space, value, cells, op: str, laws: dict, witness=tuple) -> dic
         for side, law in sides:
             if law in failed:
                 continue
-            lhs = value(shift(c, f, side))
+            shifted = (table[(c, a)] if side == "left" else table[(a, c)] for a in named(f))
+            lhs = value(make(space, shifted))
             rhs = table[(c, nf)] if side == "left" else table[(nf, c)]
             if lhs != rhs:
                 failed[law] = Verdict.failed(law, witness((c, f, lhs, rhs)))
@@ -202,7 +264,7 @@ def check_idempotent(nu, budget=None, seed=0) -> AxiomReport:
     funcs = space.functions()
     report = AxiomReport()
     report.add(normalized(space, value))
-    cells, shifts_sampled = grid(space.K.elements, funcs, budget, seed)
+    cells, shifts_sampled = grid(space.K.names, funcs, budget, seed)
     pairs, pairs_sampled = grid(funcs, funcs, budget, seed)
     shifts = constant_law(space, value, cells, "add", {"left": "left-shift", "right": "right-shift"})
     join_meet = check_join_meet(space, value, pairs, {"join": "join", "meet": "meet"})
@@ -217,7 +279,7 @@ def weak_laws(nu) -> dict:
     normalization, as `check_weak_properties` reports them."""
     value = evaluator(nu)
     space = nu.space
-    cells = ((c, h) for h in space.functions() for c in space.K.elements)
+    cells = ((c, h) for h in space.functions() for c in space.K.names)
     laws = {"right": "weakly-additive", "left": "weakly-additive"}
     wa = constant_law(space, value, cells, "add", laws, witness=lambda w: (w[1], w[0], w[2], w[3]))
     return {**wa, "normalized": normalized(space, value)}
@@ -231,7 +293,7 @@ def weak_order_laws(nu, budget=None, seed=0) -> dict:
     failing pair; and whether the pairs were sampled."""
     value = evaluator(nu)
     space = nu.space
-    K = space.K
+    K = Named(space.K)
     funcs = space.functions()
     pairs, sampled = grid(funcs, funcs, budget, seed)
     op = ne = None
@@ -242,8 +304,9 @@ def weak_order_laws(nu, budget=None, seed=0) -> dict:
         for c, side in product(K.elements, ("right", "left")):
             if ne is not None:
                 break
-            bound = K.addv(nh, c) if side == "right" else K.addv(c, nh)
-            if pointwise_leq(space, f, space.odot(c, h, side)) and not K.leq(nf, bound):
+            bound = K.add[(nh, c)] if side == "right" else K.add[(c, nh)]
+            shifted = (K.add[(a, c)] if side == "right" else K.add[(c, a)] for a in named(h))
+            if all(map(K.leq, named(f), shifted)) and not K.leq(nf, bound):
                 ne = (f, h, c, side)
         if op is not None and ne is not None:
             break
@@ -253,23 +316,24 @@ def weak_order_laws(nu, budget=None, seed=0) -> dict:
 
 def check_homogeneous(nu) -> dict:
     space = nu.space
-    cells = product(space.K.elements, space.functions())
+    cells = product(space.K.names, space.functions())
     laws = {"left": "left-homogeneous", "right": "right-homogeneous"}
     return constant_law(space, evaluator(nu), cells, "mul", laws, witness=lambda w: w[:2])
 
 
 def check_kind(nu, kind: str) -> Verdict:
     space = nu.space
-    K = space.K
     law = f"kind-{kind}"
+    value = evaluator(nu)
     if kind != "add":
         pairs = product(space.functions(), repeat=2)
-        return check_join_meet(space, evaluator(nu), pairs, {kind: law})[law]
-    if not {"comm-add", "assoc-add"} <= K.flags:
+        return check_join_meet(space, value, pairs, {kind: law})[law]
+    if not {"comm-add", "assoc-add"} <= space.K.flags:
         raise PreconditionError("kind add needs commutative associative addition in K")
+    add = Named(space.K).add
     for f, g in product(space.functions(), repeat=2):
-        lhs = nu.value(space.add(f, g))
-        rhs = K.addv(nu.value(f), nu.value(g))
+        lhs = value(make(space, (add[ab] for ab in zip(named(f), named(g)))))
+        rhs = add[(value(f), value(g))]
         if lhs != rhs:
             return Verdict.failed(law, (f, g, lhs, rhs))
     return Verdict.passed(law)
@@ -296,7 +360,8 @@ class FunctionalFamily:
         return self.by_sig.get(signature(nu))
 
     def bar(self, g):
-        return self.upper.function({pid: m.value(g) for pid, m in zip(self.ids, self.members)})
+        names = self.space.K.names
+        return self.upper.function({pid: names[m.value(g)] for pid, m in zip(self.ids, self.members)})
 
 
 def xi(family, lam):
@@ -321,7 +386,7 @@ def pushed(lam, point_map, upper):
     return TableFunctional(
         upper,
         tuple(
-            lam.value(inner.function({p: t(point_map[p]) for p in inner.points}))
+            lam.value(inner.function({p: t.names[t(point_map[p])] for p in inner.points}))
             for t in upper.functions()
         ),
     )
@@ -358,8 +423,8 @@ def monad_check(space, family=None) -> AxiomReport:
     report.add(unit2)
 
     barc = Verdict.passed("bar-constant")
-    for b in space.K.elements:
-        if fam.bar(space.constant(b)) != fam.upper.constant(b):
+    for b in space.K.names:
+        if fam.bar(space.function(dict.fromkeys(space.points, b))) != fam.upper.function(dict.fromkeys(fam.ids, b)):
             barc = Verdict.failed("bar-constant", (b,))
             break
     report.add(barc)
@@ -415,22 +480,24 @@ class Convolution(Functional):
     sys: object
 
     def value(self, f):
+        names = self.space.K.names
         h = self.space.function(
-            {g: self.inner.value(apply_T(self.sys, g, f)) for g in self.sys.G.elements}
+            {g: names[self.inner.value(apply_T(self.sys, g, f))] for g in self.sys.G.elements}
         )
         return self.outer.value(h)
 
 
 def plus_kind(kind, nu, lam):
     space = nu.space
-    order = space.K.order
-    pick = space.K.addv if kind == "add" else order.join if kind == "join" else order.meet
+    K = Named(space.K)
+    pick = (lambda a, b: K.add[(a, b)]) if kind == "add" else K.join if kind == "join" else K.meet
+    value_nu, value_lam = evaluator(nu), evaluator(lam)
     values = []
     for f in space.functions():
-        a, b = nu.value(f), lam.value(f)
-        if kind != "add" and not order.comparable(a, b):
+        a, b = value_nu(f), value_lam(f)
+        if kind != "add" and not K.comparable(a, b):
             raise IncomparableError(f"values {a!r}, {b!r} incomparable", a, b)
-        values.append(pick(a, b))
+        values.append(space.K.code[pick(a, b)])
     return TableFunctional(space, tuple(values))
 
 
@@ -516,10 +583,11 @@ def check_quasiring(alg) -> AxiomReport:
 
 
 def check_invariant(nu, sys) -> Verdict:
+    value = evaluator(nu)
     for g in sys.G.elements:
         for f in sys.space.functions():
-            if nu.value(apply_T(sys, g, f)) != nu.value(f):
-                return Verdict.failed("invariant", (g, f, nu.value(apply_T(sys, g, f)), nu.value(f)))
+            if value(apply_T(sys, g, f)) != value(f):
+                return Verdict.failed("invariant", (g, f, value(apply_T(sys, g, f)), value(f)))
     return Verdict.passed("invariant")
 
 
@@ -600,9 +668,9 @@ def supported_on(nu, E) -> bool:
     """All functions vanishing on E are sent to zero, by a walk over every
     function, each point of E read through the function."""
     space = nu.space
-    zero = space.K.zero
+    zero, value = space.K.names[space.K.zero], evaluator(nu)
     for f in space.functions():
-        if all(f(x) == zero for x in E) and nu.value(f) != zero:
+        if all(f.names[f(x)] == zero for x in E) and value(f) != zero:
             return False
     return True
 
@@ -625,10 +693,10 @@ def support_of(nu) -> SupportReport:
 def vanishes_agreement(nu, E) -> bool:
     """The equivalent support condition: the value depends only on the
     restriction to E."""
-    funcs = nu.space.functions()
+    funcs, value = nu.space.functions(), evaluator(nu)
     for f in funcs:
         for g in funcs:
-            if all(f(x) == g(x) for x in E) and nu.value(f) != nu.value(g):
+            if all(f.names[f(x)] == g.names[g(x)] for x in E) and value(f) != value(g):
                 return False
     return True
 
@@ -647,19 +715,20 @@ def is_support(nu, E) -> bool:
 
 
 def check_law(s, law: str) -> Verdict:
-    """The triple scans of the cubic laws, one table lookup per operand."""
-    E = s.elements
+    """The triple scans of the cubic laws, one named table lookup per operand."""
+    K = Named(s)
+    E = K.elements
     if law in ("assoc-add", "assoc-mul"):
-        op = s.add if law == "assoc-add" else s.mul
+        op = K.add if law == "assoc-add" else K.mul
         for a, b, c in product(E, repeat=3):
             if op[(op[(a, b)], c)] != op[(a, op[(b, c)])]:
                 return Verdict.failed(law, (a, b, c, op[(op[(a, b)], c)], op[(a, op[(b, c)])]))
         return Verdict.passed(law)
     if law in ("left-dist", "right-dist"):
-        mul = s.mul if law == "left-dist" else {(y, x): v for (x, y), v in s.mul.items()}
+        mul = K.mul if law == "left-dist" else {(y, x): v for (x, y), v in K.mul.items()}
         for a, b, c in product(E, repeat=3):
-            lhs = mul[(a, s.addv(b, c))]
-            rhs = s.addv(mul[(a, b)], mul[(a, c)])
+            lhs = mul[(a, K.add[(b, c)])]
+            rhs = K.add[(mul[(a, b)], mul[(a, c)])]
             if lhs != rhs:
                 return Verdict.failed(law, (a, b, c, lhs, rhs))
         return Verdict.passed(law)
@@ -670,14 +739,15 @@ def check_law(s, law: str) -> Verdict:
 
 
 def get(element, j: int, zero: str) -> str:
+    """The name of the element's value at index j."""
     for k, v in element.items:
         if k == j:
-            return v
+            return element.names[v]
     return zero
 
 
 def s_mu(op: str, y, z, scheme):
-    K = scheme.component
+    K = Named(scheme.component)
     zero = K.zero
     table = K.add if op == "add" else K.mul
     s, r = scheme.psi[op], scheme.phi[op]
@@ -698,32 +768,30 @@ def s_mu(op: str, y, z, scheme):
         value = table[(get(y, j, zero), zv)]
         if value != zero:
             out[j - s] = value
-    return scheme.element(out)
+    return scheme.element({j: scheme.component.code[v] for j, v in out.items()})
 
 
 # -- the shifted product's order and distributivity ---------------------------------
 
 
 def componentwise_leq(y, z, scheme) -> bool:
-    zero = scheme.component.zero
-    order = scheme.component.order
+    K = Named(scheme.component)
     for j in sorted(set(y.support) | set(z.support)):
-        if not order.leq(y.get(j, zero), z.get(j, zero)):
+        if not K.leq(get(y, j, K.zero), get(z, j, K.zero)):
             return False
     return True
 
 
 def lex_compare(y, z, scheme) -> str:
     """Lexicographic comparison by the least differing index."""
-    zero = scheme.component.zero
-    order = scheme.component.order
+    K = Named(scheme.component)
     for j in sorted(set(y.support) | set(z.support)):
-        a, b = y.get(j, zero), z.get(j, zero)
+        a, b = get(y, j, K.zero), get(z, j, K.zero)
         if a == b:
             continue
-        if order.lt(a, b):
+        if K.leq(a, b):
             return "lt"
-        if order.lt(b, a):
+        if K.leq(b, a):
             return "gt"
         raise IncomparableError(f"component values {a!r}, {b!r} incomparable at index {j}", j, a, b)
     return "eq"

@@ -73,6 +73,102 @@ def test_eval_refuses_a_literal_that_repeats_or_adds_a_point(capsys, expr, messa
     assert run(capsys, "eval", DEMO, "--expr", expr) == (2, "", f"error: {message}\n")
 
 
+# The demo on one structure whose element names are bool's, swapped: the
+# name "1" is the zero and "0" the unit.  Every builtin names its elements
+# by their position in the carrier, so only such a document shows a
+# position printed where a name belongs.
+MIRRORED = ROOT / "tests" / "mirrored.workspace"
+MIRRORED_RECORDS = "".join(
+    [
+        'laws/nb/order\torder-directed\tpass\t-\n',
+        'laws/nb/neutral\tneutral\tpass\t-\n',
+        'laws/nb/absorb\tabsorb\tpass\t-\n',
+        'laws/nb/assoc-add\tassoc-add\tpass\t-\n',
+        'laws/nb/assoc-mul\tassoc-mul\tpass\t-\n',
+        'laws/nb/comm-add\tcomm-add\tpass\t-\n',
+        'laws/nb/comm-mul\tcomm-mul\tpass\t-\n',
+        'laws/nb/left-dist\tleft-dist\tpass\t-\n',
+        'laws/nb/right-dist\tright-dist\tpass\t-\n',
+        'idempotent/cmb/normalized\tnormalized\tpass\t-\n',
+        'idempotent/cmb/left-shift\tleft-shift\tpass\t-\n',
+        'idempotent/cmb/right-shift\tright-shift\tpass\t-\n',
+        'idempotent/cmb/join\tjoin\tpass\t-\n',
+        'idempotent/cmb/meet\tmeet\tfail\t({x1: 1, x2: 0},{x1: 0, x2: 1},1,0)\n',
+        'weak/cmb/weakly-additive\tweakly-additive\tpass\t-\n',
+        'weak/cmb/order-preserving\torder-preserving\tpass\t-\n',
+        'weak/cmb/non-expanding\tnon-expanding\tpass\t-\n',
+        'weak/cmb/weak-implies-nonexpanding\tweak-implies-nonexpanding\tpass\t-\n',
+        'idempotent/mu/normalized\tnormalized\tpass\t-\n',
+        'idempotent/mu/left-shift\tleft-shift\tpass\t-\n',
+        'idempotent/mu/right-shift\tright-shift\tpass\t-\n',
+        'idempotent/mu/join\tjoin\tpass\t-\n',
+        'idempotent/mu/meet\tmeet\tpass\t-\n',
+        'weak/mu/weakly-additive\tweakly-additive\tpass\t-\n',
+        'weak/mu/order-preserving\torder-preserving\tpass\t-\n',
+        'weak/mu/non-expanding\tnon-expanding\tpass\t-\n',
+        'weak/mu/weak-implies-nonexpanding\tweak-implies-nonexpanding\tpass\t-\n',
+        'idempotent/nu/normalized\tnormalized\tpass\t-\n',
+        'idempotent/nu/left-shift\tleft-shift\tpass\t-\n',
+        'idempotent/nu/right-shift\tright-shift\tpass\t-\n',
+        'idempotent/nu/join\tjoin\tpass\t-\n',
+        'idempotent/nu/meet\tmeet\tfail\t({x1: 1, x2: 0},{x1: 0, x2: 1},1,0)\n',
+        'weak/nu/weakly-additive\tweakly-additive\tpass\t-\n',
+        'weak/nu/order-preserving\torder-preserving\tpass\t-\n',
+        'weak/nu/non-expanding\tnon-expanding\tpass\t-\n',
+        'weak/nu/weak-implies-nonexpanding\tweak-implies-nonexpanding\tpass\t-\n',
+        'monad/S/family-hosts-units\tfamily-hosts-units\tpass\t-\n',
+        'monad/S/unit-eta-outer\tunit-eta-outer\tpass\t-\n',
+        'monad/S/unit-eta-inner\tunit-eta-inner\tpass\t-\n',
+        'monad/S/bar-constant\tbar-constant\tpass\t-\n',
+        'monad/S/bar-join\tbar-join\tpass\t-\n',
+        'monad/S/assoc\tassoc\tpass\t-\n',
+        'convolution/A/action\taction\tpass\t-\n',
+        'convolution/A/closure-add\tclosure-add\tpass\t-\n',
+        'convolution/A/closure-conv\tclosure-conv\tpass\t-\n',
+        'convolution/A/conv-right-dist\tconv-right-dist\tpass\t-\n',
+        'convolution/A/conv-left-dist\tconv-left-dist\tpass\t-\n',
+        'convolution/A/unit-neutral\tunit-neutral\tpass\t-\n',
+        'convolution/A/ideal-add\tideal-add\tpass\t-\n',
+        'convolution/A/ideal-left\tideal-left\tpass\t-\n',
+        'convolution/A/ideal-right\tideal-right\tpass\t-\n',
+        'convolution/A/support-bound-0\tsupport-bound\tpass\t-\n',
+        'convolution/A/support-bound-1\tsupport-bound\tpass\t-\n',
+        'convolution/A/support-bound-2\tsupport-bound\tpass\t-\tsupport degenerate\n',
+        's-construction/Sch/directed\tdirected\tpass\t-\n',
+        's-construction/Sch/nonassoc\tnonassoc-witness\tpass\t-\twitness {1: 0},{2: 0},{2: 0} differs at index 1\n',
+        's-construction/Sch/transfer-left\ttransfer-left-dist\tpass\t-\n',
+        's-construction/Sch/transfer-right\ttransfer-right-dist\tpass\t-\n',
+        's-construction/Sch/lex\tlex-order\tpass\t-\n',
+    ]
+)
+
+
+def test_a_document_with_mirrored_names_prints_names(capsys):
+    assert run(capsys, "check", MIRRORED, "--format", "records") == (1, MIRRORED_RECORDS, "")
+    assert run(capsys, "eval", MIRRORED, "--expr", "nu(f)") == (0, "0\n", "")
+    assert run(capsys, "eval", MIRRORED, "--expr", "cmb({x1: 1, x2: 1})") == (0, "1\n", "")
+    assert run(capsys, "witness", MIRRORED, "--check", "idempotent/nu/meet") == (
+        1,
+        "[FAIL] idempotent/nu/meet (meet)\n       witness: ({x1: 1, x2: 0},{x1: 0, x2: 1},1,0)\n",
+        "",
+    )
+
+
+def test_eval_refuses_a_function_declared_on_another_space(tmp_path, capsys):
+    doc = tmp_path / "two-spaces.workspace"
+    doc.write_text(
+        DEMO.read_text(encoding="utf-8")
+        + "\n[space T]\nstructure = mp3\npoints = x1 x2\n"
+        + "\n[function g]\nspace = T\nvalues = x1:2 x2:2\n"
+        + "\n[functional d]\nspace = S\nkind = dirac\npoint = x1\n",
+        encoding="utf-8",
+    )
+    message = "error: function 'g' is declared on space 'T', not on space 'S' of functional {!r}\n"
+    for name in ("d", "nu"):
+        assert run(capsys, "eval", doc, "--expr", f"{name}(g)") == (2, "", message.format(name))
+    assert run(capsys, "eval", doc, "--expr", "d(f)") == (0, "0\n", "")
+
+
 def pass_block(check_id, law, note=None):
     return f"[PASS] {check_id} ({law})\n" + (f"       note: {note}\n" if note else "")
 

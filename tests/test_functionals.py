@@ -79,12 +79,12 @@ class TestEval:
     def test_dirac_evaluates(self):
         sp = mp3_space()
         f = sp.function({"x1": "1", "x2": "2", "x3": "0"})
-        assert Dirac(sp, "x2").value(f) == "2"
+        assert Dirac(sp, "x2").value(f) == 2
 
     def test_sup_over_subset(self):
         sp = mp3_space()
         f = sp.function({"x1": "2", "x2": "1", "x3": "0"})
-        assert SupOver(sp, frozenset({"x1", "x3"})).value(f) == "2"
+        assert SupOver(sp, frozenset({"x1", "x3"})).value(f) == 2
 
     def test_sup_over_constants_normalizes(self):
         sp = mp3_space()
@@ -121,11 +121,11 @@ class TestIdempotentAxioms:
         rep = check_idempotent(nu)
         assert not rep["meet"].holds
         f, g, lhs, rhs = rep["meet"].witness
-        assert nu.value(sp.wedge(f, g)) == lhs and lhs != rhs
+        assert MP3.names[nu.value(sp.wedge(f, g))] == lhs and lhs != rhs
 
     def test_constant_zero_fails_normalization(self):
         sp = bool_space()
-        lam = TableFunctional(sp, tuple("0" for _ in sp.functions()))
+        lam = TableFunctional(sp, tuple(0 for _ in sp.functions()))
         rep = check_idempotent(lam)
         assert not rep["normalized"].holds
         c, got = rep["normalized"].witness
@@ -149,7 +149,7 @@ class TestWeakProperties:
         # f(x)*f(x) on the 4-chain: order preserving, but adding a
         # constant before squaring overshoots
         sp = FunctionSpace(("x1", "x2"), MP4)
-        table = tuple(MP4.mulv(f("x1"), f("x1")) for f in sp.functions())
+        table = tuple(MP4.mul[f("x1")][f("x1")] for f in sp.functions())
         lam = TableFunctional(sp, table)
         rep = check_weak_properties(lam)
         assert rep["order-preserving"].holds
@@ -369,7 +369,7 @@ class TestPushforward:
         pushed = pushforward(inner, {"x1": "y1", "x2": "y3"}, target)
         assert not inner.calls
         for t in target.functions():
-            assert pushed.value(t) == BOOL.addv(t("y1"), t("y3"))
+            assert pushed.value(t) == BOOL.add[t("y1")][t("y3")]
         # each target function is read through one composite t o f
         assert sum(inner.calls.values()) == len(target.functions())
         assert set(inner.calls) == set(sp.functions())
@@ -393,14 +393,14 @@ class TestSupports:
 
     def test_zero_functional_supported_everywhere(self):
         sp = bool_space()
-        zero = TableFunctional(sp, tuple("0" for _ in sp.functions()))
+        zero = TableFunctional(sp, tuple(0 for _ in sp.functions()))
         rep = support_of(zero)
         assert rep.support == frozenset()
         assert supported_on(zero, frozenset())
 
     def test_degenerate_support_flagged(self):
         sp = bool_space()
-        one = TableFunctional(sp, tuple("1" for _ in sp.functions()))
+        one = TableFunctional(sp, tuple(1 for _ in sp.functions()))
         rep = support_of(one)
         assert rep.degenerate
 
@@ -435,7 +435,7 @@ class TestSupports:
             (SupOver(sp, frozenset({"x2", "x7"})), {"x2", "x7"}),
             # x1 is in the support only through the one function e_x1 of
             # the 512, which a sample of the functions can miss
-            (TableFunctional(sp, tuple("1" if f == spike else "0" for f in sp.functions())), {"x1"}),
+            (TableFunctional(sp, tuple(1 if f == spike else 0 for f in sp.functions())), {"x1"}),
         )
         for nu, support in cases:
             assert support_of(nu) == SupportReport(frozenset(support), False)
@@ -477,7 +477,7 @@ class TestSupports:
         # determined by the restriction to a singleton; the properties
         # above genuinely need the join rule
         sp = bool_space()
-        land = TableFunctional(sp, tuple(BOOL.mulv(f("x1"), f("x2")) for f in sp.functions()))
+        land = TableFunctional(sp, tuple(BOOL.mul[f("x1")][f("x2")] for f in sp.functions()))
         weak = check_weak_properties(land)
         assert weak["weakly-additive"].holds and weak["order-preserving"].holds
         assert supported_on(land, {"x1"}) and supported_on(land, {"x2"})
@@ -537,8 +537,8 @@ CONSTANT_AND_ORDER_LAWS = {
 
 
 def plain(witness):
-    """A witness with each function replaced by its value tuple."""
-    return tuple(w.values if isinstance(w, KFunction) else w for w in witness)
+    """A witness with each function replaced by the names of its values."""
+    return tuple(scan_oracles.named(w) if isinstance(w, KFunction) else w for w in witness)
 
 
 class TestPinnedWitnesses:
@@ -594,7 +594,7 @@ class TestPinnedWitnesses:
         # each cell first: at h = (0, 1), c = 2 only the left side fails.
         sp = FunctionSpace(("x1", "x2"), skew_structure())
         nu = list(enumerate_functionals(sp))[83]
-        assert nu.table == ("0", "0", "0", "0", "1", "0", "0", "0", "2")
+        assert nu.table == (0, 0, 0, 0, 1, 0, 0, 0, 2)
         idem = check_idempotent(nu)
         assert idem["normalized"].holds and idem["right-shift"].holds
         assert plain(idem["left-shift"].witness) == ("1", ("0", "2"), "0", "1")
@@ -608,7 +608,7 @@ class TestPinnedWitnesses:
         # side first fails at b = 3, f = 1: 3*1 = 3 goes to 2, not to 3*0.
         sp = FunctionSpace(("x",), right_dist_only())
         nu = list(enumerate_functionals(sp))[2]
-        assert nu.table == ("0", "0", "0", "2")
+        assert nu.table == (0, 0, 0, 2)
         rep = homogeneity(nu)
         assert plain(rep["left-homogeneous"].witness) == ("3", ("1",))
         assert plain(rep["right-homogeneous"].witness) == ("2", ("3",))
@@ -660,7 +660,7 @@ class TestPrunedEnumeration:
             assert pruned == exhaustive, axioms
 
     def test_bool_on_one_point_keeps_the_identity(self):
-        assert [nu.table for nu in enumerate_idempotent(bool_space(("x",)))] == [("0", "1")]
+        assert [nu.table for nu in enumerate_idempotent(bool_space(("x",)))] == [(0, 1)]
 
     def test_capacity_is_refused_before_any_table(self, monkeypatch):
         def build(*args):
@@ -1001,7 +1001,7 @@ class TestSupportAgainstTheOracle:
 
         monkeypatch.setattr(KFunction, "__call__", called)
         assert supported_on(nu, {"x1", "x3"})
-        vanishing = [f for f in sp.functions() if f.values[0] == f.values[2] == "0"]
+        vanishing = [f for f in sp.functions() if f.values[0] == f.values[2] == 0]
         assert list(nu.calls) == vanishing and set(nu.calls.values()) == {1}
 
 

@@ -144,8 +144,8 @@ class TestLawScans:
                 if law.startswith("assoc") and not verdict.holds:
                     # a middle factor off the generators: the scan over G alone
                     # would report a later triple
-                    gens = structures._generators(s.rows[law[-3:]], s.elements)
-                    rescanned += verdict.witness[1] not in gens
+                    gens = structures._generators(getattr(s, law[-3:]), s.elements)
+                    rescanned += s.code[verdict.witness[1]] not in gens
         assert failed > 1500 and rescanned > 100
         # structures whose mul is associative, where dist reads generators only
         builtins = (BOOL, MP3, RD, trivial_structure())
@@ -164,11 +164,11 @@ class TestLawScans:
 
     def test_dist_reads_generators_only_when_mul_is_associative(self):
         s = guard_structure()
-        gens = structures._generators(s.rows["mul"], s.elements)
-        assert gens == ("0", "1", "2")
+        gens = structures._generators(s.mul, s.elements)
+        assert s.order.named(gens) == ("0", "1", "2")
         assert not check_law(s, "assoc-mul").holds
         # each L_g for a generator g is an add-endomorphism ...
-        assert structures._dist_failure(s.rows["mul"], s.rows["add"], s.elements, gens) is None
+        assert structures._dist_failure(s.mul, s.add, s.elements, gens) is None
         # ... yet L_3 is not: 3*(1+1) = 3*2 = 1, while 3*1 + 3*1 = 3+3 = 3
         verdict = check_law(s, "left-dist")
         assert verdict == Verdict.failed("left-dist", ("3", "1", "1", "1", "3"))
@@ -184,10 +184,10 @@ class TestLawScans:
 
             monkeypatch.setattr(structures, name, recording)
         s = maxplus_chain(60)
-        gens = ("0", "1", "2")
-        assert structures._generators(s.rows["mul"], s.elements) == gens
+        gens = (0, 1, 2)
+        assert structures._generators(s.mul, s.elements) == gens
         # assoc-mul, left-dist and right-dist each ran once, never over all of E
-        mul = [r for rows, r in ranges if rows is not s.rows["add"]]
+        mul = [r for rows, r in ranges if rows is not s.add]
         assert mul == [gens, gens, gens]
 
     def test_a_verdict_is_scanned_once(self, monkeypatch):
@@ -229,7 +229,7 @@ def perturbed_structure(rng, n):
     changed at random: both stay nearly associative, with few generators."""
     elems = tuple(str(i) for i in range(n))
     add = {(a, b): str(min(int(a) + int(b), n - 1)) for a, b in product(elems, repeat=2)}
-    mul = dict(maxplus_chain(n).mul)
+    mul = scan_oracles.Named(maxplus_chain(n)).mul
     for table, low in ((add, 1), (mul, 2)):
         for _ in range(rng.randint(1, 2)):
             table[(rng.choice(elems[low:]), rng.choice(elems[low:]))] = rng.choice(elems)
@@ -241,7 +241,7 @@ def maxplus_mul_structure(rng, n):
     add that keeps zero neutral."""
     elems = tuple(str(i) for i in range(n))
     add = {(a, b): b if a == "0" else a if b == "0" else rng.choice(elems) for a, b in product(elems, repeat=2)}
-    mul = maxplus_chain(n).mul
+    mul = scan_oracles.Named(maxplus_chain(n)).mul
     return FinStruct("m", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
 
 

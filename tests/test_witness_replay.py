@@ -75,7 +75,8 @@ def test_a_failing_record_replays_through_value(tmp_path, document, check_id):
     f, g = function_literal(f_text), function_literal(g_text)
     fg = {x: str(pick(int(f[x]), int(g[x]))) for x in f}
     nu = parse(text).functionals[name]
-    nu_f, nu_g, nu_fg = (nu.value(nu.space.function(h)) for h in (f, g, fg))
+    names = nu.space.K.names
+    nu_f, nu_g, nu_fg = (names[nu.value(nu.space.function(h))] for h in (f, g, fg))
 
     assert (nu_fg, str(pick(int(nu_f), int(nu_g)))) == (lhs, rhs)
     assert lhs != rhs

@@ -65,7 +65,7 @@ def test_same_name_in_another_kind_is_allowed(tmp_path, capsys):
 def test_oversized_carrier_is_refused(tmp_path, capsys):
     with pytest.raises(CapacityError):
         maxplus_chain(1000)
-    assert maxplus_chain(60).elements[-1] == "59"
+    assert maxplus_chain(60).names[-1] == "59"
     code, err = run_check(tmp_path, capsys, "[structure m]\nbuiltin = max-plus-chain 1000\n")
     assert code == 2
     assert "exceeds the cap" in err
