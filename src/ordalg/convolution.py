@@ -8,8 +8,9 @@ which together with the cocycle rule makes T_g T_h = T_{gh}.
 
 Everything after the action check reads positions in C(G,K): an action
 translates each function once (`ActionSystem.moved`), convolution and
-the invariance and support checks read translates from that table, and
-an algebra reads each product of two members from its own table.
+the invariance check read translates from that table, and an algebra
+reads each product of two members from its own table.  The support
+bound reads only the point maps v_g.
 
 Values of K are codes (see `structures`).  An action is built from the
 names of its cocycle values and of L, and a failing check names them
@@ -174,7 +175,7 @@ def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctio
     space, outer, inner = sys.space, LazyValues(nu), LazyValues(lam)
     # column i of the translation table holds the positions of T_g f_i;
     # h is a member of C(G,K) unless a value of lam lies outside K
-    hs = (KFunction(space.points, tuple(inner[j] for j in column), sys.K.names) for column in zip(*sys.moved))
+    hs = (KFunction(space.points, tuple(inner[j] for j in column), sys.K) for column in zip(*sys.moved))
     return TableFunctional(space, tuple(outer[space.position(h)] for h in hs))
 
 
@@ -386,92 +387,35 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# support bounds for invariant functionals
+# the support bound of invariant functionals
 
 
-class SupportBounds:
-    def __init__(
-        self,
-        t_fixed: frozenset,
-        p_fixed: frozenset,
-        p_fixed_proper: frozenset,
-        support: frozenset,
-        support_degenerate: bool,
-        contained_in_t: bool,
-        contained_in_p: bool,
-        contained_in_p_proper: bool,
-        g_invariant: bool | None,
-    ):
-        self.t_fixed = t_fixed
-        self.p_fixed = p_fixed
-        self.p_fixed_proper = p_fixed_proper
-        self.support = support
-        self.support_degenerate = support_degenerate
-        self.contained_in_t = contained_in_t
-        self.contained_in_p = contained_in_p
-        self.contained_in_p_proper = contained_in_p_proper
-        self.g_invariant = g_invariant
+def support_bounds(nu: Functional, sys: ActionSystem) -> Verdict:
+    """The support of an invariant functional lies in P, the fixed point
+    of A -> union of v_g(A) over g other than the unit, from the whole
+    point set X (P is X when G is only its unit).
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-def support_bounds(nu: Functional, sys: ActionSystem) -> SupportBounds:
-    """Fixed points of the pull-back and push-forward set maps of the
-    action, with containment checks for the functional's support.
-
-    The unions over the full groupoid include the unit and therefore
-    stabilize at the whole set; the proper variant unions over non-unit
-    elements only, which is the bound with actual content for collapsing
-    actions.  Degenerate supports (no supported subset at all) make the
-    containment checks vacuous and are flagged.
+    The map is monotone and its first step shrinks X, so the iterates
+    shrink to P, and after k steps they are the union of v_w(X) over the
+    words w of k non-unit elements; so P is that union for |w| >= |X|.
+    Invariance gives nu(f) = nu(T_w f) for every such word, and T_w f
+    reads f only on v_w(X), which lies in P.  So if f vanishes on P,
+    then T_w f = 0, because zero absorbs, and nu(f) = nu(0) = 0 whenever
+    some set supports nu.  A degenerate support (no set supports nu)
+    passes with a note; a failure's witness is (support, P), each sorted.
     """
     if not check_invariant(nu, sys):
         raise PreconditionError("support bounds require an invariant functional")
-    space = sys.space
-    K = sys.K
-    funcs = space.functions()
-
-    def t_map(A: frozenset) -> frozenset:
-        i = space.position(space.indicator(A))
-        return frozenset().union(*(space.support(funcs[row[i]]) for row in sys.moved))
-
-    def p_map(A: frozenset, proper: bool) -> frozenset:
-        gs = [g for g in sys.G.elements if not (proper and g == sys.G.unit)]
-        if not gs:
-            return frozenset(A)
-        return frozenset(sys.act(g, x) for g in gs for x in A)
-
-    def fixed(step) -> frozenset:
-        A = frozenset(space.points)
-        while True:
-            B = step(A)
-            if B == A:
-                return A
-            A = B
-
-    t_fixed = fixed(t_map)
-    p_fixed = fixed(lambda A: p_map(A, proper=False))
-    p_proper = fixed(lambda A: p_map(A, proper=True))
-
+    moving = [g for g in sys.G.elements if g != sys.G.unit]
+    bound = frozenset(sys.points)
+    while moving:
+        image = frozenset(sys.act(g, x) for g in moving for x in bound)
+        if image == bound:
+            break
+        bound = image
     rep = support_of(nu)
     if rep.degenerate:
-        return SupportBounds(t_fixed, p_fixed, p_proper, rep.support, True, True, True, True, None)
-    supp = rep.support
-    g_inv = None
-    if not K.has_zero_divisors():
-        moved = frozenset(sys.act(g, x) for g in sys.G.elements for x in supp)
-        g_inv = moved == supp
-    return SupportBounds(
-        t_fixed,
-        p_fixed,
-        p_proper,
-        supp,
-        False,
-        supp <= t_fixed,
-        supp <= p_fixed,
-        supp <= p_proper,
-        g_inv,
-    )
+        return Verdict.passed("support-bound", "support degenerate")
+    if rep.support <= bound:
+        return Verdict.passed("support-bound")
+    return Verdict.failed("support-bound", (tuple(sorted(rep.support)), tuple(sorted(bound))))

@@ -7,10 +7,11 @@ verifies that suprema of all possible function images exist in K, so
 sup-style functionals are total on the space.  The member functions are
 enumerated only up to `FUNCTION_CAP` value tuples.
 
-A function's values are the codes of K's elements (see `structures`).
+A function's values are the codes of K's elements (see `structures`),
+and it keeps its K, so a space refuses a function into another K.
 `function` is where names are read, from a workspace or an `eval`
 literal; `member` makes a function from codes.  Names are applied only
-by `KFunction.__str__`, which reads K's names.  On a space with no
+by `KFunction.__str__`, which reads its K's names.  On a space with no
 variant, a member's position in `functions()` is its value tuple read as
 a number in base |K|; only a monotone space keeps a position map.
 """
@@ -41,23 +42,23 @@ def pair_without_sup(order: OrderRelation, size: int) -> tuple | None:
 
 
 class KFunction:
-    """A total map from the point tuple to codes of K's elements, stored
-    aligned with the domain so functions hash and compare by value;
-    `names` are K's element names, read only to print."""
+    """A total map from the point tuple to codes of the elements of K,
+    stored aligned with the domain so functions hash by value; two
+    functions are equal when they also share their K."""
 
-    __slots__ = ("domain", "values", "names")
+    __slots__ = ("domain", "values", "K")
 
-    def __init__(self, domain: tuple[str, ...], values: tuple[int, ...], names: tuple[str, ...]):
+    def __init__(self, domain: tuple[str, ...], values: tuple[int, ...], K: FinStruct):
         self.domain = domain
         self.values = values
-        self.names = names
+        self.K = K
         if len(domain) != len(values):
             raise InputError("function values must align with the domain")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.domain, self.values) == (other.domain, other.values)
+        return self.K is other.K and (self.domain, self.values) == (other.domain, other.values)
 
     def __hash__(self):
         return hash((self.domain, self.values))
@@ -70,7 +71,7 @@ class KFunction:
 
     def __str__(self) -> str:
         # a value that is no code of K, as a bad value table can give, prints as it is
-        named = dict(enumerate(self.names))
+        named = dict(enumerate(self.K.names))
         inner = ", ".join(f"{x}: {named.get(v, v)}" for x, v in zip(self.domain, self.values))
         return "{" + inner + "}"
 
@@ -157,7 +158,7 @@ class FunctionSpace:
     def member(self, values: tuple) -> KFunction:
         """The function with these value codes, refused when it is not
         monotone on a monotone space."""
-        f = KFunction(self.points, values, self.K.names)
+        f = KFunction(self.points, values, self.K)
         if self.variant is not None and not self.is_monotone(f, self.variant):
             raise InputError(f"function {f} is not monotone {self.variant}")
         return f
@@ -182,8 +183,8 @@ class FunctionSpace:
             count = len(self.K.elements) ** len(self.points)
             if count > FUNCTION_CAP:
                 raise CapacityError(f"{count} functions on {self.name} exceed the cap {FUNCTION_CAP}")
-            points, names = self.points, self.K.names
-            out = [KFunction(points, vals, names) for vals in product(self.K.elements, repeat=len(points))]
+            points, K = self.points, self.K
+            out = [KFunction(points, vals, K) for vals in product(K.elements, repeat=len(points))]
             if self.variant is not None:
                 out = [f for f in out if self.is_monotone(f, self.variant)]
             self._funcs = tuple(out)
@@ -191,14 +192,17 @@ class FunctionSpace:
 
     def position(self, f: KFunction) -> int:
         """The index of f in `functions()`."""
-        i = self._index(f.values) if f.domain == self.points else None
+        i = self._index(f.values) if f.domain == self.points and f.K is self.K else None
         if i is None:
             raise InputError(f"{f} is not a function of {self.name}")
         return i
 
     def position_of(self, f: KFunction):
         """The index of f in `functions()`, or f itself when it is not a
-        member (a shift or sum can leave a monotone space)."""
+        member (a shift or sum can leave a monotone space); a function
+        into another K is refused."""
+        if f.K is not self.K:
+            raise InputError(f"{f} is not a function of {self.name}")
         i = self._index(f.values) if f.domain == self.points else None
         return f if i is None else i
 
@@ -232,7 +236,7 @@ class FunctionSpace:
     def pointwise(self, op: str, f: KFunction, g: KFunction) -> KFunction:
         self._require(f, g)
         table = self.K.add if op == "add" else self.K.mul
-        return KFunction(self.points, tuple(table[a][b] for a, b in zip(f.values, g.values)), self.K.names)
+        return KFunction(self.points, tuple(table[a][b] for a, b in zip(f.values, g.values)), self.K)
 
     def add(self, f: KFunction, g: KFunction) -> KFunction:
         return self.pointwise("add", f, g)
@@ -277,7 +281,7 @@ class FunctionSpace:
         if bad is not None:
             raise IncomparableError(f"values incomparable at point {bad!r}", bad)
         picks = self.K.order.picks
-        return KFunction(self.points, tuple(picks[a][b][k] for a, b in zip(f.values, g.values)), self.K.names)
+        return KFunction(self.points, tuple(picks[a][b][k] for a, b in zip(f.values, g.values)), self.K)
 
     def leq(self, f: KFunction, g: KFunction) -> bool:
         """The pointwise order, read point by point from K's up-sets."""
@@ -330,14 +334,3 @@ class FunctionSpace:
             g = (self.odot if op == "add" else self.scale)(c, self._funcs[i], side)
             self._shift_positions[key] = self.position_of(g)
         return self._shift_positions[key]
-
-    # -- supports ---------------------------------------------------------------
-
-    def support(self, f: KFunction) -> frozenset:
-        self._require(f)
-        return frozenset(x for x, v in zip(self.points, f.values) if v != self.K.zero)
-
-    def indicator(self, E) -> KFunction:
-        E = set(E)
-        vals = tuple(self.K.one if x in E else self.K.zero for x in self.points)
-        return KFunction(self.points, vals, self.K.names)

@@ -48,6 +48,8 @@ class Dirac(Functional):
             raise InputError(f"Dirac point {self.point!r} not in the space")
 
     def value(self, f: KFunction) -> int:
+        if f.K is not self.space.K:
+            raise InputError(f"{f} is not a function into {self.space.K.name}")
         return f(self.point)
 
     def __str__(self) -> str:
@@ -71,6 +73,8 @@ class _Extremum(Functional):
         self.at = [i for i, x in enumerate(space.points) if x in subset]
 
     def value(self, f: KFunction) -> int:
+        if f.K is not self.space.K:
+            raise InputError(f"{f} is not a function into {self.space.K.name}")
         pick = sup_over if self.bound == "sup" else inf_over
         # the values at the subset's points, read by position on the space's own points
         values = map(f.values.__getitem__, self.at) if f.domain == self.space.points else map(f, self.subset)

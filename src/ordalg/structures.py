@@ -126,10 +126,6 @@ class FinStruct:
     def leq(self, a: int, b: int) -> bool:
         return b in self.carrier.order.above[a]
 
-    def has_zero_divisors(self) -> bool:
-        nonzero = [a for a in self.elements if a != self.zero]
-        return any(self.mul[a][b] == self.zero for a in nonzero for b in nonzero)
-
 
 def check_law(s: FinStruct, law: str) -> Verdict:
     """Decide one law exactly; a failure's witness is the first violating

@@ -129,16 +129,8 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
         for law, verdict in ideal.verdicts.items():
             records.append(CheckRecord(f"convolution/{name}/{law}", law, verdict))
         for i, nu in enumerate(H):
-            sb = support_bounds(nu, sys)
-            ok = sb.contained_in_t and sb.contained_in_p
-            note = "support degenerate" if sb.support_degenerate else ""
-            records.append(
-                CheckRecord(
-                    f"convolution/{name}/support-bound-{i}",
-                    "support-bound",
-                    Verdict(ok, "support-bound", None if ok else (tuple(sorted(sb.support)),), note),
-                )
-            )
+            verdict = support_bounds(nu, sys)
+            records.append(CheckRecord(f"convolution/{name}/support-bound-{i}", "support-bound", verdict))
     return records
 
 

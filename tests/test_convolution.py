@@ -5,11 +5,13 @@ laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each, the pruned seed family against the
 exhaustive filter, the action and cocycle laws, T_g T_h = T_gh, the
 unit of convolution, a part on another space or a value outside K
-refused, each translate made once per action, and the positional
+refused, each translate made once per action, the positional
 convolution, of symbolic parts and of whole algebras, against the
-translate-by-translate path of tests/scan_oracles.py."""
+translate-by-translate path of tests/scan_oracles.py, and the support
+bound of invariant functionals against the images of every word, with
+the support reported by a stand-in so that the record can fail."""
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import scan_oracles
@@ -39,6 +41,7 @@ from ordalg.functionals import (
     Functional,
     InfOver,
     SupOver,
+    SupportReport,
     TableFunctional,
     check_idempotent,
     enumerate_functionals,
@@ -46,6 +49,7 @@ from ordalg.functionals import (
     tabulate,
 )
 from ordalg.order import OrderRelation
+from ordalg.report import Verdict
 from ordalg.structures import boolean_semiring, direct_product, maxplus_chain, trivial_structure
 from ordalg.suites import suite_convolution
 from ordalg.workspace import Workspace
@@ -292,9 +296,9 @@ class TestTableLookup:
         sp, _ = bool_square()
         nu = table(sp, ("0", "1", "1", "1"))
         with pytest.raises(InputError):
-            nu.value(KFunction(("x1",), (1,), BOOL.names))
+            nu.value(KFunction(("x1",), (1,), BOOL))
         with pytest.raises(InputError):
-            nu.value(KFunction(("x1", "x2"), (1, 7), BOOL.names))
+            nu.value(KFunction(("x1", "x2"), (1, 7), BOOL))
 
     def test_table_shorter_than_the_space(self):
         sp, funcs = bool_square()
@@ -523,6 +527,83 @@ def assert_agrees_with_the_oracle(alg, oracle):
     assert outcome(check_ideal, H, alg) == outcome(scan_oracles.check_ideal, oracle_H, oracle)
     for nu in H:
         assert support_bounds(nu, alg.sys) == scan_oracles.support_bounds(nu, alg.sys)
+
+
+def nilpotent_action():
+    """bool over the monoid {e, s, z} with s s = z and z absorbing,
+    acting on x1, x2, x3 by the shift s: x1 -> x2 -> x3 -> x3 and the
+    constant z: every point -> x3.  The images of the non-unit maps
+    shrink X to {x2, x3} and then to {x3}."""
+    elems, points = ("e", "s", "z"), ("x1", "x2", "x3")
+    table = {(g, h): h if g == "e" else g if h == "e" else "z" for g in elems for h in elems}
+    v = {
+        "e": {x: x for x in points},
+        "s": {"x1": "x2", "x2": "x3", "x3": "x3"},
+        "z": {x: "x3" for x in points},
+    }
+    rho = {(g, x): "1" for g in elems for x in points}
+    sys = ActionSystem(Groupoid("nil", elems, table, "e"), BOOL, points, v, frozenset(BOOL.names), rho)
+    assert check_action(sys)
+    return sys
+
+
+def reported(support):
+    """A stand-in for `support_of` that reports this non-degenerate support."""
+    return lambda nu: SupportReport(frozenset(support), False)
+
+
+def test_a_support_outside_the_bound_fails_the_record(monkeypatch):
+    """On the left-zero action a and b send every point into {a, b}, so
+    the bound is {a, b}: a support reported as {e, a, b} fails with the
+    witness (support, bound), and one reported as {a, b} passes."""
+    sys = left_zero_action()
+    nu = SupOver(sys.space, frozenset(("a", "b")))
+    assert support_bounds(nu, sys) == Verdict.passed("support-bound")
+    assert scan_oracles.word_bound(sys) == {"a", "b"}
+    monkeypatch.setattr(convolution, "support_of", reported({"e", "a", "b"}))
+    assert support_bounds(nu, sys) == Verdict.failed("support-bound", (("a", "b", "e"), ("a", "b")))
+    monkeypatch.setattr(convolution, "support_of", reported({"a", "b"}))
+    assert support_bounds(nu, sys) == Verdict.passed("support-bound")
+
+
+def test_the_bound_of_a_group_action_is_every_point(monkeypatch):
+    sys = cyclic_action(4, BOOL)
+    assert scan_oracles.word_bound(sys) == set(sys.points)
+    monkeypatch.setattr(convolution, "support_of", reported(sys.points))
+    assert support_bounds(SupOver(sys.space, frozenset(sys.points)), sys) == Verdict.passed("support-bound")
+
+
+def test_the_bound_shrinks_until_it_is_fixed(monkeypatch):
+    sys = nilpotent_action()
+    nu = Dirac(sys.space, "x3")
+    assert scan_oracles.word_bound(sys) == {"x3"}
+    assert support_bounds(nu, sys) == Verdict.passed("support-bound")
+    with pytest.raises(PreconditionError):
+        support_bounds(Dirac(sys.space, "x2"), sys)
+    # x2 is still in the bound after one step, but not at the fixed point
+    monkeypatch.setattr(convolution, "support_of", reported({"x2"}))
+    assert support_bounds(nu, sys) == Verdict.failed("support-bound", (("x2",), ("x3",)))
+
+
+BOUND_CASES = {
+    **{case: make_sys for case, (make_sys, _, _, _) in ORACLE_CASES.items()},
+    "Z1-bool": lambda: cyclic_action(1, BOOL),
+    "nilpotent": nilpotent_action,
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_the_bound_agrees_with_the_word_oracle_on_every_support(case, monkeypatch):
+    """The zero functional is invariant on every action; each subset of
+    the points, reported as its support, passes exactly when the word
+    oracle's bound contains it, and fails with the same witness."""
+    sys = BOUND_CASES[case]()
+    zero = TableFunctional(sys.space, (sys.K.zero,) * len(sys.space.functions()))
+    for size in range(len(sys.points) + 1):
+        for support in combinations(sys.points, size):
+            for module in (convolution, scan_oracles):
+                monkeypatch.setattr(module, "support_of", reported(support))
+            assert support_bounds(zero, sys) == scan_oracles.support_bounds(zero, sys), support
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

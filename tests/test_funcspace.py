@@ -40,7 +40,7 @@ class TestPointwise:
 
     def test_domain_mismatch(self):
         sp = space()
-        other = KFunction(("y1", "y2"), (0, 0), BOOL.names)
+        other = KFunction(("y1", "y2"), (0, 0), BOOL)
         with pytest.raises(InputError):
             sp.add(sp.constant(0), other)
 
@@ -97,7 +97,7 @@ class TestOdot:
             with pytest.raises(InputError):
                 op(7, f, "left")  # not an element of K
             with pytest.raises(InputError):
-                op(1, KFunction(("y1", "y2"), (0, 0), K.names), "left")
+                op(1, KFunction(("y1", "y2"), (0, 0), K), "left")
 
     def test_unknown_side_rejected(self):
         sp = space(K=MP3)
@@ -130,26 +130,42 @@ class TestVeeWedge:
         assert err.value.witness == ("x1",)
 
 
+class TestForeignStructure:
+    """A function into bool is not a function of the mp3 space on the
+    same points, though its codes are codes of mp3."""
+
+    def test_equal_values_into_another_K_are_not_equal(self):
+        B, M = space(K=BOOL), space(K=MP3)
+        f, g = B.function({"x1": "1", "x2": "1"}), M.function({"x1": "1", "x2": "1"})
+        assert f.values == g.values and hash(f) == hash(g)
+        assert f != g
+        assert f not in M.functions()
+
+    @pytest.mark.parametrize("find", ["position", "position_of"])
+    def test_a_position_is_refused(self, find):
+        B, M = space(K=BOOL), space(K=MP3)
+        with pytest.raises(InputError, match="is not a function of"):
+            getattr(M, find)(B.function({"x1": "1", "x2": "1"}))
+
+
 class TestSupport:
-    def test_zero_support_empty(self):
-        sp = space()
-        assert sp.support(sp.constant(0)) == frozenset()
-
-    def test_nonzero_locus(self):
-        sp = space(points=("x1", "x2", "x3"), K=MP3)
-        f = sp.function({"x1": "0", "x2": "2", "x3": "0"})
-        assert sp.support(f) == frozenset({"x2"})
-
     def test_support_ideal_closure_exhaustive(self):
+        # the functions that vanish off E are closed under add, and
+        # under mul by any function on either side
         sp = space(points=("x1", "x2", "x3"))
-        E = frozenset({"x1", "x3"})
-        members = [f for f in sp.functions() if sp.support(f) <= E]
+        off = [i for i, x in enumerate(sp.points) if x not in {"x1", "x3"}]
+
+        def vanishes_off_E(f):
+            return all(f.values[i] == BOOL.zero for i in off)
+
+        members = [f for f in sp.functions() if vanishes_off_E(f)]
+        assert len(members) == 4
         for f in members:
             for g in sp.functions():
-                assert sp.support(sp.pointwise("mul", f, g)) <= E
-                assert sp.support(sp.pointwise("mul", g, f)) <= E
+                assert vanishes_off_E(sp.pointwise("mul", f, g))
+                assert vanishes_off_E(sp.pointwise("mul", g, f))
             for h in members:
-                assert sp.support(sp.add(f, h)) <= E
+                assert vanishes_off_E(sp.add(f, h))
 
 
 class TestMonotoneVariants:
@@ -318,7 +334,7 @@ class TestOrderLookups:
 
     def test_a_function_on_other_points_has_no_position(self):
         sp = space()
-        f = KFunction(("y1", "y2"), (0, 1), BOOL.names)
+        f = KFunction(("y1", "y2"), (0, 1), BOOL)
         assert sp.position_of(f) is f
         with pytest.raises(InputError, match="is not a function of"):
             sp.position(f)
@@ -353,4 +369,4 @@ class TestOrderLookups:
     def test_leq_refuses_a_foreign_domain(self):
         sp = space()
         with pytest.raises(InputError):
-            sp.leq(KFunction(("y",), (0,), BOOL.names), sp.constant(0))
+            sp.leq(KFunction(("y",), (0,), BOOL), sp.constant(0))

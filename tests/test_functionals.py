@@ -375,6 +375,24 @@ class TestPushforward:
         assert set(inner.calls) == set(sp.functions())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sp: TableFunctional(sp, (0,) * len(sp.functions())),
+        lambda sp: Dirac(sp, "x1"),
+        lambda sp: SupOver(sp, frozenset(sp.points)),
+        lambda sp: InfOver(sp, frozenset(sp.points)),
+    ],
+    ids=["table", "dirac", "sup", "inf"],
+)
+def test_a_function_into_another_K_is_refused(make):
+    """At the same points, bool's f = (1, 1) has the codes of mp3's
+    (1, 1), position 4 of the mp3 space."""
+    f = bool_space().function({"x1": "1", "x2": "1"})
+    with pytest.raises(InputError):
+        make(FunctionSpace(("x1", "x2"), MP3)).value(f)
+
+
 class TestSupports:
     def test_dirac_support(self):
         sp = mp3_space()
@@ -429,7 +447,7 @@ class TestSupports:
 
     def test_exact_on_nine_points(self):
         sp = bool_space(tuple(f"x{i}" for i in range(1, 10)))
-        spike = sp.indicator({"x1"})
+        spike = sp.function(["1"] + ["0"] * 8)
         cases = (
             (Dirac(sp, "x5"), {"x5"}),
             (SupOver(sp, frozenset({"x2", "x7"})), {"x2", "x7"}),

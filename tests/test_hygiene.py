@@ -304,11 +304,6 @@ def test_every_public_method_is_read():
 # Fields, as Class.field, that no module of the package reads, each kept for a reason.
 UNREAD_FIELDS = {
     "AxiomReport.sampled": "the sampled checkers set it; no record reports it yet (ROADMAP item 4)",
-    "SupportBounds.t_fixed": "a support-bound record cannot fail yet; tri-state verdicts will report it (ROADMAP item 4)",
-    "SupportBounds.p_fixed": "as t_fixed (ROADMAP item 4)",
-    "SupportBounds.p_fixed_proper": "the bound with content for collapsing actions (ROADMAP item 4)",
-    "SupportBounds.contained_in_p_proper": "as p_fixed_proper (ROADMAP item 4)",
-    "SupportBounds.g_invariant": "as t_fixed (ROADMAP item 4)",
     "ConvAlgebra.rounds": "perfbench/spans.py reads it as convolution.saturate_rounds",
 }
 

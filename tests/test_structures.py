@@ -108,11 +108,6 @@ class TestHomomorphisms:
             Homomorphism(BOOL, BOOL, {"0": "0", "1": "7"})
 
 
-def test_zero_divisors_flag():
-    assert not BOOL.has_zero_divisors()
-    assert not MP3.has_zero_divisors()
-
-
 def random_structure(rng, n):
     """A chain 0 < 1 < ... with random tables that keep zero neutral for
     add and absorbing for mul, and one neutral for mul."""
