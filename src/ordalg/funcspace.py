@@ -83,10 +83,11 @@ class FunctionSpace:
     construction, so what is derived from them is built once, on first
     use: the member functions (and, on a monotone space, their positions
     by value tuple), and, by position and each when first read, the order
-    of two members (`leq_at`), their guarded vee and wedge (`join_meet_at`), the members
-    below a member (`down_set`, read by `check_weak_properties`), the
-    constant shifts of a member (`shift_at`) and the law instances of
-    functionals on the space (`functionals.law_instances`).
+    of two members (`leq_at`), their guarded vee and wedge (`join_meet_at`,
+    read only by scans of pairs), the members below a member (`down_set`,
+    read by `check_weak_properties`), the constant shifts of a member
+    (`shift_at`) and the law instances of functionals on the space
+    (`functionals.law_instances`).
     """
 
     def __init__(
@@ -227,9 +228,10 @@ class FunctionSpace:
         return self._positions.get(values)
 
     def _require(self, *fs: KFunction):
+        """Refuse f unless it maps the points into K (a shift out of a monotone space may be no member)."""
         for f in fs:
-            if f.domain != self.points:
-                raise InputError("domain mismatch")
+            if f.domain != self.points or f.K is not self.K:
+                raise InputError(f"{f} is not a function of {self.name}")
 
     # -- pointwise algebra ----------------------------------------------------
 

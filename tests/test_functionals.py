@@ -1,10 +1,12 @@
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 import scan_oracles
+from hypothesis import given, settings, strategies as st
 
 from ordalg import functionals
 from ordalg.convolution import check_kind
@@ -375,7 +377,7 @@ class TestPushforward:
         assert set(inner.calls) == set(sp.functions())
 
 
-@pytest.mark.parametrize(
+MAKERS = pytest.mark.parametrize(
     "make",
     [
         lambda sp: TableFunctional(sp, (0,) * len(sp.functions())),
@@ -385,12 +387,24 @@ class TestPushforward:
     ],
     ids=["table", "dirac", "sup", "inf"],
 )
+
+
+@MAKERS
 def test_a_function_into_another_K_is_refused(make):
     """At the same points, bool's f = (1, 1) has the codes of mp3's
     (1, 1), position 4 of the mp3 space."""
     f = bool_space().function({"x1": "1", "x2": "1"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"\{x1: 1, x2: 1\} is not a function of C\(x1,x2;maxplus3\)"):
         make(FunctionSpace(("x1", "x2"), MP3)).value(f)
+
+
+@MAKERS
+def test_a_function_on_other_points_is_refused(make):
+    """f = (1, 0, 1) on (x1, x2, x3) has a value at x1 and at x2, but it is
+    no function of the space on (x1, x2): every kind of functional says so."""
+    f = bool_space(("x1", "x2", "x3")).function(["1", "0", "1"])
+    with pytest.raises(InputError, match=r"\{x1: 1, x2: 0, x3: 1\} is not a function of C\(x1,x2;bool\)"):
+        make(bool_space()).value(f)
 
 
 class TestSupports:
@@ -809,7 +823,8 @@ class TestSharedRelations:
         assert stored(sp._leq) <= len(read)
 
     def test_exhaustive_grids_fill_the_tables_once_per_space(self):
-        sp = mp3_space()
+        # bool x bool is no chain, so its join and meet pairs are scanned
+        sp = FunctionSpace(("x1", "x2", "x3"), direct_product(boolean_semiring("a"), boolean_semiring("b")))
         n = len(sp.functions())
 
         def sizes():
@@ -823,6 +838,14 @@ class TestSharedRelations:
             check(SupOver(sp, frozenset(sp.points)))
             check(Dirac(sp, "x3"))
         assert sizes() == first
+
+    def test_passing_chain_laws_fill_no_join_meet_entry(self):
+        # over mp3 a law that holds is decided from the point maps
+        sp = mp3_space()
+        for check in CHECKS.values():
+            for x in ("x1", "x3"):
+                assert all(check(Dirac(sp, x)).verdicts.values())
+        assert not stored(sp._join_meet)
 
 
 SYMBOLIC_SPACE = """
@@ -973,6 +996,77 @@ class TestLawsAgainstTheScanOracles:
         sp = TestShiftOutsideTheSpace().space()
         for nu in (SupOver(sp, frozenset(sp.points)), Dirac(sp, "x1"), InfOver(sp, frozenset(sp.points))):
             self.assert_agree(nu)
+
+
+@st.composite
+def point_map_tables(draw):
+    """nu(f) = the pick of phi_x(f(x)) over x, max (k = 0) or min (k = 1),
+    for monotone point maps phi_x drawn on bool, mp3 or mp4 over 2-3
+    points (no such space is among `ORACLE_SPACES` but bool's), and nu
+    with one cell changed."""
+    K = draw(st.sampled_from([BOOL, MP3, MP4]))
+    space = FunctionSpace(("x1", "x2", "x3")[: draw(st.integers(2, 3))], K)
+    k = draw(st.integers(0, 1))
+    n = len(K.elements)
+    chain = sorted(K.elements, key=lambda a: len(K.order.below[a]))
+    values = st.lists(st.sampled_from(chain), min_size=n, max_size=n)
+    maps = [dict(zip(chain, sorted(draw(values), key=chain.index))) for _ in space.points]
+    picks = K.order.picks
+
+    def nu(f):
+        return reduce(lambda a, b: picks[a][b][k], (phi[v] for phi, v in zip(maps, f.values)))
+
+    table = tuple(map(nu, space.functions()))
+    i, d = draw(st.integers(0, len(table) - 1)), draw(st.integers(1, n - 1))
+    bent = (*table[:i], (table[i] + d) % n, *table[i + 1 :])
+    return ("join", "meet")[k], TableFunctional(space, table), TableFunctional(space, bent)
+
+
+class TestPointMapsAgainstTheScanOracles:
+    """On chains, `join` and `meet` are decided from the point maps; the
+    verdicts and witnesses are those of the pair scans."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_map_tables())
+    def test_built_and_perturbed_tables(self, drawn):
+        law, built, bent = drawn
+        assert check_kind(built, law).holds
+        for nu in (built, bent):
+            for k, kind in enumerate(("join", "meet")):
+                assert functionals._point_maps_hold(LazyValues(nu), k) == scan_oracles.check_kind(nu, kind).holds
+            for budget, seed in ((None, 0), (40, 3)):
+                got = check_idempotent(nu, budget, seed)
+                want = scan_oracles.check_idempotent(nu, budget, seed)
+                assert list(got.verdicts.items()) == list(want.verdicts.items())
+                assert got.sampled == want.sampled
+            for kind in ("join", "meet", "add"):
+                assert outcome(check_kind, nu, kind) == outcome(scan_oracles.check_kind, nu, kind)
+
+    @pytest.mark.parametrize(
+        "space, budget, read",
+        [
+            (mp3_space(), None, True),
+            (mp3_space(), 27, False),
+            (FunctionSpace(("x1", "x2"), direct_product(boolean_semiring("a"), boolean_semiring("b"))), None, False),
+            (TestShiftOutsideTheSpace().space(), None, False),
+        ],
+        ids=["exhaustive", "sampled", "no-chain", "monotone"],
+    )
+    def test_when_the_point_maps_are_read(self, monkeypatch, space, budget, read):
+        """Only on the exhaustive grid, on a chain, with no variant."""
+        hold, calls = functionals._point_maps_hold, []
+
+        def watched(values, k):
+            if not read:
+                raise AssertionError("the point maps were read")
+            calls.append(k)
+            return hold(values, k)
+
+        monkeypatch.setattr(functionals, "_point_maps_hold", watched)
+        nu = SupOver(space, frozenset(space.points))
+        got = check_idempotent(nu, budget, 0)
+        assert list(got.verdicts.items()) == list(scan_oracles.check_idempotent(nu, budget, 0).verdicts.items())
+        assert calls == ([0, 1] if read else [])
 
 
 def test_the_enumerator_refuses_a_shift_outside_the_space(monkeypatch):
