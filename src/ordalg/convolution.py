@@ -235,11 +235,11 @@ class ConvAlgebra:
     registered when it enters, so each product of two tables is keyed by
     their identities, made once, by `combine`, and read from there."""
 
-    def __init__(self, kind: str, sys: ActionSystem, members: tuple, saturated: bool, rounds: int):
+    def __init__(self, kind: str, sys: ActionSystem, members: tuple):
         self.kind = kind
         self.sys = sys
-        self.saturated = saturated
-        self.rounds = rounds
+        self.saturated = False
+        self.rounds = 0
         self._made = {}
         self._tables = {}
         self.members = tuple(map(self.member, members))
@@ -272,7 +272,7 @@ def saturate(seed, sys: ActionSystem, kind: str, budget: int = 4096) -> ConvAlge
     """Close the seed family under the kind addition and convolution, up
     to extensional identity, until stable or out of budget.  A pair that
     an earlier round combined is read back from the algebra."""
-    alg = ConvAlgebra(kind, sys, (), saturated=False, rounds=0)
+    alg = ConvAlgebra(kind, sys, ())
     members = dict.fromkeys(alg.member(tabulate(nu)) for nu in seed)
     while len(members) <= budget:
         alg.rounds += 1

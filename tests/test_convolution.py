@@ -187,7 +187,7 @@ def test_mirrored_laws_on_an_unsaturated_algebra():
     n1, n2, n3 = (
         table(sys.space, values) for values in ("00100000", "01000100", "10001000")
     )
-    alg = ConvAlgebra("join", sys, (n1, n2, n3), saturated=False, rounds=0)
+    alg = ConvAlgebra("join", sys, (n1, n2, n3))
     rep = check_quasiring(alg)
     assert rep["closure-add"].note == "saturation budget exhausted"
     # the join of two functionals is taken value by value, so convolving
@@ -621,7 +621,7 @@ def test_saturated_algebra_agrees_with_the_translate_oracle(case):
 def test_unsaturated_algebra_agrees_with_the_translate_oracle():
     sys = left_zero_action()
     members = [table(sys.space, v) for v in ("00100000", "01000100", "10001000")]
-    alg = ConvAlgebra("join", sys, tuple(members), saturated=False, rounds=0)
+    alg = ConvAlgebra("join", sys, tuple(members))
     assert_agrees_with_the_oracle(alg, scan_oracles.ConvAlgebra("join", sys, members))
 
 
