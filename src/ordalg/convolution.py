@@ -7,10 +7,12 @@ g and then h equals applying their product, i.e. v_h(v_g(x)) = v_{gh}(x),
 which together with the cocycle rule makes T_g T_h = T_{gh}.
 
 Everything after the action check reads positions in C(G,K): an action
-translates each function once (`ActionSystem.moved`), convolution and
-the invariance check read translates from that table, and an algebra
-reads each product of two members from its own table.  The support
-bound reads only the point maps v_g.
+translates each function once (`ActionSystem.moved`), the invariance
+check reads translates from that table, and nu * lam reads nu along a
+map of positions made once per lam table (`ActionSystem.along`), since
+h_f(g) = lam(T_g f) depends on lam and f, not on nu.  An algebra reads
+each product of two members from its own table; the support bound reads
+only the point maps v_g.
 
 Values of K are codes (see `structures`).  An action is built from the
 names of its cocycle values and of L, and a failing check names them
@@ -100,6 +102,7 @@ class ActionSystem:
         self.L = frozenset(K.code[a] for a in self.L)
         self.rho = {gx: K.code.get(value) for gx, value in self.rho.items()}
         self.space = FunctionSpace(self.points, self.K)
+        self.along = cache(self._positions_along)
 
     def act(self, g: str, x: str) -> str:
         return self.v[g][x]
@@ -110,6 +113,15 @@ class ActionSystem:
         position in `space.functions()` of T_g f_i for g = G.elements[k]."""
         position, funcs = self.space.position, self.space.functions()
         return tuple(tuple(position(apply_T(self, g, f)) for f in funcs) for g in self.G.elements)
+
+    def _positions_along(self, table: tuple) -> tuple:
+        """What `along` makes once per table: entry i is the position, in base
+        |K|, of h(g) = table[moved[g][i]]; `position` refuses an h outside C(G,K)."""
+        hs = [tuple(table[j] for j in column) for column in zip(*self.moved)]
+        pi = tuple(map(self.space._index, hs))
+        if None in pi:  # a value of the table is no code of K; position raises
+            self.space.position(KFunction(self.points, hs[pi.index(None)], self.K))
+        return pi
 
 
 def check_action(sys: ActionSystem) -> Verdict:
@@ -157,26 +169,22 @@ def apply_T(sys: ActionSystem, g: str, f: KFunction) -> KFunction:
 
 
 def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
-    """Refuse a functional whose positions are not those of C(G,K)."""
-    sp = nu.space
-    if (sp.points, sp.K, sp.point_order, sp.variant) != (sys.space.points, sys.K, None, None):
+    """Refuse a functional whose positions are not those of C(G,K), or a table too short for them."""
+    sp, short = nu.space, isinstance(nu, TableFunctional) and len(nu.table) < len(sys.space.functions())
+    if short or (sp.points, sp.K, sp.point_order, sp.variant) != (sys.space.points, sys.K, None, None):
         raise InputError("functional does not live on C(G,K)")
 
 
 def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctional:
-    """nu * lam as a value table: (nu * lam)(f) = nu(h) with h(g) =
-    lam(T_g f).  T_g f is read from the action's translation table, and
-    both parts by position through `LazyValues`, so a table is read by
-    index and never re-hashed."""
+    """nu * lam as a value table: (nu * lam)(f) = nu(h_f), read along
+    lam's positions `sys.along` (see the module docstring).  A lam that is
+    not a table is tabulated; such a nu is read through `LazyValues`."""
     if tuple(sys.points) != tuple(sys.G.elements):
         raise PreconditionError("convolution requires the action on X = G itself")
     for part in (nu, lam):
         _require_action_space(part, sys)
-    space, outer, inner = sys.space, LazyValues(nu), LazyValues(lam)
-    # column i of the translation table holds the positions of T_g f_i;
-    # h is a member of C(G,K) unless a value of lam lies outside K
-    hs = (KFunction(space.points, tuple(inner[j] for j in column), sys.K) for column in zip(*sys.moved))
-    return TableFunctional(space, tuple(outer[space.position(h)] for h in hs))
+    outer = nu.table if isinstance(nu, TableFunctional) else LazyValues(nu)
+    return TableFunctional(sys.space, tuple(map(outer.__getitem__, sys.along(tabulate(lam).table))))
 
 
 def dirac_unit(sys: ActionSystem) -> Dirac:

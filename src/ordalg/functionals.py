@@ -586,6 +586,7 @@ class FunctionalFamily:
         self.space = space
         self.members = tuple(members)
         self.prefix = prefix
+        self._bars = {}
         self.__post_init__()  # the upper space, a method of its own so perfbench/spans.py can time it
 
     def __post_init__(self):
@@ -593,8 +594,10 @@ class FunctionalFamily:
         self.upper = FunctionSpace(self.ids, self.space.K, name=f"C({self.prefix}-family)")
 
     def bar(self, g: KFunction) -> KFunction:
-        """The evaluation function induced by g on the family."""
-        return self.upper.member(tuple(m.value(g) for m in self.members))
+        """The evaluation function induced by g on the family, made once per g."""
+        if g not in self._bars:
+            self._bars[g] = self.upper.member(tuple(m.value(g) for m in self.members))
+        return self._bars[g]
 
 
 class Pulled(Functional):

@@ -314,9 +314,11 @@ def _build_action(ws: Workspace, sec: Section) -> tuple:
             raise ParseError(f"cocycle row for {g!r} has wrong arity", ln)
         for x, val in zip(points, values):
             rho[(g, x)] = val
-    L = frozenset(sec.require("L").split())
+    L = sec.require("L").split()
+    if len(set(L)) < len(L):
+        raise ParseError(f"[action {sec.name}]: repeated element in L = {' '.join(L)}", sec.line_of("L"))
     regime = sec.get("regime", "unit-cocycle")
-    sys = ActionSystem(G, K, points, v, L, rho, regime)
+    sys = ActionSystem(G, K, points, v, frozenset(L), rho, regime)
     verdict = check_action(sys)
     if not verdict:
         raise ParseError(
@@ -349,5 +351,7 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
                 raise ParseError(
                     f"embed entry {token!r} names an element outside structure {K.name!r}", sec.line_of("embed")
                 )
+            if a in embed:
+                raise ParseError(f"embed entry {token!r} repeats the element {a!r}", sec.line_of("embed"))
             embed[a] = b
     return IndexScheme(K, range(lo, hi), psi, phi, embed)

@@ -5,16 +5,19 @@ laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each, the pruned seed family against the
 exhaustive filter, the action and cocycle laws, T_g T_h = T_gh, the
 unit of convolution, a part on another space or a value outside K
-refused, each translate made once per action, the positional
-convolution, of symbolic parts and of whole algebras, against the
+refused, each translate made once per action, each right factor's
+position map made once per table, the positional convolution, of
+symbolic parts, of random tables and of whole algebras, against the
 translate-by-translate path of tests/scan_oracles.py, and the support
 bound of invariant functionals against the images of every word, with
 the support reported by a stand-in so that the record can fail."""
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 import scan_oracles
+from hypothesis import given, settings, strategies as st
 
 from ordalg import convolution
 from ordalg.convolution import (
@@ -40,6 +43,7 @@ from ordalg.functionals import (
     Dirac,
     Functional,
     InfOver,
+    LazyValues,
     SupOver,
     SupportReport,
     TableFunctional,
@@ -454,6 +458,15 @@ def test_convolve_refuses_a_part_on_another_space(space):
             convolve(*parts, sys)
 
 
+def test_convolve_refuses_a_table_shorter_than_the_space():
+    # a product reads a table by index, so a short one is refused before it is read
+    sys = z2_action()
+    short = TableFunctional(sys.space, (0, 1))
+    for parts in ((short, dirac_unit(sys)), (dirac_unit(sys), short)):
+        with pytest.raises(InputError, match="does not live on C"):
+            convolve(*parts, sys)
+
+
 def test_an_inner_value_outside_K_is_refused():
     # the product is tabulated at once, so the bad value is met in convolve
     sys = z2_action()
@@ -637,3 +650,76 @@ def test_convolve_agrees_with_the_translate_oracle_on_symbolic_parts(case):
         made = convolve(nu, lam, sys)
         assert isinstance(made, TableFunctional)
         assert made.table == signature(scan_oracles.Convolution(sp, nu, lam, sys)), (str(nu), str(lam))
+
+
+@pytest.mark.parametrize(
+    "make_sys",
+    [lambda: z2_action(MP3), left_zero_action, lambda: cyclic_action(4, BOOL)],
+    ids=["Z2-mp3", "left-zero", "Z4-bool"],
+)
+def test_each_position_map_is_made_once_per_right_table(make_sys, monkeypatch):
+    """Across saturate, check_quasiring and check_ideal on the all-join
+    seed, the position map of a right factor is made once per distinct
+    table; a product builds no function, reads no `position` and fills
+    no `LazyValues`."""
+    made, read, inside, built = Counter(), set(), [], Counter()
+    positions_along = ActionSystem._positions_along
+
+    def counted_map(self, lam_table):
+        made[lam_table] += 1
+        return positions_along(self, lam_table)
+
+    monkeypatch.setattr(ActionSystem, "_positions_along", counted_map)
+    sys = make_sys()
+    sys.moved  # the translation table is made once per action, before any product
+    for cls, name in ((KFunction, "__init__"), (FunctionSpace, "position"), (LazyValues, "__init__")):
+
+        def counted(*args, original=getattr(cls, name), name=name):
+            built[name] += bool(inside)
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    original_convolve = convolution.convolve
+
+    def watched(nu, lam, sys):
+        read.add(lam.table)
+        inside.append(lam)
+        try:
+            return original_convolve(nu, lam, sys)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(convolution, "convolve", watched)
+    alg = saturate(all_kind_functionals(sys, "join"), sys, "join")
+    check_quasiring(alg)
+    check_ideal(invariant_subfamily(alg), alg)
+    assert set(made) == read and set(made.values()) == {1}
+    assert len(made) <= len({nu.table for nu in alg.members}) + 1  # the members, and the unit Dirac
+    assert sum(built.values()) == 0, built
+
+
+# the five actions of ORACLE_CASES, each once
+ACTIONS = {make_sys: case for case, (make_sys, *_) in reversed(ORACLE_CASES.items())}
+
+
+@cache
+def kept(make_sys):
+    """One action per maker, kept across hypothesis examples."""
+    return make_sys()
+
+
+@pytest.mark.parametrize("make_sys", ACTIONS, ids=ACTIONS.values())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_convolve_agrees_with_the_translate_oracle_on_random_tables(make_sys, data):
+    """Random value tables in K; lam is also given as a second object with
+    an equal table, which reads the position map made for the first.  The
+    action is kept across examples, so its maps build up."""
+    sys = kept(make_sys)
+    n = len(sys.space.functions())
+    values = st.lists(st.sampled_from(sys.K.elements), min_size=n, max_size=n)
+    nu, lam = (TableFunctional(sys.space, tuple(data.draw(values))) for _ in range(2))
+    twin = TableFunctional(sys.space, tuple(list(lam.table)))
+    assert twin.table is not lam.table
+    want = signature(scan_oracles.Convolution(sys.space, nu, lam, sys))
+    assert convolve(nu, lam, sys).table == convolve(nu, twin, sys).table == want

@@ -1166,6 +1166,32 @@ class TestMonadAgainstTheOracle:
         want = scan_oracles.monad_check(space, MONAD_FAMILIES[family](space))
         assert list(got.verdicts.items()) == list(want.verdicts.items())
 
+    def test_each_bar_image_is_made_once(self, monkeypatch):
+        """bar(g) is made once per base function and kept on the family, so
+        on mp3 over 2 points the default family (11 tables, 9 functions)
+        is read at most twice per member and function, not once per bar.
+        The extensional oracle would enumerate the 3^11 functions on the
+        family, past `FUNCTION_CAP`, so the records are compared with those
+        of bar remade on every call, and every one holds."""
+        def remade(fam, g):
+            return fam.upper.member(tuple(m.value(g) for m in fam.members))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(functionals.FunctionalFamily, "bar", remade)
+            want = monad_check(FunctionSpace(("x1", "x2"), MP3))
+        reads = Counter()
+        value = TableFunctional.value
+
+        def counted(self, f):
+            reads[id(self), f] += 1
+            return value(self, f)
+
+        monkeypatch.setattr(TableFunctional, "value", counted)
+        got = monad_check(FunctionSpace(("x1", "x2"), MP3))
+        assert len(reads) == 11 * 9 and sum(reads.values()) <= 2 * 11 * 9
+        assert list(got.verdicts.items()) == list(want.verdicts.items())
+        assert len(got.verdicts) == 6 and all(got.verdicts.values())
+
     def test_the_bar_failures_are_reached(self):
         sp = FunctionSpace(("x1",), MP3)
         assert monad_check(sp, MONAD_FAMILIES["diracs+bent"](sp))["bar-constant"].witness == ("1",)

@@ -263,3 +263,18 @@ def test_a_row_key_outside_its_carrier_is_refused_at_its_line(tmp_path, capsys, 
 def test_a_repeated_or_foreign_point_is_refused(tmp_path, capsys, old, new, message):
     text = EVERY_KIND.replace(old, new)
     assert run_check(tmp_path, capsys, text) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("L = 0 1", "L = 0 1 1", "line 25: [action A]: repeated element in L = 0 1 1"),
+        ("window = 0 3", "window = 0 3\nembed = 0:0 1:0 1:1", "line 30: embed entry '1:1' repeats the element '1'"),
+    ],
+    ids=["action-L", "scheme-embed"],
+)
+def test_a_repeated_entry_is_refused_at_its_line(tmp_path, capsys, old, new, message):
+    # once read into a set or a dict, the repeat would be lost without a word
+    assert run_check(tmp_path, capsys, EVERY_KIND.replace(old, new)) == (2, f"error: {message}\n")
+    once = new.replace(" 1 1", " 1").replace(" 1:0 1:1", " 1:1")
+    assert run_check(tmp_path, capsys, EVERY_KIND.replace(old, once)) == (0, "")
