@@ -183,8 +183,14 @@ def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctio
         raise PreconditionError("convolution requires the action on X = G itself")
     for part in (nu, lam):
         _require_action_space(part, sys)
-    outer = nu.table if isinstance(nu, TableFunctional) else LazyValues(nu)
+    outer = _values(nu, len(sys.space.functions()))
     return TableFunctional(sys.space, tuple(map(outer.__getitem__, sys.along(tabulate(lam).table))))
+
+
+def _values(nu: Functional, n: int):
+    """nu's first n values by position: a table long enough is read as it
+    is; any other part through `LazyValues`, which evaluates it."""
+    return nu.table if isinstance(nu, TableFunctional) and len(nu.table) >= n else LazyValues(nu)
 
 
 def dirac_unit(sys: ActionSystem) -> Dirac:
@@ -220,8 +226,9 @@ def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
     """The kind's addition of two functionals, value by value."""
     space = nu.space
     K = space.K
-    nus, lams = LazyValues(nu), LazyValues(lam)
-    pairs = ((nus[i], lams[i]) for i in range(len(space.functions())))
+    n = len(space.functions())
+    nus, lams = _values(nu, n), _values(lam, n)
+    pairs = ((nus[i], lams[i]) for i in range(n))
     if kind == "add":
         return TableFunctional(space, tuple(K.add[a][b] for a, b in pairs))
     k, picks, values = (0 if kind == "join" else 1), K.order.picks, []

@@ -11,6 +11,14 @@ the component's, so `suites.scheme_law` decides them from the laws the
 component has already checked.  Non-associativity has no such reading,
 and `find_nonassoc_witness` searches for it over a bounded sample.
 
+A triple with an all-zero operand is never a witness.  A FinStruct is
+refused unless 0 absorbs under mul on both sides (`check_law(K,
+"absorb")` at construction), and an embedding is refused unless it maps
+zero to zero (`check_homomorphism`), so t^r_0 fixes zero.  So every
+entry of y*0 or 0*z is zero, and both association orders of a triple
+with a zero operand are the zero element, or escape the window.  The
+search counts such triples without evaluating them.
+
 Entries hold codes of the component's elements (see `structures`);
 an element's `__str__` prints their names.
 """
@@ -126,10 +134,17 @@ class IndexScheme:
 
     def all_elements(self, indices=None):
         """Deterministic enumeration of every element supported on the
-        given indices (default: the whole window)."""
-        indices = tuple(self.window if indices is None else indices)
+        given indices (default: the whole window), in increasing order of
+        index.  Each element is made from its nonzero entries: the indices
+        are checked against the window once, and the values are the
+        carrier's codes."""
+        indices = sorted(set(self.window if indices is None else indices))
+        outside = [j for j in indices if j not in self.window]
+        if outside:
+            raise InputError(f"index {min(outside)} outside the active window")
+        zero, names = self.component.zero, self.component.names
         for values in product(self.component.elements, repeat=len(indices)):
-            yield self.element(dict(zip(indices, values)))
+            yield SuppElement(tuple((j, v) for j, v in zip(indices, values) if v != zero), names)
 
 
 def _iterate(step: tuple, r: int, a: int) -> int:
@@ -181,7 +196,13 @@ class SearchResult:
 
 def find_nonassoc_witness(scheme: IndexScheme, budget: int) -> SearchResult:
     """Search for (a,b,c) where the two association orders of mul differ,
-    over at most `budget` triples.
+    over at most `budget` triples of the sample, `a` outermost.
+
+    Every triple scanned counts in `tested`, but `s_mu` runs only on
+    triples whose three operands are nonzero: a zero operand makes both
+    orders zero or escape (see the module docstring).  The sample's first
+    element is zero, so its first len(sample)**2 triples are counted, not
+    evaluated.
 
     Requires the phi shift of mul to actually move indices (the
     construction degenerates to the plain product otherwise) and at least
@@ -199,6 +220,8 @@ def find_nonassoc_witness(scheme: IndexScheme, budget: int) -> SearchResult:
         if tested >= budget:
             break
         tested += 1
+        if not (a.items and b.items and c.items):
+            continue
         try:
             left = s_mu(op, s_mu(op, a, b, scheme), c, scheme)
             right = s_mu(op, a, s_mu(op, b, c, scheme), scheme)

@@ -20,9 +20,10 @@ support of an invariant functional as the union of the images of the
 points under every long enough word of non-unit elements, the support
 of a functional as the intersection over every subset of its points
 that supports it, each subset decided by a walk over every function,
-and the shifted product's directedness, lexicographic order and
+the shifted product's directedness, lexicographic order and
 transfer of distributivity by scans over the pairs and triples of a
-window.  Tests
+window, and its non-associativity search with every triple evaluated,
+zero operands included.  Tests
 compare the library against them verdict by verdict and witness by
 witness.  The support section also keeps the minimality criterion and
 the restriction-agreement condition that tests pin supports against.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from ordalg import functionals
 from ordalg.convolution import apply_T, check_kind, dirac_unit
@@ -873,3 +874,30 @@ def check_transfer_distributivity(scheme, side: str, triples) -> Verdict:
         if lhs != rhs:
             return Verdict.failed(law, (a, b, c, lhs, rhs))
     return Verdict.passed(law)
+
+
+def nonassoc_search(scheme, budget: int) -> tuple:
+    """The non-associativity search with every triple evaluated by the
+    window scan `s_mu`, zero operands included, `a` outermost, over the
+    first 64 elements on the window's first |window| - 2r indices, each
+    made by `IndexScheme.element`: (witness, tested, diff_index), the
+    witness None when no triple within the budget differs."""
+    sub = scheme.window[: max(1, len(scheme.window) - 2 * scheme.phi["mul"])]
+    grid = islice(product(scheme.component.elements, repeat=len(sub)), 64)
+    sample = [scheme.element(dict(zip(sub, values))) for values in grid]
+    zero = Named(scheme.component).zero
+    tested = 0
+    for a, b, c in product(sample, repeat=3):
+        if tested >= budget:
+            break
+        tested += 1
+        try:
+            left = s_mu("mul", s_mu("mul", a, b, scheme), c, scheme)
+            right = s_mu("mul", a, s_mu("mul", b, c, scheme), scheme)
+        except CapacityError:
+            continue
+        if left != right:
+            support = sorted(set(left.support) | set(right.support))
+            diff = next(j for j in support if get(left, j, zero) != get(right, j, zero))
+            return (a, b, c, left, right), tested, diff
+    return None, tested, None

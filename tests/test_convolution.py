@@ -459,12 +459,15 @@ def test_convolve_refuses_a_part_on_another_space(space):
 
 
 def test_convolve_refuses_a_table_shorter_than_the_space():
-    # a product reads a table by index, so a short one is refused before it is read
+    # a product reads a table by index, so a short one is refused before it is read;
+    # a sum reads a short table through its values, which refuse the first missing one
     sys = z2_action()
     short = TableFunctional(sys.space, (0, 1))
     for parts in ((short, dirac_unit(sys)), (dirac_unit(sys), short)):
         with pytest.raises(InputError, match="does not live on C"):
             convolve(*parts, sys)
+        with pytest.raises(InputError, match="not in the functional's space"):
+            plus_kind("join", *parts)
 
 
 def test_an_inner_value_outside_K_is_refused():

@@ -8,7 +8,7 @@ import pytest
 import scan_oracles
 from hypothesis import given, settings, strategies as st
 
-from ordalg import functionals
+from ordalg import functionals, structures
 from ordalg.convolution import check_kind
 from ordalg.errors import CapacityError, InputError, PreconditionError
 from ordalg.funcspace import FunctionSpace, KFunction
@@ -39,6 +39,7 @@ from ordalg.order import OrderedCarrier, OrderRelation
 from ordalg.structures import (
     FinStruct,
     boolean_semiring,
+    check_law,
     direct_product,
     maxplus_chain,
     right_dist_only,
@@ -1253,6 +1254,17 @@ def chain_census():
             mul = {(x, y): "0" if "0" in (x, y) else y if x == "1" else x for x in elems for y in elems}
             mul["a", "a"] = square
             yield FinStruct(f"census{i}{square}", carrier, add, mul, "0", "1")
+
+
+def test_assoc_add_equals_the_triple_scan_on_the_census():
+    """assoc-add, decided without Light's test where add is max on a
+    chain, equals the full triple scan on every census structure and
+    every oracle structure, on both paths."""
+    paths = Counter()
+    for K in [*chain_census(), *ORACLE_STRUCTURES]:
+        assert check_law(K, "assoc-add") == scan_oracles.check_law(K, "assoc-add")
+        paths[structures._is_max_on_chain(K.add, K.order), check_law(K, "assoc-add").holds] += 1
+    assert paths.keys() == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("family", ["default", "diracs", "diracs+sup"])

@@ -1,10 +1,12 @@
 import random
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
 import scan_oracles
 
+from ordalg import sproduct
 from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
 from ordalg.order import OrderedCarrier, OrderRelation
 from ordalg.sproduct import WINDOW_CAP, IndexScheme, SuppElement, find_nonassoc_witness, s_mu
@@ -16,6 +18,7 @@ from ordalg.structures import (
     right_dist_only,
 )
 from ordalg.suites import scheme_law
+from ordalg.workspace import parse
 from scan_oracles import check_transfer_distributivity, componentwise_leq, lex_compare
 
 BOOL = boolean_semiring()
@@ -335,6 +338,61 @@ class TestSMuAgainstWindowScan:
         assert y.items == ((1, 1), (3, 1))
         assert [y.get(j, 0) for j in range(5)] == [0, 1, 0, 1, 0]
         assert y == sch.element({1: 1, 3: 1}) and hash(y) == hash(sch.element({1: 1, 3: 1}))
+
+
+# the schemes of the symbolic benchmark workload (perfbench/workloads.py)
+SYMBOLIC_SCHEMES = {
+    "shiftA": IndexScheme(MP3, range(0, 150), psi={"add": 0, "mul": 0}, phi={"add": 0, "mul": 1}),
+    "shiftB": IndexScheme(right_dist_only(), range(0, 150), psi={"add": 1, "mul": 0}, phi={"add": 0, "mul": 2}),
+    "shiftC": IndexScheme(MP3, range(0, 150), psi={"add": 1, "mul": 100}, phi={"add": 0, "mul": 1}),
+}
+
+
+def demo_scheme() -> IndexScheme:
+    return parse((Path(__file__).resolve().parent.parent / "docs" / "demo.workspace").read_text()).schemes["Sch"]
+
+
+def nonassoc_scheme(name: str) -> IndexScheme:
+    if name == "bool_scheme":
+        return bool_scheme()
+    if name == "demo":
+        return demo_scheme()
+    return {**SYMBOLIC_SCHEMES, **ORACLE_SCHEMES}[name]
+
+
+class TestNonassocSearchAgainstTheOracle:
+    """The search skips the triples with a zero operand; the oracle
+    evaluates every triple, and both give the same result.  On a sample
+    of 64 elements only budget 5000 reaches past the first 64**2
+    triples, all of which have a = 0."""
+
+    @pytest.mark.parametrize("name", ["bool_scheme", "demo", *sorted(SYMBOLIC_SCHEMES), *sorted(ORACLE_SCHEMES)])
+    def test_every_budget(self, name):
+        scheme = nonassoc_scheme(name)
+        for budget in (1, 64, 65, 1000, 5000):
+            got = find_nonassoc_witness(scheme, budget)
+            witness, tested, diff = scan_oracles.nonassoc_search(scheme, budget)
+            assert got.tested == tested and got.diff_index == diff
+            assert (got.witness is None) == (witness is None)
+            if witness is not None:
+                assert [y.items for y in got.witness] == [y.items for y in witness]
+
+    def test_zero_operand_triples_are_not_evaluated(self, monkeypatch):
+        calls, made = [], []
+
+        def counting(op, y, z, scheme, s_mu=sproduct.s_mu):
+            calls.append((y, z))
+            made.append(s_mu(op, y, z, scheme))
+            return made[-1]
+
+        monkeypatch.setattr(sproduct, "s_mu", counting)
+        result = find_nonassoc_witness(SYMBOLIC_SCHEMES["shiftA"], 1000)
+        assert result.tested == 1000 and not result.found and calls == []
+        # on the demo's scheme no triple operand that s_mu gets is zero
+        result = find_nonassoc_witness(demo_scheme(), 1000)
+        assert [str(y) for y in result.witness[:3]] == ["{1: 1}", "{2: 1}", "{2: 1}"] and result.tested == 138
+        operands = [y for call in calls for y in call if not any(y is m for m in made)]
+        assert operands and all(y.items for y in operands)
 
 
 def table_struct(name, elements, order, one, add, mul):

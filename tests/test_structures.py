@@ -181,9 +181,25 @@ class TestLawScans:
         s = maxplus_chain(60)
         gens = (0, 1, 2)
         assert structures._generators(s.mul, s.elements) == gens
-        # assoc-mul, left-dist and right-dist each ran once, never over all of E
-        mul = [r for rows, r in ranges if rows is not s.add]
-        assert mul == [gens, gens, gens]
+        # assoc-mul, left-dist and right-dist each ran once, never over all of E,
+        # and assoc-add, max on a chain, ran no scan
+        assert [r for rows, r in ranges] == [gens, gens, gens]
+        assert check_law(s, "assoc-add").holds
+
+    def test_the_larger_of_a_cyclic_total_relation_is_not_associative(self):
+        # every pair is comparable and add picks the larger, but a <= b <= c <= a
+        # is not transitive: (a+b)+c = b+c = c while a+(b+c) = a+c = a
+        elems = ("0", "a", "b", "c")
+        pairs = [(x, x) for x in elems] + [("0", x) for x in elems] + [("a", "b"), ("b", "c"), ("c", "a")]
+        order = OrderRelation(elems, pairs)
+        add = {(x, y): order.carrier[order.picks[i][j][0]] for i, x in enumerate(elems) for j, y in enumerate(elems)}
+        mul = {(x, y): y if x == "a" else x if y == "a" else "0" for x in elems for y in elems}
+        s = FinStruct("cycle", OrderedCarrier(order, "0"), add, mul, "0", "a")
+        assert all(p is not None for row in order.picks for p in row)
+        assert not structures._is_max_on_chain(s.add, s.order)
+        verdict = check_law(s, "assoc-add")
+        assert verdict == Verdict.failed("assoc-add", ("a", "b", "c", "c", "a"))
+        assert verdict == scan_oracles.check_law(s, "assoc-add")
 
     def test_a_verdict_is_scanned_once(self, monkeypatch):
         scanned = []
