@@ -11,8 +11,8 @@ translates each function once (`ActionSystem.moved`), the invariance
 check reads translates from that table, and nu * lam reads nu along a
 map of positions made once per lam table (`ActionSystem.along`), since
 h_f(g) = lam(T_g f) depends on lam and f, not on nu.  An algebra reads
-each product of two members from its own table; the support bound reads
-only the point maps v_g.
+each product of two members and each member's kind verdict from its own
+tables; the support bound reads only the point maps v_g.
 
 Values of K are codes (see `structures`).  An action is built from the
 names of its cocycle values and of L, and a failing check names them
@@ -20,7 +20,7 @@ in its witness.
 """
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 
 from .errors import IncomparableError, InputError, PreconditionError
@@ -248,7 +248,8 @@ class ConvAlgebra:
     """A family of value tables on C(G,K) with the kind addition ("plus")
     and convolution ("star").  It keeps one object per table (`member`),
     registered when it enters, so each product of two tables is keyed by
-    their identities, made once, by `combine`, and read from there."""
+    their identities, made once, by `combine`, and read from there; so is
+    each table's kind verdict (`check_kind`), by `passes_kind`."""
 
     def __init__(self, kind: str, sys: ActionSystem, members: tuple):
         self.kind = kind
@@ -256,6 +257,7 @@ class ConvAlgebra:
         self.saturated = False
         self.rounds = 0
         self._made = {}
+        self.passes_kind = cache(lambda nu: bool(check_kind(nu, kind)))
         self._tables = {}
         self.members = tuple(map(self.member, members))
 
@@ -304,12 +306,22 @@ def saturate(seed, sys: ActionSystem, kind: str, budget: int = 4096) -> ConvAlge
 
 def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     """Closure of both operations, the two distributive laws between the
-    kind addition and convolution, and neutrality of the unit evaluation,
-    each one scan over the members that stops at its first failure."""
+    kind addition and convolution, and neutrality of the unit evaluation.
+
+    Right law, (n1 + n2) * lam = n1 * lam + n2 * lam: the left side reads
+    n1 + n2 along lam's positions pi (`sys.along`), and `plus_kind` adds
+    value by value, so at i both sides are plus(n1[pi(i)], n2[pi(i)]).
+    Left law, lam * (n1 + n2) = lam * n1 + lam * n2: with h^nu_f(g) =
+    nu(T_g f), h^{n1+n2}_f = h^{n1}_f + h^{n2}_f pointwise, defined as
+    n1 + n2 is, so at f the sides are lam(h1 + h2) and lam(h1) + lam(h2),
+    an instance of lam's kind law (`law_instances`).  So only a lam that
+    fails `check_kind` is scanned, over (n1, n2) and then lam in member
+    order.  Closure and the unit are one first-failure scan each.
+    """
     report = AxiomReport()
     members = alg.members
     inside = set(members)
-    # each pair's sum is read once, by closure-add and both distributive laws
+    # each pair's sum, for closure-add and the left law; one that does not exist raises here
     sums = {pair: alg.combine("plus", *pair) for pair in product(members, repeat=2)}
 
     def leaves(op):
@@ -324,25 +336,15 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
         report.add(Verdict.failed("closure-add", None, note="saturation budget exhausted"))
     report.add(first_failure("closure-conv", leaves("star")))
 
-    # (n1 + n2) * lam = n1 * lam + n2 * lam, and the same law with the
-    # convolution flipped: lam * (n1 + n2) = lam * n1 + lam * n2.  The
-    # right law holds by construction (plus_kind adds value by value), but
-    # it stays a scan: it checks plus_kind against combine independently,
-    # and over the algebra's products it costs cached reads only.  The
-    # products with each lam are read once per (member, flip), as a row.
-    @cache
-    def starred(a, flip):
-        return [alg.combine("star", *((lam, a) if flip else (a, lam))) for lam in members]
-
-    def undistributed(flip):
-        for n1, n2 in product(members, repeat=2):
-            rows = zip(members, starred(sums[n1, n2], flip), starred(n1, flip), starred(n2, flip))
-            for lam, lhs, r1, r2 in rows:
-                if lhs is not alg.combine("plus", r1, r2):
-                    yield (str(n1), str(n2), str(lam))
-
-    report.add(first_failure("conv-right-dist", undistributed(False)))
-    report.add(first_failure("conv-left-dist", undistributed(True)))
+    report.add(Verdict.passed("conv-right-dist"))
+    failing = [lam for lam in members if not alg.passes_kind(lam)]
+    star, plus = partial(alg.combine, "star"), partial(alg.combine, "plus")
+    undistributed = (
+        (str(n1), str(n2), str(lam))
+        for n1, n2, lam in product(members, members, failing)
+        if star(lam, sums[n1, n2]) is not plus(star(lam, n1), star(lam, n2))
+    )
+    report.add(first_failure("conv-left-dist", undistributed))
 
     delta = alg.member(tabulate(dirac_unit(alg.sys)))
     moved = (
@@ -369,19 +371,15 @@ def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
     _validate_regime(alg.sys)
     report = AxiomReport()
     sys = alg.sys
-    kind = alg.kind
     H = list(map(alg.member, H))
     for lam in H:
         if not check_invariant(lam, sys):
             raise PreconditionError("H contains a non-invariant functional")
 
-    in_H = {}
-
+    @cache
     def member_of_H(nu: TableFunctional) -> bool:
         """Decided once per distinct table."""
-        if nu not in in_H:
-            in_H[nu] = bool(check_invariant(nu, sys)) and bool(check_kind(nu, kind))
-        return in_H[nu]
+        return bool(check_invariant(nu, sys)) and alg.passes_kind(nu)
 
     outside = (
         (str(l1), str(l2)) for l1, l2 in product(H, repeat=2) if not member_of_H(alg.combine("plus", l1, l2))
