@@ -14,9 +14,9 @@ h_f(g) = lam(T_g f) depends on lam and f, not on nu.  An algebra reads
 each product of two members and each member's kind verdict from its own
 tables; the support bound reads only the point maps v_g.
 
-Values of K are codes (see `structures`).  An action is built from the
-names of its cocycle values and of L, and a failing check names them
-in its witness.
+Values of K are codes (see `structures`); so are points and groupoid
+elements, by position.  Names are read only where a groupoid or an
+action is built, and applied only in a witness or a message.
 """
 from __future__ import annotations
 
@@ -44,34 +44,36 @@ REGIMES = ("unit-cocycle", "homogeneous")
 
 
 class Groupoid:
-    """One total binary operation with a two-sided unit; no other laws."""
+    """One total binary operation with a two-sided unit; no other laws.
+    Built from names and kept as codes, by position in `elements`:
+    table[a][b] is the code of the product of a and b, and unit a code."""
 
     def __init__(self, name: str, elements: tuple, table: dict, unit: str):
         self.name = name
         self.elements = elements
-        self.table = table
-        self.unit = unit
-        eset = set(elements)
-        if len(eset) < len(self.elements):
-            raise InputError(f"{self.name}: repeated element in {' '.join(self.elements)}")
-        if self.unit not in eset:
-            raise InputError(f"{self.name}: unit {self.unit!r} not an element")
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) not in self.table:
-                    raise InputError(f"{self.name}: table missing ({a},{b})")
-                if self.table[(a, b)] not in eset:
-                    raise InputError(f"{self.name}: value {self.table[(a, b)]!r} outside carrier")
-        for a in self.elements:
-            if self.table[(self.unit, a)] != a or self.table[(a, self.unit)] != a:
-                raise InputError(f"{self.name}: unit is not neutral at {a!r}")
+        code = {a: i for i, a in enumerate(elements)}
+        if len(code) < len(elements):
+            raise InputError(f"{name}: repeated element in {' '.join(elements)}")
+        if unit not in code:
+            raise InputError(f"{name}: unit {unit!r} not an element")
+        for a, b in product(elements, elements):
+            if (a, b) not in table:
+                raise InputError(f"{name}: table missing ({a},{b})")
+            if table[(a, b)] not in code:
+                raise InputError(f"{name}: value {table[(a, b)]!r} outside carrier")
+        for a in elements:
+            if table[(unit, a)] != a or table[(a, unit)] != a:
+                raise InputError(f"{name}: unit is not neutral at {a!r}")
+        self.table = tuple(tuple(code[table[a, b]] for b in elements) for a in elements)
+        self.unit = code[unit]
 
 
 class ActionSystem:
     """A groupoid action on a finite set with a cocycle into an
-    associative part of the coefficient structure.  L and the cocycle
-    values are given by their names and kept as codes; a cocycle value
-    outside K is kept as None, for `check_action` to refuse."""
+    associative part of the coefficient structure, built from names and
+    kept as codes, with one row per element of G: act[g][x] is the code
+    of v_g(x), and rho[g][x] that of rho(g,x) in K, or None for a value
+    outside K, for `check_action` to refuse.  L is a set of codes."""
 
     def __init__(
         self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict,
@@ -80,39 +82,34 @@ class ActionSystem:
         self.G = G
         self.K = K
         self.points = points
-        self.v = v
-        self.L = L
-        self.rho = rho
         self.regime = regime
         if regime not in REGIMES:
             raise InputError(f"unknown regime {self.regime!r}")
-        pset = set(self.points)
-        for g in self.G.elements:
-            if g not in self.v:
+        at = {x: i for i, x in enumerate(points)}
+        for g in G.elements:
+            if g not in v:
                 raise InputError(f"action missing map for {g!r}")
-            for x in self.points:
-                if x not in self.v[g]:
+            for x in points:
+                if x not in v[g]:
                     raise InputError(f"action map for {g!r} missing point {x!r}")
-                if self.v[g][x] not in pset:
-                    raise InputError(f"action image {self.v[g][x]!r} outside the point set")
-                if (g, x) not in self.rho:
+                if v[g][x] not in at:
+                    raise InputError(f"action image {v[g][x]!r} outside the point set")
+                if (g, x) not in rho:
                     raise InputError(f"cocycle missing value at ({g},{x})")
-        if not self.L <= self.K.code.keys():
+        if not L <= K.code.keys():
             raise InputError("L is not a subset of the coefficient carrier")
-        self.L = frozenset(K.code[a] for a in self.L)
-        self.rho = {gx: K.code.get(value) for gx, value in self.rho.items()}
+        self.L = frozenset(K.code[a] for a in L)
+        self.act = tuple(tuple(at[v[g][x]] for x in points) for g in G.elements)
+        self.rho = tuple(tuple(K.code.get(rho[g, x]) for x in points) for g in G.elements)
         self.space = FunctionSpace(self.points, self.K)
         self.along = cache(self._positions_along)
 
-    def act(self, g: str, x: str) -> str:
-        return self.v[g][x]
-
     @cached_property
     def moved(self) -> tuple:
-        """The translation table, made on first use: moved[k][i] is the
-        position in `space.functions()` of T_g f_i for g = G.elements[k]."""
+        """The translation table, made on first use: moved[g][i] is the
+        position in `space.functions()` of T_g f_i for the element of code g."""
         position, funcs = self.space.position, self.space.functions()
-        return tuple(tuple(position(apply_T(self, g, f)) for f in funcs) for g in self.G.elements)
+        return tuple(tuple(position(apply_T(self, g, f)) for f in funcs) for g in range(len(self.act)))
 
     def _positions_along(self, table: tuple) -> tuple:
         """What `along` makes once per table: entry i is the position, in base
@@ -125,47 +122,42 @@ class ActionSystem:
 
 
 def check_action(sys: ActionSystem) -> Verdict:
-    """All representation and cocycle identities, exhaustively."""
-    G, K = sys.G, sys.K
-    law = "action"
-    for x in sys.points:
-        if sys.act(G.unit, x) != x:
-            return Verdict.failed(law, ("unit-action", x))
-    for g in G.elements:
-        for h in G.elements:
-            gh = G.table[(g, h)]
-            for x in sys.points:
-                if sys.act(h, sys.act(g, x)) != sys.act(gh, x):
-                    return Verdict.failed(law, ("composition", g, h, x))
-    mul, named = K.mul, K.order.named
+    """All representation and cocycle identities, exhaustively, on the code rows."""
+    G, K, act, rho, mul = sys.G, sys.K, sys.act, sys.rho, sys.K.mul
+    law, gs, xs = "action", range(len(G.elements)), range(len(sys.points))
+
+    def at(*gx):  # a witness: the names of elements of G and, last, of a point
+        return (*(G.elements[g] for g in gx[:-1]), sys.points[gx[-1]])
+
+    for x in xs:
+        if act[G.unit][x] != x:
+            return Verdict.failed(law, ("unit-action", *at(x)))
+    for g, h, x in product(gs, gs, xs):
+        if act[h][act[g][x]] != act[G.table[g][h]][x]:
+            return Verdict.failed(law, ("composition", *at(g, h, x)))
     if not {K.zero, K.one} <= sys.L:
         return Verdict.failed(law, ("L-units", frozenset(K.names[a] for a in sys.L)))
-    for a in sorted(sys.L):
-        for b in sorted(sys.L):
-            if mul[a][b] not in sys.L:
-                return Verdict.failed(law, named(("L-closed", a, b)))
-            for c in K.elements:
-                if mul[a][mul[b][c]] != mul[mul[a][b]][c]:
-                    return Verdict.failed(law, named(("L-assoc", a, b, c)))
-    for (g, x), value in sorted(sys.rho.items()):
-        if value == K.zero or value not in sys.L:
-            raise InputError(f"cocycle value at ({g},{x}) must lie in L minus zero")
-    for x in sys.points:
-        if sys.rho[(G.unit, x)] != K.one:
-            return Verdict.failed(law, ("cocycle-unit", x))
-    for g in G.elements:
-        for h in G.elements:
-            for x in sys.points:
-                lhs = mul[sys.rho[(g, x)]][sys.rho[(h, sys.act(g, x))]]
-                if lhs != sys.rho[(G.table[(g, h)], x)]:
-                    return Verdict.failed(law, ("cocycle", g, h, x))
+    for a, b in product(sorted(sys.L), repeat=2):
+        if mul[a][b] not in sys.L:
+            return Verdict.failed(law, K.order.named(("L-closed", a, b)))
+        for c in K.elements:
+            if mul[a][mul[b][c]] != mul[mul[a][b]][c]:
+                return Verdict.failed(law, K.order.named(("L-assoc", a, b, c)))
+    bad = [at(g, x) for g, x in product(gs, xs) if rho[g][x] == K.zero or rho[g][x] not in sys.L]
+    if bad:  # the first by name
+        raise InputError("cocycle value at ({},{}) must lie in L minus zero".format(*min(bad)))
+    for x in xs:
+        if rho[G.unit][x] != K.one:
+            return Verdict.failed(law, ("cocycle-unit", *at(x)))
+    for g, h, x in product(gs, gs, xs):
+        if mul[rho[g][x]][rho[h][act[g][x]]] != rho[G.table[g][h]][x]:
+            return Verdict.failed(law, ("cocycle", *at(g, h, x)))
     return Verdict.passed(law)
 
 
-def apply_T(sys: ActionSystem, g: str, f: KFunction) -> KFunction:
-    """x maps to rho(g,x) * f(v_g(x))."""
-    mul = sys.K.mul
-    return sys.space.member(tuple(mul[sys.rho[(g, x)]][f(sys.act(g, x))] for x in sys.points))
+def apply_T(sys: ActionSystem, g: int, f: KFunction) -> KFunction:
+    """x maps to rho(g,x) * f(v_g(x)), for the element of code g."""
+    return sys.space.member(tuple(sys.K.mul[r][f.values[y]] for r, y in zip(sys.rho[g], sys.act[g])))
 
 
 def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
@@ -194,7 +186,7 @@ def _values(nu: Functional, n: int):
 
 
 def dirac_unit(sys: ActionSystem) -> Dirac:
-    return Dirac(sys.space, sys.G.unit)
+    return Dirac(sys.space, sys.G.elements[sys.G.unit])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,7 @@ def check_kind(nu: Functional, kind: str) -> Verdict:
     """add: plain additivity (needs commutative associative addition in K);
     join/meet: compatibility with guarded pointwise max/min.  The verdict
     is the first failing instance of the law (`law_instances`)."""
-    if kind not in KINDS:
-        raise InputError(f"unknown kind {kind!r}")
+    _require_kind(kind, nu.space.K)
     return law_verdict(LazyValues(nu), kind, name=f"kind-{kind}")
 
 
@@ -222,10 +213,18 @@ def check_invariant(nu: Functional, sys: ActionSystem) -> Verdict:
     return Verdict.passed("invariant")
 
 
+def _require_kind(kind: str, K: FinStruct) -> None:
+    """Refuse an unknown kind, and kind add over a K whose addition is not commutative and associative."""
+    if kind not in KINDS:
+        raise InputError(f"unknown kind {kind!r}")
+    if kind == "add" and not {"comm-add", "assoc-add"} <= K.flags:
+        raise PreconditionError("kind add needs commutative associative addition in K")
+
+
 def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
     """The kind's addition of two functionals, value by value."""
-    space = nu.space
-    K = space.K
+    space, K = nu.space, nu.space.K
+    _require_kind(kind, K)
     n = len(space.functions())
     nus, lams = _values(nu, n), _values(lam, n)
     pairs = ((nus[i], lams[i]) for i in range(n))
@@ -252,6 +251,7 @@ class ConvAlgebra:
     each table's kind verdict (`check_kind`), by `passes_kind`."""
 
     def __init__(self, kind: str, sys: ActionSystem, members: tuple):
+        _require_kind(kind, sys.K)
         self.kind = kind
         self.sys = sys
         self.saturated = False
@@ -280,8 +280,7 @@ def all_kind_functionals(sys: ActionSystem, kind: str) -> list[TableFunctional]:
     """Every functional on C(G,K) passing the kind check (the seed family):
     the tables that pass every instance of the kind's law.  These are the
     instances `check_kind` scans, so a table is not checked again."""
-    if kind not in KINDS:
-        raise InputError(f"unknown kind {kind!r}")
+    _require_kind(kind, sys.K)
     return list(enumerate_functionals(sys.space, law_instances(sys.space, (kind,))))
 
 
@@ -357,7 +356,7 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
 def _validate_regime(sys: ActionSystem) -> None:
     if sys.regime == "homogeneous":
         raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
-    if any(v != sys.K.one for v in sys.rho.values()):
+    if any(v != sys.K.one for row in sys.rho for v in row):
         raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
 
 
@@ -419,13 +418,14 @@ def support_bounds(nu: Functional, sys: ActionSystem) -> Verdict:
     """
     if not check_invariant(nu, sys):
         raise PreconditionError("support bounds require an invariant functional")
-    moving = [g for g in sys.G.elements if g != sys.G.unit]
-    bound = frozenset(sys.points)
+    moving = [row for g, row in enumerate(sys.act) if g != sys.G.unit]
+    bound = frozenset(range(len(sys.points)))
     while moving:
-        image = frozenset(sys.act(g, x) for g in moving for x in bound)
+        image = frozenset(row[x] for row in moving for x in bound)
         if image == bound:
             break
         bound = image
+    bound = frozenset(sys.points[x] for x in bound)  # by name, as `support_of` gives the support
     rep = support_of(nu)
     if rep.degenerate:
         return Verdict.passed("support-bound", "support degenerate")

@@ -629,7 +629,9 @@ def xi(family: FunctionalFamily, lam: Functional) -> Pulled:
 def pushforward(lam: Functional, point_map: dict, target: FunctionSpace) -> Pulled:
     """The functor's action on a map: lam pushed along `point_map`, from
     lam's points into the points of `target`, as t -> lam(t o point_map).
-    The map and the target are checked once, here; evaluation is lazy."""
+    The map and the target are checked once, here, and the map is kept as
+    the position in the target of each of lam's points; evaluation is
+    lazy, and refuses a t that is not a function of the target."""
     inner = lam.space
     if set(point_map) != set(inner.points):
         raise InputError("point map domain must be the functional's points")
@@ -637,7 +639,13 @@ def pushforward(lam: Functional, point_map: dict, target: FunctionSpace) -> Pull
         raise InputError("point map values outside the target point set")
     if target.K is not inner.K:
         raise InputError("target space has another coefficient structure")
-    return Pulled(target, lam, lambda t: inner.member(tuple(t(point_map[p]) for p in inner.points)), "pushforward")
+    at = tuple(target.points.index(point_map[p]) for p in inner.points)
+
+    def pull(t: KFunction) -> KFunction:
+        target._require(t)
+        return inner.member(tuple(t.values[i] for i in at))
+
+    return Pulled(target, lam, pull, "pushforward")
 
 
 SUBSET_CAP = 64

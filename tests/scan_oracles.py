@@ -13,9 +13,9 @@ non-expansion as one joint scan of the pairs), the monad of functionals
 extensionally, with families deduplicated and sorted by their value
 tables over the upper spaces and the flattening tabulated there, its
 assoc record also as the lazy comparison of both sides for every
-third-level functional, and convolution with each translate made by
-`apply_T` where it is read and products cached by the tables of their
-factors, the bound on the
+third-level functional, and convolution with each translate made on
+names by `translate` where it is read and products cached by the tables
+of their factors, the bound on the
 support of an invariant functional as the union of the images of the
 points under every long enough word of non-unit elements, the support
 of a functional as the intersection over every subset of its points
@@ -43,7 +43,7 @@ from functools import cache
 from itertools import combinations, islice, product
 
 from ordalg import functionals
-from ordalg.convolution import apply_T, check_kind, dirac_unit
+from ordalg.convolution import check_kind, dirac_unit
 from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
 from ordalg.funcspace import FunctionSpace, KFunction
 from ordalg.functionals import (
@@ -500,10 +500,23 @@ def flattening_assoc(space, family=None) -> Verdict:
 # -- convolution -------------------------------------------------------------------
 
 
+def image(sys, g, x):
+    """v_g(x) by name, decoded from the action's rows."""
+    return sys.points[sys.act[sys.G.elements.index(g)][sys.points.index(x)]]
+
+
+def translate(sys, g, f):
+    """T_g f on names: x -> rho(g,x) * f(v_g(x)), with rho(g,x) decoded
+    from the action's rows and f read by point name."""
+    K, names, k = Named(sys.K), sys.K.names, sys.G.elements.index(g)
+    values = {x: K.mul[(names[sys.rho[k][i]], names[f(image(sys, g, x))])] for i, x in enumerate(sys.points)}
+    return sys.space.function(values)
+
+
 @dataclass(frozen=True, eq=False)
 class Convolution(Functional):
     """(outer * inner)(f) = outer(g -> inner(T_g f)), with each translate
-    made by `apply_T` when it is read."""
+    made by `translate` when it is read."""
 
     space: FunctionSpace
     outer: Functional
@@ -513,7 +526,7 @@ class Convolution(Functional):
     def value(self, f):
         names = self.space.K.names
         h = self.space.function(
-            {g: names[self.inner.value(apply_T(self.sys, g, f))] for g in self.sys.G.elements}
+            {g: names[self.inner.value(translate(self.sys, g, f))] for g in self.sys.G.elements}
         )
         return self.outer.value(h)
 
@@ -617,8 +630,8 @@ def check_invariant(nu, sys) -> Verdict:
     value = evaluator(nu)
     for g in sys.G.elements:
         for f in sys.space.functions():
-            if value(apply_T(sys, g, f)) != value(f):
-                return Verdict.failed("invariant", (g, f, value(apply_T(sys, g, f)), value(f)))
+            if value(translate(sys, g, f)) != value(f):
+                return Verdict.failed("invariant", (g, f, value(translate(sys, g, f)), value(f)))
     return Verdict.passed("invariant")
 
 
@@ -630,7 +643,7 @@ def check_ideal(H, alg) -> AxiomReport:
     sys = alg.sys
     if sys.regime == "homogeneous":
         raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
-    if any(v != sys.K.one for v in sys.rho.values()):
+    if any(c != sys.K.one for row in sys.rho for c in row):
         raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
     report = AxiomReport()
     H = list(H)
@@ -662,14 +675,14 @@ def word_bound(sys) -> frozenset:
     v_w(X) over every word w of |X| non-unit elements, each word applied
     point by point; X itself when G is only its unit."""
     points = frozenset(sys.points)
-    moving = [g for g in sys.G.elements if g != sys.G.unit]
+    moving = [g for g in sys.G.elements if g != sys.G.elements[sys.G.unit]]
     if not moving:
         return points
     bound = set()
     for word in product(moving, repeat=len(points)):
         for x in points:
             for g in word:
-                x = sys.act(g, x)
+                x = image(sys, g, x)
             bound.add(x)
     return frozenset(bound)
 

@@ -513,6 +513,28 @@ def test_the_demo_action_over_mp3(tmp_path, capsys):
     assert out.splitlines() == MP3_ACTION_RECORDS
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"act.e = e a": "act.e = a e"}, "[action A] fails the action laws at ('unit-action', 'e')"),
+        # the values at (e,a) and (a,e) both lie outside L minus zero; the first by name is named
+        (
+            {"rho.e = 1 1": "rho.e = 1 0", "rho.a = 1 1": "rho.a = 0 1"},
+            "[action A]: cocycle value at (a,e) must lie in L minus zero",
+        ),
+    ],
+    ids=["unit-action", "cocycle-value"],
+)
+def test_a_bad_demo_action_exits_2_naming_its_first_failure(tmp_path, capsys, edits, message):
+    text = DEMO.read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    doc = tmp_path / "action.workspace"
+    doc.write_text(text, encoding="utf-8")
+    assert run(capsys, "check", doc) == (2, "", f"error: line 38: {message}\n")
+
+
 @st.composite
 def mutated_demo(draw):
     """The demo document after one to four edits, each dropping,

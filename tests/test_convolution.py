@@ -4,10 +4,12 @@ witnesses, the agreement of the join/meet scans of `check_kind` and
 laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each and no distributive triple scanned
 when every member passes its kind, a left-law witness replayed on the
-translate oracle, the pruned seed family against the
-exhaustive filter, the action and cocycle laws, T_g T_h = T_gh, the
-unit of convolution, a part on another space or a value outside K
-refused, each translate made once per action, each right factor's
+translate oracle, the pruned seed family against the exhaustive
+filter, an algebra of an unknown kind or of kind add without its laws
+refused when it is built, the action and cocycle laws, T_g T_h = T_gh,
+the unit of convolution, a part on another space or a value outside K
+refused, each translate made once per action and each row of
+translates against the oracle's translate on names, each right factor's
 position map made once per table, the positional convolution, of
 symbolic parts, of random tables and of whole algebras, against the
 translate-by-translate path of tests/scan_oracles.py, and the support
@@ -351,6 +353,22 @@ def test_seed_family_of_kind_add_needs_commutative_associative_addition():
         all_kind_functionals(sys, "add")
 
 
+def test_an_algebra_of_an_unknown_kind_is_refused():
+    # when the algebra is built, and by the kind addition, which does not read it as the meet
+    sys = z2_action()
+    e, a = Dirac(sys.space, "e"), Dirac(sys.space, "a")
+    with pytest.raises(InputError, match="unknown kind 'sum'"):
+        saturate([e, a], sys, "sum")
+    with pytest.raises(InputError, match="unknown kind 'sum'"):
+        plus_kind("sum", e, a)
+
+
+def test_an_algebra_of_kind_add_needs_commutative_associative_addition():
+    sys = cyclic_action(1, trivial_structure())
+    with pytest.raises(PreconditionError, match="kind add needs commutative associative addition in K"):
+        ConvAlgebra("add", sys, (TableFunctional(sys.space, (0,)),))
+
+
 def test_seed_family_of_an_unknown_kind_is_refused():
     with pytest.raises(InputError):
         all_kind_functionals(cyclic_action(1, BOOL), "sum")
@@ -427,13 +445,13 @@ def test_representation_composes():
     sys = skewed_left_zero_action()
     assert check_action(sys)
     G = sys.G
-    for g in G.elements:
-        for h in G.elements:
-            for f in sys.space.functions():
-                assert apply_T(sys, g, apply_T(sys, h, f)) == apply_T(sys, G.table[(g, h)], f)
+    for g, h in product(range(len(G.elements)), repeat=2):
+        for f in sys.space.functions():
+            assert apply_T(sys, g, apply_T(sys, h, f)) == apply_T(sys, G.table[g][h], f)
     f = sys.space.function(("1", "1", "1"))
-    assert scan_oracles.named(apply_T(sys, "a", f)) == ("2", "1", "1")
-    assert scan_oracles.named(apply_T(sys, "b", f)) == ("1", "1", "1")
+    a, b = map(G.elements.index, "ab")
+    assert scan_oracles.named(apply_T(sys, a, f)) == ("2", "1", "1")
+    assert scan_oracles.named(apply_T(sys, b, f)) == ("1", "1", "1")
 
 
 @pytest.mark.parametrize("values", ["01101001", "10010110", "00000001"])
@@ -731,6 +749,16 @@ def test_each_position_map_is_made_once_per_right_table(make_sys, monkeypatch):
 
 # the five actions of ORACLE_CASES, each once
 ACTIONS = {make_sys: case for case, (make_sys, *_) in reversed(ORACLE_CASES.items())}
+
+
+@pytest.mark.parametrize("make_sys", ACTIONS, ids=ACTIONS.values())
+def test_each_translation_row_agrees_with_the_translate_oracle(make_sys):
+    """Row k of `moved` holds the positions of T_g f, g = G.elements[k], made
+    on names; the skewed action is the one whose cocycle is not constant one."""
+    sys = make_sys()
+    funcs, position = sys.space.functions(), sys.space.position
+    for g, row in zip(sys.G.elements, sys.moved, strict=True):
+        assert row == tuple(position(scan_oracles.translate(sys, g, f)) for f in funcs), g
 
 
 @cache

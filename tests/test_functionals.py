@@ -289,6 +289,12 @@ class TestPushforward:
         with pytest.raises(InputError):
             pushforward(Dirac(bool_space(), "x1"), point_map, FunctionSpace(("y",), K))
 
+    def test_a_function_of_another_space_is_refused(self):
+        # {y: 2} on C(y;mp3) has the target's points but not its K; 2 is no code of bool
+        pushed = pushforward(Dirac(bool_space(), "x1"), {"x1": "y", "x2": "y"}, FunctionSpace(("y",), BOOL))
+        with pytest.raises(InputError, match=r"is not a function of C\(y;bool\)"):
+            pushed.value(FunctionSpace(("y",), MP3).function({"y": "2"}))
+
     def test_str_names_the_construction(self):
         sp = bool_space()
         target = FunctionSpace(("y",), BOOL)
