@@ -33,6 +33,7 @@ from .functionals import (
     enumerate_functionals,
     law_instances,
     law_verdict,
+    require_additive,
     support_of,
     tabulate,
 )
@@ -40,7 +41,6 @@ from .report import AxiomReport, Verdict, first_failure
 from .structures import FinStruct
 
 KINDS = ("add", "join", "meet")
-REGIMES = ("unit-cocycle", "homogeneous")
 
 
 class Groupoid:
@@ -73,18 +73,13 @@ class ActionSystem:
     associative part of the coefficient structure, built from names and
     kept as codes, with one row per element of G: act[g][x] is the code
     of v_g(x), and rho[g][x] that of rho(g,x) in K, or None for a value
-    outside K, for `check_action` to refuse.  L is a set of codes."""
+    outside K, for `check_action` to refuse.  L is a set of codes.  The
+    algebra checks refuse a cocycle not constant one (`_require_unit_cocycle`)."""
 
-    def __init__(
-        self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict,
-        regime: str = "unit-cocycle",
-    ):
+    def __init__(self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict):
         self.G = G
         self.K = K
         self.points = points
-        self.regime = regime
-        if regime not in REGIMES:
-            raise InputError(f"unknown regime {self.regime!r}")
         at = {x: i for i, x in enumerate(points)}
         for g in G.elements:
             if g not in v:
@@ -163,7 +158,7 @@ def apply_T(sys: ActionSystem, g: int, f: KFunction) -> KFunction:
 def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
     """Refuse a functional whose positions are not those of C(G,K), or a table too short for them."""
     sp, short = nu.space, isinstance(nu, TableFunctional) and len(nu.table) < len(sys.space.functions())
-    if short or (sp.points, sp.K, sp.point_order, sp.variant) != (sys.space.points, sys.K, None, None):
+    if short or (sp.points, sp.K, sp.variant) != (sys.space.points, sys.K, None):
         raise InputError("functional does not live on C(G,K)")
 
 
@@ -217,8 +212,8 @@ def _require_kind(kind: str, K: FinStruct) -> None:
     """Refuse an unknown kind, and kind add over a K whose addition is not commutative and associative."""
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}")
-    if kind == "add" and not {"comm-add", "assoc-add"} <= K.flags:
-        raise PreconditionError("kind add needs commutative associative addition in K")
+    if kind == "add":
+        require_additive(K)
 
 
 def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
@@ -247,8 +242,9 @@ class ConvAlgebra:
     """A family of value tables on C(G,K) with the kind addition ("plus")
     and convolution ("star").  It keeps one object per table (`member`),
     registered when it enters, so each product of two tables is keyed by
-    their identities, made once, by `combine`, and read from there; so is
-    each table's kind verdict (`check_kind`), by `passes_kind`."""
+    their identities, made once, by `combine`, and read from there; so are
+    each table's verdicts of `check_kind` and `check_invariant`, by
+    `passes_kind` and `invariant`."""
 
     def __init__(self, kind: str, sys: ActionSystem, members: tuple):
         _require_kind(kind, sys.K)
@@ -258,6 +254,7 @@ class ConvAlgebra:
         self.rounds = 0
         self._made = {}
         self.passes_kind = cache(lambda nu: bool(check_kind(nu, kind)))
+        self.invariant = cache(lambda nu: bool(check_invariant(nu, sys)))
         self._tables = {}
         self.members = tuple(map(self.member, members))
 
@@ -353,32 +350,27 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     return report
 
 
-def _validate_regime(sys: ActionSystem) -> None:
-    if sys.regime == "homogeneous":
-        raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
+def _require_unit_cocycle(sys: ActionSystem) -> None:
+    """Refuse an action whose cocycle is not constant one."""
     if any(v != sys.K.one for row in sys.rho for v in row):
-        raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
+        raise PreconditionError("convolution needs a cocycle constant one")
 
 
 def invariant_subfamily(alg: ConvAlgebra) -> list[TableFunctional]:
-    return [nu for nu in alg.members if check_invariant(nu, alg.sys)]
+    return [nu for nu in alg.members if alg.invariant(nu)]
 
 
 def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
     """The three ideal inclusions for the invariant sub-family, where
     membership means passing the invariance and kind checks."""
-    _validate_regime(alg.sys)
+    _require_unit_cocycle(alg.sys)
     report = AxiomReport()
-    sys = alg.sys
     H = list(map(alg.member, H))
-    for lam in H:
-        if not check_invariant(lam, sys):
-            raise PreconditionError("H contains a non-invariant functional")
+    if not all(map(alg.invariant, H)):
+        raise PreconditionError("H contains a non-invariant functional")
 
-    @cache
     def member_of_H(nu: TableFunctional) -> bool:
-        """Decided once per distinct table."""
-        return bool(check_invariant(nu, sys)) and alg.passes_kind(nu)
+        return alg.invariant(nu) and alg.passes_kind(nu)
 
     outside = (
         (str(l1), str(l2)) for l1, l2 in product(H, repeat=2) if not member_of_H(alg.combine("plus", l1, l2))

@@ -2,7 +2,7 @@
 
 A FunctionSpace fixes the point set, the coefficient structure K and an
 optional monotone variant ("+" for non-decreasing, "-" for
-non-increasing, which requires a linear point order).  Construction
+non-increasing, in the order the points are listed).  Construction
 verifies that suprema of all possible function images exist in K, so
 sup-style functionals are total on the space.  The member functions are
 enumerated only up to `FUNCTION_CAP` value tuples.
@@ -18,10 +18,10 @@ a number in base |K|; only a monotone space keeps a position map.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CapacityError, IncomparableError, InputError
-from .order import OrderRelation, check_order_axioms, sup_over
+from .order import OrderRelation, sup_over
 from .structures import FinStruct
 
 
@@ -77,9 +77,9 @@ class KFunction:
 
 
 class FunctionSpace:
-    """The K-valued functions on `points`, optionally monotone.
+    """The K-valued functions on `points`, optionally monotone in their listed order.
 
-    The points, K and the point order are never mutated after
+    The points, K and the variant are never mutated after
     construction, so what is derived from them is built once, on first
     use: the member functions (and, on a monotone space, their positions
     by value tuple), and, by position and each when first read, the order
@@ -90,17 +90,9 @@ class FunctionSpace:
     (`functionals.law_instances`).
     """
 
-    def __init__(
-        self,
-        points,
-        K: FinStruct,
-        point_order: OrderRelation | None = None,
-        variant: str | None = None,
-        name: str = "",
-    ):
+    def __init__(self, points, K: FinStruct, variant: str | None = None, name: str = ""):
         self.points = tuple(points)
         self.K = K
-        self.point_order = point_order
         self.variant = variant
         self.name = name or f"C({','.join(self.points)};{K.name})"
         if not self.points:
@@ -109,13 +101,6 @@ class FunctionSpace:
             raise InputError(f"repeated point in {' '.join(self.points)}")
         if variant not in (None, "+", "-"):
             raise InputError(f"unknown variant {variant!r}")
-        if variant is not None:
-            if point_order is None:
-                raise InputError("monotone variants need a linear point order")
-            if not check_order_axioms(point_order, "linear"):
-                raise InputError("monotone variants need a linear point order")
-        if point_order is not None and point_order.carrier != self.points:
-            raise InputError("the point order must list the space's points in order")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[tuple, int] | None = None
         # rows by first position: small positions are shared ints, so keys cost nothing
@@ -160,7 +145,7 @@ class FunctionSpace:
         """The function with these value codes, refused when it is not
         monotone on a monotone space."""
         f = KFunction(self.points, values, self.K)
-        if self.variant is not None and not self.is_monotone(f, self.variant):
+        if self.variant is not None and not self.is_monotone(f):
             raise InputError(f"function {f} is not monotone {self.variant}")
         return f
 
@@ -169,12 +154,12 @@ class FunctionSpace:
             raise InputError(f"value {c!r} not in K")
         return self.member((c,) * len(self.points))
 
-    def is_monotone(self, f: KFunction, variant: str) -> bool:
-        if self.point_order is None:
-            raise InputError("no point order declared")
-        above, leq, vals = self.point_order.above, self.K.leq, f.values
-        pairs = ((vals[x], vals[y]) for x in range(len(vals)) for y in above[x])
-        return all(leq(a, b) if variant == "+" else leq(b, a) for a, b in pairs)
+    def is_monotone(self, f: KFunction) -> bool:
+        """Whether f is monotone in the space's variant, the points read in their listed order."""
+        if self.variant is None:
+            raise InputError(f"{self.name} has no monotone variant")
+        leq, pairs = self.K.leq, combinations_with_replacement(f.values, 2)
+        return all(leq(a, b) if self.variant == "+" else leq(b, a) for a, b in pairs)
 
     def functions(self) -> tuple[KFunction, ...]:
         """All member functions, in a fixed enumeration order; refused
@@ -187,7 +172,7 @@ class FunctionSpace:
             points, K = self.points, self.K
             out = [KFunction(points, vals, K) for vals in product(K.elements, repeat=len(points))]
             if self.variant is not None:
-                out = [f for f in out if self.is_monotone(f, self.variant)]
+                out = [f for f in out if self.is_monotone(f)]
             self._funcs = tuple(out)
         return self._funcs
 

@@ -26,6 +26,7 @@ from .errors import (
 from .funcspace import FunctionSpace, KFunction
 from .order import inf_over, sup_over
 from .report import AxiomReport, Verdict, first_failure
+from .structures import FinStruct
 
 
 class Functional:
@@ -257,6 +258,12 @@ def _runs(instances):
         yield test, witness, (positions for positions, _, _ in group)
 
 
+def require_additive(K: FinStruct) -> None:
+    """Refuse a K whose addition is not commutative and associative, as the law add needs."""
+    if not {"comm-add", "assoc-add"} <= K.flags:
+        raise PreconditionError("kind add needs commutative associative addition in K")
+
+
 def _instances(space: FunctionSpace, law: str, cells):
     """The (positions, test, witness) instances of one law over `cells`,
     or over the law's whole grid when it is None, in scan order."""
@@ -305,8 +312,7 @@ def _instances(space: FunctionSpace, law: str, cells):
             if r is not None:
                 yield (p, q, r), test, witness
     elif law == "add":
-        if not {"comm-add", "assoc-add"} <= K.flags:
-            raise PreconditionError("kind add needs commutative associative addition in K")
+        require_additive(K)
         add = K.add
 
         def test(t, pos):

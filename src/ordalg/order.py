@@ -7,7 +7,8 @@ pairs are pairs of names) and where a failing axiom names its witness.
 Everything else reads code-indexed tables built once: the up-sets and
 down-sets, and `picks`, the one place that join, meet and comparability
 are read from.  Every axiom check is an exhaustive scan, and every
-failure comes with a concrete witness tuple.
+failure comes with a concrete witness tuple.  An order has no distinguished
+element: `structures.FinStruct` checks that the zero it names is least.
 """
 from __future__ import annotations
 
@@ -85,20 +86,6 @@ class OrderRelation:
         """A witness with each code replaced by its element's name; tags
         (strings) are kept."""
         return tuple(w if isinstance(w, str) else self.carrier[w] for w in witness)
-
-
-class OrderedCarrier:
-    """An order together with its distinguished minimal element (zero),
-    named at construction and kept as its code."""
-
-    def __init__(self, order: OrderRelation, zero: str):
-        self.order = order
-        if zero not in order.carrier:
-            raise InputError(f"zero element {zero!r} not in carrier")
-        self.zero = order.carrier.index(zero)
-        for x, name in enumerate(order.carrier):
-            if not order.leq(self.zero, x):
-                raise InputError(f"zero element {zero!r} is not minimal: not leq {name!r}")
 
 
 def check_order_axioms(order: OrderRelation, mode: Mode) -> Verdict:

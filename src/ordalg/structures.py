@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import CapacityError, InputError
-from .order import OrderedCarrier, OrderRelation, axiom_failure
+from .order import OrderRelation, axiom_failure
 from .report import Verdict
 
 LAWS = (
@@ -72,19 +72,19 @@ class FinStruct:
     re-checked at construction.  Identity semantics: two FinStructs are
     the same structure only if they are the same object.
 
-    It is built from `add` and `mul` tables keyed by pairs of element
-    names and from the names of `zero` and `one`; construction replaces
-    each by codes, and nothing is mutated after that.  `check_law` keeps
-    each verdict in `verdicts`, so the laws decided at construction are
-    not scanned again.
+    It is built from its order, `add` and `mul` tables keyed by pairs of
+    element names, and the names of `zero`, which must be least, and
+    `one`; construction replaces each by codes, and nothing is mutated
+    after that.  `check_law` keeps each verdict in `verdicts`, so the
+    laws decided at construction are not scanned again.
     """
 
     def __init__(
-        self, name: str, carrier: OrderedCarrier, add: dict, mul: dict, zero: str, one: str,
+        self, name: str, order: OrderRelation, add: dict, mul: dict, zero: str, one: str,
         flags: frozenset = frozenset(),
     ):
         self.name = name
-        self.carrier = carrier
+        self.order = order
         self.add = add
         self.mul = mul
         self.zero = zero
@@ -94,10 +94,15 @@ class FinStruct:
         self.__post_init__()  # the validation, a method of its own so perfbench/spans.py can time it
 
     def __post_init__(self):
-        names = self.names = self.carrier.order.carrier
+        names = self.names = self.order.carrier
         require_desk_scale(self.name, len(names))
         self.elements = range(len(names))
         code = self.code = {x: i for i, x in enumerate(names)}
+        if self.zero not in code:
+            raise InputError(f"{self.name}: zero element {self.zero!r} not in carrier")
+        for x, name in enumerate(names):
+            if x not in self.order.above[code[self.zero]]:
+                raise InputError(f"{self.name}: zero element {self.zero!r} is not minimal: not leq {name!r}")
         for label in ("add", "mul"):
             table = getattr(self, label)
             for a, b in product(names, repeat=2):
@@ -106,8 +111,6 @@ class FinStruct:
                 if table[(a, b)] not in code:
                     raise InputError(f"{self.name}: {label}({a},{b}) = {table[(a, b)]!r} outside carrier")
             setattr(self, label, tuple(tuple(code[table[(a, b)]] for b in names) for a in names))
-        if code.get(self.zero) != self.carrier.zero:
-            raise InputError(f"{self.name}: zero {self.zero!r} differs from order minimum")
         if self.one not in code:
             raise InputError(f"{self.name}: one {self.one!r} not in carrier")
         self.zero, self.one = code[self.zero], code[self.one]
@@ -126,12 +129,8 @@ class FinStruct:
             if not v:
                 raise InputError(f"{self.name}: declared flag {flag} fails at {v.witness}")
 
-    @property
-    def order(self) -> OrderRelation:
-        return self.carrier.order
-
     def leq(self, a: int, b: int) -> bool:
-        return b in self.carrier.order.above[a]
+        return b in self.order.above[a]
 
 
 def check_law(s: FinStruct, law: str) -> Verdict:
@@ -305,8 +304,8 @@ def _struct(name, names, addf, mulf, flags) -> FinStruct:
     E = range(len(names))
     add = {(names[a], names[b]): names[addf(a, b)] for a in E for b in E}
     mul = {(names[a], names[b]): names[mulf(a, b)] for a in E for b in E}
-    carrier = OrderedCarrier(OrderRelation.chain(names), names[0])
-    return FinStruct(name, carrier, add, mul, names[0], names[min(1, len(E) - 1)], frozenset(flags))
+    order, one = OrderRelation.chain(names), names[min(1, len(E) - 1)]
+    return FinStruct(name, order, add, mul, names[0], one, frozenset(flags))
 
 
 SEMIRING = ("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist")
@@ -370,6 +369,6 @@ def direct_product(s1: FinStruct, s2: FinStruct, name: str | None = None) -> Fin
     pairs = ((names[x], names[y]) for x in E for y in E if s1.leq(x // n2, y // n2) and s2.leq(x % n2, y % n2))
     zero = names[s1.zero * n2 + s2.zero]
     flags = frozenset((s1.flags & s2.flags) - {"quasi-solvable"})
-    carrier = OrderedCarrier(OrderRelation(names, pairs), zero)
+    order, one = OrderRelation(names, pairs), names[s1.one * n2 + s2.one]
     add, mul = table(s1.add, s2.add), table(s1.mul, s2.mul)
-    return FinStruct(name or f"{s1.name}x{s2.name}", carrier, add, mul, zero, names[s1.one * n2 + s2.one], flags)
+    return FinStruct(name or f"{s1.name}x{s2.name}", order, add, mul, zero, one, flags)

@@ -93,7 +93,7 @@ def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
 def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
     # imported here, as the workspace's action builder does, so that only a document with actions loads it
     from .convolution import (
-        _validate_regime,
+        _require_unit_cocycle,
         all_kind_functionals,
         check_action,
         check_ideal,
@@ -108,7 +108,7 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
         sys = ws.actions[name]
         kind = ws.kinds[name]
         records.append(CheckRecord(f"convolution/{name}/action", "action", check_action(sys)))
-        _validate_regime(sys)
+        _require_unit_cocycle(sys)
         try:
             seedfam = all_kind_functionals(sys, kind)
         except PreconditionError as exc:

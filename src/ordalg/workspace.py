@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import CapacityError, InputError
 from .funcspace import FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
-from .order import OrderedCarrier, OrderRelation
+from .order import OrderRelation
 from .structures import (
     FinStruct,
     boolean_semiring,
@@ -239,18 +239,13 @@ def _build_structure(sec: Section) -> FinStruct:
                 table[(a, b)] = res
         tables[label] = table
     flags = frozenset(sec.get("flags", "").split())
-    carrier = OrderedCarrier(order, zero)
-    return FinStruct(sec.name, carrier, tables["add"], tables["mul"], zero, one, flags)
+    return FinStruct(sec.name, order, tables["add"], tables["mul"], zero, one, flags)
 
 
 def _build_space(ws: Workspace, sec: Section) -> FunctionSpace:
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     points = tuple(sec.require("points").split())
-    variant = sec.get("variant")
-    point_order = None
-    if sec.get("point-order") == "chain" or variant is not None:
-        point_order = OrderRelation.chain(points)
-    return FunctionSpace(points, K, point_order, variant, name=sec.name)
+    return FunctionSpace(points, K, sec.get("variant"), name=sec.name)
 
 
 def _build_function(space: FunctionSpace, sec: Section) -> KFunction:
@@ -284,12 +279,14 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
 
 
 def _build_action(ws: Workspace, sec: Section) -> tuple:
-    """The section's action and its kind; the kind is checked first."""
+    """The section's action and its kind; the kind and the regime, only unit-cocycle, are checked first."""
     from .convolution import KINDS, ActionSystem, Groupoid, check_action
 
-    kind = sec.get("kind", "join")
+    kind, regime = sec.get("kind", "join"), sec.get("regime", "unit-cocycle")
     if kind not in KINDS:
         raise ParseError(f"[action {sec.name}]: unknown kind {kind!r}", sec.line_of("kind"))
+    if regime != "unit-cocycle":
+        raise ParseError(f"[action {sec.name}]: unknown regime {regime!r}", sec.line_of("regime"))
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
     table = {}
@@ -317,8 +314,7 @@ def _build_action(ws: Workspace, sec: Section) -> tuple:
     L = sec.require("L").split()
     if len(set(L)) < len(L):
         raise ParseError(f"[action {sec.name}]: repeated element in L = {' '.join(L)}", sec.line_of("L"))
-    regime = sec.get("regime", "unit-cocycle")
-    sys = ActionSystem(G, K, points, v, frozenset(L), rho, regime)
+    sys = ActionSystem(G, K, points, v, frozenset(L), rho)
     verdict = check_action(sys)
     if not verdict:
         raise ParseError(

@@ -4,7 +4,8 @@ Each function here is the body the library had before it read
 precomputed sets and tables: bounds and extrema by scanning the pairs of
 an order, the admissibility of a function space by every subset of K
 up to the size of its point set, the order axioms by element loops, the
-pointwise order of a function space point by point, the cubic law scans
+pointwise order of a function space point by point, the members of a
+monotone space by every value tuple, the cubic law scans
 over all triples, and
 the shifted product by a scan of the whole index window with a linear
 lookup of element values, the laws of functionals as one loop per
@@ -182,6 +183,19 @@ def check_order_axioms(order, mode: str) -> Verdict:
 def pointwise_leq(space, f, g) -> bool:
     leq = set(pairs(space.K.order))
     return all((a, b) in leq for a, b in zip(named(f), named(g)))
+
+
+def monotone_members(space) -> list:
+    """The names of the values of a monotone space's members, in the order
+    of `product`: the value tuples in which each point's value and that of
+    every later listed point, itself included, are in the variant's order."""
+    leq, n = set(pairs(space.K.order)), len(space.points)
+    out = []
+    for vals in product(space.K.names, repeat=n):
+        steps = [(vals[i], vals[j]) for i in range(n) for j in range(i, n)]
+        if all((a, b) in leq if space.variant == "+" else (b, a) in leq for a, b in steps):
+            out.append(vals)
+    return out
 
 
 # -- functionals -------------------------------------------------------------------
@@ -641,10 +655,8 @@ def invariant_subfamily(alg) -> list:
 
 def check_ideal(H, alg) -> AxiomReport:
     sys = alg.sys
-    if sys.regime == "homogeneous":
-        raise PreconditionError("homogeneous regime applies to homogeneous kinds only")
     if any(c != sys.K.one for row in sys.rho for c in row):
-        raise PreconditionError("unit-cocycle regime declared but the cocycle is not constant one")
+        raise PreconditionError("convolution needs a cocycle constant one")
     report = AxiomReport()
     H = list(H)
     for lam in H:

@@ -397,10 +397,17 @@ def homogeneous_demo(tmp_path):
     return doc
 
 
+def regime_refusal(doc):
+    """The parse error of the one unknown regime, at its line."""
+    line = doc.read_text(encoding="utf-8").splitlines().index("regime = homogeneous") + 1
+    return f"error: line {line}: [action A]: unknown regime 'homogeneous'\n"
+
+
 def test_homogeneous_regime_exits_2_with_its_message(tmp_path, capsys):
-    code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
+    doc = homogeneous_demo(tmp_path)
+    code, out, err = run(capsys, "check", doc, "--suite", "convolution")
     assert code == 2
-    assert err == "error: homogeneous regime applies to homogeneous kinds only\n"
+    assert err == regime_refusal(doc)
 
 
 def test_homogeneous_regime_is_refused_before_the_seed_family(tmp_path, capsys, monkeypatch):
@@ -408,9 +415,10 @@ def test_homogeneous_regime_is_refused_before_the_seed_family(tmp_path, capsys, 
         raise AssertionError("the seed family was built before the regime was checked")
 
     monkeypatch.setattr("ordalg.convolution.all_kind_functionals", seed)
-    code, out, err = run(capsys, "check", homogeneous_demo(tmp_path), "--suite", "convolution")
+    doc = homogeneous_demo(tmp_path)
+    code, out, err = run(capsys, "check", doc, "--suite", "convolution")
     assert (code, out) == (2, "")
-    assert err == "error: homogeneous regime applies to homogeneous kinds only\n"
+    assert err == regime_refusal(doc)
 
 
 @pytest.mark.parametrize("builtin", ["boolean", "max-plus-chain 3"])

@@ -56,7 +56,6 @@ from ordalg.functionals import (
     signature,
     tabulate,
 )
-from ordalg.order import OrderRelation
 from ordalg.report import Verdict
 from ordalg.structures import boolean_semiring, direct_product, maxplus_chain, trivial_structure
 from ordalg.suites import suite_convolution
@@ -468,10 +467,9 @@ def test_dirac_unit_is_neutral_on_both_sides(values):
     [
         FunctionSpace(("e", "a"), MP3),
         FunctionSpace(("a", "e"), BOOL),
-        FunctionSpace(("e", "a"), BOOL, OrderRelation.chain(("e", "a"))),
-        FunctionSpace(("e", "a"), BOOL, OrderRelation.chain(("e", "a")), "+"),
+        FunctionSpace(("e", "a"), BOOL, "+"),
     ],
-    ids=["other-K", "points-reordered", "point-order", "monotone"],
+    ids=["other-K", "points-reordered", "monotone"],
 )
 def test_convolve_refuses_a_part_on_another_space(space):
     # a part's table would be read at the positions of the action's space
@@ -518,6 +516,24 @@ def test_each_translate_is_made_once(monkeypatch):
     assert [r.verdict.holds for r in records] == [True] * 12
     assert sum(calls.values()) == len(sys.G.elements) * len(sys.space.functions()) == 64
     assert set(calls.values()) == {1}
+
+
+def test_each_invariance_is_decided_once_per_algebra(monkeypatch):
+    # 17 members, each decided once by the algebra, and the 3 invariant ones
+    # once more by `support_bounds`, which takes no algebra
+    calls = Counter()
+
+    def counted(nu, sys, original=convolution.check_invariant):
+        calls[nu.table] += 1
+        return original(nu, sys)
+
+    monkeypatch.setattr(convolution, "check_invariant", counted)
+    ws = Workspace()
+    ws.actions["Z4"], ws.kinds["Z4"] = cyclic_action(4, BOOL), "join"
+    records = suite_convolution(ws, 20000, 0)
+    supports = [r for r in records if r.verdict.law == "support-bound"]
+    assert (len(calls), len(supports), sum(calls.values())) == (17, 3, 20)
+    assert Counter(calls.values()) == {1: 14, 2: 3}
 
 
 def skewed_seed(sys):

@@ -6,7 +6,7 @@ import scan_oracles
 from ordalg import funcspace
 from ordalg.errors import CapacityError, IncomparableError, InputError
 from ordalg.funcspace import FunctionSpace, KFunction
-from ordalg.order import OrderedCarrier, OrderRelation, sup_over
+from ordalg.order import OrderRelation, sup_over
 from ordalg.structures import (
     FinStruct,
     boolean_semiring,
@@ -71,12 +71,7 @@ class TestOdot:
                 else:
                     add[(a, b)] = b  # keep the right argument
         mul = {(a, b): "0" if "0" in (a, b) else ("2" if "2" in (a, b) else "1") for a in elems for b in elems}
-        from ordalg.order import OrderedCarrier
-        from ordalg.structures import FinStruct
-
-        K = FinStruct(
-            "skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1"
-        )
+        K = FinStruct("skew", OrderRelation.chain(elems), add, mul, "0", "1")
         sp = space(K=K)
         f = sp.constant(2)
         assert sp.odot(1, f, "left") == sp.constant(2)
@@ -170,9 +165,7 @@ class TestSupport:
 
 class TestMonotoneVariants:
     def chain_space(self, variant):
-        return FunctionSpace(
-            ("x1", "x2", "x3"), MP3, OrderRelation.chain(("x1", "x2", "x3")), variant
-        )
+        return FunctionSpace(("x1", "x2", "x3"), MP3, variant)
 
     def test_membership_verified_at_construction(self):
         sp = self.chain_space("+")
@@ -196,8 +189,8 @@ class TestMonotoneVariants:
         members = list(sp.functions())
         for f in members:
             for g in members:
-                assert sp.is_monotone(sp.vee(f, g), "+")
-                assert sp.is_monotone(sp.wedge(f, g), "+")
+                assert sp.is_monotone(sp.vee(f, g))
+                assert sp.is_monotone(sp.wedge(f, g))
 
 
 class TestLawInheritance:
@@ -246,7 +239,7 @@ def test_sup_condition_enforced_at_construction():
                 mul[(x, y)] = x
             else:
                 mul[(x, y)] = "p"
-    K = FinStruct("nosup", OrderedCarrier(order, "0"), add, mul, "0", "a")
+    K = FinStruct("nosup", order, add, mul, "0", "a")
     with pytest.raises(InputError):
         FunctionSpace(("x1", "x2"), K)
 
@@ -266,7 +259,7 @@ class TestFunctionCap:
         # 10 non-increasing functions, but 27 value tuples to run through
         monkeypatch.setattr(funcspace, "FUNCTION_CAP", 26)
         points = ("x1", "x2", "x3")
-        sp = space(points=points, K=MP3, point_order=OrderRelation.chain(points), variant="-")
+        sp = space(points=points, K=MP3, variant="-")
         with pytest.raises(CapacityError, match="27 functions"):
             sp.functions()
 
@@ -286,16 +279,32 @@ def skew_chain():
     elems = ("0", "1", "2")
     add = {(a, b): a if b == "0" else b for a in elems for b in elems}
     mul = {(a, b): "0" if "0" in (a, b) else max(a, b) for a in elems for b in elems}
-    return FinStruct("skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("skew", OrderRelation.chain(elems), add, mul, "0", "1")
 
 
 LEQ_SPACES = [
     space(),
     space(points=("x1", "x2", "x3"), K=MP3),
     space(K=direct_product(boolean_semiring("p"), boolean_semiring("q"))),
-    space(points=("x1", "x2", "x3"), K=MP3, point_order=OrderRelation.chain(("x1", "x2", "x3")), variant="-"),
-    space(points=("x1", "x2"), K=skew_chain(), point_order=OrderRelation.chain(("x1", "x2")), variant="+"),
+    space(points=("x1", "x2", "x3"), K=MP3, variant="-"),
+    space(points=("x1", "x2"), K=skew_chain(), variant="+"),
 ]
+
+MONOTONE_SPACES = [sp for sp in LEQ_SPACES if sp.variant] + [space(points=("x1", "x2", "x3"), K=MP3, variant="+")]
+
+
+@pytest.mark.parametrize("sp", MONOTONE_SPACES, ids=lambda sp: sp.name + sp.variant)
+def test_monotone_members_are_read_in_the_listed_point_order(sp):
+    want = scan_oracles.monotone_members(sp)
+    assert [scan_oracles.named(f) for f in sp.functions()] == want
+    for values in product(sp.K.elements, repeat=len(sp.points)):
+        f = KFunction(sp.points, values, sp.K)
+        assert sp.is_monotone(f) == (scan_oracles.named(f) in want)
+
+
+def test_a_space_with_no_variant_has_no_monotone_test():
+    with pytest.raises(InputError, match=r"^C\(x1,x2;bool\) has no monotone variant$"):
+        space().is_monotone(space().constant(0))
 
 
 class TestOrderLookups:
@@ -326,7 +335,7 @@ class TestOrderLookups:
             assert incomparable
 
     def test_positions_within_keep_enumeration_order(self):
-        sp = space(points=("x1", "x2", "x3"), K=MP3, point_order=OrderRelation.chain(("x1", "x2", "x3")), variant="-")
+        sp = space(points=("x1", "x2", "x3"), K=MP3, variant="-")
         members = sp.functions()
         choices = [MP3.elements, (0,), MP3.elements]
         want = [i for i, f in enumerate(members) if f.values[1] == 0]
@@ -338,11 +347,6 @@ class TestOrderLookups:
         assert sp.position_of(f) is f
         with pytest.raises(InputError, match="is not a function of"):
             sp.position(f)
-
-    def test_a_point_order_on_other_points_is_refused(self):
-        # monotonicity reads the point order by the positions of the points
-        with pytest.raises(InputError, match="the point order must list the space's points in order"):
-            space(point_order=OrderRelation.chain(("x2", "x1")), variant="+")
 
     def test_a_repeated_point_is_refused(self):
         with pytest.raises(InputError, match="repeated point in x1 x2 x1"):

@@ -35,7 +35,7 @@ from ordalg.functionals import (
     tabulate,
     weighted_combo,
 )
-from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.order import OrderRelation
 from ordalg.structures import (
     FinStruct,
     boolean_semiring,
@@ -561,7 +561,7 @@ def skew_structure():
     elems = ("0", "1", "2")
     add = {(a, b): a if b == "0" else b for a in elems for b in elems}
     mul = {(a, b): "0" if "0" in (a, b) else max(a, b) for a in elems for b in elems}
-    return FinStruct("skew", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("skew", OrderRelation.chain(elems), add, mul, "0", "1")
 
 
 CONSTANT_AND_ORDER_LAWS = {
@@ -931,9 +931,7 @@ class TestShiftOutsideTheSpace:
     instead is still open."""
 
     def space(self):
-        return FunctionSpace(
-            ("x1", "x2"), skew_structure(), OrderRelation.chain(("x1", "x2")), variant="+"
-        )
+        return FunctionSpace(("x1", "x2"), skew_structure(), variant="+")
 
     def test_a_symbolic_functional_is_evaluated_outside(self):
         sp = self.space()
@@ -1252,14 +1250,14 @@ def chain_census():
     for add and absorbing for mul and 1 is a mul unit: a+a, a+1, 1+a,
     1+1 and a*a are free."""
     elems = ("0", "a", "1")
-    carrier = OrderedCarrier(OrderRelation.chain(elems), "0")
+    order = OrderRelation.chain(elems)
     for i, sums in enumerate(product(elems, repeat=4)):
         add = {(x, y): y if x == "0" else x for x in elems for y in elems if "0" in (x, y)}
         add.update(zip(product(("a", "1"), repeat=2), sums))
         for square in elems:
             mul = {(x, y): "0" if "0" in (x, y) else y if x == "1" else x for x in elems for y in elems}
             mul["a", "a"] = square
-            yield FinStruct(f"census{i}{square}", carrier, add, mul, "0", "1")
+            yield FinStruct(f"census{i}{square}", order, add, mul, "0", "1")
 
 
 def test_assoc_add_equals_the_triple_scan_on_the_census():

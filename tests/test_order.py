@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import scan_oracles
 from ordalg.errors import InputError
-from ordalg.order import OrderedCarrier, OrderRelation, check_order_axioms, inf_over, sup_over
+from ordalg.order import OrderRelation, check_order_axioms, inf_over, sup_over
 from ordalg.funcspace import pair_without_sup
 
 
@@ -104,12 +104,6 @@ class TestSupInf:
         big = sup_over({1, 2}, order)
         assert (order.carrier[small], order.carrier[big]) == ("2", "6")
         assert order.leq(small, big)
-
-
-class TestOrderedCarrier:
-    def test_zero_must_be_minimal(self):
-        with pytest.raises(InputError):
-            OrderedCarrier(OrderRelation.chain("ab"), "b")
 
 
 @st.composite

@@ -8,7 +8,7 @@ import scan_oracles
 
 from ordalg import sproduct
 from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
-from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.order import OrderRelation
 from ordalg.sproduct import WINDOW_CAP, IndexScheme, SuppElement, find_nonassoc_witness, s_mu
 from ordalg.structures import (
     FinStruct,
@@ -403,8 +403,8 @@ def table_struct(name, elements, order, one, add, mul):
         return {(a, b): v for a, row in zip(elements, rows) for b, v in zip(elements, row.split())}
 
     flags = frozenset(("assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist"))
-    carrier = OrderedCarrier(OrderRelation.from_covers(elements, order), elements[0])
-    return FinStruct(name, carrier, table(add), table(mul), elements[0], one, flags)
+    relation = OrderRelation.from_covers(elements, order)
+    return FinStruct(name, relation, table(add), table(mul), elements[0], one, flags)
 
 
 # 0 < a, b < 1: the four-element Boolean algebra, join and meet
@@ -424,7 +424,7 @@ RDIST = right_dist_only()
 # the transpose of RDIST: left- but not right-distributive
 LDIST = FinStruct(
     "ldist",
-    RDIST.carrier,
+    RDIST.order,
     scan_oracles.Named(RDIST).add,
     {(b, a): v for (a, b), v in scan_oracles.Named(RDIST).mul.items()},
     "0",

@@ -5,7 +5,7 @@ import pytest
 
 import scan_oracles
 from ordalg.errors import CapacityError, InputError
-from ordalg.order import OrderedCarrier, OrderRelation
+from ordalg.order import OrderRelation
 from ordalg.report import Verdict
 from ordalg.structures import (
     FinStruct,
@@ -51,7 +51,7 @@ class TestLaws:
                     mul[(a, b)] = a
                 else:
                     mul[(a, b)] = top[(a, b)]
-        s = FinStruct("na", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+        s = FinStruct("na", OrderRelation.chain(elems), add, mul, "0", "1")
         v = check_law(s, "assoc-mul")
         assert not v.holds
         a, b, c, lhs, rhs = v.witness
@@ -74,7 +74,7 @@ class TestLaws:
         elems = ("0", "1")
         add = {(a, b): "1" if "1" in (a, b) else "0" for a in elems for b in elems}
         mul = {(a, b): "1" if a == b == "1" else "0" for a in elems for b in elems}
-        order = OrderedCarrier(OrderRelation.chain(elems), "0")
+        order = OrderRelation.chain(elems)
         with pytest.raises(InputError):
             FinStruct("bad", order, add, mul, "0", "1", frozenset({"no-such-law"}))
 
@@ -82,9 +82,17 @@ class TestLaws:
         elems = ("0", "1")
         add = {(a, b): "1" if "1" in (a, b) else "0" for a in elems for b in elems}
         mul = {(a, b): "1" for a in elems for b in elems}  # 0 not absorbing
-        order = OrderedCarrier(OrderRelation.chain(elems), "0")
+        order = OrderRelation.chain(elems)
         with pytest.raises(InputError):
             FinStruct("bad", order, add, mul, "0", "1")
+
+    def test_zero_must_be_in_the_carrier_and_least(self):
+        # refused before the tables are read, so empty tables get no further
+        order = OrderRelation.chain(("a", "b"))
+        with pytest.raises(InputError, match=r"^z: zero element 'c' not in carrier$"):
+            FinStruct("z", order, {}, {}, "c", "a")
+        with pytest.raises(InputError, match=r"^z: zero element 'b' is not minimal: not leq 'a'$"):
+            FinStruct("z", order, {}, {}, "b", "a")
 
 
 class TestHomomorphisms:
@@ -122,7 +130,7 @@ def random_structure(rng, n):
                 mul[(a, b)] = b if a == "1" else a
             else:
                 mul[(a, b)] = rng.choice(elems)
-    return FinStruct("r", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("r", OrderRelation.chain(elems), add, mul, "0", "1")
 
 
 class TestLawScans:
@@ -194,7 +202,7 @@ class TestLawScans:
         order = OrderRelation(elems, pairs)
         add = {(x, y): order.carrier[order.picks[i][j][0]] for i, x in enumerate(elems) for j, y in enumerate(elems)}
         mul = {(x, y): y if x == "a" else x if y == "a" else "0" for x in elems for y in elems}
-        s = FinStruct("cycle", OrderedCarrier(order, "0"), add, mul, "0", "a")
+        s = FinStruct("cycle", order, add, mul, "0", "a")
         assert all(p is not None for row in order.picks for p in row)
         assert not structures._is_max_on_chain(s.add, s.order)
         verdict = check_law(s, "assoc-add")
@@ -244,7 +252,7 @@ def perturbed_structure(rng, n):
     for table, low in ((add, 1), (mul, 2)):
         for _ in range(rng.randint(1, 2)):
             table[(rng.choice(elems[low:]), rng.choice(elems[low:]))] = rng.choice(elems)
-    return FinStruct("p", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("p", OrderRelation.chain(elems), add, mul, "0", "1")
 
 
 def maxplus_mul_structure(rng, n):
@@ -253,7 +261,7 @@ def maxplus_mul_structure(rng, n):
     elems = tuple(str(i) for i in range(n))
     add = {(a, b): b if a == "0" else a if b == "0" else rng.choice(elems) for a, b in product(elems, repeat=2)}
     mul = scan_oracles.Named(maxplus_chain(n)).mul
-    return FinStruct("m", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("m", OrderRelation.chain(elems), add, mul, "0", "1")
 
 
 def guard_structure():
@@ -264,4 +272,4 @@ def guard_structure():
     elems = ("0", "1", "2", "3")
     add = dict(zip(product(elems, repeat=2), "0123" "1233" "2233" "3333"))
     mul = dict(zip(product(elems, repeat=2), "0000" "0123" "0233" "0313"))
-    return FinStruct("g", OrderedCarrier(OrderRelation.chain(elems), "0"), add, mul, "0", "1")
+    return FinStruct("g", OrderRelation.chain(elems), add, mul, "0", "1")

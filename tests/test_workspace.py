@@ -130,6 +130,7 @@ def test_every_kind_parses(tmp_path, capsys):
     [
         ("[structure b]", "flags"),
         ("[space S]", "varient"),
+        ("[space S]", "point-order"),
         ("[function f]", "value"),
         ("[functional nu]", "set"),
         ("[action A]", "groupoid.rows.e"),
@@ -152,11 +153,34 @@ def test_unknown_action_kind_is_refused_at_its_line_before_any_check(tmp_path, c
         raise AssertionError("a check ran before the kind was refused")
 
     monkeypatch.setattr(convolution, "check_action", check)
-    lines = EVERY_KIND.splitlines()
-    at = lines.index("[action A]") + 1
-    lines.insert(at, "kind = sum")
-    code, err = run_check(tmp_path, capsys, "\n".join(lines) + "\n")
-    assert (code, err) == (2, f"error: line {at + 1}: [action A]: unknown kind 'sum'\n")
+    unknown = {"kind = sum": "unknown kind 'sum'", "regime = homogeneous": "unknown regime 'homogeneous'"}
+    for entry, message in unknown.items():
+        lines = EVERY_KIND.splitlines()
+        at = lines.index("[action A]") + 1
+        lines.insert(at, entry)
+        code, err = run_check(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert (code, err) == (2, f"error: line {at + 1}: [action A]: {message}\n")
+
+
+COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside = left\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("builtin = boolean", "builtin = bool", "line 2: unknown builtin structure 'bool'"),
+        ("points = x y", "points = x y\nvariant = up", "line 4: [space S]: unknown variant 'up'"),
+        ("kind = dirac", "kind = delta", "line 14: unknown functional kind 'delta'"),
+        ("side = left", "side = middle", "line 34: [functional c]: unknown side 'middle'"),
+    ],
+    ids=["builtin", "variant", "functional-kind", "combo-side"],
+)
+def test_an_unknown_value_exits_2_at_its_line_or_its_section(tmp_path, capsys, old, new, message):
+    # an enumerated value that its builder refuses is reported at the key's line, and
+    # one that the object it builds refuses at the line of the section's header
+    text = EVERY_KIND + COMBO
+    assert run_check(tmp_path, capsys, text) == (0, "")
+    assert run_check(tmp_path, capsys, text.replace(old, new, 1)) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["add", "join", "meet"])
