@@ -26,6 +26,8 @@ from .structures import FinStruct
 
 
 FUNCTION_CAP = 2**16
+VARIANTS = ("+", "-")
+SIDES = ("left", "right")
 
 
 def pair_without_sup(order: OrderRelation, size: int) -> tuple | None:
@@ -82,11 +84,11 @@ class FunctionSpace:
     The points, K and the variant are never mutated after
     construction, so what is derived from them is built once, on first
     use: the member functions (and, on a monotone space, their positions
-    by value tuple), and, by position and each when first read, the order
-    of two members (`leq_at`), their guarded vee and wedge (`join_meet_at`,
-    read only by scans of pairs), the members below a member (`down_set`,
-    read by `check_weak_properties`), the constant shifts of a member
-    (`shift_at`) and the law instances of functionals on the space
+    by value tuple), and, by position and each when first read, the
+    guarded vee and wedge of two members (`join_meet_at`, read only by
+    scans of pairs), the members below a member (`down_set`, read by the
+    order laws' decision), the constant shifts of a member (`shift_at`)
+    and the law instances of functionals on the space
     (`functionals.law_instances`).
     """
 
@@ -99,12 +101,11 @@ class FunctionSpace:
             raise InputError("point set must be non-empty")
         if len(set(self.points)) < len(self.points):
             raise InputError(f"repeated point in {' '.join(self.points)}")
-        if variant not in (None, "+", "-"):
+        if variant not in (None, *VARIANTS):
             raise InputError(f"unknown variant {variant!r}")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[tuple, int] | None = None
         # rows by first position: small positions are shared ints, so keys cost nothing
-        self._leq: defaultdict[int, dict[int, bool]] = defaultdict(dict)
         self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
         self._below: dict[int, list[int]] = {}
         self._shift_positions: dict[tuple, int | KFunction] = {}
@@ -280,17 +281,6 @@ class FunctionSpace:
         return True
 
     # -- relations among members, by position in `functions()`, once made -------
-
-    def leq_at(self, i: int, j) -> bool:
-        """Whether the member at position i is below j: the member at
-        position j, decided once per pair, or a function outside the
-        space, compared directly."""
-        if isinstance(j, KFunction):
-            return self.leq(self._funcs[i], j)
-        row = self._leq[i]
-        if j not in row:
-            row[j] = self.leq(self._funcs[i], self._funcs[j])
-        return row[j]
 
     def join_meet_at(self, i: int, j: int, k: int) -> int | None:
         """The position of vee (k = 0) or wedge (k = 1) of the members at

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import cached_property
 from itertools import groupby, product
 from operator import itemgetter
 
@@ -23,7 +24,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .funcspace import FunctionSpace, KFunction
+from .funcspace import SIDES, FunctionSpace, KFunction
 from .order import inf_over, sup_over
 from .report import AxiomReport, Verdict, first_failure
 from .structures import FinStruct
@@ -136,7 +137,7 @@ def weighted_combo(side: str, coeffs, parts) -> WeightedCombo:
     their names, summing to one, over a distributive K."""
     coeffs = tuple(coeffs)
     parts = tuple(parts)
-    if side not in ("left", "right"):
+    if side not in SIDES:
         raise InputError(f"unknown side {side!r}")
     if not parts or len(coeffs) != len(parts):
         raise InputError("coefficients and parts must align and be non-empty")
@@ -230,13 +231,15 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     verdict is the first failing instance of its law (`law_verdict`).
 
     The laws are "normalized", "left-shift", "right-shift", "join" and
-    "meet" (`check_idempotent`), "weakly-additive"
-    (`check_weak_properties`) and "add" (`check_kind`), each in its
-    checker's cell order, and "left-homogeneous" and "right-homogeneous",
-    which no checker runs and `law_verdict` decides.  A law's whole grid
-    is compiled once per space, when first read; `cells`, a sampled grid
-    from `_grid`, compiles only those cells, as they are read.  A shift or
-    sum that leaves a monotone space keeps the function as its position.
+    "meet" (`check_idempotent`), "weakly-additive", "order-preserving"
+    and "non-expanding" (`check_weak_properties`) and "add"
+    (`check_kind`), each in its checker's cell order, and
+    "left-homogeneous" and "right-homogeneous", which no checker runs and
+    `law_verdict` decides.  A law's whole grid is compiled once per
+    space, when first read; `cells`, a sampled grid from `_grid`, compiles
+    only those cells, as they are read.  A shift or sum that leaves a
+    monotone space keeps the function as its position (the order laws
+    compare it with f as they compile, and read members only).
     Nothing is made before the first run is read, so the enumerator
     applies its cap first.
     """
@@ -325,6 +328,16 @@ def _instances(space: FunctionSpace, law: str, cells):
 
         for p, q in product(n, n):
             yield (p, q, space.position_of(space.add(funcs[p], funcs[q]))), test, witness
+    elif law in ("order-preserving", "non-expanding"):
+        # nu(f) <= c o nu(h) at f <= c o h, c added on the right, then on the left, or
+        # nu(f) <= nu(h) at f <= h; a shift outside a monotone space is compared as it is
+        shifts = [(None, None)] if law == "order-preserving" else list(product(K.elements, ("right", "left")))
+        laws = {shift: _bound_law(space, *shift) for shift in shifts}
+        for p, q in product(n, n) if cells is None else cells:
+            for c, side in shifts:
+                g = q if c is None else space.shift_at("add", c, side, q)
+                if space.leq(funcs[p], funcs[g] if isinstance(g, int) else g):
+                    yield (p, q), *laws[c, side]
     else:
         raise InputError(f"unknown law {law!r}")
 
@@ -346,6 +359,23 @@ def _shift_law(space: FunctionSpace, op: str, c: int, side: str, arrange):
     def witness(t, pos):
         p, q = pos
         return arrange((names[c], funcs[p], names[t[q]], names[rhs(t, p)])), ""
+
+    return test, witness
+
+
+def _bound_law(space: FunctionSpace, c: int | None, side: str | None):
+    """The test and witness of nu(f) <= c o nu(h) at positions (f, h),
+    with c added on `side`, or of nu(f) <= nu(h) when c is None; the
+    witness is (f, h, c, side), or (f, h, nu(f), nu(h)), in names."""
+    add, leq, names, funcs = space.K.add, space.K.leq, space.K.names, space.functions()
+
+    def test(t, pos):
+        nf, nh = t[pos[0]], t[pos[1]]
+        return leq(nf, nh if c is None else add[nh][c] if side == "right" else add[c][nh])
+
+    def witness(t, pos):
+        p, q = pos
+        return (funcs[p], funcs[q], *((names[t[p]], names[t[q]]) if c is None else (names[c], side))), ""
 
     return test, witness
 
@@ -395,16 +425,24 @@ class LazyValues(dict):
         v = self[p] = self.nu.value(p if isinstance(p, KFunction) else self.funcs[p])
         return v
 
+    @cached_property
+    def bounds(self) -> list[frozenset]:
+        """bounds[q]: the upper bounds of the values over the members below the member at q."""
+        above, down = self.nu.space.K.order.above, self.nu.space.down_set
+        return [frozenset.intersection(*{above[self[i]] for i in down(q)}) for q in range(len(self.funcs))]
+
 
 def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Verdict:
     """The verdict, named `name` or else `law`, of the law's instances
     over `cells` (see `law_instances`) for the functional read by
     `values`: failed at the first failing instance, with its witness.
+    On the exhaustive grid some laws are decided by a theorem, and their
+    instances are scanned, lazily, only for a failure's witness.
 
-    On the exhaustive grid, a chain K and a space with no variant,
-    `join` and `meet` are decided from the point maps phi_x(a) =
-    nu(e_x(a)), where e_x(a) is a at x and u elsewhere, u the unit of
-    the pick v (bottom for join, top for meet):
+    On a chain K and a space with no variant, `join` and `meet` are
+    decided from the point maps phi_x(a) = nu(e_x(a)), where e_x(a) is a
+    at x and u elsewhere, u the unit of the pick v (bottom for join, top
+    for meet):
     nu preserves v exactly when each phi_x does and nu(f) = V_x phi_x(f(x))
     for every f.  This is the finite density representation of idempotent
     measures (Zarichnyi, Izv. Math. 74 (2010); Litvinov, Maslov, Shpiz,
@@ -412,17 +450,31 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
     Only if: f = V_x e_x(f(x)), and phi_x(a v b) = nu(e_x(a) v e_x(b)) = phi_x(a) v phi_x(b).
     If: nu(f v g) = V_x phi_x(f(x) v g(x)) = V_x phi_x(f(x)) v V_x phi_x(g(x)) = nu(f) v nu(g).
     The chain makes every pair an instance and no variant every e_x(a) a
-    member.  This reads |C(X,K)||X| + |X||K|^2 values, not |C(X,K)|^2
-    pairs; only on a failure are the pairs scanned, lazily, for its witness.
+    member.  This reads |C(X,K)||X| + |X||K|^2 values, not |C(X,K)|^2 pairs.
+
+    `order-preserving` and `non-expanding` read the upper bounds of nu
+    over each down-set (`LazyValues.bounds`): nu(f) <= b for all f <= g
+    exactly when b bounds the down-set of g, so they hold when each nu(h),
+    or c o nu(h), bounds the down-set of h, or of c o h when it is a member.
     """
-    space = values.nu.space
-    exhaustive_pick = law in ("join", "meet") and cells is None and space.variant is None
-    if exhaustive_pick and all(None not in row for row in space.K.order.picks):
-        if _point_maps_hold(values, ("join", "meet").index(law)):
-            return Verdict.passed(name or law)
-        runs = _runs(_instances(space, law, None))
-    else:
-        runs = law_instances(space, (law,), cells)
+    space, K = values.nu.space, values.nu.space.K
+    decided = None
+    if cells is None and law in ("join", "meet") and space.variant is None:
+        if all(None not in row for row in K.order.picks):
+            decided = _point_maps_hold(values, ("join", "meet").index(law))
+    elif cells is None and law == "order-preserving":
+        decided = all(values[q] in bound for q, bound in enumerate(values.bounds))
+    elif cells is None and law == "non-expanding":
+        cases = product(range(len(values.funcs)), K.elements, ("right", "left"))
+        bounded = [
+            (space.shift_at("add", c, side, j), K.add[values[j]][c] if side == "right" else K.add[c][values[j]])
+            for j, c, side in cases
+        ]
+        if all(isinstance(q, int) for q, _ in bounded):
+            decided = all(b in values.bounds[q] for q, b in bounded)
+    if decided:
+        return Verdict.passed(name or law)
+    runs = _runs(_instances(space, law, None)) if decided is False else law_instances(space, (law,), cells)
     for test, witness, group in runs:
         for positions in group:
             if not test(values, positions):
@@ -457,79 +509,24 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
     n = range(len(nu.space.functions()))
     cells, shifts_sampled = _grid(nu.space.K.elements, n, budget, seed)
     pairs, pairs_sampled = _grid(n, n, budget, seed)
-    report = AxiomReport()
-    report.add(law_verdict(values, "normalized"))
-    for law, grid in (("left-shift", cells), ("right-shift", cells), ("join", pairs), ("meet", pairs)):
-        report.add(law_verdict(values, law, grid))
-    report.sampled = shifts_sampled or pairs_sampled
-    return report
+    grids = {"normalized": None, "left-shift": cells, "right-shift": cells, "join": pairs, "meet": pairs}
+    verdicts = {law: law_verdict(values, law, grid) for law, grid in grids.items()}
+    return AxiomReport(verdicts, shifts_sampled or pairs_sampled)
 
 
 def check_weak_properties(nu: Functional, budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Weak additivity, order preservation, normalization and the
     non-expansion property, plus the consistency entry asserting that the
-    first two force the last.  Each function is evaluated at most once.
-    On the whole grid, with every shift a member, order preservation and
-    non-expansion are decided from the upper bounds of nu over each
-    down-set, and the pairs are scanned only for a failing law's witness."""
+    first two force the last.  The pairs (f, h) of the two order laws are
+    sampled when their grid exceeds the budget.  Each function is
+    evaluated at most once."""
     values = LazyValues(nu)
-    space = nu.space
-    K = space.K
-    report = AxiomReport()
-
-    funcs = space.functions()
-    n = range(len(funcs))
-    wa = law_verdict(values, "weakly-additive")
+    n = range(len(nu.space.functions()))
     pairs, sampled = _grid(n, n, budget, seed)
-    shifted = {}
-
-    def shifts(j):
-        # nu(h) and the shifts of h with their bounds; a (shift, bound)
-        # seen before decides alike: keep its first (c, side)
-        if j not in shifted:
-            nh = values[j]
-            firsts = {}
-            for c in K.elements:
-                for side in ("right", "left"):
-                    bound = K.add[nh][c] if side == "right" else K.add[c][nh]
-                    firsts.setdefault((space.shift_at("add", c, side, j), bound), (c, side))
-            shifted[j] = nh, list(firsts.items())
-        return shifted[j]
-
-    find_op = find_ne = True
-    if pairs is None and all(isinstance(q, int) for j in n for (q, _), _ in shifts(j)[1]):
-        above = K.order.above
-        # bounds[q]: the upper bounds of nu over the members below the member at q
-        bounds = [frozenset.intersection(*{above[values[i]] for i in space.down_set(q)}) for q in n]
-        find_op = any(values[q] not in bounds[q] for q in n)
-        find_ne = any(bound not in bounds[q] for j in n for (q, bound), _ in shifted[j][1])
-
-    # Order preservation (f <= h gives nu(f) <= nu(h)) and non-expansion
-    # (f <= c o h gives nu(f) <= c o nu(h), c added on the right, then on
-    # the left): their first witnesses in one pass over the pairs (f, h)
-    leq_at = space.leq_at
-    op = ne = None
-    for i, j in product(n, n) if pairs is None else pairs:
-        if not (find_op or find_ne):
-            break
-        nh, cells = shifts(j)
-        nf = values[i]
-        if find_op and leq_at(i, j) and not K.leq(nf, nh):
-            op, find_op = (funcs[i], funcs[j], K.names[nf], K.names[nh]), False
-        for (q, bound), (c, side) in cells if find_ne else ():
-            if leq_at(i, q) and not K.leq(nf, bound):
-                ne, find_ne = (funcs[i], funcs[j], K.names[c], side), False
-                break
-
-    report.add(wa)
-    report.add(Verdict(op is None, "order-preserving", op))
-    report.add(law_verdict(values, "normalized"))
-    report.add(Verdict(ne is None, "non-expanding", ne))
-    implied = wa.holds and op is None and ne is not None
-    report.add(
-        Verdict(not implied, "weak-implies-nonexpanding", None if not implied else (str(nu),))
-    )
-    report.sampled = sampled
+    grids = {"weakly-additive": None, "order-preserving": pairs, "normalized": None, "non-expanding": pairs}
+    report = AxiomReport({law: law_verdict(values, law, grid) for law, grid in grids.items()}, sampled)
+    implied = all(report[law] for law in ("weakly-additive", "order-preserving")) and not report["non-expanding"]
+    report.add(Verdict(not implied, "weak-implies-nonexpanding", (str(nu),) if implied else None))
     return report
 
 

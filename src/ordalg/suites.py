@@ -11,9 +11,7 @@ from .functionals import check_idempotent, check_weak_properties, monad_check
 from .order import axiom_failure, check_order_axioms
 from .report import Verdict, fmt_witness
 from .structures import check_law
-from .workspace import Workspace
-
-SUITES = ("laws", "idempotent", "monad", "convolution", "s-construction")
+from .workspace import SUITES, Workspace
 
 CORE_LAWS = ("neutral", "absorb", "assoc-add", "assoc-mul", "comm-add", "comm-mul", "left-dist", "right-dist")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import CapacityError, InputError
-from .funcspace import FunctionSpace, KFunction
+from .funcspace import SIDES, VARIANTS, FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
 from .order import OrderRelation
 from .structures import (
@@ -26,6 +26,9 @@ from .structures import (
     right_dist_only,
     trivial_structure,
 )
+
+
+SUITES = ("laws", "idempotent", "monad", "convolution", "s-construction")
 
 
 class ParseError(InputError):
@@ -54,6 +57,13 @@ class Section:
         v = self.get(key)
         if v is None:
             raise ParseError(f"section [{self.kind} {self.name}] is missing key {key!r}", self.line)
+        return v
+
+    def choice(self, key: str, options, what: str) -> str | None:
+        """The key's value, None when it is absent; one not among `options` is refused at its line."""
+        v = self.get(key)
+        if v is not None and v not in options:
+            raise ParseError(f"[{self.kind} {self.name}]: unknown {what} {v!r}", self.line_of(key))
         return v
 
     def integer(self, key: str, default: str) -> int:
@@ -85,7 +95,7 @@ class Section:
                 raise ParseError(f"[{self.kind} {self.name}]: unknown key {k!r}", ln)
 
 
-def _integer(text: str, what: str, line: int) -> int:
+def _integer(text: str, what: str, line: int | None) -> int:
     try:
         return int(text)
     except ValueError:
@@ -174,9 +184,15 @@ def _build(ws: Workspace, sec: Section) -> None:
         ws.schemes[sec.name] = _build_scheme(ws, sec)
     elif sec.kind == "suite":
         defaults = ws.suite_defaults
-        defaults["run"] = sec.get("run", "").split() or defaults["run"]
+        run = sec.get("run", "").split()
+        for name in run:
+            if name not in (*SUITES, "all"):
+                raise ParseError(f"[suite {sec.name}]: unknown suite {name!r}", sec.line_of("run"))
+        defaults["run"] = run or defaults["run"]
         for key in ("budget", "seed"):
             defaults[key] = sec.integer(key, str(defaults[key]))
+        if defaults["budget"] < 1:
+            raise ParseError(f"[suite {sec.name}]: budget {defaults['budget']} must be at least 1", sec.line_of("budget"))
     else:
         raise ParseError(f"unknown section kind {sec.kind!r}", sec.line)
 
@@ -188,12 +204,10 @@ def _lookup(table: dict, name: str, sec: Section, what: str):
 
 
 _BUILTINS = {
-    "boolean": lambda arg, name, line: boolean_semiring(name),
-    "max-plus-chain": lambda arg, name, line: maxplus_chain(
-        _integer(arg, "max-plus-chain size", line), name
-    ),
-    "right-dist": lambda arg, name, line: right_dist_only(name),
-    "trivial": lambda arg, name, line: trivial_structure(name),
+    "boolean": lambda arg, name: boolean_semiring(name),
+    "max-plus-chain": lambda arg, name: maxplus_chain(_integer(arg, "max-plus-chain size", None), name),
+    "right-dist": lambda arg, name: right_dist_only(name),
+    "trivial": lambda arg, name: trivial_structure(name),
 }
 
 
@@ -202,9 +216,12 @@ def _build_structure(sec: Section) -> FinStruct:
     if builtin is not None:
         parts = builtin.split() or [""]
         kind, arg = parts[0], (parts[1] if len(parts) > 1 else "")
-        if kind not in _BUILTINS:
-            raise ParseError(f"unknown builtin structure {kind!r}", sec.line_of("builtin"))
-        return _BUILTINS[kind](arg, sec.name, sec.line_of("builtin"))
+        try:
+            if kind not in _BUILTINS:
+                raise InputError(f"unknown builtin structure {kind!r}")
+            return _BUILTINS[kind](arg, sec.name)
+        except InputError as exc:
+            raise ParseError(f"[structure {sec.name}]: {exc}", sec.line_of("builtin")) from exc
     elements = tuple(sec.require("elements").split())
     require_desk_scale(sec.name, len(elements))
     order_spec = sec.require("order")
@@ -245,7 +262,7 @@ def _build_structure(sec: Section) -> FinStruct:
 def _build_space(ws: Workspace, sec: Section) -> FunctionSpace:
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     points = tuple(sec.require("points").split())
-    return FunctionSpace(points, K, sec.get("variant"), name=sec.name)
+    return FunctionSpace(points, K, sec.choice("variant", VARIANTS, "variant"), name=sec.name)
 
 
 def _build_function(space: FunctionSpace, sec: Section) -> KFunction:
@@ -269,24 +286,21 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
     if kind == "inf_over":
         return InfOver(space, frozenset(sec.require("set").split()))
     if kind == "combo":
-        side = sec.require("side")
+        side = sec.choice("side", SIDES, "side") or sec.require("side")
         coeffs = sec.require("coeffs").split()
         parts = [
             _lookup(ws.functionals, name, sec, "functional") for name in sec.require("parts").split()
         ]
         return weighted_combo(side, coeffs, parts)
-    raise ParseError(f"unknown functional kind {kind!r}", sec.line_of("kind"))
+    raise ParseError(f"[functional {sec.name}]: unknown functional kind {kind!r}", sec.line_of("kind"))
 
 
 def _build_action(ws: Workspace, sec: Section) -> tuple:
     """The section's action and its kind; the kind and the regime, only unit-cocycle, are checked first."""
     from .convolution import KINDS, ActionSystem, Groupoid, check_action
 
-    kind, regime = sec.get("kind", "join"), sec.get("regime", "unit-cocycle")
-    if kind not in KINDS:
-        raise ParseError(f"[action {sec.name}]: unknown kind {kind!r}", sec.line_of("kind"))
-    if regime != "unit-cocycle":
-        raise ParseError(f"[action {sec.name}]: unknown regime {regime!r}", sec.line_of("regime"))
+    kind = sec.choice("kind", KINDS, "kind") or "join"
+    sec.choice("regime", ("unit-cocycle",), "regime")
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
     table = {}

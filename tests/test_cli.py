@@ -2,6 +2,7 @@
 `check`, `eval` and `witness` (0 holds, 1 counterexample, 2 input error)."""
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -18,6 +19,9 @@ from ordalg.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "docs" / "demo.workspace"
 GOLDEN = ROOT / "perfbench" / "golden" / "demo.records"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -26,10 +30,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def test_demo_records_match_the_golden_file(capsys):
-    code, out, err = run(capsys, "check", DEMO, "--format", "records")
-    assert out.encode("utf-8") == GOLDEN.read_bytes()
-    assert (code, err) == (1, "")
+@pytest.mark.parametrize("name", ["demo", *sorted(workloads.GENERATORS)])
+def test_demo_records_match_the_golden_file(tmp_path, capsys, name):
+    """The records of the demo and of each benchmark workload at seed 0,
+    byte for byte, with the exit code the golden index gives."""
+    doc = DEMO
+    if name != "demo":
+        doc = tmp_path / f"{name}.workspace"
+        doc.write_text(workloads.GENERATORS[name](0), encoding="utf-8")
+    golden = GOLDEN.parent
+    exit_code = json.loads((golden / "golden.json").read_text(encoding="utf-8"))[name]["exit"]
+    code, out, err = run(capsys, "check", doc, "--format", "records")
+    assert out.encode("utf-8") == (golden / f"{name}.records").read_bytes()
+    assert (code, err) == (exit_code, "")
 
 
 @pytest.mark.parametrize(
@@ -468,10 +481,13 @@ def test_a_budget_below_1_exits_2_from_either_source(tmp_path, capsys, budget):
     message = f"error: budget {budget} must be at least 1\n"
     assert run(capsys, "check", DEMO, "--budget", budget) == (2, "", message)
     doc = tmp_path / "budget.workspace"
-    doc.write_text(DEMO.read_text(encoding="utf-8").replace("budget = 20000", f"budget = {budget}"), encoding="utf-8")
-    assert run(capsys, "check", doc, "--format", "records") == (2, "", message)
-    code, out, err = run(capsys, "check", doc, "--format", "records", "--budget", 20000)
-    assert (code, out.encode("utf-8"), err) == (1, GOLDEN.read_bytes(), "")
+    text = DEMO.read_text(encoding="utf-8").replace("budget = 20000", f"budget = {budget}")
+    doc.write_text(text, encoding="utf-8")
+    # the document's budget is refused at its line as it is parsed, whatever the command line says
+    at = text.splitlines().index(f"budget = {budget}") + 1
+    refused = (2, "", f"error: line {at}: [suite default]: budget {budget} must be at least 1\n")
+    assert run(capsys, "check", doc, "--format", "records") == refused
+    assert run(capsys, "check", doc, "--format", "records", "--budget", 20000) == refused
 
 
 def test_a_window_beyond_the_cap_exits_2_promptly(tmp_path, capsys):

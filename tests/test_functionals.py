@@ -26,6 +26,7 @@ from ordalg.functionals import (
     check_weak_properties,
     enumerate_functionals,
     enumerate_idempotent,
+    law_instances,
     law_verdict,
     monad_check,
     pushforward,
@@ -689,6 +690,40 @@ AXIOM_SETS = [
 ]
 
 
+class TestShiftOutsideTheSpace:
+    """On a non-decreasing space over the skew chain, 2 + (0, 1) = (2, 1)
+    leaves the space.  A symbolic functional is evaluated there; a value
+    table has no value there.  Reporting such a cell as outside the space
+    instead is still open."""
+
+    def space(self):
+        return FunctionSpace(("x1", "x2"), skew_structure(), variant="+")
+
+    def test_a_symbolic_functional_is_evaluated_outside(self):
+        sp = self.space()
+        nu = SupOver(sp, frozenset(sp.points))
+        idem = check_idempotent(nu)
+        assert not idem.sampled
+        assert [law for law, v in idem.verdicts.items() if not v.holds] == ["left-shift"]
+        assert plain(idem["left-shift"].witness) == ("2", ("0", "1"), "2", "1")
+        weak = check_weak_properties(nu)
+        assert [law for law, v in weak.verdicts.items() if not v.holds] == ["weakly-additive"]
+        assert plain(weak["weakly-additive"].witness) == (("0", "1"), "2", "2", "1")
+
+    def test_a_table_has_no_value_outside(self):
+        sp = self.space()
+        with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
+            check_idempotent(tabulate(Dirac(sp, "x1")))
+
+    def test_the_order_laws_of_every_table_compare_a_shift_outside(self):
+        # the order laws read no value outside the space, so a table has
+        # them; with a shift outside, non-expansion is scanned, not decided
+        sp = self.space()
+        for nu in enumerate_functionals(sp):
+            want = scan_oracles.weak_order_laws(nu)[0]
+            assert {law: law_verdict(LazyValues(nu), law) for law in want} == want
+
+
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda sp: sp.name)
     def test_pruned_equals_the_exhaustive_filter(self, space):
@@ -697,6 +732,16 @@ class TestPrunedEnumeration:
             exhaustive = [table for table, rep in reports if all(rep[a].holds for a in axioms)]
             pruned = [nu.table for nu in enumerate_idempotent(space, axioms)]
             assert pruned == exhaustive, axioms
+
+    @pytest.mark.parametrize(
+        "space", [*ORACLE_SPACES, TestShiftOutsideTheSpace().space()], ids=lambda sp: sp.name + (sp.variant or "")
+    )
+    def test_pruned_on_the_order_laws_equals_the_scan_oracle(self, space):
+        wants = [(nu.table, scan_oracles.weak_order_laws(nu)[0]) for nu in enumerate_functionals(space)]
+        for laws in (("order-preserving",), ("non-expanding",), ("order-preserving", "non-expanding")):
+            exhaustive = [table for table, want in wants if all(want[law].holds for law in laws)]
+            pruned = [nu.table for nu in enumerate_functionals(space, law_instances(space, laws))]
+            assert pruned == exhaustive, laws
 
     def test_bool_on_one_point_keeps_the_identity(self):
         assert [nu.table for nu in enumerate_idempotent(bool_space(("x",)))] == [(0, 1)]
@@ -795,16 +840,32 @@ def stored(rows):
     return sum(len(row) for row in rows.values())
 
 
-class TestSharedRelations:
-    """The pair relations and shifts of a space are decided once, for the
-    pairs that scans read, and shared by every functional on it."""
+def compared(monkeypatch) -> Counter:
+    """The pairs (f, g) that `FunctionSpace.leq` is asked to compare from now on, counted."""
+    pairs, leq = Counter(), FunctionSpace.leq
 
-    def test_sampled_grids_store_only_the_pairs_they_read(self):
+    def counted(self, f, g):
+        pairs[f, g] += 1
+        return leq(self, f, g)
+
+    monkeypatch.setattr(FunctionSpace, "leq", counted)
+    return pairs
+
+
+class TestSharedRelations:
+    """The vee and wedge of pairs, the down-sets and the shifts of a space
+    are decided once, for what scans read, and shared by every functional
+    on it; the pointwise order is compared once per pair a scan reads."""
+
+    def test_sampled_grids_store_only_the_pairs_they_read(self, monkeypatch):
         sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
         nu = SupOver(sp, frozenset(("x1", "x4")))
-        n = len(sp.functions())
-        pairs = set(functionals._grid(range(n), range(n), 20000, 0)[0])
+        funcs = sp.functions()
+        n = len(funcs)
+        cells = functionals._grid(range(n), range(n), 20000, 0)[0]
+        pairs = set(cells)
         assert len(pairs) < 20000 < n * n
+        reads = compared(monkeypatch)
 
         idem = check_idempotent(nu, budget=20000, seed=0)
         assert idem.sampled
@@ -815,19 +876,18 @@ class TestSharedRelations:
             "0",
             "1",
         )
-        assert not stored(sp._leq)
+        assert not reads
         assert stored(sp._join_meet) <= len(pairs)
 
         weak = check_weak_properties(nu, budget=20000, seed=0)
         assert weak.sampled and all(v.holds for v in weak.verdicts.values())
-        # every verdict holds, so each pair (f, h) is read, and so is each
-        # pair of f and a constant shift of h
-        shifts = {
-            j: [sp.shift_at("add", c, side, j) for c in MP3.elements for side in ("left", "right")]
-            for _, j in pairs
-        }
-        read = pairs | {(i, q) for i, j in pairs for q in shifts[j]}
-        assert stored(sp._leq) <= len(read)
+        # every verdict holds, so order preservation reads the pair (f, h) of
+        # each cell, and non-expansion f with each constant shift of h: the
+        # pointwise order is compared once for each pair read
+        want = Counter((funcs[i], funcs[j]) for i, j in cells)
+        shifts = product(cells, MP3.elements, ("right", "left"))
+        want.update((funcs[i], funcs[sp.shift_at("add", c, side, j)]) for (i, j), c, side in shifts)
+        assert reads == want
 
     def test_exhaustive_grids_fill_the_tables_once_per_space(self):
         # bool x bool is no chain, so its join and meet pairs are scanned
@@ -835,12 +895,12 @@ class TestSharedRelations:
         n = len(sp.functions())
 
         def sizes():
-            return stored(sp._leq), stored(sp._join_meet), len(sp._shift_positions)
+            return stored(sp._join_meet), len(sp._shift_positions), len(sp._below)
 
         for check in CHECKS.values():
             check(Dirac(sp, "x1"))
         first = sizes()
-        assert first[1] == n * n
+        assert first[0] == n * n and first[2] == n
         for check in CHECKS.values():
             check(SupOver(sp, frozenset(sp.points)))
             check(Dirac(sp, "x3"))
@@ -904,50 +964,16 @@ parts = i2 d0
 """
 
 
-def test_the_idempotent_suite_reads_the_pair_order_once_per_space(monkeypatch):
+def test_the_idempotent_suite_compares_no_pair_when_the_order_laws_hold(monkeypatch):
     """Order preservation and non-expansion are decided from down-sets, so
-    the seven functionals of the space together read the pointwise order
-    of at most |funcs|^2 pairs, not that many each."""
+    the seven functionals of the space, all of whose order laws hold,
+    never compare two functions pointwise."""
     ws = parse(SYMBOLIC_SPACE)
-    reads = Counter()
-    leq_at = FunctionSpace.leq_at
-
-    def counted(self, i, j):
-        reads[self.name] += 1
-        return leq_at(self, i, j)
-
-    monkeypatch.setattr(FunctionSpace, "leq_at", counted)
+    reads = compared(monkeypatch)
     records = suite_idempotent(ws, 20000, 0)
-    n = len(ws.spaces["S"].functions())
     assert len(ws.functionals) == 7 and len(records) == 7 * 9
     assert all(r.verdict.holds for r in records if r.check_id.startswith("weak/"))
-    assert sum(reads.values()) <= n * n
-
-
-class TestShiftOutsideTheSpace:
-    """On a non-decreasing space over the skew chain, 2 + (0, 1) = (2, 1)
-    leaves the space.  A symbolic functional is evaluated there; a value
-    table has no value there.  Reporting such a cell as outside the space
-    instead is still open."""
-
-    def space(self):
-        return FunctionSpace(("x1", "x2"), skew_structure(), variant="+")
-
-    def test_a_symbolic_functional_is_evaluated_outside(self):
-        sp = self.space()
-        nu = SupOver(sp, frozenset(sp.points))
-        idem = check_idempotent(nu)
-        assert not idem.sampled
-        assert [law for law, v in idem.verdicts.items() if not v.holds] == ["left-shift"]
-        assert plain(idem["left-shift"].witness) == ("2", ("0", "1"), "2", "1")
-        weak = check_weak_properties(nu)
-        assert [law for law, v in weak.verdicts.items() if not v.holds] == ["weakly-additive"]
-        assert plain(weak["weakly-additive"].witness) == (("0", "1"), "2", "2", "1")
-
-    def test_a_table_has_no_value_outside(self):
-        sp = self.space()
-        with pytest.raises(InputError, match=r"\{x1: 2, x2: 1\} is not a function of"):
-            check_idempotent(tabulate(Dirac(sp, "x1")))
+    assert not reads
 
 
 def outcome(check, *args):
@@ -1044,6 +1070,11 @@ class TestPointMapsAgainstTheScanOracles:
                 want = scan_oracles.check_idempotent(nu, budget, seed)
                 assert list(got.verdicts.items()) == list(want.verdicts.items())
                 assert got.sampled == want.sampled
+                # the order laws, decided from the down-set bounds on the exhaustive grid
+                weak = check_weak_properties(nu, budget, seed)
+                want, sampled = scan_oracles.weak_order_laws(nu, budget, seed)
+                want.update(scan_oracles.weak_laws(nu))
+                assert ({law: weak[law] for law in want}, weak.sampled) == (want, sampled)
             for kind in ("join", "meet", "add"):
                 assert outcome(check_kind, nu, kind) == outcome(scan_oracles.check_kind, nu, kind)
 

@@ -168,16 +168,23 @@ COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("builtin = boolean", "builtin = bool", "line 2: unknown builtin structure 'bool'"),
-        ("points = x y", "points = x y\nvariant = up", "line 4: [space S]: unknown variant 'up'"),
-        ("kind = dirac", "kind = delta", "line 14: unknown functional kind 'delta'"),
-        ("side = left", "side = middle", "line 34: [functional c]: unknown side 'middle'"),
+        ("builtin = boolean", "builtin = bool", "line 2: [structure b]: unknown builtin structure 'bool'"),
+        (
+            "builtin = boolean",
+            "builtin = max-plus-chain 1",
+            "line 2: [structure b]: maxplus chain needs at least 2 elements",
+        ),
+        ("points = x y", "points = x y\nvariant = up", "line 7: [space S]: unknown variant 'up'"),
+        ("kind = dirac", "kind = delta", "line 14: [functional nu]: unknown functional kind 'delta'"),
+        ("side = left", "side = middle", "line 39: [functional c]: unknown side 'middle'"),
+        ("run = laws", "run = laws monads", "line 32: [suite default]: unknown suite 'monads'"),
+        ("run = laws", "run = laws\nbudget = 0", "line 33: [suite default]: budget 0 must be at least 1"),
     ],
-    ids=["builtin", "variant", "functional-kind", "combo-side"],
+    ids=["builtin", "builtin-refused", "variant", "functional-kind", "combo-side", "suite-run", "suite-budget"],
 )
 def test_an_unknown_value_exits_2_at_its_line_or_its_section(tmp_path, capsys, old, new, message):
-    # an enumerated value that its builder refuses is reported at the key's line, and
-    # one that the object it builds refuses at the line of the section's header
+    # a value refused by the parser or by what it builds is reported at the
+    # key's line, with its section's prefix, before any check runs
     text = EVERY_KIND + COMBO
     assert run_check(tmp_path, capsys, text) == (0, "")
     assert run_check(tmp_path, capsys, text.replace(old, new, 1)) == (2, f"error: {message}\n")
