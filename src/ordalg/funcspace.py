@@ -84,12 +84,11 @@ class FunctionSpace:
     The points, K and the variant are never mutated after
     construction, so what is derived from them is built once, on first
     use: the member functions (and, on a monotone space, their positions
-    by value tuple), and, by position and each when first read, the
-    guarded vee and wedge of two members (`join_meet_at`, read only by
-    scans of pairs), the members below a member (`down_set`, read by the
-    order laws' decision), the constant shifts of a member (`shift_at`)
-    and the law instances of functionals on the space
-    (`functionals.law_instances`).
+    by value tuple), their one-point lower neighbours and their constant
+    shifts (`lower_neighbours`, `shift_map`), which laws of functionals
+    are decided from, the guarded vee and wedge of a pair of members
+    (`join_meet_at`), when first read by a scan, and the law instances
+    of functionals (`functionals.law_instances`) that a scan compiles.
     """
 
     def __init__(self, points, K: FinStruct, variant: str | None = None, name: str = ""):
@@ -107,9 +106,9 @@ class FunctionSpace:
         self._positions: dict[tuple, int] | None = None
         # rows by first position: small positions are shared ints, so keys cost nothing
         self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
-        self._below: dict[int, list[int]] = {}
-        self._shift_positions: dict[tuple, int | KFunction] = {}
-        self._instances: dict[str, list] = {}
+        self._lower: list[tuple[int, list[int]]] | None = None
+        self._shifts: dict[tuple, tuple[tuple, list]] = {}
+        self._instances: dict[str | tuple, list] = {}
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------
@@ -274,11 +273,7 @@ class FunctionSpace:
     def leq(self, f: KFunction, g: KFunction) -> bool:
         """The pointwise order, read point by point from K's up-sets."""
         self._require(f, g)
-        above = self.K.order.above
-        for a, b in zip(f.values, g.values):
-            if b not in above[a]:
-                return False
-        return True
+        return all(map(frozenset.__contains__, map(self.K.order.above.__getitem__, f.values), g.values))
 
     # -- relations among members, by position in `functions()`, once made -------
 
@@ -296,18 +291,32 @@ class FunctionSpace:
         halves = row[j]
         return None if halves is None else halves[k]
 
-    def down_set(self, q: int) -> list[int]:
-        """The positions of the members below the member at position q, decided once per q."""
-        if q not in self._below:
-            self._below[q] = self.positions_within([self.K.order.below[v] for v in self._funcs[q].values])
-        return self._below[q]
+    def lower_neighbours(self) -> list[tuple[int, list[int]]]:
+        """Each member's position with those of its one-point lower
+        neighbours, the members equal to it but strictly lower at one
+        point; made once, each member after its neighbours (in K's partial
+        order their values have fewer elements below them)."""
+        if self._lower is None:
+            below, funcs, self._lower = self.K.order.below, self.functions(), []
+            for q in sorted(range(len(funcs)), key=lambda q: sum(len(below[v]) for v in funcs[q].values)):
+                vs = funcs[q].values
+                cut = (vs[:x] + (a,) + vs[x + 1 :] for x, v in enumerate(vs) for a in below[v] - {v})
+                self._lower.append((q, [r for r in map(self._index, cut) if r is not None]))
+        return self._lower
 
-    def shift_at(self, op: str, c: int, side: str, i: int):
-        """The position of the constant shift of the member at position i,
-        by `odot` (op "add") or `scale` (op "mul"); a shift that is not a
-        member, as in a monotone space, is returned as the function."""
-        key = (op, c, side, i)
-        if key not in self._shift_positions:
-            g = (self.odot if op == "add" else self.scale)(c, self._funcs[i], side)
-            self._shift_positions[key] = self.position_of(g)
-        return self._shift_positions[key]
+    def shift_map(self, op: str, c: int, side: str) -> tuple[tuple, list]:
+        """The constant c put on `side` by K's add (op "add", as `odot`) or
+        mul ("mul", as `scale`), as a row, row[a] = c o a, and as the
+        position of c o f for each member f in order; made once.  A shift
+        that is not a member, as on a monotone space, is kept as the function."""
+        if (op, c, side) not in self._shifts:
+            table = self.K.add if op == "add" else self.K.mul
+            row = table[c] if side == "left" else tuple(r[c] for r in table)
+            if self.variant is None:  # c o f has the digit row[f(x)] at x, in base |K|
+                m = len(self.points)
+                shifted = list(map(sum, product(*([a * len(row) ** (m - 1 - x) for a in row] for x in range(m)))))
+            else:
+                shift = self.odot if op == "add" else self.scale
+                shifted = [self.position_of(shift(c, f, side)) for f in self.functions()]
+            self._shifts[op, c, side] = row, shifted
+        return self._shifts[op, c, side]

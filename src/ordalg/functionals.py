@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby, product
 from operator import itemgetter
 
@@ -235,22 +235,21 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     and "non-expanding" (`check_weak_properties`) and "add"
     (`check_kind`), each in its checker's cell order, and
     "left-homogeneous" and "right-homogeneous", which no checker runs and
-    `law_verdict` decides.  A law's whole grid is compiled once per
-    space, when first read; `cells`, a sampled grid from `_grid`, compiles
-    only those cells, as they are read.  A shift or sum that leaves a
+    `law_verdict` decides.  A law's instances over its whole grid, or
+    over `cells`, a sampled grid from `_grid`, are compiled once per space
+    and grid, when first read; on the whole grid `law_verdict` compiles
+    only the laws no theorem decides there.  A shift or sum that leaves a
     monotone space keeps the function as its position (the order laws
-    compare it with f as they compile, and read members only).
-    Nothing is made before the first run is read, so the enumerator
-    applies its cap first.
+    compare it with f as they compile, and read members only).  Nothing
+    is made before the first run is read, so the enumerator applies its
+    cap first.
     """
     for law in laws:
-        if cells is not None:
-            yield from _runs(_instances(space, law, cells))
-            continue
-        made = space._instances.get(law)
+        key = law if cells is None else (law, cells)
+        made = space._instances.get(key)
         if made is None:
-            runs = _runs(_instances(space, law, None))
-            made = space._instances[law] = [(test, witness, list(group)) for test, witness, group in runs]
+            runs = _runs(_instances(space, law, cells))
+            made = space._instances[key] = [(test, witness, list(group)) for test, witness, group in runs]
         yield from made
 
 
@@ -281,19 +280,17 @@ def _instances(space: FunctionSpace, law: str, cells):
                 lambda t, pos, c=c: t[pos[0]] == c,
                 lambda t, pos, c=c: ((names[c], names[t[pos[0]]]), ""),
             )
-    elif law in ("left-shift", "right-shift", "left-homogeneous", "right-homogeneous"):
-        side, name = law.split("-")
-        op, arrange = ("add", tuple) if name == "shift" else ("mul", lambda w: w[:2])
-        laws = {c: _shift_law(space, op, c, side, arrange) for c in K.elements}
-        for c, p in product(K.elements, n) if cells is None else cells:
-            yield (p, space.shift_at(op, c, side, p)), *laws[c]
-    elif law == "weakly-additive":
-        # h outer, c inner, the right side before the left
-        sides = ("right", "left")
-        arrange = itemgetter(1, 0, 2, 3)
-        laws = {(c, s): _shift_law(space, "add", c, s, arrange) for c in K.elements for s in sides}
-        for p, c, side in product(n, K.elements, sides):
-            yield (p, space.shift_at("add", c, side, p)), *laws[c, side]
+    elif law in SHIFT_LAWS and law != "non-expanding":
+        op, sides = _shifts_read(law)
+        arrange = itemgetter(1, 0, 2, 3) if law == "weakly-additive" else (lambda w: w[:2]) if op == "mul" else tuple
+        laws = {(c, s): _shift_law(space, op, c, s, arrange) for c in K.elements for s in sides}
+        if law == "weakly-additive":  # h outer, c inner, the right side before the left
+            grid = product(n, K.elements, sides)
+        else:
+            grid = ((p, c, sides[0]) for c, p in (product(K.elements, n) if cells is None else cells))
+        for p, c, side in grid:
+            shifted, test, witness = laws[c, side]
+            yield (p, shifted[p]), test, witness
     elif law in ("join", "meet"):
         k = 0 if law == "join" else 1
         picks = K.order.picks
@@ -333,34 +330,41 @@ def _instances(space: FunctionSpace, law: str, cells):
         # nu(f) <= nu(h) at f <= h; a shift outside a monotone space is compared as it is
         shifts = [(None, None)] if law == "order-preserving" else list(product(K.elements, ("right", "left")))
         laws = {shift: _bound_law(space, *shift) for shift in shifts}
+        maps = {(c, side): space.shift_map("add", c, side)[1] for c, side in shifts if c is not None}
         for p, q in product(n, n) if cells is None else cells:
+            under = {}  # f is compared once with each distinct shift of h
             for c, side in shifts:
-                g = q if c is None else space.shift_at("add", c, side, q)
-                if space.leq(funcs[p], funcs[g] if isinstance(g, int) else g):
+                g = q if c is None else maps[c, side][q]
+                if g not in under:
+                    under[g] = space.leq(funcs[p], funcs[g] if isinstance(g, int) else g)
+                if under[g]:
                     yield (p, q), *laws[c, side]
     else:
         raise InputError(f"unknown law {law!r}")
 
 
+def _shifts_read(law: str) -> tuple[str, tuple]:
+    """The op ("add" or "mul") and the sides of the constant shifts a law of `SHIFT_LAWS` reads."""
+    sides = (law.split("-")[0],) if law.startswith(SIDES) else ("right", "left")
+    return "mul" if law.endswith("homogeneous") else "add", sides
+
+
 def _shift_law(space: FunctionSpace, op: str, c: int, side: str, arrange):
-    """The test and witness of nu(c o f) = c o nu(f) at positions
+    """The positions of c o f by position of f (`FunctionSpace.shift_map`),
+    and the test and witness of nu(c o f) = c o nu(f) at positions
     (f, c o f), with o the add (op "add") or mul ("mul") of K put on
     `side`; the witness is `arrange((c, f, lhs, rhs))`, in names."""
-    table = space.K.add if op == "add" else space.K.mul
-    names = space.K.names
-    funcs = space.functions()
-
-    def rhs(t, p):
-        return table[c][t[p]] if side == "left" else table[t[p]][c]
+    row, shifted = space.shift_map(op, c, side)
+    names, funcs = space.K.names, space.functions()
 
     def test(t, pos):
-        return t[pos[1]] == rhs(t, pos[0])
+        return t[pos[1]] == row[t[pos[0]]]
 
     def witness(t, pos):
         p, q = pos
-        return arrange((names[c], funcs[p], names[t[q]], names[rhs(t, p)])), ""
+        return arrange((names[c], funcs[p], names[t[q]], names[row[t[p]]])), ""
 
-    return test, witness
+    return shifted, test, witness
 
 
 def _bound_law(space: FunctionSpace, c: int | None, side: str | None):
@@ -381,6 +385,8 @@ def _bound_law(space: FunctionSpace, c: int | None, side: str | None):
 
 
 IDEMPOTENT_AXIOMS = ("normalized", "left-shift", "right-shift", "join", "meet")
+# the laws that read constant shifts, which `law_verdict` decides from the shift maps
+SHIFT_LAWS = ("left-shift", "right-shift", "left-homogeneous", "right-homogeneous", "weakly-additive", "non-expanding")
 
 
 def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
@@ -401,14 +407,15 @@ def enumerate_idempotent(space: FunctionSpace, axioms=IDEMPOTENT_AXIOMS):
 # axiom checkers
 
 
+@lru_cache(maxsize=8)
 def _grid(first, second, budget, seed):
     """The cells (a, b) of first x second, and whether they were sampled:
     None for all of them when they fit the budget, else `budget` random
-    draws."""
+    draws, made once for the functionals that share them."""
     if budget is None or len(first) * len(second) <= budget:
         return None, False
     rng = random.Random(seed)
-    return [(rng.choice(first), rng.choice(second)) for _ in range(budget)], True
+    return tuple((rng.choice(first), rng.choice(second)) for _ in range(budget)), True
 
 
 class LazyValues(dict):
@@ -426,10 +433,21 @@ class LazyValues(dict):
         return v
 
     @cached_property
+    def table(self) -> list[int]:
+        """The values of every member, in position order."""
+        return list(map(self.__getitem__, range(len(self.funcs))))
+
+    @cached_property
     def bounds(self) -> list[frozenset]:
-        """bounds[q]: the upper bounds of the values over the members below the member at q."""
-        above, down = self.nu.space.K.order.above, self.nu.space.down_set
-        return [frozenset.intersection(*{above[self[i]] for i in down(q)}) for q in range(len(self.funcs))]
+        """bounds[q]: the upper bounds of the values over the members below
+        the member f at q, which is above[nu(f)] cut by the bounds of f's
+        one-point lower neighbours.  A member g < f is below the neighbour
+        that takes g's value at one point where they differ: any on a space
+        with no variant, the first on a "+" space and the last on a "-" one."""
+        above, bounds = self.nu.space.K.order.above, [None] * len(self.funcs)
+        for q, lower in self.nu.space.lower_neighbours():
+            bounds[q] = above[self[q]].intersection(*map(bounds.__getitem__, lower))
+        return bounds
 
 
 def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Verdict:
@@ -452,10 +470,19 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
     The chain makes every pair an instance and no variant every e_x(a) a
     member.  This reads |C(X,K)||X| + |X||K|^2 values, not |C(X,K)|^2 pairs.
 
+    The shift laws and homogeneity read the whole value table t over the
+    shift maps (row, P) of `shift_map`: the instance at (c, f) is
+    t[P[f]] = row[t[f]], so the law holds at c exactly when
+    `list(map(t.__getitem__, P)) == list(map(row.__getitem__, t))`.
+    Weak additivity's instances are those of both shift laws, so on the
+    whole grid it is their conjunction.
+
     `order-preserving` and `non-expanding` read the upper bounds of nu
     over each down-set (`LazyValues.bounds`): nu(f) <= b for all f <= g
     exactly when b bounds the down-set of g, so they hold when each nu(h),
-    or c o nu(h), bounds the down-set of h, or of c o h when it is a member.
+    or c o nu(h), bounds the down-set of h, or of c o h.  A shift that
+    leaves a monotone space has no position, so there the laws that read
+    shifts are scanned.
     """
     space, K = values.nu.space, values.nu.space.K
     decided = None
@@ -463,15 +490,17 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
         if all(None not in row for row in K.order.picks):
             decided = _point_maps_hold(values, ("join", "meet").index(law))
     elif cells is None and law == "order-preserving":
-        decided = all(values[q] in bound for q, bound in enumerate(values.bounds))
-    elif cells is None and law == "non-expanding":
-        cases = product(range(len(values.funcs)), K.elements, ("right", "left"))
-        bounded = [
-            (space.shift_at("add", c, side, j), K.add[values[j]][c] if side == "right" else K.add[c][values[j]])
-            for j, c, side in cases
-        ]
-        if all(isinstance(q, int) for q, _ in bounded):
-            decided = all(b in values.bounds[q] for q, b in bounded)
+        decided = all(map(frozenset.__contains__, values.bounds, values.table))
+    elif cells is None and law in SHIFT_LAWS:
+        op, sides = _shifts_read(law)
+        maps = [space.shift_map(op, c, s) for c in K.elements for s in sides]
+        if space.variant is None or all(isinstance(q, int) for _, P in maps for q in P):
+            t = values.table
+            if law == "non-expanding":
+                bounds = values.bounds
+                decided = all(row[v] in bounds[q] for row, P in maps for q, v in zip(P, t))
+            else:
+                decided = all(list(map(t.__getitem__, P)) == list(map(row.__getitem__, t)) for row, P in maps)
     if decided:
         return Verdict.passed(name or law)
     runs = _runs(_instances(space, law, None)) if decided is False else law_instances(space, (law,), cells)

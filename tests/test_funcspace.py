@@ -321,9 +321,15 @@ class TestOrderLookups:
 
     @pytest.mark.parametrize("sp", LEQ_SPACES, ids=lambda sp: sp.name + (sp.variant or ""))
     def test_down_sets_vee_and_wedge_are_the_pointwise_ones(self, sp):
-        members = sp.functions()
+        # a member's down-set is itself with its one-point lower neighbours' down-sets
+        members, down = sp.functions(), {}
+        for q, lower in sp.lower_neighbours():
+            g = members[q]
+            one_point = [i for i, f in enumerate(members) if sum(a != b for a, b in zip(f.values, g.values)) == 1]
+            assert sorted(lower) == [i for i in one_point if scan_oracles.pointwise_leq(sp, members[i], g)]
+            down[q] = {q}.union(*map(down.__getitem__, lower))
         for q, g in enumerate(members):
-            assert sorted(sp.down_set(q)) == [i for i, f in enumerate(members) if scan_oracles.pointwise_leq(sp, f, g)]
+            assert sorted(down[q]) == [i for i, f in enumerate(members) if scan_oracles.pointwise_leq(sp, f, g)]
         incomparable = 0
         for (i, f), (j, g) in product(enumerate(members), repeat=2):
             try:
@@ -360,15 +366,29 @@ class TestOrderLookups:
             sp.function({"x1": "0"})
         assert sp.function({"x1": "0", "x2": "1"}).values == (0, 1)
 
-    def test_a_shift_position_is_kept_once(self):
+    @pytest.mark.parametrize("sp", LEQ_SPACES, ids=lambda sp: sp.name + (sp.variant or ""))
+    def test_shift_maps_are_the_pointwise_shifts(self, sp):
+        K, members = scan_oracles.Named(sp.K), sp.functions()
+        outside = 0
+        for op, c, side in product(("add", "mul"), sp.K.elements, ("left", "right")):
+            table, a = (K.add if op == "add" else K.mul), sp.K.names[c]
+            row, shifted = sp.shift_map(op, c, side)
+            assert [sp.K.names[v] for v in row] == [table[(a, b) if side == "left" else (b, a)] for b in K.elements]
+            for f, g in zip(members, shifted):
+                want = scan_oracles.make(sp, [table[(a, b) if side == "left" else (b, a)] for b in scan_oracles.named(f)])
+                assert (members[g] if isinstance(g, int) else g) == want
+                outside += not isinstance(g, int)
+        assert bool(outside) == (sp.K.name == "skew")
+
+    def test_a_shift_map_is_made_once(self):
         sp = space(points=("x1", "x2"), K=MP3)
         f = sp.function({"x1": "1", "x2": "0"})
         i = sp.functions().index(f)
-        q = sp.shift_at("add", 2, "right", i)
-        assert sp.functions()[q] == sp.odot(2, f, "right") == sp.pointwise("add", f, sp.constant(2))
-        assert sp.shift_at("add", 2, "right", i) == q
-        assert sp.functions()[sp.shift_at("mul", 2, "right", i)] == sp.scale(2, f, "right")
-        assert len(sp._shift_positions) == 2
+        made = sp.shift_map("add", 2, "right")
+        assert sp.functions()[made[1][i]] == sp.odot(2, f, "right") == sp.pointwise("add", f, sp.constant(2))
+        assert sp.shift_map("add", 2, "right") is made
+        assert sp.functions()[sp.shift_map("mul", 2, "right")[1][i]] == sp.scale(2, f, "right")
+        assert len(sp._shifts) == 2
 
     def test_leq_refuses_a_foreign_domain(self):
         sp = space()

@@ -853,9 +853,10 @@ def compared(monkeypatch) -> Counter:
 
 
 class TestSharedRelations:
-    """The vee and wedge of pairs, the down-sets and the shifts of a space
-    are decided once, for what scans read, and shared by every functional
-    on it; the pointwise order is compared once per pair a scan reads."""
+    """The vee and wedge of pairs, the lower neighbours, the shift maps
+    and the instances of a grid are decided once per space, for what
+    scans read, and shared by every functional on it; the pointwise order
+    is compared once per pair a grid's order laws read."""
 
     def test_sampled_grids_store_only_the_pairs_they_read(self, monkeypatch):
         sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
@@ -882,11 +883,15 @@ class TestSharedRelations:
         weak = check_weak_properties(nu, budget=20000, seed=0)
         assert weak.sampled and all(v.holds for v in weak.verdicts.values())
         # every verdict holds, so order preservation reads the pair (f, h) of
-        # each cell, and non-expansion f with each constant shift of h: the
-        # pointwise order is compared once for each pair read
+        # each cell, and non-expansion f with each distinct constant shift
+        # of h: the pointwise order is compared once for each pair read
         want = Counter((funcs[i], funcs[j]) for i, j in cells)
-        shifts = product(cells, MP3.elements, ("right", "left"))
-        want.update((funcs[i], funcs[sp.shift_at("add", c, side, j)]) for (i, j), c, side in shifts)
+        for i, j in cells:
+            shifted = {sp.shift_map("add", c, side)[1][j] for c, side in product(MP3.elements, ("right", "left"))}
+            want.update((funcs[i], funcs[g]) for g in shifted)
+        assert reads == want
+        # the instances of the grid are compiled once, for every functional on the space
+        assert check_weak_properties(Dirac(sp, "x2"), budget=20000, seed=0) == weak
         assert reads == want
 
     def test_exhaustive_grids_fill_the_tables_once_per_space(self):
@@ -895,12 +900,12 @@ class TestSharedRelations:
         n = len(sp.functions())
 
         def sizes():
-            return stored(sp._join_meet), len(sp._shift_positions), len(sp._below)
+            return stored(sp._join_meet), {key: id(made) for key, made in sp._shifts.items()}, len(sp._lower)
 
         for check in CHECKS.values():
             check(Dirac(sp, "x1"))
         first = sizes()
-        assert first[0] == n * n and first[2] == n
+        assert first[0] == n * n and len(first[1]) == 2 * len(sp.K.elements) and first[2] == n
         for check in CHECKS.values():
             check(SupOver(sp, frozenset(sp.points)))
             check(Dirac(sp, "x3"))
@@ -974,6 +979,30 @@ def test_the_idempotent_suite_compares_no_pair_when_the_order_laws_hold(monkeypa
     assert len(ws.functionals) == 7 and len(records) == 7 * 9
     assert all(r.verdict.holds for r in records if r.check_id.startswith("weak/"))
     assert not reads
+
+
+def test_the_demo_decides_its_shift_laws_from_shared_shift_maps(monkeypatch):
+    """On the demo workspace no shift law compiles an instance list, and
+    each shift map is made once per (op, c, side) and read by every
+    functional on its space."""
+    shift_map, made, read = FunctionSpace.shift_map, Counter(), Counter()
+
+    def counted(self, op, c, side):
+        made[self, op, c, side] += (op, c, side) not in self._shifts
+        read[self, op, c, side] += 1
+        return shift_map(self, op, c, side)
+
+    monkeypatch.setattr(FunctionSpace, "shift_map", counted)
+    ws = parse((Path(__file__).resolve().parent.parent / "docs" / "demo.workspace").read_text())
+    records = suite_idempotent(ws, 20000, 0)
+    assert any(r.verdict.holds for r in records if r.law.endswith("shift"))
+    for nu in ws.functionals.values():
+        homogeneity(nu)
+    for space in ws.spaces.values():
+        assert not set(space._instances) & set(functionals.SHIFT_LAWS)
+    on_space = Counter(nu.space for nu in ws.functionals.values())
+    assert made and set(made.values()) == {1}
+    assert all(read[key] >= on_space[key[0]] > 1 for key in made)
 
 
 def outcome(check, *args):
@@ -1103,6 +1132,103 @@ class TestPointMapsAgainstTheScanOracles:
         got = check_idempotent(nu, budget, 0)
         assert list(got.verdicts.items()) == list(scan_oracles.check_idempotent(nu, budget, 0).verdicts.items())
         assert calls == ([0, 1] if read else [])
+
+
+# spaces beyond `ORACLE_SPACES` whose shift laws are decided: no shift leaves them
+DECIDED_SPACES = [
+    mp3_space(),
+    bool_space(("x1", "x2", "x3", "x4")),
+    FunctionSpace(("x1", "x2"), MP4),
+    FunctionSpace(("x1", "x2"), direct_product(boolean_semiring("a"), boolean_semiring("b"))),
+    FunctionSpace(("x1", "x2"), right_dist_only()),
+    FunctionSpace(("x1", "x2", "x3"), MP3, variant="+"),
+    FunctionSpace(("x1", "x2", "x3", "x4"), MP3, variant="-"),
+]
+
+
+def cyclic_structure():
+    """The chain 0 < 1 < 2 with addition and multiplication mod 3: a
+    constant shift wraps around, so it leaves a monotone space."""
+    elems = ("0", "1", "2")
+    add = {(a, b): str((int(a) + int(b)) % 3) for a in elems for b in elems}
+    mul = {(a, b): str(int(a) * int(b) % 3) for a in elems for b in elems}
+    return FinStruct("z3", OrderRelation.chain(elems), add, mul, "0", "1")
+
+
+# monotone spaces with several shifts outside them; on the first, two
+# tables break non-expansion only at a shift outside
+OUTSIDE_SPACES = [
+    FunctionSpace(("x1", "x2"), cyclic_structure(), variant="+"),
+    FunctionSpace(("x1", "x2", "x3"), cyclic_structure(), variant="-"),
+    FunctionSpace(("x1", "x2", "x3"), skew_structure(), variant="+"),
+]
+DECIDED_LAWS = (*functionals.SHIFT_LAWS, "order-preserving")
+
+
+@st.composite
+def bent_tables(draw, spaces):
+    """The value table of a Dirac, sup or inf on a drawn space, or that
+    table with one cell in its last quarter changed, so that a law may
+    fail only at a late instance."""
+    space = draw(st.sampled_from(spaces))
+    subset = frozenset(draw(st.lists(st.sampled_from(space.points), min_size=1, unique=True)))
+    kind = draw(st.sampled_from((Dirac, SupOver, InfOver)))
+    table = list(signature(Dirac(space, min(subset)) if kind is Dirac else kind(space, subset)))
+    if draw(st.booleans()):
+        i = draw(st.integers(3 * len(table) // 4, len(table) - 1))
+        table[i] = draw(st.sampled_from([v for v in space.K.elements if v != table[i]]))
+    return TableFunctional(space, tuple(table))
+
+
+def oracle_laws(nu) -> dict:
+    """The verdicts of `DECIDED_LAWS` from the scan oracles."""
+    shifts = {law: v for law, v in scan_oracles.check_idempotent(nu).verdicts.items() if law.endswith("-shift")}
+    weak = scan_oracles.weak_laws(nu)
+    del weak["normalized"]
+    return {**shifts, **weak, **scan_oracles.weak_order_laws(nu)[0], **scan_oracles.check_homogeneous(nu)}
+
+
+class TestShiftDecisionAgainstTheScanOracles:
+    """The shift family and the order laws, decided from the shift maps
+    and the lower neighbours' bounds, give the verdicts and witnesses of
+    the scans; where a shift leaves a monotone space they are scanned."""
+
+    # every table of `ORACLE_SPACES` is `TestLawsAgainstTheScanOracles.test_every_table`
+    @settings(max_examples=40, deadline=None)
+    @given(bent_tables(DECIDED_SPACES))
+    def test_drawn_tables(self, nu):
+        values = LazyValues(nu)
+        assert {law: law_verdict(values, law) for law in DECIDED_LAWS} == oracle_laws(nu)
+
+    @pytest.mark.parametrize("space", OUTSIDE_SPACES, ids=lambda sp: sp.name + sp.variant)
+    def test_several_shifts_leave_the_space(self, space):
+        shifts = product(("add", "mul"), space.K.elements, ("left", "right"))
+        outside = [q for op, c, side in shifts for q in space.shift_map(op, c, side)[1] if isinstance(q, KFunction)]
+        assert len(outside) >= 3
+
+    def test_every_table_outside(self):
+        # a table has no value outside the space, but its order laws read none
+        for nu in enumerate_functionals(OUTSIDE_SPACES[0]):
+            want = scan_oracles.weak_order_laws(nu)[0]
+            assert {law: law_verdict(LazyValues(nu), law) for law in want} == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(bent_tables(OUTSIDE_SPACES[1:]))
+    def test_drawn_tables_outside(self, nu):
+        want = scan_oracles.weak_order_laws(nu)[0]
+        assert {law: law_verdict(LazyValues(nu), law) for law in want} == want
+
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            *(kind(sp, frozenset(E)) for sp in OUTSIDE_SPACES[1:] for kind in (SupOver, InfOver) for E in combinations(sp.points, 2)),
+            *(Dirac(sp, x) for sp in OUTSIDE_SPACES for x in sp.points),
+        ],
+        ids=lambda nu: f"{nu.space.K.name}-{nu}",
+    )
+    def test_symbolic_functionals_outside(self, nu):
+        # a symbolic functional is evaluated at a shift outside the space
+        TestLawsAgainstTheScanOracles.assert_agree(nu)
 
 
 def test_the_enumerator_refuses_a_shift_outside_the_space(monkeypatch):
