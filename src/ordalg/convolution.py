@@ -28,7 +28,6 @@ from .funcspace import FunctionSpace, KFunction
 from .functionals import (
     Dirac,
     Functional,
-    LazyValues,
     TableFunctional,
     enumerate_functionals,
     law_instances,
@@ -165,19 +164,12 @@ def _require_action_space(nu: Functional, sys: ActionSystem) -> None:
 def convolve(nu: Functional, lam: Functional, sys: ActionSystem) -> TableFunctional:
     """nu * lam as a value table: (nu * lam)(f) = nu(h_f), read along
     lam's positions `sys.along` (see the module docstring).  A lam that is
-    not a table is tabulated; such a nu is read through `LazyValues`."""
+    not a table is tabulated; nu is read through its `values`."""
     if tuple(sys.points) != tuple(sys.G.elements):
         raise PreconditionError("convolution requires the action on X = G itself")
     for part in (nu, lam):
         _require_action_space(part, sys)
-    outer = _values(nu, len(sys.space.functions()))
-    return TableFunctional(sys.space, tuple(map(outer.__getitem__, sys.along(tabulate(lam).table))))
-
-
-def _values(nu: Functional, n: int):
-    """nu's first n values by position: a table long enough is read as it
-    is; any other part through `LazyValues`, which evaluates it."""
-    return nu.table if isinstance(nu, TableFunctional) and len(nu.table) >= n else LazyValues(nu)
+    return TableFunctional(sys.space, tuple(map(nu.values.__getitem__, sys.along(tabulate(lam).table))))
 
 
 def dirac_unit(sys: ActionSystem) -> Dirac:
@@ -193,14 +185,14 @@ def check_kind(nu: Functional, kind: str) -> Verdict:
     join/meet: compatibility with guarded pointwise max/min.  The verdict
     is the first failing instance of the law (`law_instances`)."""
     _require_kind(kind, nu.space.K)
-    return law_verdict(LazyValues(nu), kind, name=f"kind-{kind}")
+    return law_verdict(nu.values, kind, name=f"kind-{kind}")
 
 
 def check_invariant(nu: Functional, sys: ActionSystem) -> Verdict:
     """Invariance under the whole representation: the functional cannot
     tell a function from any of its translates."""
     _require_action_space(nu, sys)
-    values, funcs, names = LazyValues(nu), sys.space.functions(), sys.K.names
+    values, funcs, names = nu.values, sys.space.functions(), sys.K.names
     for g, row in zip(sys.G.elements, sys.moved):
         for i, j in enumerate(row):
             if values[j] != values[i]:
@@ -220,9 +212,8 @@ def plus_kind(kind: str, nu: Functional, lam: Functional) -> TableFunctional:
     """The kind's addition of two functionals, value by value."""
     space, K = nu.space, nu.space.K
     _require_kind(kind, K)
-    n = len(space.functions())
-    nus, lams = _values(nu, n), _values(lam, n)
-    pairs = ((nus[i], lams[i]) for i in range(n))
+    nus, lams = nu.values, lam.values
+    pairs = ((nus[i], lams[i]) for i in range(len(space.functions())))
     if kind == "add":
         return TableFunctional(space, tuple(K.add[a][b] for a, b in pairs))
     k, picks, values = (0 if kind == "join" else 1), K.order.picks, []

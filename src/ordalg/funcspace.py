@@ -17,7 +17,6 @@ a number in base |K|; only a monotone space keeps a position map.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CapacityError, IncomparableError, InputError
@@ -86,9 +85,10 @@ class FunctionSpace:
     use: the member functions (and, on a monotone space, their positions
     by value tuple), their one-point lower neighbours and their constant
     shifts (`lower_neighbours`, `shift_map`), which laws of functionals
-    are decided from, the guarded vee and wedge of a pair of members
-    (`join_meet_at`), when first read by a scan, and the law instances
-    of functionals (`functionals.law_instances`) that a scan compiles.
+    are decided from, and the law instances of functionals that a scan
+    compiles (`functionals.law_instances`); the join and meet instances
+    keep the positions of the guarded vee and wedge of each pair they
+    read (`join_meet_at`).
     """
 
     def __init__(self, points, K: FinStruct, variant: str | None = None, name: str = ""):
@@ -104,8 +104,6 @@ class FunctionSpace:
             raise InputError(f"unknown variant {variant!r}")
         self._funcs: tuple[KFunction, ...] | None = None
         self._positions: dict[tuple, int] | None = None
-        # rows by first position: small positions are shared ints, so keys cost nothing
-        self._join_meet: defaultdict[int, dict[int, tuple | None]] = defaultdict(dict)
         self._lower: list[tuple[int, list[int]]] | None = None
         self._shifts: dict[tuple, tuple[tuple, list]] = {}
         self._instances: dict[str | tuple, list] = {}
@@ -279,17 +277,16 @@ class FunctionSpace:
 
     def join_meet_at(self, i: int, j: int, k: int) -> int | None:
         """The position of vee (k = 0) or wedge (k = 1) of the members at
-        positions i and j, or None when some point has incomparable values.
-        Both are decided once per pair, from K's (join, meet) of each pair
-        of values (the vee and wedge of two members are members, monotone
-        ones too)."""
-        row = self._join_meet[i]
-        if j not in row:
-            pick = self.K.order.picks
-            picks = [pick[a][b] for a, b in zip(self._funcs[i].values, self._funcs[j].values)]
-            row[j] = None if None in picks else tuple(map(self._index, zip(*picks)))
-        halves = row[j]
-        return None if halves is None else halves[k]
+        positions i and j, or None when some point has incomparable values,
+        read from K's (join, meet) of each pair of values (the vee and wedge
+        of two members are members, monotone ones too)."""
+        picks, funcs, picked = self.K.order.picks, self._funcs, []
+        for a, b in zip(funcs[i].values, funcs[j].values):
+            pair = picks[a][b]
+            if pair is None:
+                return None
+            picked.append(pair[k])
+        return self._index(tuple(picked))
 
     def lower_neighbours(self) -> list[tuple[int, list[int]]]:
         """Each member's position with those of its one-point lower

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from functools import cached_property, lru_cache
-from itertools import groupby, product
+from itertools import product
 from operator import itemgetter
 
 from .errors import (
@@ -37,6 +37,11 @@ class Functional:
 
     def value(self, f: KFunction) -> int:
         raise NotImplementedError
+
+    @cached_property
+    def values(self) -> LazyValues:
+        """The one cache of the functional's values, which every checker reads."""
+        return LazyValues(self)
 
 
 class Dirac(Functional):
@@ -184,7 +189,7 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     instances, as value tables in `product` order; every table when there
     are none.
 
-    `instances` are runs as `law_instances` makes them.  Positions are
+    `instances` are triples as `law_instances` makes them.  Positions are
     assigned in `functions()` order, each trying the value codes in
     order, and a partial table is dropped as soon as an
     instance whose positions are all assigned fails its test.  The cap
@@ -198,12 +203,11 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     if total > TABLE_CAP:
         raise CapacityError(f"{total} functionals exceed the cap {TABLE_CAP}")
     due = [[] for _ in funcs]
-    for test, _, group in instances:
-        for positions in group:
-            for p in positions:
-                if isinstance(p, KFunction):
-                    raise InputError(f"{p} is not a function of {space.name}")
-            due[max(positions)].append((test, positions))
+    for positions, test, _ in instances:
+        for p in positions:
+            if isinstance(p, KFunction):
+                raise InputError(f"{p} is not a function of {space.name}")
+        due[max(positions)].append((test, positions))
     values = [None] * len(funcs)
     tries = [iter(elements)]
     while tries:
@@ -222,13 +226,13 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
 
 
 def law_instances(space: FunctionSpace, laws, cells=None):
-    """The instances of the named laws on the space, in runs
-    (test, witness, group): each positions tuple in `group` is an instance
-    whose `test(values, positions)` reads a functional's values there and
-    holds or not, and whose `witness(values, positions)`, called only on
-    a failure, gives its witness and note.  This is the one definition of
-    these laws: the enumerator prunes on the tests, and each checker's
-    verdict is the first failing instance of its law (`law_verdict`).
+    """The instances of the named laws on the space, as triples
+    (positions, test, witness): `test(values, positions)` reads a
+    functional's values at the positions and holds or not, and
+    `witness(values, positions)`, called only on a failure, gives its
+    witness and note.  This is the one definition of these laws: the
+    enumerator prunes on the tests, and each checker's verdict is the
+    first failing instance of its law (`law_verdict`).
 
     The laws are "normalized", "left-shift", "right-shift", "join" and
     "meet" (`check_idempotent`), "weakly-additive", "order-preserving"
@@ -241,23 +245,15 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     only the laws no theorem decides there.  A shift or sum that leaves a
     monotone space keeps the function as its position (the order laws
     compare it with f as they compile, and read members only).  Nothing
-    is made before the first run is read, so the enumerator applies its
-    cap first.
+    is made before the first instance is read, so the enumerator applies
+    its cap first.
     """
     for law in laws:
         key = law if cells is None else (law, cells)
         made = space._instances.get(key)
         if made is None:
-            runs = _runs(_instances(space, law, cells))
-            made = space._instances[key] = [(test, witness, list(group)) for test, witness, group in runs]
+            made = space._instances[key] = list(_instances(space, law, cells))
         yield from made
-
-
-def _runs(instances):
-    """Consecutive (positions, test, witness) instances that share a test
-    and a witness, as runs."""
-    for (test, witness), group in groupby(instances, key=itemgetter(1, 2)):
-        yield test, witness, (positions for positions, _, _ in group)
 
 
 def require_additive(K: FinStruct) -> None:
@@ -421,7 +417,8 @@ def _grid(first, second, budget, seed):
 class LazyValues(dict):
     """A functional's values by position, each evaluated once, when first
     read; a function outside the space (a shift can leave a monotone
-    space) is evaluated as it is.  A table's values are its own."""
+    space) is evaluated as it is.  A table's values are its own.  Each
+    functional has one, `Functional.values`, shared by every checker."""
 
     def __init__(self, nu: Functional):
         super().__init__(enumerate(nu.table) if isinstance(nu, TableFunctional) else ())
@@ -503,11 +500,10 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
                 decided = all(list(map(t.__getitem__, P)) == list(map(row.__getitem__, t)) for row, P in maps)
     if decided:
         return Verdict.passed(name or law)
-    runs = _runs(_instances(space, law, None)) if decided is False else law_instances(space, (law,), cells)
-    for test, witness, group in runs:
-        for positions in group:
-            if not test(values, positions):
-                return Verdict.failed(name or law, *witness(values, positions))
+    instances = _instances(space, law, None) if decided is False else law_instances(space, (law,), cells)
+    for positions, test, witness in instances:
+        if not test(values, positions):
+            return Verdict.failed(name or law, *witness(values, positions))
     return Verdict.passed(name or law)
 
 
@@ -533,13 +529,12 @@ def check_idempotent(nu: Functional, budget: int | None = None, seed: int = 0) -
     """Normalization, both constant-shift rules, and compatibility with
     pointwise max/min on pairs whose values are pointwise comparable.  The
     shift cells and the pairs are sampled when their grid exceeds the
-    budget.  Each function is evaluated at most once."""
-    values = LazyValues(nu)
+    budget.  Each function is evaluated at most once (`Functional.values`)."""
     n = range(len(nu.space.functions()))
     cells, shifts_sampled = _grid(nu.space.K.elements, n, budget, seed)
     pairs, pairs_sampled = _grid(n, n, budget, seed)
     grids = {"normalized": None, "left-shift": cells, "right-shift": cells, "join": pairs, "meet": pairs}
-    verdicts = {law: law_verdict(values, law, grid) for law, grid in grids.items()}
+    verdicts = {law: law_verdict(nu.values, law, grid) for law, grid in grids.items()}
     return AxiomReport(verdicts, shifts_sampled or pairs_sampled)
 
 
@@ -548,12 +543,11 @@ def check_weak_properties(nu: Functional, budget: int | None = None, seed: int =
     non-expansion property, plus the consistency entry asserting that the
     first two force the last.  The pairs (f, h) of the two order laws are
     sampled when their grid exceeds the budget.  Each function is
-    evaluated at most once."""
-    values = LazyValues(nu)
+    evaluated at most once (`Functional.values`)."""
     n = range(len(nu.space.functions()))
     pairs, sampled = _grid(n, n, budget, seed)
     grids = {"weakly-additive": None, "order-preserving": pairs, "normalized": None, "non-expanding": pairs}
-    report = AxiomReport({law: law_verdict(values, law, grid) for law, grid in grids.items()}, sampled)
+    report = AxiomReport({law: law_verdict(nu.values, law, grid) for law, grid in grids.items()}, sampled)
     implied = all(report[law] for law in ("weakly-additive", "order-preserving")) and not report["non-expanding"]
     report.add(Verdict(not implied, "weak-implies-nonexpanding", (str(nu),) if implied else None))
     return report
@@ -770,11 +764,10 @@ def monad_check(space: FunctionSpace, family=None) -> AxiomReport:
     )
     report.add(first_failure("unit-eta-inner", inner))
 
-    values = [LazyValues(nu) for nu in fam.members]
-    bent = [v.witness[0] for v in (law_verdict(t, "normalized") for t in values) if not v]
+    bent = [v.witness[0] for v in (law_verdict(nu.values, "normalized") for nu in fam.members) if not v]
     report.add(first_failure("bar-constant", ((b,) for b in sorted(bent, key=space.K.code.get))))
     bars = Verdict.passed("bar-join")
-    crossed = [v.witness[:2] for v in (law_verdict(t, "join") for t in values) if not v]
+    crossed = [v.witness[:2] for v in (law_verdict(nu.values, "join") for nu in fam.members) if not v]
     if crossed:
         f, g = min(crossed, key=lambda pair: tuple(map(space.position, pair)))
         try:

@@ -233,10 +233,9 @@ def _scan_law(s: FinStruct, law: str) -> tuple | None:
         for a in E:
             if add[a][zero] != a or add[zero][a] != a:
                 return ("add-neutral", a)
-        if len(E) > 1:
-            for a in E:
-                if a != zero and (mul[a][one] != a or mul[one][a] != a):
-                    return ("mul-neutral", a)
+        for a in E:
+            if a != zero and (mul[a][one] != a or mul[one][a] != a):
+                return ("mul-neutral", a)
         return None
     if law == "absorb":
         return next((("absorb", a) for a in E if mul[a][zero] != zero or mul[zero][a] != zero), None)

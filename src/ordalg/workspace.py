@@ -288,9 +288,12 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
     if kind == "combo":
         side = sec.choice("side", SIDES, "side") or sec.require("side")
         coeffs = sec.require("coeffs").split()
-        parts = [
-            _lookup(ws.functionals, name, sec, "functional") for name in sec.require("parts").split()
-        ]
+        names = sec.require("parts").split()
+        parts = [_lookup(ws.functionals, name, sec, "functional") for name in names]
+        for name, part in zip(names, parts):
+            if part.space is not space:
+                message = f"[functional {sec.name}]: part {name!r} is not on space {space.name!r}"
+                raise ParseError(message, sec.line_of("parts"))
         return weighted_combo(side, coeffs, parts)
     raise ParseError(f"[functional {sec.name}]: unknown functional kind {kind!r}", sec.line_of("kind"))
 

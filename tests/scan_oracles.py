@@ -767,9 +767,30 @@ def is_support(nu, E) -> bool:
 
 
 def check_law(s, law: str) -> Verdict:
-    """The triple scans of the cubic laws, one named table lookup per operand."""
+    """The scans of the laws over all pairs or triples, or over the
+    carrier, one named table lookup per operand, in carrier order."""
     K = Named(s)
     E = K.elements
+    if law in ("comm-add", "comm-mul"):
+        op = K.add if law == "comm-add" else K.mul
+        for a, b in product(E, repeat=2):
+            if op[(a, b)] != op[(b, a)]:
+                return Verdict.failed(law, (a, b, op[(a, b)], op[(b, a)]))
+        return Verdict.passed(law)
+    if law == "neutral":
+        # zero is an add unit on every element, one a mul unit off zero (where absorb decides)
+        for a in E:
+            if K.add[(a, K.zero)] != a or K.add[(K.zero, a)] != a:
+                return Verdict.failed(law, ("add-neutral", a))
+        for a in E:
+            if a != K.zero and (K.mul[(a, K.one)] != a or K.mul[(K.one, a)] != a):
+                return Verdict.failed(law, ("mul-neutral", a))
+        return Verdict.passed(law)
+    if law == "absorb":
+        for a in E:
+            if K.mul[(a, K.zero)] != K.zero or K.mul[(K.zero, a)] != K.zero:
+                return Verdict.failed(law, ("absorb", a))
+        return Verdict.passed(law)
     if law in ("assoc-add", "assoc-mul"):
         op = K.add if law == "assoc-add" else K.mul
         for a, b, c in product(E, repeat=3):

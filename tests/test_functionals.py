@@ -68,17 +68,6 @@ def homogeneity(nu):
     return {law: law_verdict(values, law) for law in ("left-homogeneous", "right-homogeneous")}
 
 
-class PartialFunctional(Functional):
-    """Test helper: a functional given on a subset of the space."""
-
-    def __init__(self, space, mapping):
-        self.space = space
-        self.mapping = dict(mapping)
-
-    def value(self, f):
-        return self.mapping[f]
-
-
 class TestEval:
     def test_dirac_evaluates(self):
         sp = mp3_space()
@@ -166,30 +155,14 @@ class TestWeakProperties:
             assert rep["weak-implies-nonexpanding"].holds
 
 
-class CountingFunctional(Functional):
-    """Test helper: forwards to another functional and counts evaluations."""
-
-    def __init__(self, inner):
-        self.space = inner.space
-        self.inner = inner
-        self.calls = 0
-
-    def value(self, f):
-        self.calls += 1
-        return self.inner.value(f)
-
-
 def test_weak_properties_obey_the_budget():
     sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
-    nu = CountingFunctional(SupOver(sp, frozenset(("x1", "x4"))))
-    budget = 20000
-    rep = check_weak_properties(nu, budget=budget, seed=0)
+    nu = Counting(SupOver(sp, frozenset(("x1", "x4"))))
+    rep = check_weak_properties(nu, budget=20000, seed=0)
     assert rep.sampled
     assert all(v.holds for v in rep.verdicts.values())
-    funcs, k = len(sp.functions()), len(MP3.elements)
-    # three evaluations per weak-additivity cell, one per normalization
-    # constant, one per sampled pair and one per distinct second function
-    assert nu.calls <= 3 * k * funcs + k + budget + funcs
+    # the sampled pairs are read from the one value cache: each function is evaluated at most once
+    assert max(nu.calls.values()) == 1
 
 
 class TestHomogeneity:
@@ -803,11 +776,15 @@ class TestEvaluatedOnce:
     @pytest.mark.parametrize("check", sorted(CHECKS))
     @pytest.mark.parametrize("name", sorted(mp3_functionals()))
     def test_each_function_is_evaluated_at_most_once(self, check, name):
+        # both checkers read the functional's one value cache, however often they run
         nu = Counting(mp3_functionals()[name])
-        CHECKS[check](nu)
+        first = CHECKS[check](nu)
         assert nu.calls and max(nu.calls.values()) == 1
-        CHECKS[check](nu)
-        assert max(nu.calls.values()) == 2
+        assert CHECKS[check](nu) == first
+        for other in CHECKS.values():
+            other(nu)
+            other(nu, budget=40, seed=3)
+        assert max(nu.calls.values()) == 1
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     @pytest.mark.parametrize(
@@ -835,9 +812,16 @@ class TestEvaluatedOnce:
                 check(Failing(sp, "x1"))
 
 
-def stored(rows):
-    """The entries of a relation kept as rows of pairs."""
-    return sum(len(row) for row in rows.values())
+def picked(monkeypatch) -> Counter:
+    """The (i, j, k) that `FunctionSpace.join_meet_at` is asked for from now on, counted."""
+    asked, join_meet_at = Counter(), FunctionSpace.join_meet_at
+
+    def counted(self, i, j, k):
+        asked[i, j, k] += 1
+        return join_meet_at(self, i, j, k)
+
+    monkeypatch.setattr(FunctionSpace, "join_meet_at", counted)
+    return asked
 
 
 def compared(monkeypatch) -> Counter:
@@ -853,10 +837,11 @@ def compared(monkeypatch) -> Counter:
 
 
 class TestSharedRelations:
-    """The vee and wedge of pairs, the lower neighbours, the shift maps
-    and the instances of a grid are decided once per space, for what
-    scans read, and shared by every functional on it; the pointwise order
-    is compared once per pair a grid's order laws read."""
+    """The lower neighbours, the shift maps and the instances of a grid,
+    with the vee and wedge of the pairs its join and meet laws read, are
+    decided once per space, for what scans read, and shared by every
+    functional on it; the pointwise order is compared once per pair a
+    grid's order laws read."""
 
     def test_sampled_grids_store_only_the_pairs_they_read(self, monkeypatch):
         sp = FunctionSpace(tuple(f"x{i}" for i in range(6)), MP3)
@@ -866,7 +851,7 @@ class TestSharedRelations:
         cells = functionals._grid(range(n), range(n), 20000, 0)[0]
         pairs = set(cells)
         assert len(pairs) < 20000 < n * n
-        reads = compared(monkeypatch)
+        reads, asked = compared(monkeypatch), picked(monkeypatch)
 
         idem = check_idempotent(nu, budget=20000, seed=0)
         assert idem.sampled
@@ -878,7 +863,8 @@ class TestSharedRelations:
             "1",
         )
         assert not reads
-        assert stored(sp._join_meet) <= len(pairs)
+        # the join and meet instances are compiled at the sampled cells, each cell once for each law
+        assert asked == Counter((i, j, k) for i, j in cells for k in (0, 1))
 
         weak = check_weak_properties(nu, budget=20000, seed=0)
         assert weak.sampled and all(v.holds for v in weak.verdicts.values())
@@ -892,32 +878,37 @@ class TestSharedRelations:
         assert reads == want
         # the instances of the grid are compiled once, for every functional on the space
         assert check_weak_properties(Dirac(sp, "x2"), budget=20000, seed=0) == weak
-        assert reads == want
+        assert check_idempotent(Dirac(sp, "x2"), budget=20000, seed=0).sampled
+        assert reads == want and sum(asked.values()) == 2 * len(cells)
 
-    def test_exhaustive_grids_fill_the_tables_once_per_space(self):
+    def test_exhaustive_grids_fill_the_tables_once_per_space(self, monkeypatch):
         # bool x bool is no chain, so its join and meet pairs are scanned
         sp = FunctionSpace(("x1", "x2", "x3"), direct_product(boolean_semiring("a"), boolean_semiring("b")))
         n = len(sp.functions())
+        asked = picked(monkeypatch)
 
         def sizes():
-            return stored(sp._join_meet), {key: id(made) for key, made in sp._shifts.items()}, len(sp._lower)
+            instances = {key: id(made) for key, made in sp._instances.items()}
+            return instances, {key: id(made) for key, made in sp._shifts.items()}, len(sp._lower)
 
         for check in CHECKS.values():
             check(Dirac(sp, "x1"))
         first = sizes()
-        assert first[0] == n * n and len(first[1]) == 2 * len(sp.K.elements) and first[2] == n
+        assert {"join", "meet"} <= first[0].keys() and len(first[1]) == 2 * len(sp.K.elements) and first[2] == n
+        assert asked == Counter((i, j, k) for i in range(n) for j in range(n) for k in (0, 1))
         for check in CHECKS.values():
             check(SupOver(sp, frozenset(sp.points)))
             check(Dirac(sp, "x3"))
-        assert sizes() == first
+        assert sizes() == first and sum(asked.values()) == 2 * n * n
 
-    def test_passing_chain_laws_fill_no_join_meet_entry(self):
+    def test_passing_chain_laws_fill_no_join_meet_entry(self, monkeypatch):
         # over mp3 a law that holds is decided from the point maps
         sp = mp3_space()
+        asked = picked(monkeypatch)
         for check in CHECKS.values():
             for x in ("x1", "x3"):
                 assert all(check(Dirac(sp, x)).verdicts.values())
-        assert not stored(sp._join_meet)
+        assert not asked and not {"join", "meet"} & sp._instances.keys()
 
 
 SYMBOLIC_SPACE = """
@@ -1393,13 +1384,14 @@ class TestMonadAgainstTheOracle:
     def test_one_generated_family_and_no_pair_of_functions(self, monkeypatch):
         # the default family's enumeration compiles the join grid, so the family is given
         sp = FunctionSpace(("x1", "x2"), MP3)
+        asked = picked(monkeypatch)
         prefixes = []
         generated = functionals.generated_family
         monkeypatch.setattr(
             functionals, "generated_family", lambda space, prefix: prefixes.append(prefix) or generated(space, prefix)
         )
         assert all(monad_check(sp, MONAD_FAMILIES["diracs+sup"](sp)).verdicts.values())
-        assert prefixes == ["m"] and not stored(sp._join_meet)
+        assert prefixes == ["m"] and not asked
 
 
 def chain_census():

@@ -384,3 +384,43 @@ def test_scanner_finds_an_unread_field():
 def test_every_field_is_read():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """The dotted name of the class or function whose own body calls
+    `name(...)`, once per call, in source order; "<module>" outside them."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                found.append(where or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scanner_finds_every_call_with_its_definition():
+    source = (
+        "x = f()\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return [f(i) for i in h(f)]\n"
+        "    def k(self):\n"
+        "        return A.f(), f\n"
+        "def m():\n"
+        "    def n():\n"
+        "        return lambda: f()\n"
+        "    return n\n"
+    )
+    assert calls_of(source, "f") == ["<module>", "A.g", "m.n"]
+
+
+def test_each_functional_has_one_value_cache():
+    # every checker reads `Functional.values`, so a functional's values are evaluated once
+    made = [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), "LazyValues")]
+    assert made == ["functionals.py: Functional.values"]

@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product
 
@@ -165,6 +166,23 @@ class TestLawScans:
                     dist.add(verdict.holds)
         assert dist == {True, False}
 
+    def test_pair_and_carrier_scans_equal_the_oracle_scans(self):
+        rng = random.Random(1)
+        structs = [random_structure(rng, 2 + trial % 4) for trial in range(100)]
+        structs += [perturbed_structure(rng, 3 + trial % 4) for trial in range(100)]
+        structs += [free_structure(rng, 2 + trial % 3) for trial in range(200)]
+        holds, parts = {law: set() for law in ("comm-add", "comm-mul", "neutral", "absorb")}, set()
+        for s in structs:
+            for law, seen in holds.items():
+                verdict = check_law(s, law)
+                assert verdict == scan_oracles.check_law(s, law)
+                seen.add(verdict.holds)
+                if law == "neutral" and not verdict.holds:
+                    parts.add(verdict.witness[0])
+        # each law holds somewhere and fails somewhere, neutral at each of its parts
+        assert all(seen == {True, False} for seen in holds.values())
+        assert parts == {"add-neutral", "mul-neutral"}
+
     def test_dist_reads_generators_only_when_mul_is_associative(self):
         s = guard_structure()
         gens = structures._generators(s.mul, s.elements)
@@ -253,6 +271,16 @@ def perturbed_structure(rng, n):
         for _ in range(rng.randint(1, 2)):
             table[(rng.choice(elems[low:]), rng.choice(elems[low:]))] = rng.choice(elems)
     return FinStruct("p", OrderRelation.chain(elems), add, mul, "0", "1")
+
+
+def free_structure(rng, n):
+    """A copy of `random_structure(rng, n)` with both tables drawn at
+    random, which construction would refuse when zero or one is no unit
+    or zero does not absorb; no verdict is kept on it yet."""
+    s = copy.copy(random_structure(rng, n))
+    s.add, s.mul = (tuple(tuple(rng.choice(s.elements) for _ in s.elements) for _ in s.elements) for _ in range(2))
+    s.verdicts = {}
+    return s
 
 
 def maxplus_mul_structure(rng, n):

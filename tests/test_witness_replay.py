@@ -1,12 +1,16 @@
-"""Each failing join or meet record's witness, replayed without a checker.
+"""Each failing join or meet record's witness, and each exception to an
+undeclared structure law, replayed without a checker.
 
 `ordalg witness --check <id>` prints a record's witness (f, g, lhs, rhs):
 lhs is nu(f v g), or nu(f ^ g) for meet, and rhs is nu(f) v nu(g), or
 nu(f) ^ nu(g).  This module parses the two function literals, evaluates
 nu through its public `value` (and, on the demo, through `ordalg eval`)
 and takes the pointwise max or min itself.  The structures here are
-max-plus chains, ordered as integers.  A witness that does not reproduce
-its failure fails the test (Claessen and Hughes, "QuickCheck", ICFP 2000).
+max-plus chains, ordered as integers.  A `laws` record of a law that a
+structure does not declare notes its first exception, whose two sides
+are evaluated again by element names through the structure's tables.  A
+witness that does not reproduce its failure fails the test (Claessen and
+Hughes, "QuickCheck", ICFP 2000).
 """
 import contextlib
 import io
@@ -30,6 +34,7 @@ DOCUMENTS = {
 }
 
 WITNESS = re.compile(r"^       witness: \((\{[^}]*\}),(\{[^}]*\}),(\w+),(\w+)\)$", re.M)
+EXCEPTION = re.compile(r"^laws/(\w+)/([\w-]+)\t.*; first exception \(([^)]*)\)$", re.M)
 
 
 def cli(*argv):
@@ -83,3 +88,27 @@ def test_a_failing_record_replays_through_value(tmp_path, document, check_id):
     if document == "demo":
         for h, value in ((f, nu_f), (g, nu_g), (fg, nu_fg)):
             assert cli("eval", doc, "--expr", f"{name}({literal(h)})") == (0, f"{value}\n")
+
+
+@pytest.mark.parametrize("document", sorted(DOCUMENTS))
+def test_each_structure_law_exception_replays_through_the_tables(tmp_path, document):
+    text = DOCUMENTS[document]()
+    doc = tmp_path / f"{document}.workspace"
+    doc.write_text(text, encoding="utf-8")
+    code, out = cli("check", doc, "--suite", "laws", "--format", "records")
+    assert code == 0
+    notes = {(name, law): tuple(witness.split(",")) for name, law, witness in EXCEPTION.findall(out)}
+    assert set(notes) == {("rd", "comm-mul"), ("rd", "left-dist")}
+
+    K = parse(text).structures["rd"]
+
+    def add(a, b):
+        return K.names[K.add[K.code[a]][K.code[b]]]
+
+    def mul(a, b):
+        return K.names[K.mul[K.code[a]][K.code[b]]]
+
+    a, b, ab, ba = notes["rd", "comm-mul"]
+    assert (mul(a, b), mul(b, a)) == (ab, ba) and ab != ba
+    a, b, c, lhs, rhs = notes["rd", "left-dist"]
+    assert (mul(a, add(b, c)), add(mul(a, b), mul(a, c))) == (lhs, rhs) and lhs != rhs

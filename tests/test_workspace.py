@@ -296,6 +296,16 @@ def test_a_repeated_or_foreign_point_is_refused(tmp_path, capsys, old, new, mess
     assert run_check(tmp_path, capsys, text) == (2, f"error: {message}\n")
 
 
+def test_a_combo_of_parts_on_another_space_is_refused_at_its_parts_line(tmp_path, capsys):
+    # built, it would be recorded as a functional on the parts' space S, and
+    # `eval` would refuse every function of its declared space T
+    text = EVERY_KIND + COMBO.replace("space = S", "space = T") + "\n[space T]\nstructure = b\npoints = y1\n"
+    refused = (2, "error: line 38: [functional c]: part 'nu' is not on space 'T'\n")
+    assert run_check(tmp_path, capsys, text) == refused
+    # a space with the same points is still another space
+    assert run_check(tmp_path, capsys, text.replace("points = y1", "points = x y")) == refused
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
