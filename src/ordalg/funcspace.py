@@ -17,6 +17,7 @@ a number in base |K|; only a monotone space keeps a position map.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CapacityError, IncomparableError, InputError
@@ -85,10 +86,10 @@ class FunctionSpace:
     use: the member functions (and, on a monotone space, their positions
     by value tuple), their one-point lower neighbours and their constant
     shifts (`lower_neighbours`, `shift_map`), which laws of functionals
-    are decided from, and the law instances of functionals that a scan
-    compiles (`functionals.law_instances`); the join and meet instances
-    keep the positions of the guarded vee and wedge of each pair they
-    read (`join_meet_at`).
+    are decided from, and one lazy compile of each law's instances per
+    grid, run as far as scans read (`functionals.law_instances`); the join
+    and meet instances keep the positions of the guarded vee and wedge of
+    each pair they read (`join_meet_at`).
     """
 
     def __init__(self, points, K: FinStruct, variant: str | None = None, name: str = ""):
@@ -106,7 +107,7 @@ class FunctionSpace:
         self._positions: dict[tuple, int] | None = None
         self._lower: list[tuple[int, list[int]]] | None = None
         self._shifts: dict[tuple, tuple[tuple, list]] = {}
-        self._instances: dict[str | tuple, list] = {}
+        self._instances: dict[str | tuple, Iterator] = {}
         self._check_sup_condition()
 
     # -- construction-time guarantee that sups of images exist --------------

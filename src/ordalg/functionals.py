@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, tee
 from operator import itemgetter
 
 from .errors import (
@@ -240,20 +240,25 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     (`check_kind`), each in its checker's cell order, and
     "left-homogeneous" and "right-homogeneous", which no checker runs and
     `law_verdict` decides.  A law's instances over its whole grid, or
-    over `cells`, a sampled grid from `_grid`, are compiled once per space
-    and grid, when first read; on the whole grid `law_verdict` compiles
-    only the laws no theorem decides there.  A shift or sum that leaves a
-    monotone space keeps the function as its position (the order laws
-    compare it with f as they compile, and read members only).  Nothing
-    is made before the first instance is read, so the enumerator applies
-    its cap first.
+    over `cells`, a sampled grid from `_grid`, are compiled lazily, once
+    per space and grid, and only as far as some reader has read; every
+    reader gets that one sequence, in one order, however readers
+    interleave.  A compile that raises is not kept.  A shift or sum that
+    leaves a monotone space keeps the function as its position (the order
+    laws compare it with f as they compile, and read members only).
+    Nothing is made before the first instance is read, so the enumerator
+    applies its cap first.
     """
     for law in laws:
         key = law if cells is None else (law, cells)
         made = space._instances.get(key)
-        if made is None:
-            made = space._instances[key] = list(_instances(space, law, cells))
-        yield from made
+        if made is None:  # a tee that is never read: each reader reads a copy of it from the start
+            made = space._instances[key] = tee(_instances(space, law, cells), 1)[0]
+        try:
+            yield from made.__copy__()
+        except (Exception, KeyboardInterrupt):  # the compile raised, and a generator that raised yields no more
+            space._instances.pop(key, None)
+            raise
 
 
 def require_additive(K: FinStruct) -> None:
@@ -452,7 +457,7 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
     over `cells` (see `law_instances`) for the functional read by
     `values`: failed at the first failing instance, with its witness.
     On the exhaustive grid some laws are decided by a theorem, and their
-    instances are scanned, lazily, only for a failure's witness.
+    instances are read, as every scan reads them, only for a failure's witness.
 
     On a chain K and a space with no variant, `join` and `meet` are
     decided from the point maps phi_x(a) = nu(e_x(a)), where e_x(a) is a
@@ -498,12 +503,10 @@ def law_verdict(values: LazyValues, law: str, cells=None, name: str = "") -> Ver
                 decided = all(row[v] in bounds[q] for row, P in maps for q, v in zip(P, t))
             else:
                 decided = all(list(map(t.__getitem__, P)) == list(map(row.__getitem__, t)) for row, P in maps)
-    if decided:
-        return Verdict.passed(name or law)
-    instances = _instances(space, law, None) if decided is False else law_instances(space, (law,), cells)
-    for positions, test, witness in instances:
-        if not test(values, positions):
-            return Verdict.failed(name or law, *witness(values, positions))
+    if not decided:
+        for positions, test, witness in law_instances(space, (law,), cells):
+            if not test(values, positions):
+                return Verdict.failed(name or law, *witness(values, positions))
     return Verdict.passed(name or law)
 
 
@@ -569,16 +572,15 @@ class SupportReport:
 
 
 def supported_on(nu: Functional, E) -> bool:
-    """All functions vanishing on E are sent to zero; only those
-    functions are made, in enumeration order."""
+    """All functions vanishing on E are sent to zero; only their values
+    are read (`Functional.values`), in enumeration order."""
     space = nu.space
     E = frozenset(E)
     if not E <= set(space.points):
         raise InputError("E is not a subset of the point set")
-    K = space.K
-    funcs = space.functions()
+    K, values = space.K, nu.values  # made over `functions()`, so under its cap
     choices = [(K.zero,) if x in E else K.elements for x in space.points]
-    return all(nu.value(funcs[i]) == K.zero for i in space.positions_within(choices))
+    return all(values[i] == K.zero for i in space.positions_within(choices))
 
 
 def support_of(nu: Functional) -> SupportReport:

@@ -203,23 +203,25 @@ def _lookup(table: dict, name: str, sec: Section, what: str):
     return table[name]
 
 
-_BUILTINS = {
-    "boolean": lambda arg, name: boolean_semiring(name),
-    "max-plus-chain": lambda arg, name: maxplus_chain(_integer(arg, "max-plus-chain size", None), name),
-    "right-dist": lambda arg, name: right_dist_only(name),
-    "trivial": lambda arg, name: trivial_structure(name),
+_BUILTINS = {  # kind: (make(name, *arguments), the number of arguments)
+    "boolean": (boolean_semiring, 0),
+    "max-plus-chain": (lambda name, size: maxplus_chain(_integer(size, "max-plus-chain size", None), name), 1),
+    "right-dist": (right_dist_only, 0),
+    "trivial": (trivial_structure, 0),
 }
 
 
 def _build_structure(sec: Section) -> FinStruct:
     builtin = sec.get("builtin")
     if builtin is not None:
-        parts = builtin.split() or [""]
-        kind, arg = parts[0], (parts[1] if len(parts) > 1 else "")
+        kind, *args = builtin.split() or [""]
         try:
             if kind not in _BUILTINS:
                 raise InputError(f"unknown builtin structure {kind!r}")
-            return _BUILTINS[kind](arg, sec.name)
+            make, arity = _BUILTINS[kind]
+            if len(args) != arity:
+                raise InputError(f"builtin {kind!r} takes {('no arguments', 'one argument')[arity]}, got {len(args)}")
+            return make(sec.name, *args)
         except InputError as exc:
             raise ParseError(f"[structure {sec.name}]: {exc}", sec.line_of("builtin")) from exc
     elements = tuple(sec.require("elements").split())

@@ -10,7 +10,8 @@ over all triples, and
 the shifted product by a scan of the whole index window with a linear
 lookup of element values, the laws of functionals as one loop per
 checker over the functions of the space (order preservation and
-non-expansion as one joint scan of the pairs), the monad of functionals
+non-expansion as one joint scan of the pairs) and the functionals that
+pass them as a filter of every value table, the monad of functionals
 extensionally, with families deduplicated and sorted by their value
 tables over the upper spaces and the flattening tabulated there, its
 assoc record also as the lazy comparison of both sides for every
@@ -53,7 +54,6 @@ from ordalg.functionals import (
     SupOver,
     SupportReport,
     TableFunctional,
-    enumerate_idempotent,
     signature,
     tabulate,
 )
@@ -293,6 +293,21 @@ def check_idempotent(nu, budget=None, seed=0) -> AxiomReport:
         report.add(verdict)
     report.sampled = shifts_sampled or pairs_sampled
     return report
+
+
+def enumerate_idempotent(space, axioms) -> list:
+    """Every value table on the space, in product order, whose report by
+    `check_idempotent` passes the named axioms.  Normalization, which
+    most tables fail, is read before the whole report."""
+    kept = []
+    for values in product(space.K.elements, repeat=len(space.functions())):
+        nu = TableFunctional(space, values)
+        if "normalized" in axioms and not normalized(space, evaluator(nu)):
+            continue
+        report = check_idempotent(nu)
+        if all(report[law].holds for law in axioms):
+            kept.append(nu)
+    return kept
 
 
 def weak_laws(nu) -> dict:

@@ -424,3 +424,9 @@ def test_each_functional_has_one_value_cache():
     # every checker reads `Functional.values`, so a functional's values are evaluated once
     made = [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), "LazyValues")]
     assert made == ["functionals.py: Functional.values"]
+
+
+def test_law_instances_is_the_one_compile_of_a_law():
+    # every scan of a law reads the lazy compile that `law_instances` keeps per space and grid
+    made = [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), "_instances")]
+    assert made == ["functionals.py: law_instances"]

@@ -174,13 +174,45 @@ COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside
             "builtin = max-plus-chain 1",
             "line 2: [structure b]: maxplus chain needs at least 2 elements",
         ),
+        (
+            "builtin = boolean",
+            "builtin = boolean 7",
+            "line 2: [structure b]: builtin 'boolean' takes no arguments, got 1",
+        ),
+        (
+            "builtin = boolean",
+            "builtin = max-plus-chain 3 9",
+            "line 2: [structure b]: builtin 'max-plus-chain' takes one argument, got 2",
+        ),
+        (
+            "builtin = boolean",
+            "builtin = right-dist x",
+            "line 2: [structure b]: builtin 'right-dist' takes no arguments, got 1",
+        ),
+        (
+            "builtin = boolean",
+            "builtin = trivial 2",
+            "line 2: [structure b]: builtin 'trivial' takes no arguments, got 1",
+        ),
         ("points = x y", "points = x y\nvariant = up", "line 7: [space S]: unknown variant 'up'"),
         ("kind = dirac", "kind = delta", "line 14: [functional nu]: unknown functional kind 'delta'"),
         ("side = left", "side = middle", "line 39: [functional c]: unknown side 'middle'"),
         ("run = laws", "run = laws monads", "line 32: [suite default]: unknown suite 'monads'"),
         ("run = laws", "run = laws\nbudget = 0", "line 33: [suite default]: budget 0 must be at least 1"),
     ],
-    ids=["builtin", "builtin-refused", "variant", "functional-kind", "combo-side", "suite-run", "suite-budget"],
+    ids=[
+        "builtin",
+        "builtin-refused",
+        "boolean-token",
+        "chain-tokens",
+        "right-dist-token",
+        "trivial-token",
+        "variant",
+        "functional-kind",
+        "combo-side",
+        "suite-run",
+        "suite-budget",
+    ],
 )
 def test_an_unknown_value_exits_2_at_its_line_or_its_section(tmp_path, capsys, old, new, message):
     # a value refused by the parser or by what it builds is reported at the
