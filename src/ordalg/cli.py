@@ -19,7 +19,7 @@ import sys
 
 from .errors import OrdalgError
 from .suites import SUITES, run_suite
-from .workspace import Workspace, parse
+from .workspace import Workspace, pairs, parse
 
 
 def main(argv=None) -> int:
@@ -97,20 +97,10 @@ def _cmd_eval(ws: Workspace, args) -> int:
         raise OrdalgError(f"unknown functional {name!r}")
     nu = ws.functionals[name]
     if arg.startswith("{"):
-        body = arg.strip()
-        if not body.endswith("}"):
+        if not arg.endswith("}"):
             raise OrdalgError("unterminated function literal")
-        values = {}
-        for piece in body[1:-1].split(","):
-            if not piece.strip():
-                continue
-            if ":" not in piece:
-                raise OrdalgError(f"bad function literal entry {piece!r}")
-            x, v = (part.strip() for part in piece.split(":", 1))
-            if x in values:
-                raise OrdalgError(f"point {x!r} repeated in the function literal")
-            values[x] = v
-        f = nu.space.function(values)
+        pieces = [piece.strip() for piece in arg[1:-1].split(",")]
+        f = nu.space.function(pairs(filter(None, pieces), "point", "function literal"))
     elif arg in ws.functions:
         f, space = ws.functions[arg], ws.function_spaces[arg]
         if space is not nu.space:

@@ -16,7 +16,8 @@ tables; the support bound reads only the point maps v_g.
 
 Values of K are codes (see `structures`); so are points and groupoid
 elements, by position.  Names are read only where a groupoid or an
-action is built, and applied only in a witness or a message.
+action is built, whose tables keyed by pairs of names `code_rows`
+turns into rows of codes, and applied only in a witness or a message.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .functionals import (
     tabulate,
 )
 from .report import AxiomReport, Verdict, first_failure
-from .structures import FinStruct
+from .structures import FinStruct, code_rows
 
 KINDS = ("add", "join", "meet")
 
@@ -55,46 +56,31 @@ class Groupoid:
             raise InputError(f"{name}: repeated element in {' '.join(elements)}")
         if unit not in code:
             raise InputError(f"{name}: unit {unit!r} not an element")
-        for a, b in product(elements, elements):
-            if (a, b) not in table:
-                raise InputError(f"{name}: table missing ({a},{b})")
-            if table[(a, b)] not in code:
-                raise InputError(f"{name}: value {table[(a, b)]!r} outside carrier")
-        for a in elements:
-            if table[(unit, a)] != a or table[(a, unit)] != a:
-                raise InputError(f"{name}: unit is not neutral at {a!r}")
-        self.table = tuple(tuple(code[table[a, b]] for b in elements) for a in elements)
+        self.table = code_rows(f"{name}: product", table, elements, elements, code)
         self.unit = code[unit]
+        for a in range(len(elements)):
+            if self.table[self.unit][a] != a or self.table[a][self.unit] != a:
+                raise InputError(f"{name}: unit is not neutral at {elements[a]!r}")
 
 
 class ActionSystem:
     """A groupoid action on a finite set with a cocycle into an
-    associative part of the coefficient structure, built from names and
-    kept as codes, with one row per element of G: act[g][x] is the code
-    of v_g(x), and rho[g][x] that of rho(g,x) in K, or None for a value
-    outside K, for `check_action` to refuse.  L is a set of codes.  The
-    algebra checks refuse a cocycle not constant one (`_require_unit_cocycle`)."""
+    associative part of the coefficient structure, built from the maps
+    v and rho keyed by pairs (g, x) of names and kept as codes, with one
+    row per element of G: act[g][x] is the code of v_g(x) among the
+    points, and rho[g][x] that of rho(g,x) in K.  L is a set of codes.
+    The algebra checks refuse a cocycle not constant one (`_require_unit_cocycle`)."""
 
     def __init__(self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict):
         self.G = G
         self.K = K
         self.points = points
         at = {x: i for i, x in enumerate(points)}
-        for g in G.elements:
-            if g not in v:
-                raise InputError(f"action missing map for {g!r}")
-            for x in points:
-                if x not in v[g]:
-                    raise InputError(f"action map for {g!r} missing point {x!r}")
-                if v[g][x] not in at:
-                    raise InputError(f"action image {v[g][x]!r} outside the point set")
-                if (g, x) not in rho:
-                    raise InputError(f"cocycle missing value at ({g},{x})")
+        self.act = code_rows("act", v, G.elements, points, at)
+        self.rho = code_rows("rho", rho, G.elements, points, K.code)
         if not L <= K.code.keys():
             raise InputError("L is not a subset of the coefficient carrier")
         self.L = frozenset(K.code[a] for a in L)
-        self.act = tuple(tuple(at[v[g][x]] for x in points) for g in G.elements)
-        self.rho = tuple(tuple(K.code.get(rho[g, x]) for x in points) for g in G.elements)
         self.space = FunctionSpace(self.points, self.K)
         self.along = cache(self._positions_along)
 

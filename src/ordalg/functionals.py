@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from functools import cached_property, lru_cache
-from itertools import product, tee
+from itertools import islice, product, tee
 from operator import itemgetter
 
 from .errors import (
@@ -206,7 +206,8 @@ def enumerate_functionals(space: FunctionSpace, instances=()):
     for positions, test, _ in instances:
         for p in positions:
             if isinstance(p, KFunction):
-                raise InputError(f"{p} is not a function of {space.name}")
+                message = f"a constant shift leaves the monotone space {space.name!r}: {p} is not a function of it"
+                raise InputError(message)
         due[max(positions)].append((test, positions))
     values = [None] * len(funcs)
     tries = [iter(elements)]
@@ -243,7 +244,8 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     over `cells`, a sampled grid from `_grid`, are compiled lazily, once
     per space and grid, and only as far as some reader has read; every
     reader gets that one sequence, in one order, however readers
-    interleave.  A compile that raises is not kept.  A shift or sum that
+    interleave.  A compile that raises is not kept, and a reader whose
+    copy it cut short reads on from a fresh compile.  A shift or sum that
     leaves a monotone space keeps the function as its position (the order
     laws compare it with f as they compile, and read members only).
     Nothing is made before the first instance is read, so the enumerator
@@ -251,14 +253,20 @@ def law_instances(space: FunctionSpace, laws, cells=None):
     """
     for law in laws:
         key = law if cells is None else (law, cells)
-        made = space._instances.get(key)
-        if made is None:  # a tee that is never read: each reader reads a copy of it from the start
-            made = space._instances[key] = tee(_instances(space, law, cells), 1)[0]
-        try:
-            yield from made.__copy__()
-        except (Exception, KeyboardInterrupt):  # the compile raised, and a generator that raised yields no more
-            space._instances.pop(key, None)
-            raise
+        read = 0
+        while True:
+            made = space._instances.get(key)
+            if made is None:  # a tee that is never read: each reader reads a copy of it from the start
+                made = space._instances[key] = tee(_instances(space, law, cells), 1)[0]
+            try:
+                for instance in islice(made.__copy__(), read, None):
+                    read += 1
+                    yield instance
+            except (Exception, KeyboardInterrupt):  # the compile raised, and a generator that raised yields no more
+                space._instances.pop(key, None)
+                raise
+            if space._instances.get(key) is made:  # else another reader's compile raised and cut this copy short
+                break
 
 
 def require_additive(K: FinStruct) -> None:

@@ -7,9 +7,10 @@ every declared law flag, so a constructed structure is trustworthy.
 Its elements are codes 0..n-1 in carrier order, and every module
 computes on codes: `add[a][b]` and `mul[a][b]` are rows of codes.  The
 element names (`names`) are read where a structure is built, from
-tables keyed by pairs of names, and where a name is printed: a failing
-law's witness, an error message, and `__str__` of the values that hold
-codes (functions, value tables, s-product elements).
+tables keyed by pairs of names that `code_rows` turns into rows of codes
+(as it does for groupoids and actions), and where a name is printed: a
+failing law's witness, an error message, and `__str__` of the values
+that hold codes (functions, value tables, s-product elements).
 
 Law checkers are exact and return the first violating tuple of the full
 scan.  Associativity and distributivity are decided from a generating
@@ -74,9 +75,10 @@ class FinStruct:
 
     It is built from its order, `add` and `mul` tables keyed by pairs of
     element names, and the names of `zero`, which must be least, and
-    `one`; construction replaces each by codes, and nothing is mutated
-    after that.  `check_law` keeps each verdict in `verdicts`, so the
-    laws decided at construction are not scanned again.
+    `one`; construction replaces each by codes, the tables through
+    `code_rows`, and nothing is mutated after that.  `check_law` keeps
+    each verdict in `verdicts`, so the laws decided at construction are
+    not scanned again.
     """
 
     def __init__(
@@ -104,13 +106,7 @@ class FinStruct:
             if x not in self.order.above[code[self.zero]]:
                 raise InputError(f"{self.name}: zero element {self.zero!r} is not minimal: not leq {name!r}")
         for label in ("add", "mul"):
-            table = getattr(self, label)
-            for a, b in product(names, repeat=2):
-                if (a, b) not in table:
-                    raise InputError(f"{self.name}: {label} table missing ({a},{b})")
-                if table[(a, b)] not in code:
-                    raise InputError(f"{self.name}: {label}({a},{b}) = {table[(a, b)]!r} outside carrier")
-            setattr(self, label, tuple(tuple(code[table[(a, b)]] for b in names) for a in names))
+            setattr(self, label, code_rows(f"{self.name}: {label}", getattr(self, label), names, names, code))
         if self.one not in code:
             raise InputError(f"{self.name}: one {self.one!r} not in carrier")
         self.zero, self.one = code[self.zero], code[self.one]
@@ -131,6 +127,19 @@ class FinStruct:
 
     def leq(self, a: int, b: int) -> bool:
         return b in self.order.above[a]
+
+
+def code_rows(what: str, table: dict, rows, columns, code: dict) -> tuple:
+    """A table keyed by pairs (r, c) of names, as rows of codes: entry
+    [i][j] is the code of table[rows[i], columns[j]].  This is where the
+    names of every operation and action table become codes; a missing
+    pair, or a value that `code` does not hold, is refused."""
+    for r, c in product(rows, columns):
+        if (r, c) not in table:
+            raise InputError(f"{what} table missing ({r},{c})")
+        if table[r, c] not in code:
+            raise InputError(f"{what}({r},{c}) = {table[r, c]!r} outside carrier")
+    return tuple(tuple(code[table[r, c]] for c in columns) for r in rows)
 
 
 def check_law(s: FinStruct, law: str) -> Verdict:

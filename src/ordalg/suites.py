@@ -17,21 +17,22 @@ CORE_LAWS = ("neutral", "absorb", "assoc-add", "assoc-mul", "comm-add", "comm-mu
 
 
 class CheckRecord:
-    def __init__(self, check_id: str, law: str, verdict: Verdict):
+    """One line of a report: a check's id and its verdict, whose law the record names."""
+
+    def __init__(self, check_id: str, verdict: Verdict):
         self.check_id = check_id
-        self.law = law
         self.verdict = verdict
 
     def as_record_line(self) -> str:
         status = "pass" if self.verdict.holds else "fail"
-        parts = [self.check_id, self.law, status, fmt_witness(self.verdict.witness)]
+        parts = [self.check_id, self.verdict.law, status, fmt_witness(self.verdict.witness)]
         if self.verdict.note:
             parts.append(self.verdict.note)
         return "\t".join(parts)
 
     def as_text(self) -> str:
         mark = "PASS" if self.verdict.holds else "FAIL"
-        line = f"[{mark}] {self.check_id} ({self.law})"
+        line = f"[{mark}] {self.check_id} ({self.verdict.law})"
         if self.verdict.witness is not None:
             line += f"\n       witness: {fmt_witness(self.verdict.witness)}"
         if self.verdict.note:
@@ -43,16 +44,14 @@ def suite_laws(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
     records = []
     for name in sorted(ws.structures):
         s = ws.structures[name]
-        records.append(
-            CheckRecord(f"laws/{name}/order", "order-directed", check_order_axioms(s.order, "directed"))
-        )
+        records.append(CheckRecord(f"laws/{name}/order", check_order_axioms(s.order, "directed")))
         for law in CORE_LAWS:
             declared = law in s.flags or law in ("neutral", "absorb")
             verdict = check_law(s, law)
             if not declared and not verdict.holds:
                 # undeclared laws may legitimately fail; report as informational pass
                 verdict = Verdict.passed(law, note=f"not declared; first exception {fmt_witness(verdict.witness)}")
-            records.append(CheckRecord(f"laws/{name}/{law}", law, verdict))
+            records.append(CheckRecord(f"laws/{name}/{law}", verdict))
     return records
 
 
@@ -61,11 +60,10 @@ def suite_idempotent(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]
     for name in sorted(ws.functionals):
         nu = ws.functionals[name]
         rep = check_idempotent(nu, budget=budget, seed=seed)
-        for law in ("normalized", "left-shift", "right-shift", "join", "meet"):
-            records.append(CheckRecord(f"idempotent/{name}/{law}", law, rep[law]))
+        records.extend(CheckRecord(f"idempotent/{name}/{v.law}", v) for v in rep.verdicts.values())
         weak = check_weak_properties(nu, budget=budget, seed=seed)
-        for law in ("weakly-additive", "order-preserving", "non-expanding", "weak-implies-nonexpanding"):
-            records.append(CheckRecord(f"weak/{name}/{law}", law, weak[law]))
+        # normalization is recorded once, with the idempotency laws
+        records.extend(CheckRecord(f"weak/{name}/{v.law}", v) for v in weak.verdicts.values() if v.law != "normalized")
     return records
 
 
@@ -74,17 +72,10 @@ def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
     for name in sorted(ws.spaces):
         space = ws.spaces[name]
         if len(space.K.elements) ** len(space.functions()) > budget:
-            records.append(
-                CheckRecord(
-                    f"monad/{name}/skipped",
-                    "monad",
-                    Verdict.passed("monad", note="space too large for the budget; skipped"),
-                )
-            )
+            skipped = Verdict.passed("monad", note="space too large for the budget; skipped")
+            records.append(CheckRecord(f"monad/{name}/skipped", skipped))
             continue
-        rep = monad_check(space)
-        for law, verdict in rep.verdicts.items():
-            records.append(CheckRecord(f"monad/{name}/{law}", law, verdict))
+        records.extend(CheckRecord(f"monad/{name}/{v.law}", v) for v in monad_check(space).verdicts.values())
     return records
 
 
@@ -105,30 +96,21 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
     for name in sorted(ws.actions):
         sys = ws.actions[name]
         kind = ws.kinds[name]
-        records.append(CheckRecord(f"convolution/{name}/action", "action", check_action(sys)))
+        records.append(CheckRecord(f"convolution/{name}/action", check_action(sys)))
         _require_unit_cocycle(sys)
         try:
             seedfam = all_kind_functionals(sys, kind)
         except PreconditionError as exc:
-            records.append(
-                CheckRecord(
-                    f"convolution/{name}/kind",
-                    f"kind-{kind}",
-                    Verdict.failed(f"kind-{kind}", None, note=str(exc)),
-                )
-            )
+            refused = Verdict.failed(f"kind-{kind}", None, note=str(exc))
+            records.append(CheckRecord(f"convolution/{name}/kind", refused))
             continue
         alg = saturate(seedfam, sys, kind, budget=budget)
         rep = check_quasiring(alg)
-        for law, verdict in rep.verdicts.items():
-            records.append(CheckRecord(f"convolution/{name}/{law}", law, verdict))
         H = invariant_subfamily(alg)
-        ideal = check_ideal(H, alg)
-        for law, verdict in ideal.verdicts.items():
-            records.append(CheckRecord(f"convolution/{name}/{law}", law, verdict))
+        for report in (rep, check_ideal(H, alg)):
+            records.extend(CheckRecord(f"convolution/{name}/{v.law}", v) for v in report.verdicts.values())
         for i, nu in enumerate(H):
-            verdict = support_bounds(nu, sys)
-            records.append(CheckRecord(f"convolution/{name}/support-bound-{i}", "support-bound", verdict))
+            records.append(CheckRecord(f"convolution/{name}/support-bound-{i}", support_bounds(nu, sys)))
     return records
 
 
@@ -177,9 +159,7 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
                 verdict = Verdict.failed(
                     "nonassoc-witness", None, note=f"exhausted after {result.tested} triples"
                 )
-            records.append(
-                CheckRecord(f"s-construction/{name}/nonassoc", "nonassoc-witness", verdict)
-            )
+            records.append(CheckRecord(f"s-construction/{name}/nonassoc", verdict))
         if not (scheme.psi["add"] or scheme.phi["add"]):
             for side in ("left", "right"):
                 if f"{side}-dist" in scheme.component.flags:
@@ -189,8 +169,7 @@ def suite_sconstruction(ws: Workspace, budget: int, seed: int) -> list[CheckReco
 
 
 def _scheme_record(name: str, scheme: IndexScheme, law: str) -> CheckRecord:
-    verdict = scheme_law(scheme, law)
-    return CheckRecord(f"s-construction/{name}/{law}", verdict.law, verdict)
+    return CheckRecord(f"s-construction/{name}/{law}", scheme_law(scheme, law))
 
 
 def scheme_law(scheme: IndexScheme, law: str) -> Verdict:

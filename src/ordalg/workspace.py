@@ -5,6 +5,19 @@ header and followed by `key = value` lines; `#` starts a comment.  The
 parser validates everything it builds (tables are total, flags re-verify,
 cross-references resolve) and reports failures with line numbers.
 
+Two values have a shape of their own, each read in one place:
+
+- A row: the key `prefix.r` holds the entries of row r, one per column,
+  separated by blanks (`Section.table`).  The rows `add.row` and
+  `mul.row` of a structure, and `groupoid.row`, `act` and `rho` of an
+  action, take this shape.
+- Pairs: blank-separated tokens `a:b` (`pairs`), which a function's
+  `values` and a scheme's `embed` take, as does the literal
+  `{a: b, ...}` of `ordalg eval`, between commas.
+
+Names become codes where a structure, groupoid or action is built
+(`structures.code_rows`).
+
 Section kinds: structure, space, function, functional, action, scheme,
 suite.  See docs/demo.workspace for a complete example.  The builders of
 action and scheme sections import `convolution` and `sproduct`, so a
@@ -76,16 +89,21 @@ class Section:
                 return ln
         return self.line
 
-    def rows(self, prefix: str, names) -> list:
-        """(name, value, line) of each `prefix.name` key; a name not in `names` is refused."""
-        out = []
+    def table(self, prefix: str, rows, columns) -> dict:
+        """{(r, c): entry} from each row key `prefix.r = entry ...`, whose
+        entries are those of the c in `columns`, in order; an r not in
+        `rows`, or a row of another length, is refused at its line."""
+        out = {}
         for k, v, ln in self.entries:
             if k.startswith(prefix + "."):
                 self.read.add(k)
-                name = k[len(prefix) + 1 :]
-                if name not in names:
-                    raise ParseError(f"[{self.kind} {self.name}]: {k!r} names {name!r}, outside its carrier", ln)
-                out.append((name, v, ln))
+                r, entries = k[len(prefix) + 1 :], v.split()
+                if r not in rows:
+                    raise ParseError(f"[{self.kind} {self.name}]: {k!r} names {r!r}, outside its carrier", ln)
+                if len(entries) != len(columns):
+                    message = f"{k!r} has {len(entries)} entries, expected {len(columns)}"
+                    raise ParseError(f"[{self.kind} {self.name}]: {message}", ln)
+                out.update(zip(((r, c) for c in columns), entries))
         return out
 
     def refuse_unread(self) -> None:
@@ -93,6 +111,20 @@ class Section:
         for k, _, ln in self.entries:
             if k not in self.read:
                 raise ParseError(f"[{self.kind} {self.name}]: unknown key {k!r}", ln)
+
+
+def pairs(tokens, key: str, where: str, line: int | None = None) -> dict:
+    """{a: b} from the tokens `a:b` of the `where`, each a naming a `key`;
+    a token without a colon, or a repeated a, is refused at `line`."""
+    out = {}
+    for token in tokens:
+        if ":" not in token:
+            raise ParseError(f"{where} entry {token!r} must look like a:b", line)
+        a, b = (part.strip() for part in token.split(":", 1))
+        if a in out:
+            raise ParseError(f"{key} {a!r} repeated in the {where}", line)
+        out[a] = b
+    return out
 
 
 def _integer(text: str, what: str, line: int | None) -> int:
@@ -245,20 +277,9 @@ def _build_structure(sec: Section) -> FinStruct:
                 )
     zero = sec.require("zero")
     one = sec.require("one")
-    tables = {}
-    for label in ("add", "mul"):
-        table = {}
-        for a, value, ln in sec.rows(f"{label}.row", elements):
-            values = value.split()
-            if len(values) != len(elements):
-                raise ParseError(
-                    f"{label} row for {a!r} has {len(values)} entries, expected {len(elements)}", ln
-                )
-            for b, res in zip(elements, values):
-                table[(a, b)] = res
-        tables[label] = table
+    add, mul = (sec.table(f"{label}.row", elements, elements) for label in ("add", "mul"))
     flags = frozenset(sec.get("flags", "").split())
-    return FinStruct(sec.name, order, tables["add"], tables["mul"], zero, one, flags)
+    return FinStruct(sec.name, order, add, mul, zero, one, flags)
 
 
 def _build_space(ws: Workspace, sec: Section) -> FunctionSpace:
@@ -268,15 +289,7 @@ def _build_space(ws: Workspace, sec: Section) -> FunctionSpace:
 
 
 def _build_function(space: FunctionSpace, sec: Section) -> KFunction:
-    values = {}
-    for token in sec.require("values").split():
-        if ":" not in token:
-            raise ParseError(f"function value {token!r} must look like point:value", sec.line_of("values"))
-        x, v = token.split(":", 1)
-        if x in values:
-            raise ParseError(f"point {x!r} repeated in the function values", sec.line_of("values"))
-        values[x] = v
-    return space.function(values)
+    return space.function(pairs(sec.require("values").split(), "point", "function values", sec.line_of("values")))
 
 
 def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Functional:
@@ -308,28 +321,9 @@ def _build_action(ws: Workspace, sec: Section) -> tuple:
     sec.choice("regime", ("unit-cocycle",), "regime")
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     gelems = tuple(sec.require("groupoid-elements").split())
-    table = {}
-    for a, value, ln in sec.rows("groupoid.row", gelems):
-        values = value.split()
-        if len(values) != len(gelems):
-            raise ParseError(f"groupoid row {a!r} has wrong arity", ln)
-        for b, res in zip(gelems, values):
-            table[(a, b)] = res
-    G = Groupoid(sec.name + ".G", gelems, table, sec.require("unit"))
+    G = Groupoid(sec.name + ".G", gelems, sec.table("groupoid.row", gelems, gelems), sec.require("unit"))
     points = tuple(sec.require("points").split())
-    v = {}
-    rho = {}
-    for g, value, ln in sec.rows("act", gelems):
-        images = value.split()
-        if len(images) != len(points):
-            raise ParseError(f"action row for {g!r} has wrong arity", ln)
-        v[g] = dict(zip(points, images))
-    for g, value, ln in sec.rows("rho", gelems):
-        values = value.split()
-        if len(values) != len(points):
-            raise ParseError(f"cocycle row for {g!r} has wrong arity", ln)
-        for x, val in zip(points, values):
-            rho[(g, x)] = val
+    v, rho = (sec.table(prefix, gelems, points) for prefix in ("act", "rho"))
     L = sec.require("L").split()
     if len(set(L)) < len(L):
         raise ParseError(f"[action {sec.name}]: repeated element in L = {' '.join(L)}", sec.line_of("L"))
@@ -355,18 +349,11 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
     for op in ("add", "mul"):
         psi[op] = sec.integer(f"{op}.psi", "0")
         phi[op] = sec.integer(f"{op}.phi", "0")
-    embed = None
-    if sec.get("embed") is not None:
-        embed = {}
-        for token in sec.require("embed").split():
-            if ":" not in token:
-                raise ParseError(f"embed entry {token!r} must look like a:b", sec.line_of("embed"))
-            a, b = token.split(":", 1)
+    embed = sec.get("embed")
+    if embed is not None:
+        embed = pairs(embed.split(), "element", "embed", sec.line_of("embed"))
+        for a, b in embed.items():
             if a not in K.code or b not in K.code:
-                raise ParseError(
-                    f"embed entry {token!r} names an element outside structure {K.name!r}", sec.line_of("embed")
-                )
-            if a in embed:
-                raise ParseError(f"embed entry {token!r} repeats the element {a!r}", sec.line_of("embed"))
-            embed[a] = b
+                message = f"embed entry {a + ':' + b!r} names an element outside structure {K.name!r}"
+                raise ParseError(message, sec.line_of("embed"))
     return IndexScheme(K, range(lo, hi), psi, phi, embed)

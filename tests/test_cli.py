@@ -68,7 +68,7 @@ def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
     assert err.startswith(f"error: {doc} is not UTF-8 text: ")
 
 
-@pytest.mark.parametrize("expr", ["ghost(f)", "nu(g)", "nu f", "nu({x1: 1})", "nu({x1: 7, x2: 0})"])
+@pytest.mark.parametrize("expr", ["ghost(f)", "nu(g)", "nu f", "nu({x1: 1})", "nu({x1: 7, x2: 0})", "nu({x1 0, x2: 1})"])
 def test_eval_refuses_bad_expressions(capsys, expr):
     code, out, err = run(capsys, "eval", DEMO, "--expr", expr)
     assert (code, out) == (2, "")
@@ -454,6 +454,22 @@ def test_monad_on_a_monotone_space_passes(tmp_path, capsys, builtin):
         "assoc",
     ]
     assert {(verdict, witness) for _, _, verdict, witness in records} == {("pass", "-")}
+
+
+SKEW_SPACE = (
+    "[structure skew]\nelements = 0 1 2\norder = chain\nzero = 0\none = 1\n"
+    "add.row.0 = 0 1 2\nadd.row.1 = 1 1 2\nadd.row.2 = 2 1 2\n"
+    "mul.row.0 = 0 0 0\nmul.row.1 = 0 1 2\nmul.row.2 = 0 2 2\n\n"
+    "[space P]\nstructure = skew\npoints = a b\nvariant = +\n"
+)
+
+
+def test_monad_on_a_space_that_a_constant_shift_leaves_exits_2_naming_the_space(tmp_path, capsys):
+    # 2 + 0 = 2 but 2 + 1 = 1, so adding 2 on the left takes the monotone {a: 0, b: 1} out of P
+    doc = tmp_path / "skew.workspace"
+    doc.write_text(SKEW_SPACE, encoding="utf-8")
+    message = "error: a constant shift leaves the monotone space 'P': {a: 2, b: 1} is not a function of it\n"
+    assert run(capsys, "check", doc, "--suite", "monad") == (2, "", message)
 
 
 WIDE_SPACE = (

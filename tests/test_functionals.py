@@ -942,6 +942,26 @@ class TestSharedRelations:
         assert "join" not in sp._instances
         assert [positions for positions, _, _ in law_instances(sp, ("join",))] == want
 
+    def test_a_reader_cut_short_by_another_readers_compile_reads_on(self, monkeypatch):
+        # the interrupt ends the compile both readers share; the reader that had read one
+        # instance reads the rest from a fresh compile, not only those already compiled
+        sp = FunctionSpace(("x1", "x2"), direct_product(boolean_semiring("a"), boolean_semiring("b")))
+        want = [positions for positions, _, _ in functionals._instances(sp, "join", None)]
+        join_meet_at = FunctionSpace.join_meet_at
+
+        def interrupted(self, i, j, k):
+            if (i, j) == (0, 5):
+                raise KeyboardInterrupt
+            return join_meet_at(self, i, j, k)
+
+        reader = law_instances(sp, ("join",))
+        first = next(reader)
+        monkeypatch.setattr(FunctionSpace, "join_meet_at", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            list(law_instances(sp, ("join",)))
+        monkeypatch.setattr(FunctionSpace, "join_meet_at", join_meet_at)
+        assert len(want) == 196 and [positions for positions, _, _ in (first, *reader)] == want
+
     def test_interleaved_readers_read_one_compile(self):
         # bool x bool is no chain, so its join and meet laws keep every pair
         sp = FunctionSpace(("x1", "x2"), direct_product(boolean_semiring("a"), boolean_semiring("b")))
@@ -1024,7 +1044,7 @@ def test_the_idempotent_suite_picks_each_vee_and_wedge_at_most_once(monkeypatch)
     ws = parse(SYMBOLIC_SPACE)
     asked = picked(monkeypatch)
     records = suite_idempotent(ws, 20000, 0)
-    assert not all(r.verdict.holds for r in records if r.law in ("join", "meet"))
+    assert not all(r.verdict.holds for r in records if r.verdict.law in ("join", "meet"))
     assert asked and max(asked.values()) == 1
 
 
@@ -1042,7 +1062,7 @@ def test_the_demo_decides_its_shift_laws_from_shared_shift_maps(monkeypatch):
     monkeypatch.setattr(FunctionSpace, "shift_map", counted)
     ws = parse((Path(__file__).resolve().parent.parent / "docs" / "demo.workspace").read_text())
     records = suite_idempotent(ws, 20000, 0)
-    assert any(r.verdict.holds for r in records if r.law.endswith("shift"))
+    assert any(r.verdict.holds for r in records if r.verdict.law.endswith("shift"))
     for nu in ws.functionals.values():
         homogeneity(nu)
     for space in ws.spaces.values():

@@ -388,15 +388,21 @@ def test_every_field_is_read():
 
 def calls_of(source: str, name: str) -> list[str]:
     """The dotted name of the class or function whose own body calls
-    `name(...)`, once per call, in source order; "<module>" outside them."""
+    `name(...)`, or `<anything>.method(...)` for a name ".method", once
+    per call, in source order; "<module>" outside them."""
     found = []
+
+    def called(func) -> bool:
+        if name.startswith("."):
+            return isinstance(func, ast.Attribute) and func.attr == name[1:]
+        return isinstance(func, ast.Name) and func.id == name
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+            if isinstance(child, ast.Call) and called(child.func):
                 found.append(where or "<module>")
             visit(child, where)
 
@@ -420,6 +426,11 @@ def test_scanner_finds_every_call_with_its_definition():
     assert calls_of(source, "f") == ["<module>", "A.g", "m.n"]
 
 
+def test_scanner_finds_every_method_call_with_its_definition():
+    source = "def g(s):\n    return s.f(), f(), s.f, s.t.f(1)\nclass A:\n    def h(self):\n        return self.f()\n"
+    assert calls_of(source, ".f") == ["g", "g", "A.h"]
+
+
 def test_each_functional_has_one_value_cache():
     # every checker reads `Functional.values`, so a functional's values are evaluated once
     made = [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), "LazyValues")]
@@ -430,3 +441,23 @@ def test_law_instances_is_the_one_compile_of_a_law():
     # every scan of a law reads the lazy compile that `law_instances` keeps per space and grid
     made = [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), "_instances")]
     assert made == ["functionals.py: law_instances"]
+
+
+def test_each_named_table_is_read_and_coded_in_one_place():
+    # a document's rows are read by `Section.table`, its a:b lists by `pairs`, and every
+    # table keyed by pairs of names becomes rows of codes in `code_rows`; the builders call them
+    def callers(name):
+        return [f"{p.name}: {where}" for p in PACKAGE for where in calls_of(p.read_text(encoding="utf-8"), name)]
+
+    assert callers(".table") == [
+        "workspace.py: _build_structure",  # add.row and mul.row
+        "workspace.py: _build_action",  # groupoid.row
+        "workspace.py: _build_action",  # act and rho
+    ]
+    assert callers("pairs") == ["cli.py: _cmd_eval", "workspace.py: _build_function", "workspace.py: _build_scheme"]
+    assert callers("code_rows") == [
+        "convolution.py: Groupoid.__init__",
+        "convolution.py: ActionSystem.__init__",  # act
+        "convolution.py: ActionSystem.__init__",  # rho
+        "structures.py: FinStruct.__post_init__",  # add and mul
+    ]

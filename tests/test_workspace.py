@@ -20,6 +20,32 @@ mul.phi = {phi}
 """
 
 
+# A structure and an action given by their tables: one key per row.
+TABLES = """\
+[structure K]
+elements = 0 1
+order = chain
+zero = 0
+one = 1
+add.row.0 = 0 1
+add.row.1 = 1 1
+mul.row.0 = 0 0
+mul.row.1 = 0 1
+
+[action A]
+structure = K
+groupoid-elements = e
+groupoid.row.e = e
+unit = e
+points = e
+act.e = e
+rho.e = 1
+L = 0 1
+"""
+
+FUNCTION = "[structure b]\nbuiltin = boolean\n[space S]\nstructure = b\npoints = x\n[function f]\nspace = S\n"
+
+
 def run_check(tmp_path, capsys, text):
     doc = tmp_path / "doc.workspace"
     doc.write_text(text, encoding="utf-8")
@@ -39,8 +65,50 @@ def run_check(tmp_path, capsys, text):
         ("[structure m]\nbuiltin =\n", 2),
         ("[structure b]\nbuiltin = boolean\n\n[suite default]\nbudget = lots\n", 5),
         ("[structure b]\nbuiltin = boolean\n[suite default]\nseed = 0.5\n", 4),
+        (FUNCTION + "values = x0\n", 8),
+        # a row of the wrong length is refused at its line, a missing row at its section's
+        (TABLES.replace("add.row.1 = 1 1", "add.row.1 = 1"), 7),
+        (TABLES.replace("add.row.1 = 1 1\n", ""), 1),
+        (TABLES.replace("mul.row.0 = 0 0", "mul.row.0 = 0 0 1"), 8),
+        (TABLES.replace("mul.row.0 = 0 0\n", ""), 1),
+        (TABLES.replace("groupoid.row.e = e", "groupoid.row.e ="), 14),
+        (TABLES.replace("groupoid.row.e = e\n", ""), 11),
+        (TABLES.replace("act.e = e", "act.e = e e"), 17),
+        (TABLES.replace("act.e = e\n", ""), 11),
+        (TABLES.replace("rho.e = 1", "rho.e = 1 1"), 18),
+        (TABLES.replace("rho.e = 1\n", ""), 11),
+        # a value outside its carrier is refused where the table becomes codes, at its section's line
+        (TABLES.replace("add.row.1 = 1 1", "add.row.1 = 1 x"), 1),
+        (TABLES.replace("groupoid.row.e = e", "groupoid.row.e = x"), 11),
+        (TABLES.replace("act.e = e", "act.e = x"), 11),
+        (TABLES.replace("rho.e = 1", "rho.e = x"), 11),
     ],
-    ids=["window-token", "window-arity", "phi", "embed", "chain-size", "chain-no-size", "no-builtin", "budget", "seed"],
+    ids=[
+        "window-token",
+        "window-arity",
+        "phi",
+        "embed",
+        "chain-size",
+        "chain-no-size",
+        "no-builtin",
+        "budget",
+        "seed",
+        "values-token",
+        "add-row-length",
+        "add-row-missing",
+        "mul-row-length",
+        "mul-row-missing",
+        "groupoid-row-length",
+        "groupoid-row-missing",
+        "act-length",
+        "act-missing",
+        "rho-length",
+        "rho-missing",
+        "add-row-value",
+        "groupoid-row-value",
+        "act-value",
+        "rho-value",
+    ],
 )
 def test_malformed_tokens_exit_2_with_the_line(tmp_path, capsys, text, line):
     code, err = run_check(tmp_path, capsys, text)
@@ -342,7 +410,7 @@ def test_a_combo_of_parts_on_another_space_is_refused_at_its_parts_line(tmp_path
     "old, new, message",
     [
         ("L = 0 1", "L = 0 1 1", "line 25: [action A]: repeated element in L = 0 1 1"),
-        ("window = 0 3", "window = 0 3\nembed = 0:0 1:0 1:1", "line 30: embed entry '1:1' repeats the element '1'"),
+        ("window = 0 3", "window = 0 3\nembed = 0:0 1:0 1:1", "line 30: element '1' repeated in the embed"),
     ],
     ids=["action-L", "scheme-embed"],
 )
