@@ -16,8 +16,10 @@ tables; the support bound reads only the point maps v_g.
 
 Values of K are codes (see `structures`); so are points and groupoid
 elements, by position.  Names are read only where a groupoid or an
-action is built, whose tables keyed by pairs of names `code_rows`
-turns into rows of codes, and applied only in a witness or a message.
+action is built, and applied only in a witness or a message: G codes
+its elements (`order.encode`) and an action's space its points, the
+unit and L are looked up by `order.codes`, and the tables keyed by pairs
+of names become rows of codes through `code_rows`.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .functionals import (
     support_of,
     tabulate,
 )
+from .order import codes, encode
 from .report import AxiomReport, Verdict, first_failure
 from .structures import FinStruct, code_rows
 
@@ -51,13 +54,9 @@ class Groupoid:
     def __init__(self, name: str, elements: tuple, table: dict, unit: str):
         self.name = name
         self.elements = elements
-        code = {a: i for i, a in enumerate(elements)}
-        if len(code) < len(elements):
-            raise InputError(f"{name}: repeated element in {' '.join(elements)}")
-        if unit not in code:
-            raise InputError(f"{name}: unit {unit!r} not an element")
+        code = encode(f"{name}: element", elements)
+        [self.unit] = codes(f"{name}: unit", (unit,), code)
         self.table = code_rows(f"{name}: product", table, elements, elements, code)
-        self.unit = code[unit]
         for a in range(len(elements)):
             if self.table[self.unit][a] != a or self.table[a][self.unit] != a:
                 raise InputError(f"{name}: unit is not neutral at {elements[a]!r}")
@@ -67,21 +66,18 @@ class ActionSystem:
     """A groupoid action on a finite set with a cocycle into an
     associative part of the coefficient structure, built from the maps
     v and rho keyed by pairs (g, x) of names and kept as codes, with one
-    row per element of G: act[g][x] is the code of v_g(x) among the
-    points, and rho[g][x] that of rho(g,x) in K.  L is a set of codes.
+    row per element of G: act[g][x] is the code of v_g(x) in `space.code`,
+    and rho[g][x] that of rho(g,x) in K.  L is a set of codes.
     The algebra checks refuse a cocycle not constant one (`_require_unit_cocycle`)."""
 
     def __init__(self, G: Groupoid, K: FinStruct, points: tuple, v: dict, L: frozenset, rho: dict):
         self.G = G
         self.K = K
         self.points = points
-        at = {x: i for i, x in enumerate(points)}
-        self.act = code_rows("act", v, G.elements, points, at)
+        self.space = FunctionSpace(points, K)
+        self.act = code_rows("act", v, G.elements, points, self.space.code)
         self.rho = code_rows("rho", rho, G.elements, points, K.code)
-        if not L <= K.code.keys():
-            raise InputError("L is not a subset of the coefficient carrier")
-        self.L = frozenset(K.code[a] for a in L)
-        self.space = FunctionSpace(self.points, self.K)
+        self.L = frozenset(codes("L element", sorted(L), K.code))
         self.along = cache(self._positions_along)
 
     @cached_property

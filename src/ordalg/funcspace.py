@@ -9,11 +9,14 @@ enumerated only up to `FUNCTION_CAP` value tuples.
 
 A function's values are the codes of K's elements (see `structures`),
 and it keeps its K, so a space refuses a function into another K.
-`function` is where names are read, from a workspace or an `eval`
-literal; `member` makes a function from codes.  Names are applied only
-by `KFunction.__str__`, which reads its K's names.  On a space with no
-variant, a member's position in `functions()` is its value tuple read as
-a number in base |K|; only a monotone space keeps a position map.
+`function` is where value names are read, from a workspace or an `eval`
+literal, and looked up by `order.codes`; `member` makes a function from
+codes.  A space codes its points by position once (`code`, made by
+`order.encode`), where functionals look up the points they are given.
+Names are applied only by `KFunction.__str__`, which reads its K's
+names.  On a space with no variant, a member's position in `functions()`
+is its value tuple read as a number in base |K|; only a monotone space
+keeps a position map.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import CapacityError, IncomparableError, InputError
-from .order import OrderRelation, sup_over
+from .order import OrderRelation, codes, encode, sup_over
 from .structures import FinStruct
 
 
@@ -99,8 +102,7 @@ class FunctionSpace:
         self.name = name or f"C({','.join(self.points)};{K.name})"
         if not self.points:
             raise InputError("point set must be non-empty")
-        if len(set(self.points)) < len(self.points):
-            raise InputError(f"repeated point in {' '.join(self.points)}")
+        self.code = encode("point", self.points)
         if variant not in (None, *VARIANTS):
             raise InputError(f"unknown variant {variant!r}")
         self._funcs: tuple[KFunction, ...] | None = None
@@ -134,11 +136,7 @@ class FunctionSpace:
             vals = tuple(values)
             if len(vals) != len(self.points):
                 raise InputError("function values must align with the domain")
-        code = self.K.code
-        for v in vals:
-            if v not in code:
-                raise InputError(f"value {v!r} not in K")
-        return self.member(tuple(code[v] for v in vals))
+        return self.member(codes("value", vals, self.K.code))
 
     def member(self, values: tuple) -> KFunction:
         """The function with these value codes, refused when it is not

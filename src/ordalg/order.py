@@ -2,7 +2,9 @@
 checkers with witnesses, and finite sup/inf.
 
 The elements of an order are codes 0..n-1 in carrier order; `carrier`
-keeps their names.  Names are read only where an order is built (its
+keeps their names.  Every list of names becomes codes here: `encode`
+codes a carrier once, and `codes` looks up the names a constructor is
+given in such a code.  Names are read only where an order is built (its
 pairs are pairs of names) and where a failing axiom names its witness.
 Everything else reads code-indexed tables built once: the up-sets and
 down-sets, and `picks`, the one place that join, meet and comparability
@@ -18,21 +20,39 @@ from .report import Verdict
 Mode = str  # "directed" | "linear"
 
 
+def encode(what: str, names) -> dict:
+    """The codes 0..n-1 of the names, in order; a repeated name is refused.
+    `what` names one name, after its owner and ": " if any: "G: element"."""
+    code = {x: i for i, x in enumerate(names)}
+    if len(code) < len(names):
+        owner, sep, noun = what.rpartition(": ")
+        raise InputError(f"{owner}{sep}repeated {noun} in {' '.join(names)}")
+    return code
+
+
+def codes(what: str, names, code: dict) -> tuple:
+    """The code of each name, in order; a name that `code` does not hold
+    is refused, named after `what`, as in "z: zero element"."""
+    try:
+        return tuple(code[x] for x in names)
+    except KeyError as exc:
+        raise InputError(f"{what} {exc.args[0]!r} not in carrier") from None
+
+
 class OrderRelation:
     """A binary relation `leq` over a finite carrier of named elements.
 
-    It is never mutated after construction.  `above[x]` (the z with
-    x <= z) and `below[x]` (the z with z <= x) are frozensets of codes,
-    and `picks[a][b]` is (join, meet) of comparable a and b, the larger
-    and the smaller, or None when they are incomparable.  `extrema[up]`
-    keeps the sup (up) or inf of each set of codes once it is decided.
+    It is never mutated after construction.  `code` maps names to codes,
+    `above[x]` (the z with x <= z) and `below[x]` (the z with z <= x) are
+    frozensets of codes, and `picks[a][b]` is (join, meet) of comparable
+    a and b, the larger and the smaller, or None when they are
+    incomparable.  `extrema[up]` keeps the sup (up) or inf of each set of
+    codes once it is decided.
     """
 
     def __init__(self, carrier: tuple[str, ...], pairs):
         self.carrier = carrier
-        code = {x: i for i, x in enumerate(carrier)}
-        if len(code) != len(carrier):
-            raise InputError("carrier contains duplicate identifiers")
+        code = self.code = encode("element", carrier)
         above = [set() for _ in carrier]
         for x, y in pairs:
             if x not in code or y not in code:

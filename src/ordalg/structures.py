@@ -6,11 +6,12 @@ every declared law flag, so a constructed structure is trustworthy.
 
 Its elements are codes 0..n-1 in carrier order, and every module
 computes on codes: `add[a][b]` and `mul[a][b]` are rows of codes.  The
-element names (`names`) are read where a structure is built, from
-tables keyed by pairs of names that `code_rows` turns into rows of codes
-(as it does for groupoids and actions), and where a name is printed: a
-failing law's witness, an error message, and `__str__` of the values
-that hold codes (functions, value tables, s-product elements).
+element names (`names`) are read where a structure is built, whose
+order codes them (`order.encode`), whose zero and one `order.codes`
+looks up and whose tables `code_rows` turns into rows of codes (as it
+does for groupoids and actions), and where a name is printed: a failing
+law's witness, an error message, and `__str__` of the values that hold
+codes (functions, value tables, s-product elements).
 
 Law checkers are exact and return the first violating tuple of the full
 scan.  Associativity and distributivity are decided from a generating
@@ -39,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import CapacityError, InputError
-from .order import OrderRelation, axiom_failure
+from .order import OrderRelation, axiom_failure, codes
 from .report import Verdict
 
 LAWS = (
@@ -75,8 +76,8 @@ class FinStruct:
 
     It is built from its order, `add` and `mul` tables keyed by pairs of
     element names, and the names of `zero`, which must be least, and
-    `one`; construction replaces each by codes, the tables through
-    `code_rows`, and nothing is mutated after that.  `check_law` keeps
+    `one`; construction replaces each by codes (`order.codes`,
+    `code_rows`), and nothing is mutated after that.  `check_law` keeps
     each verdict in `verdicts`, so the laws decided at construction are
     not scanned again.
     """
@@ -99,17 +100,14 @@ class FinStruct:
         names = self.names = self.order.carrier
         require_desk_scale(self.name, len(names))
         self.elements = range(len(names))
-        code = self.code = {x: i for i, x in enumerate(names)}
-        if self.zero not in code:
-            raise InputError(f"{self.name}: zero element {self.zero!r} not in carrier")
+        code = self.code = self.order.code
+        [self.zero] = codes(f"{self.name}: zero element", (self.zero,), code)
         for x, name in enumerate(names):
-            if x not in self.order.above[code[self.zero]]:
-                raise InputError(f"{self.name}: zero element {self.zero!r} is not minimal: not leq {name!r}")
+            if x not in self.order.above[self.zero]:
+                raise InputError(f"{self.name}: zero element {names[self.zero]!r} is not minimal: not leq {name!r}")
         for label in ("add", "mul"):
             setattr(self, label, code_rows(f"{self.name}: {label}", getattr(self, label), names, names, code))
-        if self.one not in code:
-            raise InputError(f"{self.name}: one {self.one!r} not in carrier")
-        self.zero, self.one = code[self.zero], code[self.one]
+        [self.one] = codes(f"{self.name}: one", (self.one,), code)
         v = check_law(self, "neutral")
         if not v:
             raise InputError(f"{self.name}: neutral law fails at {v.witness}")
@@ -274,9 +272,7 @@ class Homomorphism:
         for a in source.names:
             if a not in mapping:
                 raise InputError(f"homomorphism map missing element {a!r}")
-            if mapping[a] not in target.code:
-                raise InputError(f"image {mapping[a]!r} not in target carrier")
-        self.mapping = tuple(target.code[mapping[a]] for a in source.names)
+        self.mapping = codes("image", [mapping[a] for a in source.names], target.code)
 
 
 def check_homomorphism(h: Homomorphism) -> Verdict:

@@ -62,8 +62,7 @@ def suite_idempotent(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]
         rep = check_idempotent(nu, budget=budget, seed=seed)
         records.extend(CheckRecord(f"idempotent/{name}/{v.law}", v) for v in rep.verdicts.values())
         weak = check_weak_properties(nu, budget=budget, seed=seed)
-        # normalization is recorded once, with the idempotency laws
-        records.extend(CheckRecord(f"weak/{name}/{v.law}", v) for v in weak.verdicts.values() if v.law != "normalized")
+        records.extend(CheckRecord(f"weak/{name}/{v.law}", v) for v in weak.verdicts.values())
     return records
 
 

@@ -15,8 +15,10 @@ Two values have a shape of their own, each read in one place:
   `values` and a scheme's `embed` take, as does the literal
   `{a: b, ...}` of `ordalg eval`, between commas.
 
-Names become codes where a structure, groupoid or action is built
-(`structures.code_rows`).
+Names become codes where a section's object is built: `order.encode`
+codes a carrier, `order.codes` looks up the other names a constructor
+is given and `structures.code_rows` a table.  The parser checks only the
+embed's names itself, to report a wrong one at the `embed` line.
 
 Section kinds: structure, space, function, functional, action, scheme,
 suite.  See docs/demo.workspace for a complete example.  The builders of
@@ -314,7 +316,8 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
 
 
 def _build_action(ws: Workspace, sec: Section) -> tuple:
-    """The section's action and its kind; the kind and the regime, only unit-cocycle, are checked first."""
+    """The section's action and its kind; the kind and the regime, only unit-cocycle, are checked first,
+    and the points, which must be G's elements, last."""
     from .convolution import KINDS, ActionSystem, Groupoid, check_action
 
     kind = sec.choice("kind", KINDS, "kind") or "join"
@@ -333,6 +336,9 @@ def _build_action(ws: Workspace, sec: Section) -> tuple:
         raise ParseError(
             f"[action {sec.name}] fails the action laws at {verdict.witness}", sec.line
         )
+    if points != gelems:
+        message = f"[action {sec.name}]: points must be the groupoid elements {' '.join(gelems)}, in order"
+        raise ParseError(f"{message}: convolution acts on X = G itself", sec.line_of("points"))
     return sys, kind
 
 
@@ -356,4 +362,9 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
             if a not in K.code or b not in K.code:
                 message = f"embed entry {a + ':' + b!r} names an element outside structure {K.name!r}"
                 raise ParseError(message, sec.line_of("embed"))
-    return IndexScheme(K, range(lo, hi), psi, phi, embed)
+    scheme = IndexScheme(K, range(lo, hi), psi, phi, embed)
+    if phi["mul"] and len(K.elements) < 2:
+        # the non-associativity search, which a shifted mul runs, needs a second element
+        message = f"[scheme {sec.name}]: mul.phi {phi['mul']} needs a component of at least two elements"
+        raise ParseError(message, sec.line_of("mul.phi"))
+    return scheme

@@ -557,13 +557,15 @@ def test_the_demo_action_over_mp3(tmp_path, capsys):
     "edits, message",
     [
         ({"act.e = e a": "act.e = a e"}, "[action A] fails the action laws at ('unit-action', 'e')"),
+        ({"unit = e": "unit = z"}, "[action A]: A.G: unit 'z' not in carrier"),
+        ({"L = 0 1": "L = 0 1 7"}, "[action A]: L element '7' not in carrier"),
         # the values at (e,a) and (a,e) both lie outside L minus zero; the first by name is named
         (
             {"rho.e = 1 1": "rho.e = 1 0", "rho.a = 1 1": "rho.a = 0 1"},
             "[action A]: cocycle value at (a,e) must lie in L minus zero",
         ),
     ],
-    ids=["unit-action", "cocycle-value"],
+    ids=["unit-action", "cocycle-value", "unit", "L"],
 )
 def test_a_bad_demo_action_exits_2_naming_its_first_failure(tmp_path, capsys, edits, message):
     text = DEMO.read_text(encoding="utf-8")

@@ -386,28 +386,37 @@ def test_every_field_is_read():
     assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)
 
 
-def calls_of(source: str, name: str) -> list[str]:
-    """The dotted name of the class or function whose own body calls
-    `name(...)`, or `<anything>.method(...)` for a name ".method", once
-    per call, in source order; "<module>" outside them."""
+def found_in(source: str, match) -> list[str]:
+    """The dotted name of the class or function whose own body holds a
+    node that `match` accepts, once per node, in source order;
+    "<module>" outside them."""
     found = []
-
-    def called(func) -> bool:
-        if name.startswith("."):
-            return isinstance(func, ast.Attribute) and func.attr == name[1:]
-        return isinstance(func, ast.Name) and func.id == name
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Call) and called(child.func):
+            if match(child):
                 found.append(where or "<module>")
             visit(child, where)
 
     visit(ast.parse(source), "")
     return found
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """Where `name(...)` is called, or `<anything>.method(...)` for a
+    name ".method", as `found_in` names it."""
+
+    def called(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        if name.startswith("."):
+            return isinstance(node.func, ast.Attribute) and node.func.attr == name[1:]
+        return isinstance(node.func, ast.Name) and node.func.id == name
+
+    return found_in(source, called)
 
 
 def test_scanner_finds_every_call_with_its_definition():
@@ -460,4 +469,63 @@ def test_each_named_table_is_read_and_coded_in_one_place():
         "convolution.py: ActionSystem.__init__",  # act
         "convolution.py: ActionSystem.__init__",  # rho
         "structures.py: FinStruct.__post_init__",  # add and mul
+    ]
+
+
+def codes_by_position(node) -> bool:
+    """Whether `node` is a dict comprehension {x: i for i, x in
+    enumerate(...)}, which gives each x its position as its code."""
+    if not isinstance(node, ast.DictComp) or len(node.generators) != 1:
+        return False
+    loop = node.generators[0]
+    return (
+        isinstance(loop.iter, ast.Call)
+        and getattr(loop.iter.func, "id", None) == "enumerate"
+        and isinstance(loop.target, ast.Tuple)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == getattr(loop.target.elts[0], "id", None)
+    )
+
+
+def test_scanner_finds_a_code_by_position():
+    source = (
+        "A = {x: i for i, x in enumerate('ab')}\n"
+        "def f(xs):\n"
+        "    named = {i: x for i, x in enumerate(xs)}\n"
+        "    return {x: i for i, x in enumerate(xs)}, dict(enumerate(xs)), named\n"
+        "class C:\n"
+        "    def g(self, xs):\n"
+        "        return {x.k: n for n, x in enumerate(xs) if x}, {x: 0 for x in xs}\n"
+    )
+    assert found_in(source, codes_by_position) == ["<module>", "f", "C.g"]
+
+
+def test_names_are_coded_and_looked_up_in_one_place():
+    # a carrier's names are coded by `encode`, and every name a constructor is given is looked
+    # up by `codes`; nothing else codes by position but the position map of a monotone space,
+    # keyed by value tuples, and the inverse of t^r in `scheme_law`, keyed by codes
+    def found(find):
+        return [f"{p.name}: {where}" for p in PACKAGE for where in find(p.read_text(encoding="utf-8"))]
+
+    assert found(lambda source: found_in(source, codes_by_position)) == [
+        "funcspace.py: FunctionSpace._index",
+        "order.py: encode",
+        "suites.py: scheme_law",
+    ]
+    assert found(lambda source: calls_of(source, "encode")) == [
+        "convolution.py: Groupoid.__init__",
+        "funcspace.py: FunctionSpace.__init__",
+        "order.py: OrderRelation.__init__",
+    ]
+    assert found(lambda source: calls_of(source, "codes")) == [
+        "convolution.py: Groupoid.__init__",  # unit
+        "convolution.py: ActionSystem.__init__",  # L
+        "funcspace.py: FunctionSpace.function",  # values
+        "functionals.py: Dirac.__init__",
+        "functionals.py: _Extremum.__init__",  # the subset of SupOver and InfOver
+        "functionals.py: weighted_combo",  # coefficients
+        "functionals.py: pushforward",  # the point map's values
+        "structures.py: FinStruct.__post_init__",  # zero
+        "structures.py: FinStruct.__post_init__",  # one
+        "structures.py: Homomorphism.__init__",  # images
     ]

@@ -232,6 +232,12 @@ def test_unknown_action_kind_is_refused_at_its_line_before_any_check(tmp_path, c
 
 COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside = left\n"
 
+# the keys of bool given by its tables, to stand for `builtin = boolean`
+BOOL_ROWS = (
+    "elements = 0 1\norder = chain\nzero = 0\none = 1\n"
+    "add.row.0 = 0 1\nadd.row.1 = 1 1\nmul.row.0 = 0 0\nmul.row.1 = 0 1"
+)
+
 
 @pytest.mark.parametrize(
     "old, new, message",
@@ -267,6 +273,30 @@ COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside
         ("side = left", "side = middle", "line 39: [functional c]: unknown side 'middle'"),
         ("run = laws", "run = laws monads", "line 32: [suite default]: unknown suite 'monads'"),
         ("run = laws", "run = laws\nbudget = 0", "line 33: [suite default]: budget 0 must be at least 1"),
+        ("[structure b]", "[structure]", "line 1: section header must be [kind name]"),
+        ("[suite default]", "[foo x]", "line 31: unknown section kind 'foo'"),
+        ("builtin = boolean", "elements = 0 1\norder = 0<1", "line 3: order pair '0<1' must look like a<=b"),
+        # a name refused where its section's object is built is reported at the section's line
+        ("builtin = boolean", "elements = 0 0\norder = chain", "line 1: [structure b]: repeated element in 0 0"),
+        ("builtin = boolean", BOOL_ROWS.replace("one = 1", "one = z"), "line 1: [structure b]: b: one 'z' not in carrier"),
+        (
+            "builtin = boolean",
+            BOOL_ROWS.replace("add.row.0 = 0 1", "add.row.0 = 1 1"),
+            "line 1: [structure b]: b: neutral law fails at ('add-neutral', '0')",
+        ),
+        ("points = x y", "points =", "line 4: [space S]: point set must be non-empty"),
+        ("point = x", "point = zz", "line 12: [functional nu]: Dirac point 'zz' not in carrier"),
+        (
+            "kind = dirac\npoint = x",
+            "kind = sup_over\nset = x zz",
+            "line 12: [functional nu]: SupOver point 'zz' not in carrier",
+        ),
+        (
+            "coeffs = 1\nparts = nu",
+            "coeffs = 1 zz\nparts = nu nu",
+            "line 34: [functional c]: coefficient 'zz' not in carrier",
+        ),
+        ("window = 0 3", "window = 0 3\nembed = 0:0", "line 27: [scheme Sch]: homomorphism map missing element '1'"),
     ],
     ids=[
         "builtin",
@@ -280,6 +310,17 @@ COMBO = "\n[functional c]\nspace = S\nkind = combo\ncoeffs = 1\nparts = nu\nside
         "combo-side",
         "suite-run",
         "suite-budget",
+        "header-one-word",
+        "section-kind",
+        "order-pair",
+        "elements-repeat",
+        "one",
+        "add-zero",
+        "no-points",
+        "dirac-point",
+        "sup-set",
+        "combo-coeffs",
+        "embed-partial",
     ],
 )
 def test_an_unknown_value_exits_2_at_its_line_or_its_section(tmp_path, capsys, old, new, message):
@@ -419,3 +460,54 @@ def test_a_repeated_entry_is_refused_at_its_line(tmp_path, capsys, old, new, mes
     assert run_check(tmp_path, capsys, EVERY_KIND.replace(old, new)) == (2, f"error: {message}\n")
     once = new.replace(" 1 1", " 1").replace(" 1:0 1:1", " 1:1")
     assert run_check(tmp_path, capsys, EVERY_KIND.replace(old, once)) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "text, fixed, message",
+    [
+        (
+            "[structure t]\nbuiltin = trivial\n\n[scheme s]\nstructure = t\nwindow = 0 3\nmul.phi = 1\n",
+            ("mul.phi = 1", "mul.phi = 0"),
+            "line 7: [scheme s]: mul.phi 1 needs a component of at least two elements",
+        ),
+        (
+            TABLES.replace("points = e\nact.e = e", "points = x\nact.e = x"),
+            ("points = x\nact.e = x", "points = e\nact.e = e"),
+            "line 16: [action A]: points must be the groupoid elements e, in order: convolution acts on X = G itself",
+        ),
+    ],
+    ids=["scheme-of-one-element", "action-points"],
+)
+def test_a_document_that_its_suite_cannot_run_is_refused_at_its_key(tmp_path, capsys, text, fixed, message):
+    # the s-construction and convolution suites would refuse these without a line; the laws suite runs neither
+    assert run_check(tmp_path, capsys, text) == (2, f"error: {message}\n")
+    assert run_check(tmp_path, capsys, text.replace(*fixed)) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "text, suite, code, records",
+    [
+        (
+            EVERY_KIND.replace("run = laws", "run = laws\nbudget = 10"),
+            "monad",
+            0,
+            ["monad/S/skipped\tmonad\tpass\t-\tspace too large for the budget; skipped"],
+        ),
+        (
+            TABLES.replace("[action A]\n", "[action A]\nkind = add\n"),
+            "convolution",
+            1,
+            [
+                "convolution/A/action\taction\tpass\t-",
+                "convolution/A/kind\tkind-add\tfail\t-\tkind add needs commutative associative addition in K",
+            ],
+        ),
+    ],
+    ids=["monad-over-budget", "kind-add-without-comm-add"],
+)
+def test_a_check_that_cannot_run_is_a_record(tmp_path, capsys, text, suite, code, records):
+    doc = tmp_path / "doc.workspace"
+    doc.write_text(text, encoding="utf-8")
+    got = main(["check", str(doc), "--suite", suite, "--format", "records"])
+    out, err = capsys.readouterr()
+    assert (got, out.splitlines(), err) == (code, records, "")
