@@ -151,6 +151,11 @@ class FunctionSpace:
             raise InputError(f"value {c!r} not in K")
         return self.member((c,) * len(self.points))
 
+    @property
+    def over_a_chain(self) -> bool:
+        """No variant and K a chain: every pair of functions is then a join and meet instance."""
+        return self.variant is None and all(None not in row for row in self.K.order.picks)
+
     def is_monotone(self, f: KFunction) -> bool:
         """Whether f is monotone in the space's variant, the points read in their listed order."""
         if self.variant is None:

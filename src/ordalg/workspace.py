@@ -3,7 +3,8 @@
 A document is a sequence of sections, each opened by a `[kind name]`
 header and followed by `key = value` lines; `#` starts a comment.  The
 parser validates everything it builds (tables are total, flags re-verify,
-cross-references resolve) and reports failures with line numbers.
+cross-references resolve) and refuses a failure at the line of its key,
+or else of its section, after the section's prefix (`Section.at`).
 
 Two values have a shape of their own, each read in one place:
 
@@ -27,9 +28,10 @@ document without such a section never loads them.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import combinations
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, OrdalgError
 from .funcspace import SIDES, VARIANTS, FunctionSpace, KFunction
 from .functionals import Dirac, Functional, InfOver, SupOver, weighted_combo
 from .order import OrderRelation
@@ -47,10 +49,8 @@ SUITES = ("laws", "idempotent", "monad", "convolution", "s-construction")
 
 
 class ParseError(InputError):
-    def __init__(self, message: str, line: int | None = None):
-        at = f"line {line}: " if line is not None else ""
-        super().__init__(f"{at}{message}")
-        self.line = line
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
 
 
 class Section:
@@ -83,9 +83,21 @@ class Section:
 
     def integer(self, key: str, default: str) -> int:
         """The key's value as an integer, or `default` when the key is absent."""
-        return _integer(self.get(key, default), key, self.line_of(key))
+        with self.at(key):
+            return _integer(self.get(key, default), key)
 
-    def line_of(self, key: str) -> int:
+    @contextmanager
+    def at(self, key: str | None = None):
+        """Refuse an `OrdalgError` that the block raises at the key's line, or
+        the section's, after its prefix; a placed or capacity refusal passes."""
+        try:
+            yield
+        except (ParseError, CapacityError):
+            raise
+        except OrdalgError as exc:
+            raise ParseError(f"[{self.kind} {self.name}]: {exc}", self.line_of(key)) from exc
+
+    def line_of(self, key: str | None) -> int:
         for k, _, ln in self.entries:
             if k == key:
                 return ln
@@ -115,25 +127,25 @@ class Section:
                 raise ParseError(f"[{self.kind} {self.name}]: unknown key {k!r}", ln)
 
 
-def pairs(tokens, key: str, where: str, line: int | None = None) -> dict:
+def pairs(tokens, key: str, where: str) -> dict:
     """{a: b} from the tokens `a:b` of the `where`, each a naming a `key`;
-    a token without a colon, or a repeated a, is refused at `line`."""
+    a token without a colon, or a repeated a, is refused."""
     out = {}
     for token in tokens:
         if ":" not in token:
-            raise ParseError(f"{where} entry {token!r} must look like a:b", line)
+            raise InputError(f"{where} entry {token!r} must look like a:b")
         a, b = (part.strip() for part in token.split(":", 1))
         if a in out:
-            raise ParseError(f"{key} {a!r} repeated in the {where}", line)
+            raise InputError(f"{key} {a!r} repeated in the {where}")
         out[a] = b
     return out
 
 
-def _integer(text: str, what: str, line: int | None) -> int:
+def _integer(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}", line) from None
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
 
 
 class Workspace:
@@ -189,11 +201,8 @@ def parse(text: str) -> Workspace:
     order = {"structure": 0, "space": 1, "scheme": 2, "function": 3, "functional": 4, "action": 5, "suite": 6}
     for sec in sorted(sections, key=lambda s: (order.get(s.kind, 99),)):
         try:
-            _build(ws, sec)
-        except ParseError:
-            raise
-        except InputError as exc:
-            raise ParseError(f"[{sec.kind} {sec.name}]: {exc}", sec.line) from exc
+            with sec.at():
+                _build(ws, sec)
         except CapacityError as exc:
             raise CapacityError(f"line {sec.line}: [{sec.kind} {sec.name}]: {exc}") from exc
         sec.refuse_unread()
@@ -239,7 +248,7 @@ def _lookup(table: dict, name: str, sec: Section, what: str):
 
 _BUILTINS = {  # kind: (make(name, *arguments), the number of arguments)
     "boolean": (boolean_semiring, 0),
-    "max-plus-chain": (lambda name, size: maxplus_chain(_integer(size, "max-plus-chain size", None), name), 1),
+    "max-plus-chain": (lambda name, size: maxplus_chain(_integer(size, "max-plus-chain size"), name), 1),
     "right-dist": (right_dist_only, 0),
     "trivial": (trivial_structure, 0),
 }
@@ -249,15 +258,13 @@ def _build_structure(sec: Section) -> FinStruct:
     builtin = sec.get("builtin")
     if builtin is not None:
         kind, *args = builtin.split() or [""]
-        try:
+        with sec.at("builtin"):
             if kind not in _BUILTINS:
                 raise InputError(f"unknown builtin structure {kind!r}")
             make, arity = _BUILTINS[kind]
             if len(args) != arity:
                 raise InputError(f"builtin {kind!r} takes {('no arguments', 'one argument')[arity]}, got {len(args)}")
             return make(sec.name, *args)
-        except InputError as exc:
-            raise ParseError(f"[structure {sec.name}]: {exc}", sec.line_of("builtin")) from exc
     elements = tuple(sec.require("elements").split())
     require_desk_scale(sec.name, len(elements))
     order_spec = sec.require("order")
@@ -267,7 +274,7 @@ def _build_structure(sec: Section) -> FinStruct:
         covers = []
         for token in order_spec.split():
             if "<=" not in token:
-                raise ParseError(f"order pair {token!r} must look like a<=b", sec.line_of("order"))
+                raise ParseError(f"[structure {sec.name}]: order pair {token!r} must look like a<=b", sec.line_of("order"))
             a, b = token.split("<=", 1)
             covers.append((a, b))
         order = OrderRelation.from_covers(elements, covers)
@@ -291,7 +298,8 @@ def _build_space(ws: Workspace, sec: Section) -> FunctionSpace:
 
 
 def _build_function(space: FunctionSpace, sec: Section) -> KFunction:
-    return space.function(pairs(sec.require("values").split(), "point", "function values", sec.line_of("values")))
+    with sec.at("values"):
+        return space.function(pairs(sec.require("values").split(), "point", "function values"))
 
 
 def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Functional:
@@ -311,7 +319,8 @@ def _build_functional(ws: Workspace, space: FunctionSpace, sec: Section) -> Func
             if part.space is not space:
                 message = f"[functional {sec.name}]: part {name!r} is not on space {space.name!r}"
                 raise ParseError(message, sec.line_of("parts"))
-        return weighted_combo(side, coeffs, parts)
+        with sec.at("coeffs"):
+            return weighted_combo(side, coeffs, parts)
     raise ParseError(f"[functional {sec.name}]: unknown functional kind {kind!r}", sec.line_of("kind"))
 
 
@@ -347,9 +356,10 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
 
     K = _lookup(ws.structures, sec.require("structure"), sec, "structure")
     window = sec.require("window").split()
-    if len(window) != 2:
-        raise ParseError("window must be two integers `lo hi`", sec.line_of("window"))
-    lo, hi = (_integer(token, "window", sec.line_of("window")) for token in window)
+    with sec.at("window"):
+        if len(window) != 2:
+            raise InputError("window must be two integers `lo hi`")
+        lo, hi = (_integer(token, "window") for token in window)
     psi = {}
     phi = {}
     for op in ("add", "mul"):
@@ -357,11 +367,11 @@ def _build_scheme(ws: Workspace, sec: Section) -> IndexScheme:
         phi[op] = sec.integer(f"{op}.phi", "0")
     embed = sec.get("embed")
     if embed is not None:
-        embed = pairs(embed.split(), "element", "embed", sec.line_of("embed"))
-        for a, b in embed.items():
-            if a not in K.code or b not in K.code:
-                message = f"embed entry {a + ':' + b!r} names an element outside structure {K.name!r}"
-                raise ParseError(message, sec.line_of("embed"))
+        with sec.at("embed"):
+            embed = pairs(embed.split(), "element", "embed")
+            for a, b in embed.items():
+                if a not in K.code or b not in K.code:
+                    raise InputError(f"embed entry {a + ':' + b!r} names an element outside structure {K.name!r}")
     scheme = IndexScheme(K, range(lo, hi), psi, phi, embed)
     if phi["mul"] and len(K.elements) < 2:
         # the non-associativity search, which a shifted mul runs, needs a second element

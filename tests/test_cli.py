@@ -270,7 +270,7 @@ def test_an_embed_entry_outside_the_component_exits_2(tmp_path, capsys):
     doc = tmp_path / "embed.workspace"
     doc.write_text(DEMO.read_text(encoding="utf-8").replace("mul.phi = 1", "mul.phi = 1\nembed = 0:0 1:1 x:y"), encoding="utf-8")
     line = next(i for i, text in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1) if text.startswith("embed"))
-    message = f"error: line {line}: embed entry 'x:y' names an element outside structure 'bool'\n"
+    message = f"error: line {line}: [scheme Sch]: embed entry 'x:y' names an element outside structure 'bool'\n"
     assert run(capsys, "check", doc) == (2, "", message)
 
 

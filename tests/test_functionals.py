@@ -294,7 +294,8 @@ class TestPushforward:
 
         monkeypatch.setattr(functionals, "pushforward", spy)
         sp = bool_space()
-        assert all(monad_check(sp).verdicts.values())
+        # the default family, given, so that the scan runs
+        assert all(monad_check(sp, enumerate_idempotent(sp, AXIOM_SETS[1])).verdicts.values())
         # only unit-eta-inner pushes, and only base functionals; assoc follows from closure
         assert {d[0][0] for d in domains} == {"x"}
 
@@ -1369,7 +1370,8 @@ def bent_diracs(space, *bends):
 
 
 MONAD_FAMILIES = {
-    "default": lambda sp: None,
+    # the default family, given, so that the scan runs on a chain too
+    "default": lambda sp: enumerate_idempotent(sp, AXIOM_SETS[1]),
     "diracs": lambda sp: [Dirac(sp, x) for x in sp.points],
     "sup": lambda sp: [SupOver(sp, frozenset(sp.points))],
     "diracs+inf": lambda sp: [*(Dirac(sp, x) for x in sp.points), InfOver(sp, frozenset(sp.points))],
@@ -1398,17 +1400,22 @@ class TestMonadAgainstTheOracle:
 
     def test_each_bar_image_is_made_once(self, monkeypatch):
         """bar(g) is made once per base function and kept on the family, so
-        on mp3 over 2 points the default family (11 tables, 9 functions)
-        is read at most twice per member and function, not once per bar.
-        The extensional oracle would enumerate the 3^11 functions on the
-        family, past `FUNCTION_CAP`, so the records are compared with those
-        of bar remade on every call, and every one holds."""
+        on mp3 over 2 points the default family (11 tables, 9 functions),
+        given so that the scan runs, is read at most twice per member and
+        function, not once per bar.  The extensional oracle would enumerate
+        the 3^11 functions on the family, past `FUNCTION_CAP`, so the records
+        are compared with those of bar remade on every call, and every one
+        holds."""
         def remade(fam, g):
             return fam.upper.member(tuple(m.value(g) for m in fam.members))
 
+        def check():
+            sp = FunctionSpace(("x1", "x2"), MP3)
+            return monad_check(sp, MONAD_FAMILIES["default"](sp))
+
         with monkeypatch.context() as patch:
             patch.setattr(functionals.FunctionalFamily, "bar", remade)
-            want = monad_check(FunctionSpace(("x1", "x2"), MP3))
+            want = check()
         reads = Counter()
         value = TableFunctional.value
 
@@ -1417,7 +1424,7 @@ class TestMonadAgainstTheOracle:
             return value(self, f)
 
         monkeypatch.setattr(TableFunctional, "value", counted)
-        got = monad_check(FunctionSpace(("x1", "x2"), MP3))
+        got = check()
         assert len(reads) == 11 * 9 and sum(reads.values()) <= 2 * 11 * 9
         assert list(got.verdicts.items()) == list(want.verdicts.items())
         assert len(got.verdicts) == 6 and all(got.verdicts.values())
@@ -1455,7 +1462,7 @@ class TestMonadAgainstTheOracle:
                 return method(self, *args)
 
             monkeypatch.setattr(FunctionSpace, name, counted)
-        assert all(monad_check(sp).verdicts.values())
+        assert all(monad_check(sp, MONAD_FAMILIES["default"](sp)).verdicts.values())
         assert read and {space for space, _ in read} == {sp.name}
 
     def test_one_generated_family_and_no_pair_of_functions(self, monkeypatch):
@@ -1507,12 +1514,94 @@ def test_closure_gives_assoc_on_the_chain_census(family):
     for K in chain_census():
         for sp in (FunctionSpace(("x1",), K), FunctionSpace(("x1", "x2"), K)):
             given = make(sp)
-            if given is None and len(sp.points) > 1:
-                # the oracle's default family filters 3^9 tables on two points; it is given the library's
-                given = enumerate_idempotent(sp, AXIOM_SETS[1])
             want = scan_oracles.flattening_assoc(sp, given)
-            assert monad_check(sp, make(sp))["assoc"] == want
+            assert monad_check(sp, given)["assoc"] == want
             if not want.note:
                 assert want.holds
                 closed += 1
     assert closed
+
+
+MONAD_RECORDS = ["family-hosts-units", "unit-eta-outer", "unit-eta-inner", "bar-constant", "bar-join", "assoc"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the default family on a chain was enumerated or scanned")
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        bool_space(),
+        FunctionSpace(("x1", "x2"), MP3),
+        FunctionSpace(("x1", "x2"), maxplus_chain(6)),
+        # 6^8 functions, past `FUNCTION_CAP`
+        FunctionSpace(tuple(f"x{i}" for i in range(8)), maxplus_chain(6)),
+        FunctionSpace(("x1", "x2"), right_dist_only()),
+        FunctionSpace(("x1", "x2"), skew_structure()),
+    ],
+    ids=lambda sp: sp.name,
+)
+def test_on_a_chain_the_default_family_passes_without_a_scan(space, monkeypatch):
+    # the double-dualization theorem decides it (see `monad_check`)
+    for name in ("enumerate_functionals", "FunctionalFamily", "generated_family", "signature", "xi"):
+        monkeypatch.setattr(functionals, name, refuse)
+    monkeypatch.setattr(FunctionSpace, "functions", refuse)
+    assert space.over_a_chain
+    got = monad_check(space)
+    assert [(law, v.holds, v.witness, v.note) for law, v in got.verdicts.items()] == [
+        (law, True, None, "") for law in MONAD_RECORDS
+    ]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        next(sp for sp in MONAD_SPACES if sp.K.name == "axb"),
+        FunctionSpace(("x1", "x2", "x3"), BOOL, variant="+"),
+        FunctionSpace(("x1", "x2"), MP3, variant="-"),
+    ],
+    ids=lambda sp: sp.name + (sp.variant or ""),
+)
+def test_off_a_chain_the_default_family_is_scanned(space, monkeypatch):
+    scanned = []
+    enumerate_ = functionals.enumerate_idempotent
+
+    def spy(sp, axioms):
+        scanned.append(sp)
+        return enumerate_(sp, axioms)
+
+    monkeypatch.setattr(functionals, "enumerate_idempotent", spy)
+    assert not space.over_a_chain
+    got = monad_check(space)
+    assert scanned == [space]
+    assert got == monad_check(space, MONAD_FAMILIES["default"](space))
+    if space.variant is None:  # the oracle's family and flattening read every function of K^X
+        assert got == scan_oracles.monad_check(space)
+
+
+def flattens_into_the_family(space) -> bool:
+    """Whether every lam in I(F), F the enumerated default family on the
+    space, flattens into F, with the family and its flattening made by the
+    oracle; False, with nothing checked, when I(F) is past the caps."""
+    fam = scan_oracles.FunctionalFamily(space, enumerate_idempotent(space, AXIOM_SETS[1]))
+    try:
+        second = enumerate_idempotent(fam.upper, AXIOM_SETS[1])
+    except CapacityError:
+        return False
+    assert second and all(fam.id_of(scan_oracles.xi(fam, lam)) is not None for lam in second)
+    return True
+
+
+def test_the_chain_census_is_a_monad_where_the_second_level_can_be_enumerated():
+    """The six passing records on the chain census agree with the
+    oracle's scan over one point, and with the flattening of the whole
+    second level I(F) over two points, wherever I(F) fits the caps."""
+    fits = 0
+    for K in chain_census():
+        one, two = FunctionSpace(("x1",), K), FunctionSpace(("x1", "x2"), K)
+        assert monad_check(one) == scan_oracles.monad_check(one)
+        assert list(monad_check(two).verdicts) == MONAD_RECORDS and all(monad_check(two).verdicts.values())
+        fits += flattens_into_the_family(two)
+    assert fits == 231
+    assert flattens_into_the_family(bool_space())

@@ -275,7 +275,18 @@ BOOL_ROWS = (
         ("run = laws", "run = laws\nbudget = 0", "line 33: [suite default]: budget 0 must be at least 1"),
         ("[structure b]", "[structure]", "line 1: section header must be [kind name]"),
         ("[suite default]", "[foo x]", "line 31: unknown section kind 'foo'"),
-        ("builtin = boolean", "elements = 0 1\norder = 0<1", "line 3: order pair '0<1' must look like a<=b"),
+        ("builtin = boolean", "elements = 0 1\norder = 0<1", "line 3: [structure b]: order pair '0<1' must look like a<=b"),
+        (
+            "builtin = boolean",
+            "builtin = max-plus-chain x",
+            "line 2: [structure b]: max-plus-chain size must be an integer, got 'x'",
+        ),
+        ("window = 0 3", "window = 0 x", "line 29: [scheme Sch]: window must be an integer, got 'x'"),
+        ("window = 0 3", "window = 0", "line 29: [scheme Sch]: window must be two integers `lo hi`"),
+        ("window = 0 3", "window = 0 3\nadd.psi = one", "line 30: [scheme Sch]: add.psi must be an integer, got 'one'"),
+        ("window = 0 3", "window = 0 3\nmul.phi = 1.5", "line 30: [scheme Sch]: mul.phi must be an integer, got '1.5'"),
+        ("run = laws", "run = laws\nseed = x", "line 33: [suite default]: seed must be an integer, got 'x'"),
+        ("run = laws", "run = laws\nbudget = lots", "line 33: [suite default]: budget must be an integer, got 'lots'"),
         # a name refused where its section's object is built is reported at the section's line
         ("builtin = boolean", "elements = 0 0\norder = chain", "line 1: [structure b]: repeated element in 0 0"),
         ("builtin = boolean", BOOL_ROWS.replace("one = 1", "one = z"), "line 1: [structure b]: b: one 'z' not in carrier"),
@@ -294,8 +305,15 @@ BOOL_ROWS = (
         (
             "coeffs = 1\nparts = nu",
             "coeffs = 1 zz\nparts = nu nu",
-            "line 34: [functional c]: coefficient 'zz' not in carrier",
+            "line 37: [functional c]: coefficient 'zz' not in carrier",
         ),
+        (
+            "coeffs = 1\nparts = nu",
+            "coeffs = 0 1\nparts = nu nu",
+            "line 37: [functional c]: coefficients must be strictly positive",
+        ),
+        # bool given by its tables declares no flags, so it is not known to distribute
+        ("builtin = boolean", BOOL_ROWS, "line 44: [functional c]: weighted combinations need a distributive K"),
         ("window = 0 3", "window = 0 3\nembed = 0:0", "line 27: [scheme Sch]: homomorphism map missing element '1'"),
     ],
     ids=[
@@ -313,6 +331,13 @@ BOOL_ROWS = (
         "header-one-word",
         "section-kind",
         "order-pair",
+        "chain-size-token",
+        "window-token",
+        "window-arity",
+        "psi-token",
+        "phi-token",
+        "seed-token",
+        "budget-token",
         "elements-repeat",
         "one",
         "add-zero",
@@ -320,6 +345,8 @@ BOOL_ROWS = (
         "dirac-point",
         "sup-set",
         "combo-coeffs",
+        "combo-zero-coeff",
+        "combo-not-distributive",
         "embed-partial",
     ],
 )
@@ -427,8 +454,8 @@ def test_a_row_key_outside_its_carrier_is_refused_at_its_line(tmp_path, capsys, 
     "old, new, message",
     [
         ("points = x y", "points = x y x", "line 4: [space S]: repeated point in x y x"),
-        ("values = x:0 y:1", "values = x:0 y:1 x:1", "line 10: point 'x' repeated in the function values"),
-        ("values = x:0 y:1", "values = x:0 y:1 z:1", "line 8: [function f]: function points differ from the space's at ['z']"),
+        ("values = x:0 y:1", "values = x:0 y:1 x:1", "line 10: [function f]: point 'x' repeated in the function values"),
+        ("values = x:0 y:1", "values = x:0 y:1 z:1", "line 10: [function f]: function points differ from the space's at ['z']"),
     ],
     ids=["space", "function-repeat", "function-outside"],
 )
@@ -451,7 +478,7 @@ def test_a_combo_of_parts_on_another_space_is_refused_at_its_parts_line(tmp_path
     "old, new, message",
     [
         ("L = 0 1", "L = 0 1 1", "line 25: [action A]: repeated element in L = 0 1 1"),
-        ("window = 0 3", "window = 0 3\nembed = 0:0 1:0 1:1", "line 30: element '1' repeated in the embed"),
+        ("window = 0 3", "window = 0 3\nembed = 0:0 1:0 1:1", "line 30: [scheme Sch]: element '1' repeated in the embed"),
     ],
     ids=["action-L", "scheme-embed"],
 )
