@@ -70,7 +70,7 @@ def suite_monad(ws: Workspace, budget: int, seed: int) -> list[CheckRecord]:
     records = []
     for name in sorted(ws.spaces):
         space = ws.spaces[name]
-        if len(space.K.elements) ** len(space.functions()) > budget:
+        if not space.over_a_chain and len(space.K.elements) ** len(space.functions()) > budget:
             skipped = Verdict.passed("monad", note="space too large for the budget; skipped")
             records.append(CheckRecord(f"monad/{name}/skipped", skipped))
             continue
@@ -87,7 +87,7 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
         check_ideal,
         check_quasiring,
         invariant_subfamily,
-        saturate,
+        kind_algebra,
         support_bounds,
     )
 
@@ -103,7 +103,7 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
             refused = Verdict.failed(f"kind-{kind}", None, note=str(exc))
             records.append(CheckRecord(f"convolution/{name}/kind", refused))
             continue
-        alg = saturate(seedfam, sys, kind, budget=budget)
+        alg = kind_algebra(seedfam, sys, kind, budget=budget)
         rep = check_quasiring(alg)
         H = invariant_subfamily(alg)
         for report in (rep, check_ideal(H, alg)):

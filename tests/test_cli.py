@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordalg.cli import main
+from ordalg.functionals import MONAD_LAWS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "docs" / "demo.workspace"
@@ -479,17 +480,74 @@ WIDE_SPACE = (
 )
 
 
-@pytest.mark.parametrize("suite", ["monad", "idempotent"])
-def test_a_space_beyond_the_function_cap_exits_2_promptly(tmp_path, capsys, suite):
+@pytest.mark.parametrize(
+    "suite, text",
+    [("monad", WIDE_SPACE.replace("points = a b c d", "points = a b c d\nvariant = +")), ("idempotent", WIDE_SPACE)],
+    ids=["monad", "idempotent"],
+)
+def test_a_space_beyond_the_function_cap_exits_2_promptly(tmp_path, capsys, suite, text):
     # 60**4 functions: parsing checks sups by pairs, and enumeration is
-    # refused before any function is made
+    # refused before any function is made; the monad suite scans only off a chain
     doc = tmp_path / "wide.workspace"
-    doc.write_text(WIDE_SPACE, encoding="utf-8")
+    doc.write_text(text, encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, "check", doc, "--suite", suite)
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert err == "error: 12960000 functions on S exceed the cap 65536\n"
+
+
+def test_the_monad_on_a_chain_beyond_the_function_cap_passes_promptly(tmp_path, capsys):
+    # the default family over a chain is decided by a theorem, which makes no function
+    doc = tmp_path / "wide.workspace"
+    doc.write_text(WIDE_SPACE, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", doc, "--suite", "monad", "--format", "records")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[1:3] for line in out.splitlines()] == [[law, "pass"] for law in MONAD_LAWS]
+
+
+def cyclic_action_doc(n: int, builtin: str) -> str:
+    """Z_n acting on itself by addition, unit cocycle, kind join, over the builtin K."""
+    g = [f"g{i}" for i in range(n)]
+    rows = [" ".join(g[(i + j) % n] for j in range(n)) for i in range(n)]
+    maps = "".join(
+        f"groupoid.row.{g[i]} = {rows[i]}\nact.{g[i]} = {rows[i]}\nrho.{g[i]} = {' '.join(['1'] * n)}\n" for i in range(n)
+    )
+    return (
+        f"[structure K]\nbuiltin = {builtin}\n\n[action Z]\nstructure = K\ngroupoid-elements = {' '.join(g)}\n"
+        f"{maps}unit = g0\npoints = {' '.join(g)}\nL = 0 1\nkind = join\n"
+    )
+
+
+def test_a_convolution_past_the_table_cap_passes_from_its_point_maps(tmp_path, capsys):
+    # Z5 over bool has 2**32 value tables and 2**5 + 1 join functionals
+    doc = tmp_path / "z5-bool.workspace"
+    doc.write_text(cyclic_action_doc(5, "boolean"), encoding="utf-8")
+    code, out, err = run(capsys, "check", doc, "--suite", "convolution", "--format", "records")
+    # the action, the eight algebra laws and the supports of the three invariant members
+    assert (code, len(out.splitlines()), err) == (0, 12, "")
+
+
+@pytest.mark.parametrize(
+    "n, builtin, message",
+    [
+        # 20**4 + 10**4 + 4**4 + 1 tuples of point maps
+        (4, "max-plus-chain 4", "170257 point-map candidates exceed the cap 100000"),
+        # 2**12 + 1 tuples, each a table of 2**12 values
+        (12, "boolean", "4097 point-map tables of 4096 values exceed the cap 10000000 values"),
+    ],
+    ids=["Z4-mp4", "Z12-bool"],
+)
+def test_a_convolution_beyond_a_point_map_cap_exits_2_promptly(tmp_path, capsys, n, builtin, message):
+    # the tuples and their values are counted before any table is made
+    doc = tmp_path / "cyclic.workspace"
+    doc.write_text(cyclic_action_doc(n, builtin), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", doc, "--suite", "convolution")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("budget", [0, -3])

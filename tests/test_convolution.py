@@ -4,9 +4,12 @@ witnesses, the agreement of the join/meet scans of `check_kind` and
 laws on a hand-built algebra, a hand-closed saturation, the products
 of an algebra being made once each and no distributive triple scanned
 when every member passes its kind, a left-law witness replayed on the
-translate oracle, the pruned seed family against the exhaustive
-filter, an algebra of an unknown kind or of kind add without its laws
-refused when it is built, the action and cocycle laws, T_g T_h = T_gh,
+translate oracle, the seed family, made from point maps on a chain,
+against the exhaustive filter, the whole family of kind join or meet on
+a chain closed by the theorem as `saturate` and the oracle close it
+(also on Z5 over bool, past the table cap), with no enumeration and no
+saturation on the conv-z4 workload, an algebra of an unknown kind or of
+kind add without its laws refused when it is built, the action and cocycle laws, T_g T_h = T_gh,
 the unit of convolution, a part on another space or a value outside K
 refused, each translate made once per action and each row of
 translates against the oracle's translate on names, each right factor's
@@ -16,8 +19,9 @@ translate-by-translate path of tests/scan_oracles.py, and the support
 bound of invariant functionals against the images of every word, with
 the support reported by a stand-in so that the record can fail."""
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 import scan_oracles
@@ -37,6 +41,7 @@ from ordalg.convolution import (
     convolve,
     dirac_unit,
     invariant_subfamily,
+    kind_algebra,
     plus_kind,
     saturate,
     support_bounds,
@@ -56,10 +61,13 @@ from ordalg.functionals import (
     signature,
     tabulate,
 )
+from ordalg.order import OrderRelation
 from ordalg.report import Verdict
-from ordalg.structures import boolean_semiring, direct_product, maxplus_chain, trivial_structure
+from ordalg.structures import SEMIRING, FinStruct, boolean_semiring, direct_product, maxplus_chain, trivial_structure
 from ordalg.suites import suite_convolution
-from ordalg.workspace import Workspace
+from ordalg.workspace import Workspace, parse
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 BOOL = boolean_semiring()
 MP3 = maxplus_chain(3)
@@ -87,6 +95,11 @@ def square_point():
     """bool x bool on one point; "0,1" and "1,0" are incomparable."""
     sp = FunctionSpace(("x",), SQUARE)
     return sp, sp.functions()
+
+
+def refuse(*args, **kwargs):
+    """A stand-in for a scan that must not run."""
+    raise AssertionError("a scan ran where a theorem decides")
 
 
 class TestCheckKind:
@@ -276,10 +289,9 @@ def test_distributivity_reads_the_sums_only_when_every_member_passes_its_kind(mo
     m = len(alg.members)
     assert m > 10 and all(rep.verdicts.values())
     assert all(map(alg.passes_kind, alg.members))
-    # each sum once, each product once for closure and two per member for
-    # the unit: the distributive laws scan no triple
-    assert reads["plus"] <= m * m
-    assert reads["star"] <= m * m + 2 * m
+    # the saturated algebra is closed, so closure scans no pair, and the
+    # distributive laws scan no triple: only the unit reads two products per member
+    assert reads == {"star": 2 * m}
 
 
 def test_a_wrong_sum_fails_the_left_law_at_its_first_triple():
@@ -328,19 +340,33 @@ def cyclic_action(n, K):
     return ActionSystem(Groupoid(f"Z{n}", elems, table, "0"), K, elems, v, frozenset(K.names), rho)
 
 
-# the cyclic actions whose spaces have at most 4096 tables
-CYCLIC = [
-    (n, K)
-    for K in (BOOL, MP3)
-    for n in (1, 2, 3)
-    if len(K.elements) ** (len(K.elements) ** n) <= 4096
-]
+def shuffled_chain(names):
+    """max and min on the chain 0 < 1 < ... of integer names, listed in
+    the carrier in the given order, so that codes do not follow the chain."""
+    E = [(a, b) for a in names for b in names]
+    add = {(a, b): max(a, b, key=int) for a, b in E}
+    mul = {(a, b): min(a, b, key=int) for a, b in E}
+    order = OrderRelation(tuple(names), ((a, b) for a, b in E if int(a) <= int(b)))
+    return FinStruct(f"chain{''.join(names)}", order, add, mul, "0", max(names, key=int), frozenset(SEMIRING))
+
+
+# the cyclic actions whose spaces have at most 4096 tables, and the left-zero action
+SEED_CASES = {
+    **{
+        f"Z{n}-{K.name}": partial(cyclic_action, n, K)
+        for K in (BOOL, MP3, shuffled_chain(("1", "0")), shuffled_chain(("0", "2", "1")))
+        for n in (1, 2, 3)
+        if len(K.elements) ** (len(K.elements) ** n) <= 4096
+    },
+    "left-zero": left_zero_action,
+}
 
 
 @pytest.mark.parametrize("kind", ["join", "meet", "add"])
-@pytest.mark.parametrize("n, K", CYCLIC, ids=[f"Z{n}-{K.name}" for n, K in CYCLIC])
-def test_seed_family_equals_the_exhaustive_filter(n, K, kind):
-    sys = cyclic_action(n, K)
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_seed_family_equals_the_exhaustive_filter(case, kind):
+    # on these chains join and meet are made from point maps, and add by the enumerator
+    sys = SEED_CASES[case]()
     assert check_action(sys)
     exhaustive = [nu.table for nu in enumerate_functionals(sys.space) if check_kind(nu, kind)]
     assert [nu.table for nu in all_kind_functionals(sys, kind)] == exhaustive
@@ -573,6 +599,29 @@ def outcome(check, *args):
     return list(result.verdicts.items())
 
 
+def records_of(alg):
+    """Every record the convolution suite reads from an algebra, in its order."""
+    H = invariant_subfamily(alg)
+    return (
+        outcome(check_quasiring, alg),
+        outcome(check_ideal, H, alg),
+        tables(H),
+        [support_bounds(nu, alg.sys) for nu in H],
+    )
+
+
+@cache
+def oracle_records(oracle):
+    """The same records by the oracle, made once per oracle algebra."""
+    H = scan_oracles.invariant_subfamily(oracle)
+    return (
+        outcome(scan_oracles.check_quasiring, oracle),
+        outcome(scan_oracles.check_ideal, H, oracle),
+        tables(H),
+        [scan_oracles.support_bounds(nu, oracle.sys) for nu in H],
+    )
+
+
 def assert_agrees_with_the_oracle(alg, oracle):
     members = alg.members
     assert tables(members) == tables(oracle.members)
@@ -580,12 +629,7 @@ def assert_agrees_with_the_oracle(alg, oracle):
         for op in ("plus", "star"):
             made, want = alg.combine(op, nu, lam), oracle.combine(op, nu, lam)
             assert made.table == want.table, (op, nu, lam)
-    assert outcome(check_quasiring, alg) == outcome(scan_oracles.check_quasiring, oracle)
-    H, oracle_H = invariant_subfamily(alg), scan_oracles.invariant_subfamily(oracle)
-    assert tables(H) == tables(oracle_H)
-    assert outcome(check_ideal, H, alg) == outcome(scan_oracles.check_ideal, oracle_H, oracle)
-    for nu in H:
-        assert support_bounds(nu, alg.sys) == scan_oracles.support_bounds(nu, alg.sys)
+    assert records_of(alg) == oracle_records(oracle)
 
 
 def nilpotent_action():
@@ -662,16 +706,74 @@ def test_the_bound_agrees_with_the_word_oracle_on_every_support(case, monkeypatc
             assert support_bounds(zero, sys) == scan_oracles.support_bounds(zero, sys), support
 
 
+@cache
+def oracle_of(case):
+    """The oracle's saturation of an ORACLE_CASES entry, made once for every test that reads it."""
+    make_sys, make_seed, kind, budget = ORACLE_CASES[case]
+    sys = make_sys()
+    return scan_oracles.saturate(make_seed(sys), sys, kind, budget=budget)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_saturated_algebra_agrees_with_the_translate_oracle(case):
     make_sys, make_seed, kind, budget = ORACLE_CASES[case]
     sys = make_sys()
     assert check_action(sys)
-    seed = make_seed(sys)
-    alg = saturate(seed, sys, kind, budget=budget)
-    oracle = scan_oracles.saturate(seed, sys, kind, budget=budget)
+    alg = saturate(make_seed(sys), sys, kind, budget=budget)
+    oracle = oracle_of(case)
     assert (alg.rounds, alg.saturated) == (oracle.rounds, oracle.saturated)
     assert_agrees_with_the_oracle(alg, oracle)
+
+
+# the ORACLE_CASES on a chain whose seed is the whole family of a kind join or meet
+THEOREM_CASES = ["demo-Z2-bool", "demo-Z2-bool-meet", "Z4-bool", "left-zero", "Z2-mp3"]
+
+
+@pytest.mark.parametrize("case", THEOREM_CASES)
+def test_the_whole_kind_family_is_closed_by_the_theorem_as_the_scans_close_it(case, monkeypatch):
+    make_sys, make_seed, kind, budget = ORACLE_CASES[case]
+    sys = make_sys()
+    seed = make_seed(sys)
+    assert sys.space.over_a_chain and kind != "add"
+    scanned = saturate(seed, sys, kind, budget=budget)
+    assert (scanned.rounds, scanned.saturated, tables(scanned.members)) == (1, True, tables(seed))
+    monkeypatch.setattr(convolution, "saturate", refuse)
+    alg = kind_algebra(seed, sys, kind, budget)
+    assert (alg.rounds, alg.saturated, alg._made) == (0, True, {})
+    assert records_of(alg) == records_of(scanned)
+    assert_agrees_with_the_oracle(alg, oracle_of(case))
+
+
+def test_a_family_over_the_budget_is_saturated_by_scan():
+    sys = cyclic_action(4, BOOL)
+    seed = all_kind_functionals(sys, "join")
+    alg = kind_algebra(seed, sys, "join", len(seed) - 1)
+    assert (alg.rounds, alg.saturated) == (0, False)
+    assert check_quasiring(alg)["closure-add"].note == "saturation budget exhausted"
+
+
+def test_z5_over_bool_is_closed_by_the_theorem_as_saturate_closes_it(monkeypatch):
+    # 2**32 value tables, which the enumerator refuses, and 33 join functionals
+    sys = cyclic_action(5, BOOL)
+    seed = all_kind_functionals(sys, "join")
+    assert len(seed) == 33 and all(scan_oracles.check_kind(nu, "join") for nu in seed)
+    scanned = saturate(seed, sys, "join")
+    # one round makes every sum and product of the 33, 2178 in all, and finds nothing new
+    assert (scanned.rounds, scanned.saturated, len(scanned._made)) == (1, True, 2 * 33**2)
+    assert tables(scanned.members) == tables(seed)
+    monkeypatch.setattr(convolution, "saturate", refuse)
+    assert records_of(kind_algebra(seed, sys, "join", 4096)) == records_of(scanned)
+
+
+def test_the_conv_z4_workload_makes_no_enumeration_and_no_saturation(monkeypatch):
+    monkeypatch.syspath_prepend(str(GOLDEN.parent))
+    import workloads
+
+    monkeypatch.setattr(convolution, "enumerate_functionals", refuse)
+    monkeypatch.setattr(convolution, "saturate", refuse)
+    records = suite_convolution(parse(workloads.conv_z4(0)), 20000, 0)
+    printed = "".join(r.as_record_line() + "\n" for r in records)
+    assert printed.encode("utf-8") == (GOLDEN / "conv-z4.records").read_bytes()
 
 
 def test_a_left_law_witness_fails_on_the_translate_oracle():

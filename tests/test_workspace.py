@@ -4,6 +4,7 @@ import pytest
 
 from ordalg import convolution, workspace
 from ordalg.errors import CapacityError
+from ordalg.functionals import MONAD_LAWS
 from ordalg.order import OrderRelation
 from ordalg.structures import maxplus_chain
 from ordalg.cli import main
@@ -515,10 +516,19 @@ def test_a_document_that_its_suite_cannot_run_is_refused_at_its_key(tmp_path, ca
     "text, suite, code, records",
     [
         (
-            EVERY_KIND.replace("run = laws", "run = laws\nbudget = 10"),
+            # bool on two monotone points has 3 functions and 2**3 tables to scan
+            EVERY_KIND.replace("run = laws", "run = laws\nbudget = 7")
+            .replace("points = x y", "points = x y\nvariant = +"),
             "monad",
             0,
             ["monad/S/skipped\tmonad\tpass\t-\tspace too large for the budget; skipped"],
+        ),
+        (
+            # on a chain the default family is decided by a theorem, which reads no budget
+            EVERY_KIND.replace("run = laws", "run = laws\nbudget = 10"),
+            "monad",
+            0,
+            [f"monad/S/{law}\t{law}\tpass\t-" for law in MONAD_LAWS],
         ),
         (
             TABLES.replace("[action A]\n", "[action A]\nkind = add\n"),
@@ -530,7 +540,7 @@ def test_a_document_that_its_suite_cannot_run_is_refused_at_its_key(tmp_path, ca
             ],
         ),
     ],
-    ids=["monad-over-budget", "kind-add-without-comm-add"],
+    ids=["monad-over-budget", "monad-on-a-chain-past-the-budget", "kind-add-without-comm-add"],
 )
 def test_a_check_that_cannot_run_is_a_record(tmp_path, capsys, text, suite, code, records):
     doc = tmp_path / "doc.workspace"
