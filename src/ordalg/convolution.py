@@ -30,9 +30,11 @@ makes the family from tuples of such maps.  With a cocycle constant
 one, T_g f = f o v_g commutes with the pointwise pick, so
 h_{f v f'} = h_f v h_{f'} for lam in the family, and nu * lam keeps the
 law, as nu + lam does value by value: `kind_algebra` marks the whole
-family saturated with no product made.  Kind add, a K that is not a
-chain, a family over the budget and any other seed are closed by
-`saturate`, a scan of every sum and product.
+family saturated with no product made, and refuses a family over the
+budget before it makes a table.  Kind add, a K that is not a chain, a
+cocycle not constant one and any other seed are closed by `saturate`, a
+scan of every sum and product.  The ideal checks still scan each member
+against each invariant one, up to `PAIR_CAP` pairs.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ from .structures import FinStruct, code_rows
 
 KINDS = ("add", "join", "meet")
 VALUE_CAP = 10_000_000  # the values of the tables point maps make: about 80 MB of references
+PAIR_CAP = 1_000_000  # the (member, invariant member) pairs of an ideal check: about 250 MB of products
 
 
 class Groupoid:
@@ -273,18 +276,26 @@ def all_kind_functionals(sys: ActionSystem, kind: str) -> list[TableFunctional]:
     return list(enumerate_functionals(sys.space, law_instances(sys.space, (kind,))))
 
 
-def _point_map_tables(space: FunctionSpace, k: int) -> list[tuple]:
-    """The tables of V_x phi_x(f(x)), sorted, for the tuples of point maps
-    phi_x monotone for the k-pick with one value at its unit u: sequences,
-    from u outwards, that never step back, comb(2n - 2 - i, n - 1) of them
-    with phi(u) the i-th element out.  The caps are applied before any table is made."""
-    K, m = space.K, len(space.points)
-    n, picks = len(K.elements), K.order.picks
+def _point_map_count(space: FunctionSpace) -> int:
+    """The tuples of point maps of `_point_map_tables`, one per table,
+    refused over the caps: comb(2n - 2 - i, n - 1) maps for each point
+    with phi(u) the i-th element out from u."""
+    n, m = len(space.K.elements), len(space.points)
     total = sum(comb(2 * n - 2 - i, n - 1) ** m for i in range(n))
     if total > TABLE_CAP:
         raise CapacityError(f"{total} point-map candidates exceed the cap {TABLE_CAP}")
     if total * n**m > VALUE_CAP:
         raise CapacityError(f"{total} point-map tables of {n**m} values exceed the cap {VALUE_CAP} values")
+    return total
+
+
+def _point_map_tables(space: FunctionSpace, k: int) -> list[tuple]:
+    """The tables of V_x phi_x(f(x)), sorted, for the tuples of point maps
+    phi_x monotone for the k-pick with one value at its unit u: sequences,
+    from u outwards, that never step back.  They are counted before any table is made."""
+    _point_map_count(space)
+    K, m = space.K, len(space.points)
+    n, picks = len(K.elements), K.order.picks
     chain = sorted(K.elements, key=lambda a: len((K.order.above, K.order.below)[k][a]), reverse=True)
     maps = {}  # by their value at u
     for values in combinations_with_replacement(chain, n):
@@ -296,14 +307,17 @@ def _point_map_tables(space: FunctionSpace, k: int) -> list[tuple]:
     return sorted(tuple(reduce(fold, phis)) for group in maps.values() for phis in product(group, repeat=m))
 
 
-def kind_algebra(seed, sys: ActionSystem, kind: str, budget: int) -> ConvAlgebra:
-    """The algebra of `seed`, the whole kind family, closed by the theorem
-    of the module docstring where it applies and the family fits the
-    budget, and else by `saturate`."""
-    _require_unit_cocycle(sys)
-    if kind == "add" or not sys.space.over_a_chain or len(seed) > budget:
-        return saturate(seed, sys, kind, budget)
-    alg = ConvAlgebra(kind, sys, seed)
+def kind_algebra(sys: ActionSystem, kind: str, budget: int) -> ConvAlgebra:
+    """The algebra of the whole kind family (`all_kind_functionals`).
+    Where the theorem of the module docstring applies, it is closed with
+    no product made, and a family over the budget is refused before any
+    table is made; elsewhere it is closed by `saturate`."""
+    if kind not in ("join", "meet") or not (sys.space.over_a_chain and _unit_cocycle(sys)):
+        return saturate(all_kind_functionals(sys, kind), sys, kind, budget)
+    size = _point_map_count(sys.space)
+    if size > budget:
+        raise CapacityError(f"{size} {kind} functionals exceed the budget {budget}")
+    alg = ConvAlgebra(kind, sys, all_kind_functionals(sys, kind))
     alg.saturated = True
     return alg
 
@@ -369,9 +383,13 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     return report
 
 
+def _unit_cocycle(sys: ActionSystem) -> bool:
+    return all(v == sys.K.one for row in sys.rho for v in row)
+
+
 def _require_unit_cocycle(sys: ActionSystem) -> None:
     """Refuse an action whose cocycle is not constant one."""
-    if any(v != sys.K.one for row in sys.rho for v in row):
+    if not _unit_cocycle(sys):
         raise PreconditionError("convolution needs a cocycle constant one")
 
 
@@ -381,12 +399,15 @@ def invariant_subfamily(alg: ConvAlgebra) -> list[TableFunctional]:
 
 def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
     """The three ideal inclusions for the invariant sub-family, where
-    membership means passing the invariance and kind checks."""
+    membership means passing the invariance and kind checks; more pairs
+    of a member and one of H than `PAIR_CAP` are refused before any product."""
     _require_unit_cocycle(alg.sys)
     report = AxiomReport()
     H = list(map(alg.member, H))
     if not all(map(alg.invariant, H)):
         raise PreconditionError("H contains a non-invariant functional")
+    if len(alg.members) * len(H) > PAIR_CAP:
+        raise CapacityError(f"{len(alg.members)} members by {len(H)} invariant ones exceed the cap {PAIR_CAP} pairs")
 
     def member_of_H(nu: TableFunctional) -> bool:
         return alg.invariant(nu) and alg.passes_kind(nu)

@@ -82,7 +82,6 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
     # imported here, as the workspace's action builder does, so that only a document with actions loads it
     from .convolution import (
         _require_unit_cocycle,
-        all_kind_functionals,
         check_action,
         check_ideal,
         check_quasiring,
@@ -98,12 +97,11 @@ def suite_convolution(ws: Workspace, budget: int, seed: int) -> list[CheckRecord
         records.append(CheckRecord(f"convolution/{name}/action", check_action(sys)))
         _require_unit_cocycle(sys)
         try:
-            seedfam = all_kind_functionals(sys, kind)
+            alg = kind_algebra(sys, kind, budget)
         except PreconditionError as exc:
             refused = Verdict.failed(f"kind-{kind}", None, note=str(exc))
             records.append(CheckRecord(f"convolution/{name}/kind", refused))
             continue
-        alg = kind_algebra(seedfam, sys, kind, budget=budget)
         rep = check_quasiring(alg)
         H = invariant_subfamily(alg)
         for report in (rep, check_ideal(H, alg)):

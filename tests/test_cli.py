@@ -537,11 +537,16 @@ def test_a_convolution_past_the_table_cap_passes_from_its_point_maps(tmp_path, c
         (4, "max-plus-chain 4", "170257 point-map candidates exceed the cap 100000"),
         # 2**12 + 1 tuples, each a table of 2**12 values
         (12, "boolean", "4097 point-map tables of 4096 values exceed the cap 10000000 values"),
+        # 252**2 + 126**2 + 56**2 + 21**2 + 6**2 + 1 join functionals, past the default budget
+        (2, "max-plus-chain 6", "82994 join functionals exceed the budget 20000"),
+        # the trivial group leaves every one of the 1716 join functionals invariant
+        (1, "max-plus-chain 7", "1716 members by 1716 invariant ones exceed the cap 1000000 pairs"),
     ],
-    ids=["Z4-mp4", "Z12-bool"],
+    ids=["Z4-mp4", "Z12-bool", "Z2-mp6", "Z1-mp7"],
 )
-def test_a_convolution_beyond_a_point_map_cap_exits_2_promptly(tmp_path, capsys, n, builtin, message):
-    # the tuples and their values are counted before any table is made
+def test_a_convolution_beyond_a_cap_or_the_budget_exits_2_promptly(tmp_path, capsys, n, builtin, message):
+    # the tuples, their values and the family are counted before any table
+    # is made, and the pairs of an ideal check before any of their products
     doc = tmp_path / "cyclic.workspace"
     doc.write_text(cyclic_action_doc(n, builtin), encoding="utf-8")
     start = time.perf_counter()

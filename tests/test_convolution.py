@@ -46,7 +46,7 @@ from ordalg.convolution import (
     saturate,
     support_bounds,
 )
-from ordalg.errors import IncomparableError, InputError, PreconditionError
+from ordalg.errors import CapacityError, IncomparableError, InputError, PreconditionError
 from ordalg.funcspace import FunctionSpace, KFunction
 from ordalg.functionals import (
     Dirac,
@@ -738,18 +738,39 @@ def test_the_whole_kind_family_is_closed_by_the_theorem_as_the_scans_close_it(ca
     scanned = saturate(seed, sys, kind, budget=budget)
     assert (scanned.rounds, scanned.saturated, tables(scanned.members)) == (1, True, tables(seed))
     monkeypatch.setattr(convolution, "saturate", refuse)
-    alg = kind_algebra(seed, sys, kind, budget)
-    assert (alg.rounds, alg.saturated, alg._made) == (0, True, {})
+    alg = kind_algebra(sys, kind, budget)
+    assert (alg.rounds, alg.saturated, alg._made, tables(alg.members)) == (0, True, {}, tables(seed))
     assert records_of(alg) == records_of(scanned)
     assert_agrees_with_the_oracle(alg, oracle_of(case))
 
 
-def test_a_family_over_the_budget_is_saturated_by_scan():
-    sys = cyclic_action(4, BOOL)
-    seed = all_kind_functionals(sys, "join")
-    alg = kind_algebra(seed, sys, "join", len(seed) - 1)
-    assert (alg.rounds, alg.saturated) == (0, False)
-    assert check_quasiring(alg)["closure-add"].note == "saturation budget exhausted"
+def test_a_family_over_the_budget_is_refused_before_any_table_is_made(monkeypatch):
+    # the theorem closes the family, so no scan of its pairs stands in for the refusal
+    for name in ("_point_map_tables", "saturate"):
+        monkeypatch.setattr(convolution, name, refuse)
+    with pytest.raises(CapacityError, match="^17 join functionals exceed the budget 16$"):
+        kind_algebra(cyclic_action(4, BOOL), "join", 16)
+
+
+@pytest.mark.parametrize(
+    "make_sys, kind", [(left_zero_action, "add"), (skewed_left_zero_action, "join")], ids=["add", "skewed-cocycle"]
+)
+def test_off_the_theorem_the_whole_kind_family_is_saturated_by_scan(monkeypatch, make_sys, kind):
+    sys, calls = make_sys(), []
+    monkeypatch.setattr(convolution, "saturate", lambda seed, *args: calls.append((tables(seed), args)) or "scanned")
+    assert kind_algebra(sys, kind, 7) == "scanned"
+    assert calls == [(tables(all_kind_functionals(sys, kind)), (sys, kind, 7))]
+
+
+def test_an_ideal_check_past_the_pair_cap_is_refused_before_any_product(monkeypatch):
+    alg = kind_algebra(cyclic_action(4, BOOL), "join", 4096)
+    H = invariant_subfamily(alg)
+    monkeypatch.setattr(convolution, "PAIR_CAP", 17 * 3 - 1)
+    with pytest.raises(CapacityError, match="^17 members by 3 invariant ones exceed the cap 50 pairs$"):
+        check_ideal(H, alg)
+    assert alg._made == {}
+    monkeypatch.setattr(convolution, "PAIR_CAP", 17 * 3)
+    assert check_ideal(H, alg).verdicts
 
 
 def test_z5_over_bool_is_closed_by_the_theorem_as_saturate_closes_it(monkeypatch):
@@ -762,7 +783,7 @@ def test_z5_over_bool_is_closed_by_the_theorem_as_saturate_closes_it(monkeypatch
     assert (scanned.rounds, scanned.saturated, len(scanned._made)) == (1, True, 2 * 33**2)
     assert tables(scanned.members) == tables(seed)
     monkeypatch.setattr(convolution, "saturate", refuse)
-    assert records_of(kind_algebra(seed, sys, "join", 4096)) == records_of(scanned)
+    assert records_of(kind_algebra(sys, "join", 4096)) == records_of(scanned)
 
 
 def test_the_conv_z4_workload_makes_no_enumeration_and_no_saturation(monkeypatch):
