@@ -30,11 +30,11 @@ makes the family from tuples of such maps.  With a cocycle constant
 one, T_g f = f o v_g commutes with the pointwise pick, so
 h_{f v f'} = h_f v h_{f'} for lam in the family, and nu * lam keeps the
 law, as nu + lam does value by value: `kind_algebra` marks the whole
-family saturated with no product made, and refuses a family over the
-budget before it makes a table.  Kind add, a K that is not a chain, a
-cocycle not constant one and any other seed are closed by `saturate`, a
-scan of every sum and product.  The ideal checks still scan each member
-against each invariant one, up to `PAIR_CAP` pairs.
+family closed (`by_theorem`) with no product made, and refuses a family
+over the budget before it makes a table; `check_quasiring` and
+`check_ideal` decide its laws from their premises.  Kind add, a K that
+is not a chain, a cocycle not constant one and any other seed are closed
+by `saturate`, a scan of every sum and product, and their laws scanned.
 """
 from __future__ import annotations
 
@@ -236,13 +236,14 @@ class ConvAlgebra:
     registered when it enters, so each product of two tables is keyed by
     their identities, made once, by `combine`, and read from there; so are
     each table's verdicts of `check_kind` and `check_invariant`, by
-    `passes_kind` and `invariant`."""
+    `passes_kind` and `invariant`.  `by_theorem` marks the whole kind
+    family that `kind_algebra` closes by the theorem of the module docstring."""
 
     def __init__(self, kind: str, sys: ActionSystem, members: tuple):
         _require_kind(kind, sys.K)
         self.kind = kind
         self.sys = sys
-        self.saturated = False
+        self.saturated = self.by_theorem = False
         self.rounds = 0
         self._made = {}
         self.passes_kind = cache(lambda nu: bool(check_kind(nu, kind)))
@@ -254,14 +255,15 @@ class ConvAlgebra:
         """The algebra's one object for nu's table."""
         return self._tables.setdefault(nu.table, nu)
 
-    def combine(self, op: str, nu: TableFunctional, lam: TableFunctional) -> TableFunctional:
+    def combine(self, op: str, nu: TableFunctional, lam: TableFunctional, keep: bool = True) -> TableFunctional:
         """nu + lam for op "plus", nu * lam for op "star", as a value
-        table; nu, lam and the result are objects of `member`."""
+        table; nu, lam and a result made before or kept are objects of `member`."""
         key = (op, nu, lam)
         made = self._made.get(key)
         if made is None:
             made = plus_kind(self.kind, nu, lam) if op == "plus" else convolve(nu, lam, self.sys)
-            made = self._made[key] = self.member(made)
+            if keep:
+                made = self._made[key] = self.member(made)
         return made
 
 
@@ -318,7 +320,7 @@ def kind_algebra(sys: ActionSystem, kind: str, budget: int) -> ConvAlgebra:
     if size > budget:
         raise CapacityError(f"{size} {kind} functionals exceed the budget {budget}")
     alg = ConvAlgebra(kind, sys, all_kind_functionals(sys, kind))
-    alg.saturated = True
+    alg.saturated = alg.by_theorem = True
     return alg
 
 
@@ -353,8 +355,12 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
     n1 + n2 is, so at f the sides are lam(h1 + h2) and lam(h1) + lam(h2),
     an instance of lam's kind law (`law_instances`).  So only a lam that
     fails `check_kind` is scanned, over (n1, n2) and then lam in member
-    order, and only there are sums made.  Closure is scanned only in an
-    algebra that is not saturated (`kind_algebra`); the unit is one first-failure scan.
+    order, and only there are sums made: none in the theorem's family
+    (`by_theorem`), whose members pass their kind by construction.
+    Closure is scanned only in an algebra that is not saturated.  Unit:
+    delta_e * nu = nu(T_e .) = nu, and nu * delta_e reads h_f(g) =
+    f(v_g(e)) = f(g), in any algebra on X = G with cocycle one, v_e the
+    identity and v_g(e) = g (`_unit_acts`); else it is one scan.
     """
     report = AxiomReport()
     members = alg.members
@@ -369,18 +375,24 @@ def check_quasiring(alg: ConvAlgebra) -> AxiomReport:
         report.add(first_failure("closure-conv", leaves))
 
     report.add(Verdict.passed("conv-right-dist"))
-    failing = [lam for lam in members if not alg.passes_kind(lam)]
-    undistributed = (
-        (str(n1), str(n2), str(lam))
-        for n1, n2, lam in product(members, members, failing)
-        if star(lam, plus(n1, n2)) is not plus(star(lam, n1), star(lam, n2))
-    )
-    report.add(first_failure("conv-left-dist", undistributed))
 
+    def undistributed():
+        failing = [lam for lam in members if not alg.passes_kind(lam)]
+        for n1, n2, lam in product(members, members, failing):
+            if star(lam, plus(n1, n2)) is not plus(star(lam, n1), star(lam, n2)):
+                yield (str(n1), str(n2), str(lam))
+
+    report.add(Verdict.passed("conv-left-dist") if alg.by_theorem else first_failure("conv-left-dist", undistributed()))
     delta = alg.member(tabulate(dirac_unit(alg.sys)))
     moved = ((str(nu),) for nu in members if {star(nu, delta), star(delta, nu)} != {nu})
-    report.add(first_failure("unit-neutral", moved))
+    report.add(Verdict.passed("unit-neutral") if _unit_acts(alg.sys) else first_failure("unit-neutral", moved))
     return report
+
+
+def _unit_acts(sys: ActionSystem) -> bool:  # the unit's premise (`check_quasiring`), on X = G
+    act, e, on_G = sys.act, sys.G.unit, tuple(sys.points) == tuple(sys.G.elements)
+    fixes = on_G and act[e] == tuple(range(len(act))) and all(row[e] == g for g, row in enumerate(act))
+    return fixes and _unit_cocycle(sys)
 
 
 def _unit_cocycle(sys: ActionSystem) -> bool:
@@ -398,35 +410,46 @@ def invariant_subfamily(alg: ConvAlgebra) -> list[TableFunctional]:
 
 
 def check_ideal(H, alg: ConvAlgebra) -> AxiomReport:
-    """The three ideal inclusions for the invariant sub-family, where
-    membership means passing the invariance and kind checks; more pairs
-    of a member and one of H than `PAIR_CAP` are refused before any product."""
-    _require_unit_cocycle(alg.sys)
+    """The three ideal inclusions for the invariant sub-family H, where
+    membership means passing the invariance and kind checks.  In the
+    theorem's family (`by_theorem`), which is closed, on X = G and with H
+    drawn from its members, an inclusion is decided when its premise holds:
+    ideal-add always, since a pick of invariant members is invariant value
+    by value; ideal-left when `check_action` holds, so T_g T_k = T_{gk}
+    and an invariant lam has h_{T_k f} = h_f; ideal-right when also
+    v_k(x) = xk, so h_{T_k f} = T_k h_f.  Else it is a scan, whose products
+    are not kept, refused past `PAIR_CAP` pairs of a member and one of H."""
+    sys = alg.sys
+    _require_unit_cocycle(sys)
     report = AxiomReport()
     H = list(map(alg.member, H))
     if not all(map(alg.invariant, H)):
         raise PreconditionError("H contains a non-invariant functional")
-    if len(alg.members) * len(H) > PAIR_CAP:
+    drawn = alg.by_theorem and tuple(sys.points) == tuple(sys.G.elements) and set(H) <= set(alg.members)
+    acts = drawn and bool(check_action(sys))
+    regular = acts and all(row[x] == sys.G.table[x][k] for k, row in enumerate(sys.act) for x in range(len(row)))
+    if not regular and len(alg.members) * len(H) > PAIR_CAP:
         raise CapacityError(f"{len(alg.members)} members by {len(H)} invariant ones exceed the cap {PAIR_CAP} pairs")
 
-    def member_of_H(nu: TableFunctional) -> bool:
+    def member_of_H(made: TableFunctional) -> bool:  # a member's verdicts are kept, a new product's are not
+        if (nu := alg._tables.get(made.table)) is None:
+            return bool(check_invariant(made, sys)) and bool(check_kind(made, alg.kind))
         return alg.invariant(nu) and alg.passes_kind(nu)
 
-    outside = (
-        (str(l1), str(l2)) for l1, l2 in product(H, repeat=2) if not member_of_H(alg.combine("plus", l1, l2))
-    )
-    report.add(first_failure("ideal-add", outside))
+    pairs = product(H, repeat=2)
+    outside = ((str(a), str(b)) for a, b in pairs if not member_of_H(alg.combine("plus", a, b, keep=False)))
+    report.add(Verdict.passed("ideal-add") if drawn else first_failure("ideal-add", outside))
 
     # nu * lam stays in H for every member nu and lam in H, and with the
     # convolution flipped, lam * nu
     def leaves(flip):
         for nu, lam in product(alg.members, H):
             a, b = (lam, nu) if flip else (nu, lam)
-            if not member_of_H(alg.combine("star", a, b)):
+            if not member_of_H(alg.combine("star", a, b, keep=False)):
                 yield (str(a), str(b))
 
-    report.add(first_failure("ideal-left", leaves(False)))
-    report.add(first_failure("ideal-right", leaves(True)))
+    report.add(Verdict.passed("ideal-left") if acts else first_failure("ideal-left", leaves(False)))
+    report.add(Verdict.passed("ideal-right") if regular else first_failure("ideal-right", leaves(True)))
     return report
 
 

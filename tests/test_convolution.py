@@ -7,10 +7,12 @@ when every member passes its kind, a left-law witness replayed on the
 translate oracle, the seed family, made from point maps on a chain,
 against the exhaustive filter, the whole family of kind join or meet on
 a chain closed by the theorem as `saturate` and the oracle close it
-(also on Z5 over bool, past the table cap), with no enumeration and no
-saturation on the conv-z4 workload, an algebra of an unknown kind or of
-kind add without its laws refused when it is built, the action and cocycle laws, T_g T_h = T_gh,
-the unit of convolution, a part on another space or a value outside K
+(also on Z5 over bool, past the table cap), its laws decided from their
+premises as the same family scanned and the oracle decide them, also on
+actions that miss a premise, with no enumeration, saturation, product or
+kind scan on the conv-z4 workload, ideal scans that keep no product, an
+algebra of an unknown kind or of kind add without its laws refused when
+it is built, the action and cocycle laws, T_g T_h = T_gh, the unit of convolution, a part on another space or a value outside K
 refused, each translate made once per action and each row of
 translates against the oracle's translate on names, each right factor's
 position map made once per table, the positional convolution, of
@@ -62,7 +64,7 @@ from ordalg.functionals import (
     tabulate,
 )
 from ordalg.order import OrderRelation
-from ordalg.report import Verdict
+from ordalg.report import Verdict, first_failure
 from ordalg.structures import SEMIRING, FinStruct, boolean_semiring, direct_product, maxplus_chain, trivial_structure
 from ordalg.suites import suite_convolution
 from ordalg.workspace import Workspace, parse
@@ -290,8 +292,9 @@ def test_distributivity_reads_the_sums_only_when_every_member_passes_its_kind(mo
     assert m > 10 and all(rep.verdicts.values())
     assert all(map(alg.passes_kind, alg.members))
     # the saturated algebra is closed, so closure scans no pair, and the
-    # distributive laws scan no triple: only the unit reads two products per member
-    assert reads == {"star": 2 * m}
+    # distributive laws scan no triple; the cyclic action fixes the unit's
+    # premise, so the unit reads no product either
+    assert reads == {}
 
 
 def test_a_wrong_sum_fails_the_left_law_at_its_first_triple():
@@ -744,6 +747,51 @@ def test_the_whole_kind_family_is_closed_by_the_theorem_as_the_scans_close_it(ca
     assert_agrees_with_the_oracle(alg, oracle_of(case))
 
 
+def left_multiplication_action():
+    """bool over the left-zero monoid {e, a, b} acting on itself by left
+    multiplication, v_g(x) = gx.  It fails `check_action`: v_b(v_a(e)) = b,
+    while v_ab(e) = v_a(e) = a."""
+    elems = ("e", "a", "b")
+    table = {(x, y): y if x == "e" else x for x in elems for y in elems}
+    rho = {(g, x): "1" for g in elems for x in elems}
+    sys = ActionSystem(Groupoid("lz", elems, table, "e"), BOOL, elems, table, frozenset(BOOL.names), rho)
+    assert not check_action(sys)
+    return sys
+
+
+# (action, kind, the laws scanned on its whole kind family): on the
+# cyclic and right-regular actions every law is decided; Z2 fixing every
+# point misses the premises of the unit and of ideal-right, and the left
+# multiplication fails `check_action`, the premise of both ideal products
+DECISION_CASES = {
+    **{case: (ORACLE_CASES[case][0], ORACLE_CASES[case][2], set()) for case in THEOREM_CASES},
+    "Z5-bool": (lambda: cyclic_action(5, BOOL), "join", set()),
+    "Z2-fixing": (lambda: z2_action(v={("a", "e"): "e", ("a", "a"): "a"}), "join", {"unit-neutral", "ideal-right"}),
+    "left-multiplication": (left_multiplication_action, "join", {"ideal-left", "ideal-right"}),
+}
+
+
+@pytest.mark.parametrize("case", DECISION_CASES)
+def test_each_decision_agrees_with_its_scan_and_the_oracle(case, monkeypatch):
+    make_sys, kind, scanned = DECISION_CASES[case]
+    sys = make_sys()
+    alg, unmarked = kind_algebra(sys, kind, 4096), kind_algebra(sys, kind, 4096)
+    unmarked.by_theorem = False
+    assert alg.by_theorem
+    laws = []
+    monkeypatch.setattr(convolution, "first_failure", lambda law, leaves: laws.append(law) or first_failure(law, leaves))
+    if not scanned:
+        for name in ("convolve", "plus_kind", "check_kind"):
+            monkeypatch.setattr(convolution, name, refuse)
+    decided = records_of(alg)
+    assert set(laws) == scanned
+    monkeypatch.undo()
+    # the oracle scans closure whatever it is told, so it is told the family is saturated
+    oracle = oracle_of(case) if case in THEOREM_CASES else scan_oracles.ConvAlgebra(kind, sys, alg.members, True)
+    assert tables(oracle.members) == tables(alg.members)
+    assert decided == records_of(unmarked) == oracle_records(oracle)
+
+
 def test_a_family_over_the_budget_is_refused_before_any_table_is_made(monkeypatch):
     # the theorem closes the family, so no scan of its pairs stands in for the refusal
     for name in ("_point_map_tables", "saturate"):
@@ -763,14 +811,29 @@ def test_off_the_theorem_the_whole_kind_family_is_saturated_by_scan(monkeypatch,
 
 
 def test_an_ideal_check_past_the_pair_cap_is_refused_before_any_product(monkeypatch):
-    alg = kind_algebra(cyclic_action(4, BOOL), "join", 4096)
+    # an algebra that `saturate` closed scans its ideal laws, so the cap applies
+    sys = cyclic_action(4, BOOL)
+    alg = saturate(all_kind_functionals(sys, "join"), sys, "join")
     H = invariant_subfamily(alg)
     monkeypatch.setattr(convolution, "PAIR_CAP", 17 * 3 - 1)
+    for name in ("convolve", "plus_kind"):
+        monkeypatch.setattr(convolution, name, refuse)
     with pytest.raises(CapacityError, match="^17 members by 3 invariant ones exceed the cap 50 pairs$"):
         check_ideal(H, alg)
-    assert alg._made == {}
+    # under the cap the scan runs, and reads only products `saturate` made
     monkeypatch.setattr(convolution, "PAIR_CAP", 17 * 3)
     assert check_ideal(H, alg).verdicts
+
+
+def test_an_ideal_scan_keeps_none_of_its_products():
+    # an algebra not closed by the theorem scans every ideal law; its
+    # products, and their verdicts, are made for the scan and not kept
+    sys = left_zero_action()
+    alg = ConvAlgebra("join", sys, tuple(table(sys.space, v) for v in ("00100000", "01000100", "10001000")))
+    H = invariant_subfamily(alg)
+    assert [v.holds for v in check_ideal(H, alg).verdicts.values()] == [False] * 3
+    assert (alg._made, len(alg._tables)) == ({}, 3)
+    assert max(alg.invariant.cache_info().currsize, alg.passes_kind.cache_info().currsize) <= 3
 
 
 def test_z5_over_bool_is_closed_by_the_theorem_as_saturate_closes_it(monkeypatch):
@@ -790,8 +853,9 @@ def test_the_conv_z4_workload_makes_no_enumeration_and_no_saturation(monkeypatch
     monkeypatch.syspath_prepend(str(GOLDEN.parent))
     import workloads
 
-    monkeypatch.setattr(convolution, "enumerate_functionals", refuse)
-    monkeypatch.setattr(convolution, "saturate", refuse)
+    # nor any product or kind scan: every law of the algebra is decided by its theorem
+    for name in ("enumerate_functionals", "saturate", "convolve", "plus_kind", "check_kind"):
+        monkeypatch.setattr(convolution, name, refuse)
     records = suite_convolution(parse(workloads.conv_z4(0)), 20000, 0)
     printed = "".join(r.as_record_line() + "\n" for r in records)
     assert printed.encode("utf-8") == (GOLDEN / "conv-z4.records").read_bytes()
